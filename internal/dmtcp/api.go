@@ -49,15 +49,6 @@ type Config struct {
 	// anchors stay paper-faithful.
 	CkptWorkers int
 
-	// SerialRestore disables the streamed restore pipeline, restoring
-	// store-mode images the old way: fetch every missing chunk from
-	// the replica daemon first, then decompress and install.  It
-	// exists as the honest baseline the restore benchmark compares
-	// against, and it reproduces the legacy path faithfully — including
-	// that CkptWorkers: 0 stays serial rather than auto-sizing.  Leave
-	// it false to overlap fetch and install.
-	SerialRestore bool
-
 	// LazyRestore flips store-mode restarts from pre-copy to
 	// post-copy: dmtcp_restart installs only a minimal skeleton (the
 	// manifest header, files, conns, and the hottest few chunks) and
@@ -67,11 +58,13 @@ type Config struct {
 	// remainder hottest-first, striped across every placement-verified
 	// complete holder.  RestartStages then reports ResumePause (the
 	// user-visible pause) separately from the PrefetchDrain tail;
-	// Total covers both.  Ignored with SerialRestore.
+	// Total covers both.  Needs the replica service (ReplicaFactor);
+	// without it restarts stay eager.
 	LazyRestore bool
 	// LazyHolders caps how many holders the lazy prefetcher stripes
-	// across (0 = all placement-verified complete holders).  The
-	// restore benchmark's single-holder column sets 1.
+	// across (0 = all placement-verified complete holders); holders
+	// past the cap are failover spares.  The restore benchmark's
+	// single-holder column sets 1.
 	LazyHolders int
 
 	// Store routes checkpoint images through the content-addressed

@@ -1,11 +1,13 @@
 package dmtcp
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/model"
 	"repro/internal/store"
 )
 
@@ -19,11 +21,52 @@ import (
 // restore path must detect the flipped bit during local verification,
 // quarantine the bad object, fetch the clean copy from the other
 // holder, and complete with an image in which every chunk verifies —
-// the "restore never installs a corrupt chunk" contract.
+// the "restore never installs a corrupt chunk" contract.  The lazy case
+// corrupts the coldest chunk, which the post-copy tail (not the
+// skeleton) installs after the process resumes.
 func TestRestartHealsCorruptLocalChunk(t *testing.T) {
-	e := newEnv(t, 4, Config{Compress: true, Store: true, ReplicaFactor: 2, CkptWorkers: 2})
+	for _, tc := range []struct {
+		name string
+		lazy bool
+		prog string
+		p    kernel.Program
+		// victim picks the chunk to corrupt from the round's manifest.
+		victim func(m *store.Manifest) store.ChunkCoord
+	}{
+		{"eager", false, "bigdirty", bigDirty{},
+			func(m *store.Manifest) store.ChunkCoord { return m.Coords()[0] }},
+		{"lazy", true, "libbytes", libBytes{},
+			func(m *store.Manifest) store.ChunkCoord {
+				hot := m.HotOrder()
+				return hot[len(hot)-1]
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testRestartHealsCorruptLocalChunk(t, tc.lazy, tc.prog, tc.p, tc.victim)
+		})
+	}
+}
+
+// libBytes is bigDirty whose library mapping carries real bytes: its
+// chunks are the image's coldest (never written), and they have
+// content for a heal to get right.
+type libBytes struct{}
+
+func (libBytes) Main(t *kernel.Task, _ []string) {
+	lib := t.MapLib("/lib/libc.so", 4*model.MB)
+	lib.Payload = bytes.Repeat([]byte("libc"), int(lib.Bytes/4))
+	t.MapAnon("[heap]", 128*model.MB, model.ClassData)
+	t.P.SaveState([]byte{1})
+	bigDirtyIdle(t)
+}
+
+func (libBytes) Restore(t *kernel.Task, _ []byte) { bigDirtyIdle(t) }
+
+func testRestartHealsCorruptLocalChunk(t *testing.T, lazy bool, prog string, p kernel.Program,
+	victim func(m *store.Manifest) store.ChunkCoord) {
+	e := newEnv(t, 4, Config{Compress: true, Store: true, ReplicaFactor: 2, CkptWorkers: 2, LazyRestore: lazy})
 	e.drive(t, func(task *kernel.Task) {
-		round := restoreEnv(t, e, task) // workload dead; holders: node02, node03
+		round := restoreEnvWith(t, e, task, prog, p) // workload dead; holders: node02, node03
 
 		// Flip one bit in node02's copy of a chunk the restored image
 		// actually references (the store also holds superseded
@@ -33,7 +76,12 @@ func TestRestartHealsCorruptLocalChunk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("holder manifest: %v", err)
 		}
-		hash := m0.Refs()[0].Hash
+		bad := victim(m0)
+		hash := bad.Ref.Hash
+		clean, err := store.Open(e.c.Node(3), store.Config{Root: e.sys.StoreRoot()}).ReadChunkVerified(task, bad.Ref)
+		if err != nil {
+			t.Fatalf("clean copy on node03: %v", err)
+		}
 		if !st2.CorruptChunk(rand.New(rand.NewSource(3)), hash) {
 			t.Fatalf("chunk %s not present on node02", hash)
 		}
@@ -71,16 +119,37 @@ func TestRestartHealsCorruptLocalChunk(t *testing.T) {
 			}
 		}
 		task.Compute(50 * time.Millisecond)
-		found = false
+		var restored *kernel.Process
 		for _, p := range e.sys.ManagedProcesses() {
-			if p.Node.ID == 2 && p.ProgName == "bigdirty" {
-				found = true
+			if p.Node.ID == 2 && p.ProgName == prog {
+				restored = p
 			}
 		}
-		if !found {
-			t.Error("restored process not running on node02")
+		if restored == nil {
+			t.Fatal("restored process not running on node02")
+		}
+		// The process holds the clean holder's bytes for the chunk.
+		a := restored.Mem.Areas()[m0.Areas[bad.Area].Area]
+		off := int64(bad.Idx) * kernel.CkptChunkBytes
+		if !a.ChunkPresent(bad.Idx) {
+			t.Errorf("healed chunk %d of %s not present", bad.Idx, a.Name)
+		}
+		if got := payloadAt(a.Payload, off, len(clean)); !bytes.Equal(got, clean) {
+			t.Errorf("chunk %d of %s does not hold the clean copy's %d bytes", bad.Idx, a.Name, len(clean))
 		}
 	})
+}
+
+// payloadAt returns the n payload bytes at off, clipped to the payload.
+func payloadAt(payload []byte, off int64, n int) []byte {
+	if off >= int64(len(payload)) {
+		return nil
+	}
+	end := off + int64(n)
+	if end > int64(len(payload)) {
+		end = int64(len(payload))
+	}
+	return payload[off:end]
 }
 
 // TestScrubDetectsCorruptionAndRepairRestoresRedundancy runs the

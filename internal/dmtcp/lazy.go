@@ -53,22 +53,22 @@ type lazyCtrl struct {
 // newLazyCtrl arms the post-copy tail for one skeleton-restored image
 // and starts pulling immediately, so the prefetch overlaps the
 // files/conns/fork stages that still separate us from resume.
-func newLazyCtrl(s *System, t *kernel.Task, img *mtcp.Image, lz *mtcp.LazyState, holders []string) *lazyCtrl {
+func newLazyCtrl(s *System, t *kernel.Task, img *mtcp.Image, pending []mtcp.LazyChunk, holders []string) *lazyCtrl {
 	lc := &lazyCtrl{
 		sys:        s,
 		local:      store.Open(t.P.Node, store.Config{Root: s.StoreRoot()}),
 		img:        img,
 		w:          sim.NewWaitQueue(t.P.Node.Cluster.Eng, "lazy.install"),
-		pending:    lz.Pending,
-		refOf:      make(map[[2]int]store.ChunkRef, len(lz.Pending)),
-		byHash:     make(map[string][][2]int, len(lz.Pending)),
+		pending:    pending,
+		refOf:      make(map[[2]int]store.ChunkRef, len(pending)),
+		byHash:     make(map[string][][2]int, len(pending)),
 		installed:  map[[2]int]bool{},
 		installing: map[[2]int]bool{},
 		areas:      map[int]*kernel.VMArea{},
 		areaIdx:    map[*kernel.VMArea]int{},
 	}
 	var refs []store.ChunkRef
-	for _, pc := range lz.Pending {
+	for _, pc := range pending {
 		key := [2]int{pc.Area, pc.Idx}
 		lc.refOf[key] = pc.Ref
 		if len(lc.byHash[pc.Ref.Hash]) == 0 {
@@ -77,7 +77,8 @@ func newLazyCtrl(s *System, t *kernel.Task, img *mtcp.Image, lz *mtcp.LazyState,
 		lc.byHash[pc.Ref.Hash] = append(lc.byHash[pc.Ref.Hash], key)
 		lc.remaining++
 	}
-	lc.ps = replica.NewPullStream(t, s.Replica, holders, refs, lc.onDeliver)
+	lc.ps = replica.NewPullStream(t, s.Replica, holders, refs,
+		replica.PullOptions{Stripe: s.Cfg.LazyHolders, Deliver: lc.onDeliver})
 	t.P.SpawnTask("lazy-install", true, lc.installer)
 	// The pull stream wakes its own waiters on failure; relay that to
 	// ours so the installer, drain, and blocked faulters all observe a
@@ -132,10 +133,16 @@ func (lc *lazyCtrl) installer(t *kernel.Task) {
 // coordinate.  Runs on the installer or on a faulting thread.
 func (lc *lazyCtrl) install(t *kernel.Task, key [2]int, ref store.ChunkRef) {
 	lc.local.ChargeRead(t, []store.ChunkRef{ref})
-	// Verified read: a corrupt local copy is quarantined and never
-	// lands in the process (data stays nil), and the quarantine
-	// counters surface the hit.
-	data, _ := lc.local.ReadChunkVerified(t, ref)
+	// Verified read: a chunk that went bad after it landed is
+	// quarantined and never marked present — the tail fails instead.
+	data, err := lc.local.ReadChunkVerified(t, ref)
+	if err != nil {
+		if lc.err == nil {
+			lc.err = fmt.Errorf("dmtcp: lazy install of chunk %s: %w", ref.Hash, err)
+		}
+		lc.w.WakeAll()
+		return
+	}
 	if lc.wired {
 		if a := lc.areas[key[0]]; a != nil {
 			a.InstallChunk(key[1], data)

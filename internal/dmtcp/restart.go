@@ -20,49 +20,28 @@ import (
 // manifests and chunks from (set by RestartAll / failure recovery).
 const fetchFromEnv = "DMTCP_FETCH_FROM"
 
-// holderFetcher implements mtcp.ChunkFetcher over the replica daemon
-// protocol with holder fallback: the streamed restore pipeline pulls
-// from the primary serving holder, and when that holder dies
-// mid-fetch (its node lost, its daemon gone) the fetch resumes — with
-// only the still-missing chunks — against the next live holder the
-// coordinator's placement map can verify holds a complete copy.  Only
-// when every candidate is gone does it fail, with a typed
-// replica.HolderLostError.  Chunks landed before a failure stay
-// durable, so no bytes are re-fetched and no partial install can
-// corrupt the image (the pipeline discards everything on error).
-type holderFetcher struct {
-	sys     *System
-	path    string // manifest path being restored
-	primary string // DMTCP_FETCH_FROM: the holder the restart was pointed at
-	workers int
-	target  *kernel.Node // restart node: never a fetch source
-	tried   []string
-}
-
-// candidates returns the live hosts worth trying, primary first, then
-// every placement-verified complete holder — minus hosts already
-// tried, the restart node itself, and dead nodes.
-func (f *holderFetcher) candidates() []string {
-	seen := map[string]bool{f.target.Hostname: true}
-	for _, h := range f.tried {
-		seen[h] = true
-	}
+// fetchHolders returns the live hosts a restart on target may pull
+// path's chunks from, in preference order: primary (the holder the
+// restart was pointed at) first, then every holder the coordinator's
+// placement map verifies holds a complete copy — never target itself.
+func (s *System) fetchHolders(path, primary string, target *kernel.Node) []string {
+	seen := map[string]bool{target.Hostname: true}
 	var out []string
 	add := func(h string) {
 		if h == "" || seen[h] {
 			return
 		}
 		seen[h] = true
-		if n := f.sys.C.LookupHost(h); n == nil || n.Down {
+		if n := s.C.LookupHost(h); n == nil || n.Down {
 			return
 		}
 		out = append(out, h)
 	}
-	add(f.primary)
-	if name, gen, ok := store.NameForManifest(f.path); ok {
-		if pi := f.sys.Coord.st().Placement[name]; pi != nil {
-			for _, h := range f.sys.Coord.candidateHolders(pi, gen) {
-				if f.sys.Coord.holderComplete(h, name, gen) {
+	add(primary)
+	if name, gen, ok := store.NameForManifest(path); ok {
+		if pi := s.Coord.st().Placement[name]; pi != nil {
+			for _, h := range s.Coord.candidateHolders(pi, gen) {
+				if s.Coord.holderComplete(h, name, gen) {
 					add(h)
 				}
 			}
@@ -71,50 +50,162 @@ func (f *holderFetcher) candidates() []string {
 	return out
 }
 
-// ensureManifest makes the manifest local, trying holders in order.
-func (f *holderFetcher) ensureManifest(t *kernel.Task) error {
-	if t.P.Node.FS.Exists(f.path) {
+// ensureManifest makes path's manifest local, trying holders in order.
+func (s *System) ensureManifest(t *kernel.Task, path string, holders []string) error {
+	if t.P.Node.FS.Exists(path) {
 		return nil
 	}
+	var tried []string
 	var lastErr error
-	for _, h := range f.candidates() {
-		if _, err := f.sys.Replica.EnsureManifest(t, f.path, h); err == nil {
+	for _, h := range holders {
+		_, err := s.Replica.EnsureManifest(t, path, h)
+		if err == nil {
 			return nil
-		} else {
-			lastErr = err
-			f.tried = append(f.tried, h)
 		}
+		lastErr = err
+		tried = append(tried, h)
 	}
-	return &replica.HolderLostError{Hosts: append([]string(nil), f.tried...), Err: lastErr}
+	return &replica.HolderLostError{Hosts: tried, Err: lastErr}
+}
+
+// pullFetcher implements mtcp.ChunkFetcher over one replica.PullStream
+// in the eager restart's shape: workers connections on the first live
+// holder, the stream failing over down the list when a holder dies.
+// Chunks landed before a failure stay durable, so nothing is fetched
+// twice; only with every holder gone does Fetch fail, with a typed
+// replica.HolderLostError.
+type pullFetcher struct {
+	sv      *replica.Service
+	holders []string
+	workers int
 }
 
 // Fetch implements mtcp.ChunkFetcher.
-func (f *holderFetcher) Fetch(t *kernel.Task, refs []store.ChunkRef, deliver func(store.ChunkRef)) (int64, int, error) {
-	local := store.Open(t.P.Node, store.Config{Root: f.sys.StoreRoot()})
-	remaining := refs
-	var total int64
-	count := 0
-	var lastErr error
-	for {
-		cands := f.candidates()
-		if len(cands) == 0 {
-			break
+func (f pullFetcher) Fetch(t *kernel.Task, refs []store.ChunkRef, deliver func(store.ChunkRef)) (int64, int, error) {
+	ps := replica.NewPullStream(t, f.sv, f.holders, refs,
+		replica.PullOptions{Stripe: 1, Conns: f.workers, Deliver: deliver})
+	err := ps.Wait(t)
+	return ps.Bytes(), ps.Chunks(), err
+}
+
+// procImage is one image a dmtcp_restart restores: the loaded image,
+// its decoded tables, and (lazy restores) its post-copy tail.
+type procImage struct {
+	path  string
+	img   *mtcp.Image
+	fds   []FDRec
+	conns []ConnRec
+	vpid  kernel.Pid
+	table map[kernel.Pid]kernel.Pid
+	lazy  *lazyCtrl
+}
+
+// loadImages is the restart.images segment of dmtcp_restart: it loads
+// every image and decodes its tables.  Store manifests ride the
+// restore pipeline, one per image, concurrently (the node's core
+// scheduler arbitrates): chunks the node lacks are pulled from the
+// replica holders — DMTCP_FETCH_FROM first, then every
+// placement-verified complete holder — while an install pool lands
+// each as it arrives, so node-failure recovery, store-mode migration
+// and plain store restarts all ride one path.  With Config.LazyRestore
+// the pipeline returns on the skeleton, and the image's post-copy tail
+// starts pulling the rest here, overlapping files, conns and fork.
+// Monolithic images load headers only; their children pay the bulk.
+// Pipeline statistics fold into st, with the slowest pipeline's wall
+// time as Memory.
+func (s *System) loadImages(t *kernel.Task, paths []string, st *RestartStages) ([]*procImage, error) {
+	from := t.P.Env[fetchFromEnv]
+	workers := s.Cfg.CkptWorkers
+	if workers == 0 {
+		// Adaptive (CkptWorkers == 0): size the restore pool from the
+		// node's observed idle cores — a restart on an idle node gets
+		// the whole machine, one beside live tenants stays polite.
+		workers = t.P.Node.CPU().IdleCores()
+	}
+	opts := mtcp.RestoreOptions{Workers: workers, Lazy: s.Cfg.LazyRestore && s.Replica != nil}
+	imgs := make([]*procImage, len(paths))
+	holders := make([][]string, len(paths))
+	pending := make([][]mtcp.LazyChunk, len(paths))
+	stats := make([]mtcp.RestoreStats, len(paths))
+	errs := make([]error, len(paths))
+	running := 0
+	pipeW := sim.NewWaitQueue(t.P.Node.Cluster.Eng, "restart.pipe")
+	for i, path := range paths {
+		imgs[i] = &procImage{path: path}
+		if !store.IsManifestPath(path) {
+			continue
 		}
-		h := cands[0]
-		b, c, err := f.sys.Replica.FetchChunks(t, h, remaining, f.workers, deliver)
-		total += b
-		count += c
-		if err == nil {
-			return total, count, nil
+		if s.Replica != nil {
+			holders[i] = s.fetchHolders(path, from, t.P.Node)
 		}
-		lastErr = err
-		f.tried = append(f.tried, h)
-		remaining = local.MissingChunks(remaining)
-		if len(remaining) == 0 {
-			return total, count, nil
+		i, path := i, path
+		running++
+		t.P.SpawnTask("restore-pipe", true, func(pt *kernel.Task) {
+			defer func() {
+				running--
+				pipeW.WakeAll()
+			}()
+			o := opts
+			if from != "" && s.Replica != nil {
+				if errs[i] = s.ensureManifest(pt, path, holders[i]); errs[i] != nil {
+					return
+				}
+				o.Fetch = pullFetcher{sv: s.Replica, holders: holders[i], workers: workers}
+			}
+			imgs[i].img, pending[i], stats[i], errs[i] = mtcp.Restore(pt, path, o)
+		})
+	}
+	for running > 0 {
+		pipeW.Wait(t.T)
+	}
+	for i, pi := range imgs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("restore %s: %v", pi.path, errs[i])
+		}
+		rs := stats[i]
+		if rs.Fetch > st.Fetch {
+			st.Fetch = rs.Fetch
+		}
+		st.FetchedBytes += rs.FetchedBytes
+		st.FetchedChunks += rs.FetchedChunks
+		st.OverlapBytes += rs.OverlapBytes
+		if rs.Workers > st.Workers {
+			st.Workers = rs.Workers
+		}
+		if rs.Took > st.Memory {
+			st.Memory = rs.Took
+		}
+		if len(pending[i]) > 0 {
+			pi.lazy = newLazyCtrl(s, t, pi.img, pending[i], holders[i])
 		}
 	}
-	return total, count, &replica.HolderLostError{Hosts: append([]string(nil), f.tried...), Err: lastErr}
+
+	for _, pi := range imgs {
+		if pi.img == nil {
+			img, err := mtcp.LoadImage(t, pi.path)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %v", pi.path, err)
+			}
+			pi.img = img
+		}
+		var err error
+		if b, ok := pi.img.Ext["dmtcp.fdtable"]; ok {
+			if pi.fds, err = decodeFDTable(b); err != nil {
+				return nil, fmt.Errorf("%s: bad fd table: %v", pi.path, err)
+			}
+		}
+		if b, ok := pi.img.Ext["dmtcp.conns"]; ok {
+			if pi.conns, err = decodeConns(b); err != nil {
+				return nil, fmt.Errorf("%s: bad conn table: %v", pi.path, err)
+			}
+		}
+		if b, ok := pi.img.Ext["dmtcp.pids"]; ok {
+			if pi.vpid, pi.table, err = decodePids(b); err != nil {
+				return nil, fmt.Errorf("%s: bad pid table: %v", pi.path, err)
+			}
+		}
+	}
+	return imgs, nil
 }
 
 // restartMain is the dmtcp_restart program (§4.4): a single restart
@@ -160,175 +251,9 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 	}
 
 	// ---- Image loading ---------------------------------------------------
-	// Store manifests ride the streamed restore pipeline: a pull-stream
-	// fetch from a replica holder (when DMTCP_FETCH_FROM names one)
-	// overlapped with a restore worker pool that decompresses and
-	// installs each chunk as it arrives; chunks already local
-	// short-circuit the network stage, so node-failure recovery,
-	// store-mode migration, and plain store restarts all ride one path.
-	// Per-image pipelines run concurrently — the node's core scheduler
-	// arbitrates, exactly as the per-process children used to.
-	// Monolithic images load headers here and pay their bulk in the
-	// forked children, as before.
-	from := t.P.Env[fetchFromEnv]
-	workers := s.Cfg.CkptWorkers
-	if workers == 0 {
-		// Adaptive (CkptWorkers == 0): size the restore pool from the
-		// node's observed idle cores — a restart on an idle node gets
-		// the whole machine, one beside live tenants stays polite.
-		workers = t.P.Node.CPU().IdleCores()
-	}
-	var maxPipe time.Duration
-	images := make([]*mtcp.Image, len(paths))
-
-	if s.Cfg.SerialRestore {
-		// The fetch-then-install baseline: pull every missing chunk
-		// first, then let the children charge the full decompress.
-		// Kept for the restore benchmark's serial column.
-		if from != "" && s.Replica != nil {
-			fStart := t.Now()
-			for _, path := range paths {
-				if !store.IsManifestPath(path) {
-					continue
-				}
-				fs, err := s.Replica.EnsureLocalN(t, path, from, s.Cfg.CkptWorkers)
-				if err != nil {
-					fail("fetch %s: %v", path, err)
-				}
-				st.FetchedBytes += fs.Bytes
-				st.FetchedChunks += fs.Chunks
-			}
-			st.Fetch = t.Now().Sub(fStart)
-		}
-	}
-	// Lazy (post-copy) restore: the pipeline installs only a skeleton —
-	// manifest, metadata, and the hottest few chunks — and the rest is
-	// pulled in the background after resume, striped across all
-	// placement-verified complete holders, with demand faults jumping
-	// the queue.  Incompatible with the serial baseline by construction.
-	lazy := s.Cfg.LazyRestore && !s.Cfg.SerialRestore
-	lazies := make([]*mtcp.LazyState, len(paths))
-	ctrls := make([]*lazyCtrl, len(paths))
-	if !s.Cfg.SerialRestore {
-		stats := make([]mtcp.RestoreStats, len(paths))
-		errs := make([]error, len(paths))
-		pending := 0
-		pipeW := sim.NewWaitQueue(t.P.Node.Cluster.Eng, "restart.pipe")
-		for i, path := range paths {
-			if !store.IsManifestPath(path) {
-				continue
-			}
-			i, path := i, path
-			pending++
-			t.P.SpawnTask("restore-pipe", true, func(pt *kernel.Task) {
-				defer func() {
-					pending--
-					pipeW.WakeAll()
-				}()
-				var fetch mtcp.ChunkFetcher
-				if from != "" && s.Replica != nil {
-					hf := &holderFetcher{sys: s, path: path, primary: from,
-						workers: workers, target: pt.P.Node}
-					if err := hf.ensureManifest(pt); err != nil {
-						errs[i] = err
-						return
-					}
-					fetch = hf
-				}
-				if lazy {
-					images[i], lazies[i], stats[i], errs[i] = mtcp.RestoreLazy(pt, path,
-						mtcp.RestoreOptions{Workers: workers, Fetch: fetch},
-						t.P.Node.Cluster.Params.LazySkeletonChunks)
-				} else {
-					images[i], stats[i], errs[i] = mtcp.RestoreStreamed(pt, path,
-						mtcp.RestoreOptions{Workers: workers, Fetch: fetch})
-				}
-			})
-		}
-		for pending > 0 {
-			pipeW.Wait(t.T)
-		}
-		for i, path := range paths {
-			if errs[i] != nil {
-				fail("restore %s: %v", path, errs[i])
-			}
-			if images[i] == nil {
-				continue
-			}
-			rs := stats[i]
-			if rs.Fetch > st.Fetch {
-				st.Fetch = rs.Fetch
-			}
-			st.FetchedBytes += rs.FetchedBytes
-			st.FetchedChunks += rs.FetchedChunks
-			st.OverlapBytes += rs.OverlapBytes
-			if rs.Workers > st.Workers {
-				st.Workers = rs.Workers
-			}
-			if rs.Took > maxPipe {
-				maxPipe = rs.Took
-			}
-		}
-		// Arm the post-copy tails now, before files/conns/fork: the
-		// striped prefetch overlaps everything between here and resume.
-		for i, lz := range lazies {
-			if lz == nil || len(lz.Pending) == 0 {
-				continue
-			}
-			hf := &holderFetcher{sys: s, path: paths[i], primary: from,
-				workers: workers, target: t.P.Node}
-			holders := hf.candidates()
-			if n := s.Cfg.LazyHolders; n > 0 && len(holders) > n {
-				holders = holders[:n]
-			}
-			ctrls[i] = newLazyCtrl(s, t, images[i], lz, holders)
-		}
-	}
-
-	// Load images (headers + metadata tables); streamed manifests are
-	// already in hand.
-	type procImage struct {
-		path  string
-		img   *mtcp.Image
-		fds   []FDRec
-		conns []ConnRec
-		vpid  kernel.Pid
-		table map[kernel.Pid]kernel.Pid
-		lazy  *lazyCtrl
-	}
-	var imgs []*procImage
-	for i, path := range paths {
-		img := images[i]
-		if img == nil {
-			var err error
-			img, err = mtcp.LoadImage(t, path)
-			if err != nil {
-				fail("%s: %v", path, err)
-			}
-		}
-		pi := &procImage{path: path, img: img, lazy: ctrls[i]}
-		if b, ok := img.Ext["dmtcp.fdtable"]; ok {
-			var err error
-			pi.fds, err = decodeFDTable(b)
-			if err != nil {
-				fail("%s: bad fd table: %v", path, err)
-			}
-		}
-		if b, ok := img.Ext["dmtcp.conns"]; ok {
-			var err error
-			pi.conns, err = decodeConns(b)
-			if err != nil {
-				fail("%s: bad conn table: %v", path, err)
-			}
-		}
-		if b, ok := img.Ext["dmtcp.pids"]; ok {
-			var err error
-			pi.vpid, pi.table, err = decodePids(b)
-			if err != nil {
-				fail("%s: bad pid table: %v", path, err)
-			}
-		}
-		imgs = append(imgs, pi)
+	imgs, err := s.loadImages(t, paths, &st)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	// Journal per-rank fetch progress: a coordinator promoted
@@ -589,14 +514,13 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 	for doneCount < len(imgs) {
 		doneW.Wait(t.T)
 	}
-	st.Memory = memMax
-	if maxPipe > st.Memory {
-		// Streamed restores pay the bulk (reads + decompression) in the
-		// pipeline, not the children: report the pipeline wall time as
-		// the memory-reload stage.  It overlaps the Fetch stage by
-		// construction, so Total < Fetch + Memory is the win, not an
+	if memMax > st.Memory {
+		// Store restores pay the bulk (reads + decompression) in the
+		// pipeline, not the children, so Memory already holds the
+		// pipeline wall time.  It overlaps the Fetch stage by
+		// construction: Total < Fetch + Memory is the win, not an
 		// accounting error.
-		st.Memory = maxPipe
+		st.Memory = memMax
 	}
 	st.Refill = refillMax
 
@@ -607,7 +531,8 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 	// Total still covers the drain, matching full-install MTTR.
 	resumeEnd := t.Now()
 	anyLazy := false
-	for _, lc := range ctrls {
+	for _, pi := range imgs {
+		lc := pi.lazy
 		if lc == nil {
 			continue
 		}

@@ -86,8 +86,14 @@ func TestAdaptiveWorkerSizing(t *testing.T) {
 // quiesces, and node 1 dies.  It returns the round to restart from.
 func restoreEnv(t *testing.T, e *env, task *kernel.Task) *CkptRound {
 	t.Helper()
-	e.c.Register("bigdirty", bigDirty{})
-	if _, err := e.sys.Launch(1, "bigdirty", "128"); err != nil {
+	return restoreEnvWith(t, e, task, "bigdirty", bigDirty{})
+}
+
+// restoreEnvWith is restoreEnv for the workload prog runs.
+func restoreEnvWith(t *testing.T, e *env, task *kernel.Task, prog string, p kernel.Program) *CkptRound {
+	t.Helper()
+	e.c.Register(prog, p)
+	if _, err := e.sys.Launch(1, prog, "128"); err != nil {
 		t.Fatal(err)
 	}
 	task.Compute(50 * time.Millisecond)
@@ -200,8 +206,8 @@ func TestStreamedRestartFailsTypedWhenAllHoldersLost(t *testing.T) {
 		}
 
 		// The typed error surfaces at the fetcher layer.
-		hf := &holderFetcher{sys: e.sys, path: round.Images[0].Path,
-			primary: "node02", workers: 2, target: task.P.Node}
+		hf := pullFetcher{sv: e.sys.Replica,
+			holders: e.sys.fetchHolders(round.Images[0].Path, "node02", task.P.Node), workers: 2}
 		_, _, ferr := hf.Fetch(task, []store.ChunkRef{{Hash: "feedfacefeedface", LogicalBytes: 1}}, nil)
 		var hle *replica.HolderLostError
 		if !errors.As(ferr, &hle) {

@@ -8,6 +8,8 @@ import (
 	"repro/internal/dmtcp"
 	"repro/internal/kernel"
 	"repro/internal/model"
+	"repro/internal/replica"
+	"repro/internal/store"
 )
 
 // RunRestore measures the streamed restore pipeline: a remote-fetch
@@ -35,8 +37,8 @@ func RunRestore(o Opts) *Table {
 		Columns: []string{"workers", "serial f+i (s)", "streamed (s)",
 			"speedup", "vs f+i", "fetched MB", "overlap MB"},
 		Notes: []string{
-			"serial f+i = fetch every missing chunk, then decompress/install (the old path),",
-			"  at the same worker count; streamed = fetch, decompress, and install overlapped;",
+			"serial f+i = pull every chunk to the target first (same connection count), then",
+			"  restart with every chunk local; streamed = fetch, decompress, install overlapped;",
 			"speedup = 1-worker serial fetch-then-install time / this row's streamed time;",
 			"vs f+i = serial time at the same worker count / streamed time;",
 			"overlap = stored bytes already decompressed/installed when the fetch finished;",
@@ -111,13 +113,47 @@ func (rs *restartSamples) metrics(t *Table, prefix string) {
 	t.Metric(prefix+".effective_workers", rs.workers.Mean())
 }
 
+// FetchThenInstall is the serial restore baseline, built from outside
+// restart: it pulls every chunk of round's store images onto the
+// calling task's node through a replica.PullStream — CkptWorkers
+// connections on each image's writer, the shape of an eager restart's
+// fetch — and only then restarts the round there, every chunk local.
+// The baseline's restart time is pull + stats.Total.
+func FetchThenInstall(t *kernel.Task, sys *dmtcp.System, round *dmtcp.CkptRound) (pull time.Duration, stats *dmtcp.RestartStages, err error) {
+	start := t.Now()
+	local := sys.StoreOn(t.P.Node)
+	place := dmtcp.Placement{}
+	for _, img := range round.Images {
+		place[img.Host] = t.P.Node.ID
+		if !store.IsManifestPath(img.Path) {
+			continue
+		}
+		if _, err := sys.Replica.EnsureManifest(t, img.Path, img.Host); err != nil {
+			return 0, nil, err
+		}
+		m, err := local.LoadManifest(img.Path)
+		if err != nil {
+			return 0, nil, err
+		}
+		ps := replica.NewPullStream(t, sys.Replica, []string{img.Host}, m.Refs(),
+			replica.PullOptions{Stripe: 1, Conns: sys.Cfg.CkptWorkers})
+		if err := ps.Wait(t); err != nil {
+			return 0, nil, err
+		}
+	}
+	pull = t.Now().Sub(start)
+	stats, err = sys.RestartAll(t, round, place)
+	return pull, stats, err
+}
+
 // runRestoreTrial drives one seed: checkpoint on node1, kill the
-// process, restart on cold node0 pulling every chunk over the network,
+// process, restart on cold node0 pulling every chunk over the network
+// — through the restore pipeline, or serially with FetchThenInstall —
 // recording the restart's total latency.
 func runRestoreTrial(seed int64, mb, workers int, serial bool,
 	tm, fetchMB, overlapMB *Sample, rs *restartSamples) {
 	cfg := dmtcp.Config{Compress: true, Store: true, StoreKeep: 2, ReplicaFactor: 1,
-		CkptWorkers: workers, SerialRestore: serial}
+		CkptWorkers: workers}
 	env := NewEnv(seed, 3, cfg)
 	env.Drive(func(task *kernel.Task) {
 		if _, err := env.Sys.Launch(1, DirtyAppName, strconv.Itoa(mb)); err != nil {
@@ -130,11 +166,17 @@ func runRestoreTrial(seed int64, mb, workers int, serial bool,
 		}
 		env.Sys.Replica.WaitIdle(task)
 		env.Sys.KillManaged()
-		stats, err := env.Sys.RestartAll(task, round, dmtcp.Placement{"node01": 0})
+		var pull time.Duration
+		var stats *dmtcp.RestartStages
+		if serial {
+			pull, stats, err = FetchThenInstall(task, env.Sys, round)
+		} else {
+			stats, err = env.Sys.RestartAll(task, round, dmtcp.Placement{"node01": 0})
+		}
 		if err != nil {
 			panic(err)
 		}
-		tm.AddDur(stats.Total)
+		tm.AddDur(pull + stats.Total)
 		if fetchMB != nil {
 			fetchMB.Add(float64(stats.FetchedBytes) / float64(model.MB))
 		}

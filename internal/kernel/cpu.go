@@ -26,7 +26,7 @@ const cpuEpsilon = 1e-9
 //
 // This is what makes the paper's §5.3 observation — "compression runs
 // in parallel and may slow down the user process" — an emergent effect
-// rather than the old CompressionSlowdown constant: a forked
+// rather than a constant slowdown factor: a forked
 // checkpoint writer's compression jobs and the application's compute
 // loop dilate one another exactly when they oversubscribe the node.
 type CPUSched struct {

@@ -170,6 +170,16 @@ func (t *Task) Compute(d time.Duration) { t.P.Node.cpu.Run(t.T, d) }
 // Unlike Compute, concurrent Idle periods never dilate one another.
 func (t *Task) Idle(d time.Duration) { t.charge(d) }
 
+// IdleQoS paces background work to a fraction q of the resource it
+// runs on: after a step that kept the resource busy for work, the task
+// idles work×(1−q)/q, so the steps hold at most q of the resource over
+// time.  q outside (0, 1) leaves the work unpaced.
+func (t *Task) IdleQoS(work time.Duration, q float64) {
+	if q > 0 && q < 1 {
+		t.Idle(time.Duration(float64(work) * (1 - q) / q))
+	}
+}
+
 // Now returns virtual time.
 func (t *Task) Now() sim.Time { return t.T.Now() }
 

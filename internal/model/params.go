@@ -155,16 +155,6 @@ type Params struct {
 	// GunzipZeroBW is decompression throughput over zero output.
 	GunzipZeroBW float64
 
-	// CompressionSlowdown is retained for reference only: it was the
-	// constant run-time slowdown applied to a process while a forked
-	// checkpoint child compressed in the background (§5.3:
-	// "compression runs in parallel and may slow down the user
-	// process").  Per-node core accounting (CoresPerNode) superseded
-	// it — the slowdown now emerges from the writer's compression jobs
-	// and the application's compute loop contending for the node's
-	// cores, and scales with how oversubscribed the node actually is.
-	CompressionSlowdown float64
-
 	// ---- Content-addressed checkpoint store ----
 
 	// HashBW is content-fingerprint (SHA-256) throughput over input
@@ -338,8 +328,6 @@ func Default() *Params {
 		GunzipBW:     52 * float64(MB),
 		GzipZeroBW:   260 * float64(MB),
 		GunzipZeroBW: 420 * float64(MB),
-
-		CompressionSlowdown: 0.85,
 
 		HashBW:            150 * float64(MB),
 		ChunkLookupCost:   4 * time.Microsecond,

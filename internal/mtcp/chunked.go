@@ -222,7 +222,9 @@ func writeChunked(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 	// Deterministic work list and index-addressed result slots.
 	var work []chunkWork
 	results := make([][]store.ChunkRef, len(img.Areas))
-	cb := s.Cfg.ChunkBytes
+	// Store chunks are the kernel's dirty-tracking chunks, so chunk
+	// versions map 1:1 onto them.
+	const cb = kernel.CkptChunkBytes
 	for ai := range img.Areas {
 		a := &img.Areas[ai]
 		logical := a.Bytes
@@ -253,7 +255,7 @@ func writeChunked(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 	chunksStart := t.Now()
 	var newBytes, dedupBytes int64
 	newChunks := 0
-	runWorkers(t, workers, len(work), "ckpt-worker", func(wt *kernel.Task, i int) {
+	kernel.RunWorkers(t, workers, len(work), "ckpt-worker", func(wt *kernel.Task, i int) error {
 		w := work[i]
 		a := &img.Areas[w.area]
 		// Clean chunk: same write version (and span) as the prior
@@ -268,7 +270,7 @@ func writeChunked(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 				if opts.Stream != nil {
 					opts.Stream.Chunk(wt, pr)
 				}
-				return
+				return nil
 			}
 		}
 		// Dirty (or cold-start) chunk: identity derives from the dedup
@@ -296,6 +298,7 @@ func writeChunked(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 		if opts.Stream != nil {
 			opts.Stream.Chunk(wt, ref)
 		}
+		return nil
 	})
 
 	t.Trace().Span(t.Host(), track, "ckpt.write.chunks", "ckpt", chunksStart, t.Now(),
@@ -388,54 +391,21 @@ func loadChunked(t *kernel.Task, path string) (*Image, error) {
 
 // chargeChunkedRestore charges the bulk of a store-backed restart:
 // streaming every referenced chunk and decompressing the compressed
-// ones.
+// ones — or, for an image the restore pipeline already loaded, only
+// the per-area install bookkeeping.
 func chargeChunkedRestore(t *kernel.Task, img *Image, path string) {
-	chargeChunkedRestoreN(t, img, path, 1)
-}
-
-// chargeChunkedRestoreN is the parallel variant: referenced chunks are
-// partitioned across a worker pool, so decompression uses the node's
-// cores instead of one (chunk streaming shares the read pipe's
-// bandwidth either way).  It reports whether path was a manifest.
-func chargeChunkedRestoreN(t *kernel.Task, img *Image, path string, workers int) bool {
 	p := t.P.Node.Cluster.Params
-	root, ok := store.RootForManifest(path)
-	if !ok {
-		return false
-	}
-	if img.bulkCharged {
-		// The streamed restore pipeline already paid the chunk reads
-		// and decompression; only the per-area install bookkeeping
-		// remains.
-		t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
-		return true
-	}
-	s := store.Open(t.P.Node, store.Config{Root: root})
-	m := img.manifest // decoded by loadChunked for this same image
-	if m == nil {
-		var err error
-		if m, err = s.LoadManifest(path); err != nil {
-			return true
-		}
-	}
-	refs := m.Refs()
-	if workers <= 1 {
-		s.ChargeRead(t, refs)
-	} else {
-		// Workers claim chunk batches: each charges its batch's read
-		// bandwidth (the pipe shares it) and decompression CPU (the
-		// core scheduler shares that).
-		const batch = 16
-		n := (len(refs) + batch - 1) / batch
-		runWorkers(t, workers, n, "restore-worker", func(wt *kernel.Task, i int) {
-			lo := i * batch
-			hi := lo + batch
-			if hi > len(refs) {
-				hi = len(refs)
+	if !img.bulkCharged {
+		root, _ := store.RootForManifest(path) // IsManifestPath held
+		s := store.Open(t.P.Node, store.Config{Root: root})
+		m := img.manifest // decoded by loadChunked for this same image
+		if m == nil {
+			var err error
+			if m, err = s.LoadManifest(path); err != nil {
+				return
 			}
-			s.ChargeRead(wt, refs[lo:hi])
-		})
+		}
+		s.ChargeRead(t, m.Refs())
 	}
 	t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
-	return true
 }

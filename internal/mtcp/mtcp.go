@@ -125,10 +125,11 @@ func WriteImage(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 			// all workers; the core scheduler meters the actual
 			// speedup.
 			spans := compressSpans(img)
-			runWorkers(t, workers, len(spans), "gz-worker", func(wt *kernel.Task, i int) {
+			kernel.RunWorkers(t, workers, len(spans), "gz-worker", func(wt *kernel.Task, i int) error {
 				sp := spans[i]
 				r := wt.P.Node.Cluster.Eng.Rand()
 				wt.Compute(p.Jitter(r, p.CompressTime(sp.bytes, sp.class)))
+				return nil
 			})
 		}
 	}

@@ -5,16 +5,8 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/model"
+	"repro/internal/store"
 )
-
-// runWorkers is kernel.RunWorkers for work that cannot fail: the
-// checkpoint write/restore pools charge time but have no error paths.
-func runWorkers(t *kernel.Task, workers, n int, role string, fn func(wt *kernel.Task, i int)) {
-	kernel.RunWorkers(t, workers, n, role, func(wt *kernel.Task, i int) error {
-		fn(wt, i)
-		return nil
-	})
-}
 
 // compressSpan is one unit of compression work: a chunk-sized slice of
 // one area.
@@ -39,17 +31,17 @@ func compressSpans(img *Image) []compressSpan {
 	return out
 }
 
-// ChargeMemoryRestoreN is ChargeMemoryRestore with a parallel restore
-// pool: chunk reads and decompression are partitioned across workers
-// tasks, the symmetric treatment of the parallel write path.  The
-// node's core scheduler bounds the decompression speedup at the core
-// count.  workers <= 1 behaves exactly like ChargeMemoryRestore.
+// ChargeMemoryRestoreN is ChargeMemoryRestore with a parallel
+// decompression pool for monolithic images: the gunzip work is
+// partitioned across workers tasks, the symmetric treatment of the
+// parallel write path, and the node's core scheduler bounds the
+// speedup at the core count.  Store images and workers <= 1 behave
+// exactly like ChargeMemoryRestore.
 func ChargeMemoryRestoreN(t *kernel.Task, img *Image, path string, workers int) {
-	if workers <= 1 {
+	if workers <= 1 || store.IsManifestPath(path) {
+		// Store images: the restore pipeline already paid the bulk in
+		// parallel; only images it did not load pay it here, serially.
 		ChargeMemoryRestore(t, img, path)
-		return
-	}
-	if chargeChunkedRestoreN(t, img, path, workers) {
 		return
 	}
 	p := t.P.Node.Cluster.Params
@@ -60,8 +52,9 @@ func ChargeMemoryRestoreN(t *kernel.Task, img *Image, path string, workers int) 
 	t.P.Node.ReadPipeFor(path).Read(t.T, onDisk)
 	if onDisk > 0 && onDisk < img.LogicalBytes() {
 		spans := compressSpans(img)
-		runWorkers(t, workers, len(spans), "gunzip-worker", func(wt *kernel.Task, i int) {
+		kernel.RunWorkers(t, workers, len(spans), "gunzip-worker", func(wt *kernel.Task, i int) error {
 			wt.Compute(p.DecompressTime(spans[i].bytes, spans[i].class))
+			return nil
 		})
 	}
 	t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)

@@ -11,22 +11,28 @@ import (
 	"repro/internal/store"
 )
 
-// The streamed restore pipeline: the read-path mirror of the parallel
-// pipelined write.  Restart used to run two serial phases — fetch
-// every missing chunk from a replica daemon, then decompress and
-// install the whole image — paying full network time plus full
-// decompress time back to back.  RestoreStreamed overlaps them: a
-// fetch stage pulls missing chunks from the serving holder while a
-// restore worker pool decompresses and installs each chunk the moment
-// it is available.  Chunks the local store already holds short-circuit
-// the network stage entirely, so a restart on a replica holder is pure
-// parallel decompress and a restart on a cold node hides most of the
-// decompress time inside the transfer.
+// The restore pipeline: the read-path mirror of the parallel pipelined
+// write, and the one way a store image comes back.  Restore reads the
+// manifest and verifies every local chunk — a corrupt one is
+// quarantined and treated as missing, so latent disk corruption found
+// at restart heals instead of being installed.  A fetch stage pulls
+// the missing chunks through the caller's ChunkFetcher while a worker
+// pool installs each chunk at its offset the moment it is local, so a
+// restart on a replica holder is pure parallel decompress and a
+// restart on a cold node hides most of the decompress time inside the
+// transfer.
+//
+// An eager restore returns with every chunk installed.  A lazy
+// (post-copy) one returns as soon as the skeleton is in — the hottest
+// few chunks plus every shared-area chunk — and hands the rest back,
+// hottest-first, for the DMTCP layer to pull after the process
+// resumes: a first-touch fault pulls its chunk on demand while a
+// background prefetcher drains the remainder.
 
-// ChunkFetcher supplies chunks the local store lacks during a streamed
-// restore — the pull peer of the write path's ChunkStream.  The DMTCP
-// layer implements it over the replica daemon protocol (with holder
-// fallback); MTCP only sees this interface.
+// ChunkFetcher supplies chunks the local store lacks during a restore
+// — the pull peer of the write path's ChunkStream.  The DMTCP layer
+// implements it over a replica.PullStream; MTCP only sees this
+// interface.
 type ChunkFetcher interface {
 	// Fetch pulls refs into the local store, invoking deliver as each
 	// chunk becomes locally durable (any order).  It returns the
@@ -36,7 +42,7 @@ type ChunkFetcher interface {
 	Fetch(t *kernel.Task, refs []store.ChunkRef, deliver func(store.ChunkRef)) (int64, int, error)
 }
 
-// RestoreOptions controls a streamed restore.
+// RestoreOptions controls a restore.
 type RestoreOptions struct {
 	// Workers sizes the install pool (decompression CPU; the node's
 	// core scheduler bounds the real speedup).  <= 1 installs serially
@@ -45,9 +51,15 @@ type RestoreOptions struct {
 	// Fetch supplies chunks the local store lacks; nil requires every
 	// chunk to be local already (the short-circuit-only case).
 	Fetch ChunkFetcher
+	// Lazy makes the restore post-copy: it fetches and installs only
+	// the skeleton — the Params.LazySkeletonChunks hottest private
+	// chunks by manifest heat, plus every chunk of a shared
+	// (shm-backed) area, which cannot restore lazily — and returns the
+	// rest as pending.
+	Lazy bool
 }
 
-// RestoreStats reports one streamed restore.
+// RestoreStats reports one restore.
 type RestoreStats struct {
 	// Took is the pipeline wall time: metadata read through the last
 	// installed chunk.
@@ -66,33 +78,44 @@ type RestoreStats struct {
 	Workers int
 }
 
-// RestoreStreamed loads a store manifest into an Image through the
-// streamed restore pipeline.  The manifest itself must already be
-// local (callers fetch it first — it is metadata-sized); chunk
-// payloads may live anywhere opts.Fetch can reach.  The returned image
-// carries its full payloads and has its bulk restore cost paid:
-// ChargeMemoryRestore on it charges only per-area install bookkeeping.
-func RestoreStreamed(t *kernel.Task, path string, opts RestoreOptions) (*Image, RestoreStats, error) {
+// LazyChunk locates one chunk a lazy restore left pending: the image
+// area index, the chunk index within that area's payload, and the
+// store reference to pull.
+type LazyChunk struct {
+	Area int
+	Idx  int
+	Ref  store.ChunkRef
+}
+
+// Restore loads a store manifest into an Image through the restore
+// pipeline.  The manifest itself must already be local (callers fetch
+// it first — it is metadata-sized); chunk payloads may live anywhere
+// opts.Fetch can reach.  Area buffers are sized from their recorded
+// payload lengths and every installed chunk lands at its offset.  The
+// image has its bulk restore cost paid — ChargeMemoryRestore on it
+// charges only per-area install bookkeeping; pending chunks (lazy
+// only, hottest-first) are paid for by whoever installs them.
+func Restore(t *kernel.Task, path string, opts RestoreOptions) (*Image, []LazyChunk, RestoreStats, error) {
 	p := t.P.Node.Cluster.Params
 	var rs RestoreStats
 	start := t.Now()
 
 	root, ok := store.RootForManifest(path)
 	if !ok {
-		return nil, rs, fmt.Errorf("%w: not a manifest path: %s", ErrBadImage, path)
+		return nil, nil, rs, fmt.Errorf("%w: not a manifest path: %s", ErrBadImage, path)
 	}
 	s := store.Open(t.P.Node, store.Config{Root: root})
 	ino, err := t.P.Node.FS.ReadFile(path)
 	if err != nil {
-		return nil, rs, err
+		return nil, nil, rs, err
 	}
 	m, err := store.DecodeManifest(ino.Data)
 	if err != nil {
-		return nil, rs, fmt.Errorf("%w: %v", ErrBadImage, err)
+		return nil, nil, rs, fmt.Errorf("%w: %v", ErrBadImage, err)
 	}
 	img, err := Decode(m.Header)
 	if err != nil {
-		return nil, rs, err
+		return nil, nil, rs, err
 	}
 	t.Compute(p.RestoreSetup)
 	meta := ino.Size() + 64*1024
@@ -101,51 +124,71 @@ func RestoreStreamed(t *kernel.Task, path string, opts RestoreOptions) (*Image, 
 	}
 	t.P.Node.ReadPipeFor(path).Read(t.T, meta)
 
-	// Deterministic work list with index-addressed payload slots, so
-	// the assembled image is byte-identical at any worker count and
-	// delivery order.
-	type chunkItem struct {
-		area, idx int
-		ref       store.ChunkRef
-	}
-	var items []chunkItem
-	slots := make([][][]byte, len(img.Areas))
 	for _, ac := range m.Areas {
 		if ac.Area < 0 || ac.Area >= len(img.Areas) {
-			return nil, rs, fmt.Errorf("%w: manifest area %d out of range", ErrBadImage, ac.Area)
+			return nil, nil, rs, fmt.Errorf("%w: manifest area %d out of range", ErrBadImage, ac.Area)
 		}
-		slots[ac.Area] = make([][]byte, len(ac.Chunks))
-		for i, ref := range ac.Chunks {
-			items = append(items, chunkItem{area: ac.Area, idx: i, ref: ref})
+		a := &img.Areas[ac.Area]
+		a.Payload = nil
+		if a.PayloadBytes > 0 {
+			a.Payload = make([]byte, a.PayloadBytes)
 		}
 	}
 
-	// Partition: already-local chunks short-circuit the network stage;
-	// the rest go to the fetcher (unique by hash — a dedup'd chunk
-	// referenced by several areas travels once and installs everywhere).
-	// A local chunk that fails content verification is quarantined here
-	// and re-fetched like a missing one, so latent disk corruption
-	// discovered at restore time heals instead of aborting the restart.
-	ready := make([]int, 0, len(items))
-	byHash := make(map[string][]int)
-	var missing []store.ChunkRef
-	for i, it := range items {
-		if _, dup := byHash[it.ref.Hash]; dup {
-			byHash[it.ref.Hash] = append(byHash[it.ref.Hash], i)
-			continue
-		}
-		if err := s.VerifyChunk(it.ref); err == nil {
-			ready = append(ready, i)
-		} else {
-			if errors.Is(err, store.ErrCorruptChunk) {
-				s.Quarantine(t, it.ref.Hash)
+	// The install list: every chunk in manifest order, or the skeleton
+	// — a hot-order prefix plus the shared areas — when lazy.
+	coords := m.Coords()
+	install := coords
+	var pending []LazyChunk
+	if opts.Lazy {
+		coords = m.HotOrder()
+		install = nil
+		taken := 0
+		for _, c := range coords {
+			ai := m.Areas[c.Area].Area
+			shared := img.Areas[ai].ShmBacking != ""
+			if shared || taken < p.LazySkeletonChunks {
+				install = append(install, c)
+				if !shared {
+					taken++
+				}
+				continue
 			}
-			byHash[it.ref.Hash] = append(byHash[it.ref.Hash], i)
-			missing = append(missing, it.ref)
+			pending = append(pending, LazyChunk{Area: ai, Idx: c.Idx, Ref: c.Ref})
 		}
 	}
+
+	// Verify every local chunk once; a corrupt one is quarantined, so
+	// it reads as missing here and to whoever pulls the pending rest.
+	local := make(map[string]bool, len(coords))
+	for _, c := range coords {
+		if _, seen := local[c.Ref.Hash]; seen {
+			continue
+		}
+		err := s.VerifyChunk(c.Ref)
+		if errors.Is(err, store.ErrCorruptChunk) {
+			s.Quarantine(t, c.Ref.Hash)
+		}
+		local[c.Ref.Hash] = err == nil
+	}
+	// Local chunks are ready at once; the rest go to the fetcher,
+	// unique by hash (a dedup'd chunk referenced by several areas
+	// travels once and installs everywhere).
+	ready := make([]int, 0, len(install))
+	byHash := make(map[string][]int)
+	var missing []store.ChunkRef
+	for i, c := range install {
+		if local[c.Ref.Hash] {
+			ready = append(ready, i)
+			continue
+		}
+		if len(byHash[c.Ref.Hash]) == 0 {
+			missing = append(missing, c.Ref)
+		}
+		byHash[c.Ref.Hash] = append(byHash[c.Ref.Hash], i)
+	}
 	if len(missing) > 0 && opts.Fetch == nil {
-		return nil, rs, fmt.Errorf("%w: %d chunks missing locally with no fetch source", ErrBadImage, len(missing))
+		return nil, nil, rs, fmt.Errorf("%w: %d chunks missing locally with no fetch source", ErrBadImage, len(missing))
 	}
 
 	// The install pool never spawns more workers than there are chunks;
@@ -157,8 +200,8 @@ func RestoreStreamed(t *kernel.Task, path string, opts RestoreOptions) (*Image, 
 		workers = 1
 	}
 	nWorkers := workers
-	if nWorkers > len(items) {
-		nWorkers = len(items)
+	if nWorkers > len(install) {
+		nWorkers = len(install)
 	}
 	rs.Workers = nWorkers
 
@@ -198,7 +241,7 @@ func RestoreStreamed(t *kernel.Task, path string, opts RestoreOptions) (*Image, 
 
 	// Install pool: each worker claims ready chunks, charges the read
 	// bandwidth and decompression CPU (the core scheduler meters the
-	// real speedup), and lands the payload in its slot.
+	// real speedup), and copies the payload to the chunk's offset.
 	joined := 0
 	for w := 0; w < nWorkers; w++ {
 		w := w
@@ -218,22 +261,24 @@ func RestoreStreamed(t *kernel.Task, path string, opts RestoreOptions) (*Image, 
 				if len(ready) == 0 || fetchErr != nil {
 					return
 				}
-				i := ready[0]
+				c := install[ready[0]]
 				ready = ready[1:]
-				it := items[i]
-				s.ChargeRead(wt, []store.ChunkRef{it.ref})
-				data, err := s.ReadChunkVerified(wt, it.ref)
+				s.ChargeRead(wt, []store.ChunkRef{c.Ref})
+				data, err := s.ReadChunkVerified(wt, c.Ref)
 				if err != nil {
 					if fetchErr == nil {
 						fetchErr = fmt.Errorf("%w: chunk %s vanished mid-restore: %v",
-							ErrBadImage, it.ref.Hash, err)
+							ErrBadImage, c.Ref.Hash, err)
 					}
 					cond.WakeAll()
 					return
 				}
-				slots[it.area][it.idx] = data
-				installedStored += it.ref.StoredBytes
-				wInstalled += it.ref.StoredBytes
+				off := int64(c.Idx) * kernel.CkptChunkBytes
+				if buf := img.Areas[m.Areas[c.Area].Area].Payload; off < int64(len(buf)) {
+					copy(buf[off:], data)
+				}
+				installedStored += c.Ref.StoredBytes
+				wInstalled += c.Ref.StoredBytes
 			}
 		})
 	}
@@ -244,21 +289,19 @@ func RestoreStreamed(t *kernel.Task, path string, opts RestoreOptions) (*Image, 
 		// Abort: nothing was installed into a live process — the
 		// partially assembled image is discarded whole, so a lost
 		// holder can never corrupt a restore.
-		return nil, rs, fetchErr
+		return nil, nil, rs, fetchErr
 	}
 
-	for ai := range img.Areas {
-		var buf []byte
-		for _, part := range slots[ai] {
-			buf = append(buf, part...)
-		}
-		img.Areas[ai].Payload = buf
-	}
 	img.manifest = m
 	img.bulkCharged = true
 	rs.Took = t.Now().Sub(start)
-	t.Trace().Span(t.Host(), track, "restore.pipeline", "restore", start, t.Now(),
-		obs.A("workers", int64(rs.Workers)), obs.A("chunks", int64(len(items))),
-		obs.A("fetched_bytes", rs.FetchedBytes), obs.A("overlap_bytes", rs.OverlapBytes))
-	return img, rs, nil
+	name := "restore.pipeline"
+	if opts.Lazy {
+		name = "restore.skeleton"
+	}
+	t.Trace().Span(t.Host(), track, name, "restore", start, t.Now(),
+		obs.A("workers", int64(rs.Workers)), obs.A("chunks", int64(len(install))),
+		obs.A("pending", int64(len(pending))), obs.A("fetched_bytes", rs.FetchedBytes),
+		obs.A("overlap_bytes", rs.OverlapBytes))
+	return img, pending, rs, nil
 }

@@ -43,10 +43,27 @@ func (f *copyFetcher) Fetch(t *kernel.Task, refs []store.ChunkRef, deliver func(
 // imageBytes canonicalizes an image for cross-path comparison.
 func imageBytes(img *Image) []byte { return img.Encode() }
 
+// installPending lands a lazy restore's pending chunks in the image
+// buffers at their offsets, as the post-copy tail does.
+func installPending(t *testing.T, s *store.Store, task *kernel.Task, img *Image, pending []LazyChunk) {
+	t.Helper()
+	for _, pc := range pending {
+		data, err := s.ReadChunkVerified(task, pc.Ref)
+		if err != nil {
+			t.Fatalf("pending chunk %s: %v", pc.Ref.Hash, err)
+		}
+		if off := int64(pc.Idx) * kernel.CkptChunkBytes; off < int64(len(img.Areas[pc.Area].Payload)) {
+			copy(img.Areas[pc.Area].Payload[off:], data)
+		}
+	}
+}
+
 // TestRestoreStreamedMatchesLoadChunked pins the acceptance contract:
-// the streamed pipeline reconstructs a byte-identical image to the
+// the restore pipeline reconstructs a byte-identical image to the
 // non-streamed loadChunked path, at every worker count, and a local
-// (short-circuit) restore reports no fetch and no overlap.
+// (short-circuit) restore reports no fetch and no overlap.  A lazy
+// restore at any skeleton size returns a skeleton that, once its
+// pending chunks are installed, is the same image.
 func TestRestoreStreamedMatchesLoadChunked(t *testing.T) {
 	eng, c := testCluster(t)
 	run(t, eng, c, func(task *kernel.Task) {
@@ -61,18 +78,40 @@ func TestRestoreStreamedMatchesLoadChunked(t *testing.T) {
 		ref := imageBytes(want)
 
 		for _, workers := range []int{1, 2, 8} {
-			got, rs, err := RestoreStreamed(task, res.Path, RestoreOptions{Workers: workers})
+			got, pending, rs, err := Restore(task, res.Path, RestoreOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("streamed restore (%d workers): %v", workers, err)
 			}
 			if !bytes.Equal(imageBytes(got), ref) {
 				t.Errorf("%d workers: streamed image differs from loadChunked", workers)
 			}
+			if len(pending) != 0 {
+				t.Errorf("%d workers: eager restore left %d chunks pending", workers, len(pending))
+			}
 			if rs.Fetch != 0 || rs.FetchedChunks != 0 || rs.OverlapBytes != 0 {
 				t.Errorf("%d workers: local restore reported fetch stats %+v", workers, rs)
 			}
 			if rs.Workers != workers {
 				t.Errorf("workers = %d, want %d", rs.Workers, workers)
+			}
+		}
+
+		total := res.Chunks
+		for _, skel := range []int{0, 4, total} {
+			c.Params.LazySkeletonChunks = skel
+			got, pending, _, err := Restore(task, res.Path, RestoreOptions{Workers: 2, Lazy: true})
+			if err != nil {
+				t.Fatalf("lazy restore (skeleton %d): %v", skel, err)
+			}
+			if want := total - skel; len(pending) != want {
+				t.Errorf("skeleton %d: %d chunks pending, want %d", skel, len(pending), want)
+			}
+			if skel == 0 && bytes.Equal(imageBytes(got), ref) {
+				t.Error("empty skeleton already holds the whole image")
+			}
+			installPending(t, s, task, got, pending)
+			if !bytes.Equal(imageBytes(got), ref) {
+				t.Errorf("skeleton %d + pending differs from loadChunked", skel)
 			}
 		}
 	})
@@ -89,7 +128,7 @@ func TestRestoreStreamedParallelDecompress(t *testing.T) {
 		res := WriteImage(task, img, WriteOptions{Store: s, Workers: 4})
 		took := map[int]time.Duration{}
 		for _, workers := range []int{1, 4, 8} {
-			_, rs, err := RestoreStreamed(task, res.Path, RestoreOptions{Workers: workers})
+			_, _, rs, err := Restore(task, res.Path, RestoreOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +168,7 @@ func TestRestoreStreamedOverlapsFetch(t *testing.T) {
 		task.P.Node.FS.WriteFile(dstPath, ino.Data, ino.LogicalSize)
 
 		fetcher := &copyFetcher{src: src, dst: dst, perChunk: 2 * time.Millisecond}
-		got, rs, err := RestoreStreamed(task, dstPath, RestoreOptions{Workers: 4, Fetch: fetcher})
+		got, _, rs, err := Restore(task, dstPath, RestoreOptions{Workers: 4, Fetch: fetcher})
 		if err != nil {
 			t.Fatalf("remote streamed restore: %v", err)
 		}
@@ -165,7 +204,7 @@ func TestRestoreStreamedFetchFailureAborts(t *testing.T) {
 		task.P.Node.FS.WriteFile(dstPath, ino.Data, ino.LogicalSize)
 
 		fetcher := &copyFetcher{src: src, dst: dst, perChunk: time.Millisecond, failAfter: 3}
-		got, _, err := RestoreStreamed(task, dstPath, RestoreOptions{Workers: 4, Fetch: fetcher})
+		got, _, _, err := Restore(task, dstPath, RestoreOptions{Workers: 4, Fetch: fetcher})
 		if err == nil {
 			t.Fatal("mid-stream fetch failure restored an image")
 		}
@@ -174,7 +213,7 @@ func TestRestoreStreamedFetchFailureAborts(t *testing.T) {
 		}
 
 		// And with no fetcher at all, missing chunks are a typed error.
-		if _, _, err := RestoreStreamed(task, dstPath, RestoreOptions{Workers: 2}); err == nil {
+		if _, _, _, err := Restore(task, dstPath, RestoreOptions{Workers: 2}); err == nil {
 			t.Fatal("missing chunks with no fetch source restored an image")
 		}
 	})

@@ -10,24 +10,34 @@ import (
 	"repro/internal/store"
 )
 
-// PullStream is the lazy-restore fetch plane: a priority pull of a
-// chunk set striped across every live holder.  One puller task per
-// holder drains a shared hottest-first queue over its own connection,
-// so aggregate fetch bandwidth scales with the holder count (each
-// holder's daemon serializes its sends at the NIC rate).  Demand
-// faults preempt the queue: Demand promotes a chunk to the front and
-// blocks the caller until it is locally durable.  A holder that dies
-// mid-fetch has its in-flight chunk requeued at the front and the
-// survivors keep draining — only when every holder is gone does the
-// stream fail with a HolderLostError.
+// PullStream is the restore fetch plane: a priority pull of a chunk
+// set from the replica daemons of the holders that have it.  Pullers
+// drain one shared queue (front is next), each over its own
+// connection: PullOptions.Conns per striped holder, PullOptions.Stripe
+// holders at once.  An eager restart opens all its connections on the
+// first holder; the lazy tail stripes one connection per holder, so
+// its bandwidth scales with the holder count (each holder's daemon
+// serializes its sends at the NIC rate).  Demand faults preempt the
+// queue: Demand promotes a chunk to the front and blocks the caller
+// until it is locally durable.
+//
+// Failover is per holder.  A holder that fails mid-fetch has its
+// in-flight chunks requeued at the front, and its pullers move to the
+// next untried live holder of the list that no stripe is using yet;
+// with none left they exit while the other stripes keep draining.  The
+// stream fails with a HolderLostError only when every puller is gone
+// and chunks are still outstanding.
 type PullStream struct {
 	sv    *Service
 	local *store.Store
 	w     *sim.WaitQueue
 
-	holders []string // live holders, one puller each
+	holders []string // live candidate holders, in preference order
+	slots   []string // holder each stripe pulls from ("" = stripe lost)
+	spare   int      // next holders index a failed stripe may move to
 	pullers int      // live puller tasks
 	tried   []string // holders dropped after an error
+	lastErr error
 
 	queue    []store.ChunkRef // pending, hottest-first; front is next
 	needed   map[string]bool  // hash → part of this stream
@@ -43,20 +53,32 @@ type PullStream struct {
 	chunks, demandChunks              int
 }
 
-// NewPullStream starts pulling refs (already ordered hottest-first)
-// from holders into the calling node's store.  Chunks already local
-// are delivered immediately without touching the network.  deliver
-// (optional) runs as each chunk becomes locally durable, on whichever
-// task landed it.
-func NewPullStream(t *kernel.Task, sv *Service, holders []string, refs []store.ChunkRef, deliver func(store.ChunkRef)) *PullStream {
+// PullOptions shapes a PullStream.
+type PullOptions struct {
+	// Stripe is how many holders are pulled from at once, taken from
+	// the front of the holder list (0 = all of them); the rest are
+	// failover spares.
+	Stripe int
+	// Conns is the number of connections per striped holder (< 1
+	// means 1), never more than there are chunks to pull.
+	Conns int
+	// Deliver, when set, runs as each chunk becomes locally durable,
+	// on whichever task landed it.
+	Deliver func(store.ChunkRef)
+}
+
+// NewPullStream starts pulling refs (in priority order) from holders
+// into the calling node's store.  Chunks already local are delivered
+// immediately without touching the network.
+func NewPullStream(t *kernel.Task, sv *Service, holders []string, refs []store.ChunkRef, opts PullOptions) *PullStream {
 	ps := &PullStream{
 		sv:       sv,
 		local:    store.Open(t.P.Node, store.Config{Root: sv.Cfg.Root}),
-		w:        sim.NewWaitQueue(t.P.Node.Cluster.Eng, "lazy.pull"),
+		w:        sim.NewWaitQueue(t.P.Node.Cluster.Eng, "replica.pull"),
 		needed:   make(map[string]bool, len(refs)),
 		done:     make(map[string]bool, len(refs)),
 		demanded: map[string]bool{},
-		deliver:  deliver,
+		deliver:  opts.Deliver,
 	}
 	for _, ref := range refs {
 		if ps.needed[ref.Hash] {
@@ -65,8 +87,8 @@ func NewPullStream(t *kernel.Task, sv *Service, holders []string, refs []store.C
 		ps.needed[ref.Hash] = true
 		if ps.local.HasChunk(ref.Hash) {
 			ps.done[ref.Hash] = true
-			if deliver != nil {
-				deliver(ref)
+			if ps.deliver != nil {
+				ps.deliver(ref)
 			}
 			continue
 		}
@@ -86,42 +108,70 @@ func NewPullStream(t *kernel.Task, sv *Service, holders []string, refs []store.C
 		ps.err = &HolderLostError{Hosts: append([]string(nil), holders...)}
 		return ps
 	}
-	for _, h := range ps.holders {
-		h := h
-		ps.pullers++
-		t.P.SpawnTask("lazy-pull", true, func(pt *kernel.Task) { ps.pull(pt, h) })
+	stripe := opts.Stripe
+	if stripe <= 0 || stripe > len(ps.holders) {
+		stripe = len(ps.holders)
+	}
+	ps.slots = append([]string(nil), ps.holders[:stripe]...)
+	ps.spare = stripe
+	conns := opts.Conns
+	if conns < 1 {
+		conns = 1
+	}
+	if conns > ps.remaining {
+		conns = ps.remaining
+	}
+	for slot := range ps.slots {
+		for c := 0; c < conns; c++ {
+			slot, c := slot, c
+			ps.pullers++
+			t.P.SpawnTask("replica-pull", true, func(pt *kernel.Task) { ps.pull(pt, slot, c) })
+		}
 	}
 	return ps
 }
 
-// pull is one holder's puller: a single connection draining the shared
-// queue until the stream finishes or the holder fails.
-func (ps *PullStream) pull(t *kernel.Task, holder string) {
+// pull is one puller: it drains the queue from its stripe's holder,
+// following the stripe to the next holder when one fails.
+func (ps *PullStream) pull(t *kernel.Task, slot, conn int) {
+	defer func() {
+		ps.pullers--
+		if ps.pullers == 0 && ps.remaining > 0 && ps.err == nil && !ps.aborted {
+			ps.err = &HolderLostError{Hosts: append([]string(nil), ps.tried...), Err: ps.lastErr}
+		}
+		ps.w.WakeAll()
+	}()
+	for holder := ps.slots[slot]; holder != ""; holder = ps.failover(slot, holder) {
+		if ps.drain(t, holder, conn) {
+			return
+		}
+	}
+}
+
+// drain pulls from one holder over one connection until the stream is
+// finished (true) or the holder fails (false, with the chunk in flight
+// back at the front of the queue).
+func (ps *PullStream) drain(t *kernel.Task, holder string, conn int) bool {
 	start := t.Now()
 	var myBytes int64
 	myChunks := 0
 	defer func() {
-		ps.pullers--
-		if ps.pullers == 0 && ps.remaining > 0 && ps.err == nil && !ps.aborted {
-			ps.err = &HolderLostError{Hosts: append([]string(nil), ps.tried...)}
-		}
-		t.Trace().Span(t.Host(), "lazy-pull "+holder, "lazy.pull", "repl", start, t.Now(),
-			obs.A("bytes", myBytes), obs.A("chunks", int64(myChunks)))
-		ps.w.WakeAll()
+		t.Trace().Span(t.Host(), fmt.Sprintf("pull %s.%d", holder, conn), "repl.fetch", "repl",
+			start, t.Now(), obs.A("bytes", myBytes), obs.A("chunks", int64(myChunks)))
 	}()
 
 	cfd := t.Socket()
 	if of, err := t.P.FD(cfd); err == nil {
-		of.Protected = true
+		of.Protected = true // infrastructure socket: not checkpointed
 	}
 	defer t.Close(cfd)
 	if err := t.Connect(cfd, kernel.Addr{Host: holder, Port: Port}); err != nil {
-		ps.dropHolder(holder)
-		return
+		ps.lastErr = err
+		return false
 	}
 	for {
 		if ps.aborted || ps.err != nil || ps.remaining == 0 {
-			return
+			return true
 		}
 		if len(ps.queue) == 0 {
 			ps.w.Wait(t.T)
@@ -130,11 +180,10 @@ func (ps *PullStream) pull(t *kernel.Task, holder string) {
 		ref := ps.queue[0]
 		ps.queue = ps.queue[1:]
 		if err := ps.fetchOne(t, cfd, holder, ref); err != nil {
-			// Requeue at the front (demand order preserved) and fall
-			// back to the surviving holders.
+			// Requeue at the front: demand order is preserved.
 			ps.queue = append([]store.ChunkRef{ref}, ps.queue...)
-			ps.dropHolder(holder)
-			return
+			ps.lastErr = err
+			return false
 		}
 		ps.done[ref.Hash] = true
 		ps.remaining--
@@ -153,6 +202,25 @@ func (ps *PullStream) pull(t *kernel.Task, holder string) {
 		}
 		ps.w.WakeAll()
 	}
+}
+
+// failover moves a stripe off its failed holder: the first of the
+// stripe's pullers to see the failure advances it to the next untried
+// live spare, and the others follow.  "" means the stripe is lost.
+func (ps *PullStream) failover(slot int, failed string) string {
+	if ps.slots[slot] != failed {
+		return ps.slots[slot]
+	}
+	ps.tried = append(ps.tried, failed)
+	ps.slots[slot] = ""
+	for ps.slots[slot] == "" && ps.spare < len(ps.holders) {
+		h := ps.holders[ps.spare]
+		ps.spare++
+		if n := ps.sv.C.LookupHost(h); n != nil && !n.Down {
+			ps.slots[slot] = h
+		}
+	}
+	return ps.slots[slot]
 }
 
 // fetchOne pulls one chunk over the open connection into the local
@@ -177,17 +245,6 @@ func (ps *PullStream) fetchOne(t *kernel.Task, cfd int, holder string, ref store
 		return fmt.Errorf("replica: pull %s from %s: %w", ref.Hash, holder, err)
 	}
 	return nil
-}
-
-// dropHolder removes a failed holder from the stripe set.
-func (ps *PullStream) dropHolder(h string) {
-	ps.tried = append(ps.tried, h)
-	for i, x := range ps.holders {
-		if x == h {
-			ps.holders = append(ps.holders[:i], ps.holders[i+1:]...)
-			break
-		}
-	}
 }
 
 // Demand is the fault path: it promotes the chunk to the front of the
@@ -243,12 +300,6 @@ func (ps *PullStream) Abort() {
 	ps.aborted = true
 	ps.w.WakeAll()
 }
-
-// Done reports whether every chunk is locally durable.
-func (ps *PullStream) Done() bool { return ps.remaining == 0 }
-
-// Holders returns the live stripe width.
-func (ps *PullStream) Holders() int { return len(ps.holders) }
 
 // Bytes returns total stored bytes fetched over the network.
 func (ps *PullStream) Bytes() int64 { return ps.bytes }

@@ -67,10 +67,10 @@ const (
 	opErr      = 'e'
 )
 
-// HolderLostError reports that a restore's serving holder became
-// unreachable mid-fetch.  The restart layer raises it only after every
-// fallback holder it knew of failed too; Hosts lists them in the order
-// tried.
+// HolderLostError reports that a restore fetch lost its holders: a
+// PullStream raises it only after every holder it could fail over to
+// failed too.  Hosts lists them in the order tried; Err is the last
+// failure.
 type HolderLostError struct {
 	Hosts []string
 	Err   error
@@ -158,13 +158,6 @@ type Stats struct {
 	ScrubChunks   int
 	ScrubCorrupt  int
 	CorruptServed int
-}
-
-// FetchStats reports one EnsureLocal call.
-type FetchStats struct {
-	ManifestFetched bool
-	Chunks          int
-	Bytes           int64
 }
 
 type nodeQueue struct {
@@ -813,8 +806,8 @@ func (sv *Service) shipChunks(t *kernel.Task, st *store.Store, fd int, refs []st
 		}
 		transfer := model.TransferTime(p.NetLatency, p.NetBandwidth, ref.StoredBytes)
 		t.Idle(transfer)
-		if q := p.RepairQoS; repair && q > 0 && q < 1 {
-			t.Idle(time.Duration(float64(transfer) * (1 - q) / q))
+		if repair {
+			t.IdleQoS(transfer, p.RepairQoS)
 		}
 		var ce bin.Encoder
 		ce.B = append(ce.B, opChunk)
@@ -1048,44 +1041,6 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 	}
 }
 
-// EnsureLocal makes one manifest generation restorable on the calling
-// task's node, fetching the manifest and any chunks the local store
-// lacks from the replica daemon on fromHost.  This is the restart-time
-// remote-fetch path: recovery and migration both ride it, and because
-// it asks only for missing chunks, a node that already holds replicas
-// fetches ~nothing.
-func (sv *Service) EnsureLocal(t *kernel.Task, manifestPath, fromHost string) (FetchStats, error) {
-	return sv.EnsureLocalN(t, manifestPath, fromHost, 1)
-}
-
-// EnsureLocalN is EnsureLocal with a parallel fetch pool: missing
-// chunks are partitioned across workers tasks, each pulling over its
-// own connection to fromHost's daemon, so a recovery fetch can use the
-// peer's read bandwidth and the local cores (chunk writes land
-// decompressed-never, but local store writes still cost bandwidth)
-// instead of serializing request/response round trips.
-func (sv *Service) EnsureLocalN(t *kernel.Task, manifestPath, fromHost string, workers int) (FetchStats, error) {
-	var fs FetchStats
-	fetched, err := sv.EnsureManifest(t, manifestPath, fromHost)
-	if err != nil {
-		return fs, err
-	}
-	fs.ManifestFetched = fetched
-	local := store.Open(t.P.Node, store.Config{Root: sv.Cfg.Root})
-	m, err := local.LoadManifest(manifestPath)
-	if err != nil {
-		return fs, err
-	}
-	missing := local.MissingChunks(m.Refs())
-	if len(missing) == 0 {
-		return fs, nil
-	}
-	bytes, chunks, err := sv.FetchChunks(t, fromHost, missing, workers, nil)
-	fs.Bytes += bytes
-	fs.Chunks += chunks
-	return fs, err
-}
-
 // EnsureManifest makes one manifest present in the calling node's
 // store, pulling it from fromHost's replica daemon when the local
 // filesystem lacks it.  It reports whether a fetch happened.
@@ -1118,95 +1073,4 @@ func (sv *Service) EnsureManifest(t *kernel.Task, manifestPath, fromHost string)
 	d := &bin.Decoder{B: resp[1:]}
 	local.PutRawManifest(t, manifestPath, d.Bytes())
 	return true, nil
-}
-
-// FetchChunks pulls the given chunks from fromHost's replica daemon
-// into the calling node's store over up to workers connections,
-// invoking deliver (when non-nil) as each chunk lands — the pull-
-// stream peer of the eager-replication Stream, and what the streamed
-// restore pipeline consumes: an install pool decompresses delivered
-// chunks while later ones are still in flight.  Chunks already local
-// are delivered without touching the network.  It returns the stored
-// bytes and chunk count actually transferred; on error, everything
-// delivered so far is durable and the caller may resume against
-// another holder with the still-missing subset.
-func (sv *Service) FetchChunks(t *kernel.Task, fromHost string, refs []store.ChunkRef, workers int, deliver func(store.ChunkRef)) (int64, int, error) {
-	local := store.Open(t.P.Node, store.Config{Root: sv.Cfg.Root})
-	var todo []store.ChunkRef
-	for _, ref := range refs {
-		if local.HasChunk(ref.Hash) {
-			if deliver != nil {
-				deliver(ref)
-			}
-			continue
-		}
-		todo = append(todo, ref)
-	}
-	if len(todo) == 0 {
-		return 0, 0, nil
-	}
-	pullStart := t.Now()
-	var bytes int64
-	chunks := 0
-	// fetchOne pulls one chunk over an open connection.
-	fetchOne := func(ft *kernel.Task, cfd int, ref store.ChunkRef) error {
-		var e bin.Encoder
-		e.B = append(e.B, opGetChunk)
-		e.Str(ref.Hash)
-		e.Str(ref.Sum)
-		if err := ft.SendFrame(cfd, e.B); err != nil {
-			return err
-		}
-		resp, err := ft.RecvFrame(cfd)
-		if err != nil {
-			return err
-		}
-		if len(resp) == 0 || resp[0] != opAck {
-			return fmt.Errorf("replica: %s lacks chunk %s", fromHost, ref.Hash)
-		}
-		d := &bin.Decoder{B: resp[1:]}
-		if _, err := local.PutReplicaChunk(ft, ref, d.Bytes()); err != nil {
-			return fmt.Errorf("replica: fetch %s from %s: %w", ref.Hash, fromHost, err)
-		}
-		bytes += ref.StoredBytes
-		chunks++
-		if deliver != nil {
-			deliver(ref)
-		}
-		return nil
-	}
-	// Workers claim chunks through the shared worker pool, each over
-	// its own (lazily dialed) connection to the serving daemon.
-	// Connections live in the calling process's fd table and are
-	// closed after the pool drains.
-	if workers < 1 {
-		workers = 1
-	}
-	conns := map[*kernel.Task]int{}
-	defer func() {
-		for _, cfd := range conns {
-			t.Close(cfd)
-		}
-	}()
-	err := kernel.RunWorkers(t, workers, len(todo), "fetch-worker", func(ft *kernel.Task, i int) error {
-		cfd, ok := conns[ft]
-		if !ok {
-			cfd = ft.Socket()
-			if of, ferr := ft.P.FD(cfd); ferr == nil {
-				of.Protected = true
-			}
-			conns[ft] = cfd
-			if cerr := ft.Connect(cfd, kernel.Addr{Host: fromHost, Port: Port}); cerr != nil {
-				return cerr
-			}
-		}
-		return fetchOne(ft, cfd, todo[i])
-	})
-	t.Trace().Span(t.Host(), "replicad pull", "repl.fetch", "repl", pullStart, t.Now(),
-		obs.A("bytes", bytes), obs.A("chunks", int64(chunks)), obs.A("workers", int64(workers)))
-	t.Trace().Add(t.Host(), "repl.bytes_fetched", t.Now(), bytes)
-	if err != nil {
-		return bytes, chunks, fmt.Errorf("replica: fetch chunks from %s: %w", fromHost, err)
-	}
-	return bytes, chunks, nil
 }

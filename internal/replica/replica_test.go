@@ -133,7 +133,45 @@ func TestFanOutReplicatesAndDedups(t *testing.T) {
 	})
 }
 
-func TestEnsureLocalFetchesOnlyMissing(t *testing.T) {
+// pullAll makes one manifest generation restorable on node: it pulls
+// the manifest from holders[0] if missing, then every chunk the node
+// lacks through one PullStream.  It runs on a task spawned on node and
+// reports whether the manifest traveled plus the stream's traffic.
+func pullAll(t *testing.T, c *kernel.Cluster, sv *replica.Service, task *kernel.Task, node kernel.NodeID,
+	path string, holders []string, opts replica.PullOptions) (fetched bool, bytes int64, chunks int) {
+	t.Helper()
+	var err error
+	done := false
+	prog := fmt.Sprintf("puller@%v", task.Now()) // one program per call
+	c.RegisterFunc(prog, func(ft *kernel.Task, _ []string) {
+		defer func() { done = true }()
+		if fetched, err = sv.EnsureManifest(ft, path, holders[0]); err != nil {
+			return
+		}
+		var m *store.Manifest
+		if m, err = store.Open(ft.P.Node, store.Config{Root: root}).LoadManifest(path); err != nil {
+			return
+		}
+		ps := replica.NewPullStream(ft, sv, holders, m.Refs(), opts)
+		err = ps.Wait(ft)
+		bytes, chunks = ps.Bytes(), ps.Chunks()
+	})
+	if _, err := c.Node(node).Kern.Spawn(prog, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for !done {
+		task.Compute(10 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("pull: %v", err)
+	}
+	return fetched, bytes, chunks
+}
+
+// TestPullStreamFetchesOnlyMissing pins the restart-time fetch: a cold
+// node pulls the manifest and every chunk, and a second pull once
+// everything is local moves nothing.
+func TestPullStreamFetchesOnlyMissing(t *testing.T) {
 	eng, c := testCluster(t, 3)
 	sv := replica.Install(c, replica.Config{Factor: 1, Root: root})
 	if err := sv.StartAll(); err != nil {
@@ -145,50 +183,104 @@ func TestEnsureLocalFetchesOnlyMissing(t *testing.T) {
 		sv.Enqueue(c.Node(0), replica.Job{Name: name, Generation: gen, ManifestPath: p1})
 		sv.WaitIdle(task)
 
-		// node02 holds nothing (factor 1 → only node01): a fetch from
-		// node00 must pull the manifest and every chunk, charging time.
+		// node02 holds nothing (factor 1 → only node01): a pull from
+		// node00 must land the manifest and every chunk, charging time.
 		t0 := task.Now()
-		var fs replica.FetchStats
-		var err error
-		done := false
-		c.RegisterFunc("fetcher", func(ft *kernel.Task, _ []string) {
-			fs, err = sv.EnsureLocal(ft, p1, "node00")
-			done = true
-		})
-		if _, err := c.Node(2).Kern.Spawn("fetcher", nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		for !done {
-			task.Compute(10 * time.Millisecond)
-		}
-		if err != nil {
-			t.Fatalf("fetch: %v", err)
-		}
-		if !fs.ManifestFetched || fs.Chunks == 0 || fs.Bytes == 0 {
-			t.Errorf("cold fetch = %+v", fs)
+		fetched, bytes, chunks := pullAll(t, c, sv, task, 2, p1, []string{"node00"}, replica.PullOptions{})
+		if !fetched || chunks == 0 || bytes == 0 {
+			t.Errorf("cold pull = manifest %v, %d chunks, %d bytes", fetched, chunks, bytes)
 		}
 		if task.Now().Sub(t0) <= 0 {
-			t.Error("fetch charged no time")
+			t.Error("pull charged no time")
 		}
 		ps := store.Open(c.Node(2), store.Config{Root: root})
 		m, err := ps.LoadManifest(p1)
 		if err != nil {
-			t.Fatalf("fetched manifest unreadable: %v", err)
+			t.Fatalf("pulled manifest unreadable: %v", err)
 		}
 		if missing := ps.MissingChunks(m.Refs()); len(missing) != 0 {
-			t.Fatalf("%d chunks still missing after fetch", len(missing))
+			t.Fatalf("%d chunks still missing after pull", len(missing))
 		}
 
-		// A second fetch is a no-op: everything is local now.
-		done = false
-		if _, err := c.Node(2).Kern.Spawn("fetcher", nil, nil); err != nil {
+		// A second pull is a no-op: everything is local now.
+		fetched, bytes, chunks = pullAll(t, c, sv, task, 2, p1, []string{"node00"}, replica.PullOptions{})
+		if fetched || chunks != 0 || bytes != 0 {
+			t.Errorf("warm pull = manifest %v, %d chunks, %d bytes — dedup not applied", fetched, chunks, bytes)
+		}
+	})
+}
+
+// TestPullStreamFailsOverMidPull kills the serving holder halfway
+// through a pull: the stream moves to the next holder, which serves
+// the rest, and no chunk is fetched or delivered twice.
+func TestPullStreamFailsOverMidPull(t *testing.T) {
+	eng, c := testCluster(t, 4)
+	sv := replica.Install(c, replica.Config{Factor: 2, Root: root})
+	if err := sv.StartAll(); err != nil {
+		t.Fatal(err)
+	}
+	run(t, eng, c, func(task *kernel.Task) {
+		p1 := commit(task, 0, 0)
+		name, gen, _ := store.NameForManifest(p1)
+		sv.Enqueue(c.Node(0), replica.Job{Name: name, Generation: gen, ManifestPath: p1})
+		sv.WaitIdle(task)
+		m, err := store.Open(c.Node(0), store.Config{Root: root}).LoadManifest(p1)
+		if err != nil {
 			t.Fatal(err)
+		}
+		unique := map[string]bool{}
+		for _, ref := range m.Refs() {
+			unique[ref.Hash] = true
+		}
+
+		// node03 holds nothing; node01 serves over two connections,
+		// node02 is the spare.
+		delivered := map[string]int{}
+		var chunks int
+		var ferr error
+		done := false
+		c.RegisterFunc("puller", func(ft *kernel.Task, _ []string) {
+			defer func() { done = true }()
+			if _, ferr = sv.EnsureManifest(ft, p1, "node00"); ferr != nil {
+				return
+			}
+			ps := replica.NewPullStream(ft, sv, []string{"node01", "node02"}, m.Refs(),
+				replica.PullOptions{Stripe: 1, Conns: 2, Deliver: func(ref store.ChunkRef) {
+					delivered[ref.Hash]++
+				}})
+			ferr = ps.Wait(ft)
+			chunks = ps.Chunks()
+		})
+		if _, err := c.Node(3).Kern.Spawn("puller", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		for len(delivered) < len(unique)/2 {
+			task.Idle(time.Millisecond)
+		}
+		atKill := len(delivered)
+		if killed := c.KillNode(1); killed == 0 {
+			t.Fatal("holder kill was a no-op")
 		}
 		for !done {
 			task.Compute(10 * time.Millisecond)
 		}
-		if err != nil || fs.ManifestFetched || fs.Chunks != 0 {
-			t.Errorf("warm fetch = %+v, %v — dedup not applied", fs, err)
+		if ferr != nil {
+			t.Fatalf("pull with a dead holder: %v", ferr)
+		}
+		if atKill == 0 || atKill >= len(unique) {
+			t.Fatalf("kill landed outside the pull (%d of %d delivered)", atKill, len(unique))
+		}
+		if chunks != len(unique) {
+			t.Errorf("network chunks = %d, want %d (no chunk fetched twice)", chunks, len(unique))
+		}
+		for h := range unique {
+			if delivered[h] != 1 {
+				t.Errorf("chunk %s delivered %d times", h, delivered[h])
+			}
+		}
+		local := store.Open(c.Node(3), store.Config{Root: root})
+		if missing := local.MissingChunks(m.Refs()); len(missing) != 0 {
+			t.Errorf("%d chunks missing after failover", len(missing))
 		}
 	})
 }
@@ -372,11 +464,11 @@ func TestJournalFenceAfterDoubleTakeover(t *testing.T) {
 	})
 }
 
-// TestFetchChunksStreamsAndShortCircuits pins the pull-stream
+// TestPullStreamStreamsAndShortCircuits pins the pull-stream
 // contract: every chunk is delivered exactly once, is locally durable
 // at delivery time, and chunks the local store already holds are
 // delivered without touching the network.
-func TestFetchChunksStreamsAndShortCircuits(t *testing.T) {
+func TestPullStreamStreamsAndShortCircuits(t *testing.T) {
 	eng, c := testCluster(t, 3)
 	sv := replica.Install(c, replica.Config{Factor: 1, Root: root})
 	if err := sv.StartAll(); err != nil {
@@ -405,12 +497,15 @@ func TestFetchChunksStreamsAndShortCircuits(t *testing.T) {
 		var ferr error
 		done := false
 		c.RegisterFunc("fetcher2", func(ft *kernel.Task, _ []string) {
-			netBytes, nChunks, ferr = sv.FetchChunks(ft, "node00", refs, 4, func(ref store.ChunkRef) {
-				if !local.HasChunk(ref.Hash) {
-					t.Errorf("chunk %s delivered before it was durable", ref.Hash)
-				}
-				delivered[ref.Hash]++
-			})
+			ps := replica.NewPullStream(ft, sv, []string{"node00"}, refs,
+				replica.PullOptions{Stripe: 1, Conns: 4, Deliver: func(ref store.ChunkRef) {
+					if !local.HasChunk(ref.Hash) {
+						t.Errorf("chunk %s delivered before it was durable", ref.Hash)
+					}
+					delivered[ref.Hash]++
+				}})
+			ferr = ps.Wait(ft)
+			netBytes, nChunks = ps.Bytes(), ps.Chunks()
 			done = true
 		})
 		if _, err := c.Node(2).Kern.Spawn("fetcher2", nil, nil); err != nil {

@@ -196,10 +196,7 @@ func (s *Store) ScrubPass(t *kernel.Task, qos float64, onCorrupt func(ref ChunkR
 				onCorrupt(ref)
 			}
 		}
-		if qos > 0 && qos < 1 {
-			work := time.Duration(float64(ref.StoredBytes)/p.DiskReadBW*1e9) + p.HashTime(ref.StoredBytes)
-			t.Idle(time.Duration(float64(work) * (1 - qos) / qos))
-		}
+		t.IdleQoS(time.Duration(float64(ref.StoredBytes)/p.DiskReadBW*1e9)+p.HashTime(ref.StoredBytes), qos)
 	}
 	return st
 }

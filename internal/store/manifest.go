@@ -63,17 +63,23 @@ type ChunkCoord struct {
 	Ref  ChunkRef
 }
 
-// HotOrder returns every chunk coordinate sorted hottest-first by the
-// Heat carried in the manifest (last-generation write recency), with
-// ties broken by (area, idx) so the order is deterministic.  The lazy
-// restore skeleton and prefetch queue both consume it.
-func (m *Manifest) HotOrder() []ChunkCoord {
+// Coords returns every chunk coordinate in manifest order.
+func (m *Manifest) Coords() []ChunkCoord {
 	out := make([]ChunkCoord, 0, m.NumChunks())
 	for ai, a := range m.Areas {
 		for ci, c := range a.Chunks {
 			out = append(out, ChunkCoord{Area: ai, Idx: ci, Ref: c})
 		}
 	}
+	return out
+}
+
+// HotOrder returns every chunk coordinate sorted hottest-first by the
+// Heat carried in the manifest (last-generation write recency), with
+// ties broken by (area, idx) so the order is deterministic.  The lazy
+// restore skeleton and prefetch queue both consume it.
+func (m *Manifest) HotOrder() []ChunkCoord {
+	out := m.Coords()
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Ref.Heat != out[j].Ref.Heat {
 			return out[i].Ref.Heat > out[j].Ref.Heat

@@ -36,27 +36,13 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultChunkBytes is the store's chunking granularity; it matches
-// the kernel's dirty-write tracking granularity so chunk versions map
-// 1:1 onto store chunks.
-const DefaultChunkBytes = kernel.CkptChunkBytes
-
 // Config selects store location and behavior.
 type Config struct {
 	// Root is the store directory, e.g. "/ckpt/store".  Roots under
 	// /san are shared cluster-wide.
 	Root string
-	// ChunkBytes is the chunking granularity (default
-	// DefaultChunkBytes).
-	ChunkBytes int64
 	// Compress enables per-chunk compression (gzip model).
 	Compress bool
-}
-
-func (c *Config) fill() {
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = DefaultChunkBytes
-	}
 }
 
 // Store is a handle to one content-addressed store on one node's
@@ -69,7 +55,6 @@ type Store struct {
 
 // Open returns a handle to the store rooted at cfg.Root on node n.
 func Open(n *kernel.Node, cfg Config) *Store {
-	cfg.fill()
 	return &Store{Node: n, Cfg: cfg}
 }
 
