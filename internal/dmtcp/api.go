@@ -11,7 +11,6 @@ import (
 	"repro/internal/coordstate"
 	"repro/internal/kernel"
 	"repro/internal/model"
-	"repro/internal/mtcp"
 	"repro/internal/replica"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -347,22 +346,6 @@ func (s *System) storeBusyTotal() int {
 		total += v
 	}
 	return total
-}
-
-// replicateCommit hands a freshly committed store generation to the
-// replication service — the manager's commit→replicate handoff.  The
-// watermark file is initialized first, so the coordinator's post-round
-// GC can never prune the generation before its fan-out completes.
-func (s *System) replicateCommit(t *kernel.Task, res mtcp.WriteResult) {
-	if s.Replica == nil || res.Generation == 0 {
-		return
-	}
-	name, gen, ok := store.NameForManifest(res.Path)
-	if !ok {
-		return
-	}
-	s.StoreOn(t.P.Node).InitReplicationWatermark(t, name)
-	s.Replica.Enqueue(t.P.Node, replica.Job{Name: name, Generation: gen, ManifestPath: res.Path})
 }
 
 // fetchHostFor picks the replica daemon a restart on target should

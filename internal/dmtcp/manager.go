@@ -519,8 +519,8 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 		if m.sys.Replica != nil && m.sys.Cfg.ReplicaFactor > 0 {
 			// Eager streaming: finished chunks flow to the replica
 			// daemon as they land, so fan-out overlaps the write.  A
-			// nil stream (no live daemon/targets) falls back to the
-			// post-commit Enqueue path below.
+			// nil stream (no live daemon/targets) means nothing can
+			// ship.
 			if stream := m.sys.Replica.NewStream(p.Node, p, mtcp.ImageBase(img), gen); stream != nil {
 				opts.Stream = stream
 			}
@@ -538,21 +538,10 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 		node := p.Node
 		if opts.Store != nil {
 			m.sys.storeWriterInc(node)
-			if m.sys.Replica != nil {
-				m.sys.Replica.BeginCommit(node)
-			}
 		}
 		t.ForkRaw("ckpt-writer", func(c *kernel.Task) {
-			wres := mtcp.WriteImage(c, img, opts)
+			mtcp.WriteImage(c, img, opts)
 			if opts.Store != nil {
-				if opts.Stream == nil {
-					// Streamed writes replicate as they go; only the
-					// plain path hands off to the post-commit queue.
-					m.sys.replicateCommit(c, wres)
-				}
-				if m.sys.Replica != nil {
-					m.sys.Replica.EndCommit(node)
-				}
 				m.sys.storeWriterDec(node)
 			}
 			c.Exit(0)
@@ -572,9 +561,6 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 		}
 	} else {
 		res = mtcp.WriteImage(t, img, opts)
-		if opts.Store != nil && opts.Stream == nil {
-			m.sys.replicateCommit(t, res)
-		}
 	}
 	writeDur := t.Now().Sub(s5)
 	err := m.barrier(t, "checkpointed", writeDur, func(e *bin.Encoder) {

@@ -24,9 +24,14 @@ func haPartitionConfig() Config {
 	return cfg
 }
 
+// cutAtOpen is the partition sweep's earliest cut point: the leader is
+// isolated as soon as the round opens, before any barrier release.
+const cutAtOpen = "open"
+
 // runStagePartition runs the HA counter workload, starts a
 // checkpoint, and isolates the leader's host as soon as the named
-// barrier has been released (stage "" is the uncut control run).  It
+// barrier has been released, or as soon as the round opens for
+// cutAtOpen (stage "" is the uncut control run).  It
 // asserts a standby promotes itself via journal-silence detection
 // (the leader's node is never Down, so the node-death detector cannot
 // fire), heals the cut after takeover, and checks the deposed leader
@@ -58,7 +63,10 @@ func runStagePartition(t *testing.T, stage string) string {
 		if stage != "" {
 			preTag := int64(-1)
 			for task.Now() < deadline && !done {
-				if r := old.st().Round; r != nil && r.Released[stage] {
+				if r := old.st().Round; r != nil && (stage == cutAtOpen || r.Released[stage]) {
+					if stage == cutAtOpen && len(r.Released) > 0 {
+						t.Fatalf("round released %v before the open cut", r.Released)
+					}
 					preTag = r.Tag
 					break
 				}
@@ -76,10 +84,11 @@ func runStagePartition(t *testing.T, stage string) string {
 			if e.sys.Coord == old && !done {
 				t.Fatal("no standby promoted itself across the partition")
 			}
-			if preTag >= 0 && e.sys.Coord != old {
+			if preTag >= 0 && stage != cutAtOpen && e.sys.Coord != old {
 				// Resume, not abort: the new leader either still runs
 				// the inherited round under the same tag, or already
-				// drove it to completion.
+				// drove it to completion.  (A round cut before any
+				// barrier release has nothing committed to resume.)
 				if r := e.sys.Coord.st().Round; r != nil && r.Tag != preTag {
 					t.Errorf("stage %q: new leader runs round tag %d, want resumed tag %d",
 						stage, r.Tag, preTag)
@@ -147,16 +156,17 @@ func runStagePartition(t *testing.T, stage string) string {
 	return string(ino.Data)
 }
 
-// TestStageSweepPartitionLeader isolates the leader's host at every
-// stage boundary of a checkpoint round and asserts the silently
-// promoted standby resumes and completes the same round, with the
-// workload checksum identical to a run that never lost connectivity.
+// TestStageSweepPartitionLeader isolates the leader's host as the
+// round opens and at every stage boundary of a checkpoint round, and
+// asserts the silently promoted standby resumes and completes the same
+// round, with the workload checksum identical to a run that never lost
+// connectivity.
 func TestStageSweepPartitionLeader(t *testing.T) {
 	control := runStagePartition(t, "")
 	if !strings.Contains(control, "done") {
 		t.Fatalf("control run did not finish:\n%s", control)
 	}
-	for _, stage := range ckptBarriers {
+	for _, stage := range append([]string{cutAtOpen}, ckptBarriers...) {
 		stage := stage
 		t.Run(stage, func(t *testing.T) {
 			got := runStagePartition(t, stage)

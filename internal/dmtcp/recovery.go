@@ -277,8 +277,8 @@ func (co *Coordinator) candidateHolders(pi *coordstate.PlaceInfo, gen int64) []s
 // ("highest generation ever pushed") so retention may have pruned the
 // manifest since, watermarks can lag a takeover, and a push the
 // source died under leaves a manifest whose chunks never all arrived
-// (pushTo ships the manifest first) — so the coordinator verifies
-// against the holder's store before trusting it.
+// (a committed stream ships the manifest first) — so the coordinator
+// verifies against the holder's store before trusting it.
 func (co *Coordinator) holderComplete(host, name string, gen int64) bool {
 	n := co.Sys.C.LookupHost(host)
 	if n == nil || n.Down {

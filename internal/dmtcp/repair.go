@@ -15,12 +15,13 @@ import (
 // unrecoverable.  The coordinator detects the degraded generations
 // (placement map vs ReplicaFactor), picks a surviving complete holder
 // as the source, and drives background re-replication to fresh ring
-// targets through the replica service's normal want/missing push path
-// — paced by Params.RepairQoS so concurrent checkpoint rounds keep
-// their bandwidth.  The source generation is pinned in its store for
-// the duration, so a retention pass cannot age it out mid-repair; a
-// generation superseded by a newer round mid-repair is cancelled
-// cleanly (the newer generation re-ships through normal replication).
+// targets through a repair-class replica stream — the same
+// want/missing ship path checkpoints take, paced by Params.RepairQoS
+// so concurrent checkpoint rounds keep their bandwidth.  The source
+// generation is pinned in its store for the duration, so a retention
+// pass cannot age it out mid-repair; a generation superseded by a
+// newer round mid-repair is cancelled cleanly (the newer generation
+// re-ships through normal replication).
 
 // repairPlan is one degraded generation's repair work.
 type repairPlan struct {
@@ -78,7 +79,7 @@ func (co *Coordinator) spawnRepair() {
 
 // repairDegraded runs one scan-and-repair pass: it plans a repair for
 // every placement entry whose latest generation has fewer live
-// complete holders than the redundancy target, enqueues the jobs
+// complete holders than the redundancy target, ships each one
 // (pinning each source generation for the duration), and blocks until
 // every job reports back.  It returns the number of degraded entries
 // seen and the number of (generation, peer) copies restored.
@@ -105,10 +106,7 @@ func (co *Coordinator) repairDegraded(t *kernel.Task) (degraded, restored int) {
 		plan := plan
 		srcStore := sys.StoreOn(plan.src)
 		srcStore.PinGeneration(plan.name, plan.gen)
-		before := sys.Replica.Stats.RepairPushes
-		sys.Replica.Enqueue(plan.src, replica.Job{
-			Name:         plan.name,
-			Generation:   plan.gen,
+		sys.Replica.Ship(plan.src, replica.Job{
 			ManifestPath: srcStore.ManifestPath(plan.name, plan.gen),
 			Targets:      plan.targets,
 			Repair:       true,
@@ -119,9 +117,9 @@ func (co *Coordinator) repairDegraded(t *kernel.Task) (degraded, restored int) {
 				pi := co.st().Placement[plan.name]
 				return pi == nil || pi.LatestGen != plan.gen || sys.Coord != co
 			},
-			OnDone: func(ok bool) {
+			OnDone: func(copies int) {
 				srcStore.UnpinGeneration(plan.name, plan.gen)
-				restored += sys.Replica.Stats.RepairPushes - before
+				restored += copies
 				pending--
 				doneW.WakeAll()
 			},

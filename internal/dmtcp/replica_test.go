@@ -246,7 +246,7 @@ func TestRecoveryPrefersRoundCoveringDeadHost(t *testing.T) {
 }
 
 // TestWaitIdleCoversForkedCommits: with forked checkpointing the
-// replication job is enqueued by the background writer child after the
+// background writer child commits the generation's stream after the
 // round's barriers release; WaitIdle immediately after Checkpoint must
 // still cover that generation.
 func TestWaitIdleCoversForkedCommits(t *testing.T) {

@@ -123,31 +123,47 @@ func TestStoreRestartCycleAndSecondCheckpoint(t *testing.T) {
 	})
 }
 
+// TestStoreRetentionPrunesOldGenerations pins StoreKeep: after four
+// rounds only the newest two generations survive.  Coordinator
+// standbys install the replica service without any replicas to ship;
+// retention must apply all the same (no replication watermark pins
+// generations that will never be replicated).
 func TestStoreRetentionPrunesOldGenerations(t *testing.T) {
-	e := newEnv(t, 1, Config{Compress: true, Store: true, StoreKeep: 2})
-	e.drive(t, func(task *kernel.Task) {
-		e.sys.Launch(0, "counter", "5000", "/out/st3")
-		task.Compute(50 * time.Millisecond)
-		var last *CkptRound
-		for i := 0; i < 4; i++ {
-			r, err := e.sys.Checkpoint(task)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			last = r
-			task.Compute(30 * time.Millisecond)
-		}
-		st := e.sys.StoreOn(e.c.Node(0))
-		name := mtcpImageName(last.Images[0])
-		gens := st.Generations(name)
-		if len(gens) != 2 || gens[1] != 4 {
-			t.Errorf("retained generations = %v, want [3 4]", gens)
-		}
-		if last.GC == nil || last.GC.Pruned == 0 {
-			t.Errorf("final round GC = %+v", last.GC)
-		}
-	})
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		cfg   Config
+	}{
+		{"single node", 1, Config{Compress: true, Store: true, StoreKeep: 2}},
+		{"coordinator standby", 3, Config{Compress: true, Store: true, StoreKeep: 2, CoordStandbys: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, tc.nodes, tc.cfg)
+			e.drive(t, func(task *kernel.Task) {
+				e.sys.Launch(0, "counter", "5000", "/out/st3")
+				task.Compute(50 * time.Millisecond)
+				var last *CkptRound
+				for i := 0; i < 4; i++ {
+					r, err := e.sys.Checkpoint(task)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					last = r
+					task.Compute(30 * time.Millisecond)
+				}
+				st := e.sys.StoreOn(e.c.Node(0))
+				name := mtcpImageName(last.Images[0])
+				gens := st.Generations(name)
+				if len(gens) != 2 || gens[1] != 4 {
+					t.Errorf("retained generations = %v, want [3 4]", gens)
+				}
+				if last.GC == nil || last.GC.Pruned == 0 {
+					t.Errorf("final round GC = %+v", last.GC)
+				}
+			})
+		})
+	}
 }
 
 // mtcpImageName derives the store image name from an image path

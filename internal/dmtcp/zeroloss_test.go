@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/obs"
 )
 
 // Zero-loss control plane coverage: killing the coordinator at every
@@ -330,6 +331,58 @@ func TestRepairRestoresRedundancy(t *testing.T) {
 	})
 }
 
+// TestRebalanceCountsEachRepairOnce degrades two generations at once:
+// node02's and node03's counters both replicate to node04, which then
+// dies.  One repair pass re-ships both, and the coord.rebalance span
+// must report exactly the copies the repair pushes made — each repair
+// counts only its own completed peers, not its neighbours'.
+func TestRebalanceCountsEachRepairOnce(t *testing.T) {
+	e := newEnv(t, 5, haConfig())
+	e.c.Trace = obs.NewTracer()
+	e.drive(t, func(task *kernel.Task) {
+		e.sys.Launch(2, "counter", "400", "/san/out/rebal-a")
+		e.sys.Launch(3, "counter", "400", "/san/out/rebal-b")
+		task.Compute(50 * time.Millisecond)
+		if _, err := e.sys.Checkpoint(task); err != nil {
+			t.Fatal(err)
+		}
+		e.sys.Replica.WaitIdle(task)
+		co := e.sys.Coord
+		for _, name := range placementNames(co) {
+			if pi := co.st().Placement[name]; pi.Holders["node04"] < 1 {
+				t.Fatalf("%s not replicated to node04: %+v", name, pi.Holders)
+			}
+		}
+		before := e.sys.Replica.Stats.RepairPushes
+		e.c.KillNode(4)
+		deadline := task.Now().Add(30 * time.Second)
+		for task.Now() < deadline && (co.LastRebalance <= 0 || !co.RepairIdle()) {
+			task.Compute(10 * time.Millisecond)
+		}
+		if co.LastRebalance <= 0 {
+			t.Fatal("repair drive never recorded a rebalance")
+		}
+		pushes := int64(e.sys.Replica.Stats.RepairPushes - before)
+		if pushes != 2 {
+			t.Errorf("repair pushes = %d, want 2 (one per degraded generation)", pushes)
+		}
+		var copies []int64
+		for _, ev := range e.c.Trace.Events() {
+			if ev.Name != "coord.rebalance" {
+				continue
+			}
+			for _, a := range ev.Args {
+				if a.Key == "copies" {
+					copies = append(copies, a.Val)
+				}
+			}
+		}
+		if len(copies) != 1 || copies[0] != pushes {
+			t.Errorf("coord.rebalance copies = %v, want [%d] (the repair pushes made)", copies, pushes)
+		}
+	})
+}
+
 // placementNames returns the coordinator's placement keys in
 // deterministic order.
 func placementNames(co *Coordinator) []string {
@@ -370,7 +423,7 @@ func TestRepairCancelledWhenSuperseded(t *testing.T) {
 		}
 		e.c.KillNode(e.c.LookupHost(victim).ID)
 		// Wait out the full (static upper-bound) detection delay so the
-		// repair pass has planned and enqueued its throttled jobs.
+		// repair pass has planned and opened its throttled streams.
 		task.Compute(e.c.Params.FailureDetectDelay + 20*time.Millisecond)
 		if co.RepairIdle() {
 			t.Fatal("repair drive finished before a supersede could be tested")

@@ -1,23 +1,24 @@
 // Package replica is the replicated checkpoint storage service: a
 // per-node storage daemon (dmtcp_replicad, a registered kernel program
 // like sshd) that serves chunk/manifest get-put over the simulated
-// network, plus an asynchronous replicator that copies every committed
-// checkpoint generation to a fixed number of peer nodes.
+// network, plus the streams that copy every checkpoint generation to a
+// fixed number of peer nodes.
 //
 // The design follows stdchk (Al Kiswany et al.): checkpoint data is
 // too valuable to live only on the node that wrote it — the node whose
 // failure the checkpoint exists to survive — so cluster peers are
 // aggregated into a dedicated, replicated storage layer.  Replication
-// is dedup-aware end to end: the pusher first asks the peer which
+// is dedup-aware end to end: the shipper first asks the peer which
 // chunk fingerprints it lacks, and only those chunks travel, so a
 // 10%-dirty generation ships ~10% of its image regardless of the
 // replication factor's fan-out.
 //
 // Protocol (length-prefixed frames over one TCP connection):
 //
-//	want     C→S  manifest's chunk hashes     → indices the peer lacks
-//	manifest C→S  one serialized manifest (push; sent before its chunks
-//	              so they are referenced — and GC-safe — on arrival)
+//	want     C→S  a batch of chunk hashes     → indices the peer lacks
+//	manifest C→S  one serialized manifest (push; once the generation is
+//	              committed, sent before any chunk not yet shipped, so
+//	              those are referenced — and GC-safe — on arrival)
 //	chunk    C→S  one chunk object (push)
 //	done     C→S  end of push                 → peer verifies the whole
 //	              generation and reports any chunk it still lacks
@@ -47,10 +48,6 @@ import (
 
 // Port is where every node's replica daemon listens.
 const Port = 7791
-
-// DefaultFanOut bounds the concurrent per-generation pushers when
-// Config.FanOut is zero.
-const DefaultFanOut = 4
 
 // Protocol message types (first byte of each frame).
 const (
@@ -89,40 +86,35 @@ type Config struct {
 	Factor int
 	// Root is the store root, the same path on every node.
 	Root string
-	// FanOut bounds the concurrent pushers a generation's fan-out may
-	// use (0 means DefaultFanOut).  Peers are pushed to in parallel,
-	// so the unreplicated window shrinks from sum-of-pushes to
-	// roughly the slowest single push.
-	FanOut int
 }
 
-// Job is one committed generation awaiting replication.
+// Job is one already-committed generation for Ship to stream to its
+// peers.
 type Job struct {
-	Name         string
-	Generation   int64
 	ManifestPath string
 
 	// Targets, when non-nil, overrides ring placement for this job —
 	// a repair drive names exactly the under-replicated peers to fill.
 	Targets []*kernel.Node
-	// Repair marks a background re-replication job: its chunk traffic
-	// is paced by Params.RepairQoS so restoring redundancy cannot
-	// starve foreground checkpoint pushes of network bandwidth.
+	// Repair marks the repair class: background re-replication whose
+	// chunk traffic is paced by Params.RepairQoS so restoring
+	// redundancy cannot starve foreground checkpoint streams of
+	// network bandwidth.
 	Repair bool
-	// Cancel, when set, is polled between pushes; returning true
-	// abandons the rest of the job cleanly (the generation aged out or
-	// was superseded mid-repair).
+	// Cancel, when set, is polled at batch and chunk boundaries;
+	// returning true abandons the rest of the job cleanly (the
+	// generation aged out or was superseded mid-repair).
 	Cancel func() bool
-	// OnDone, when set, is called once when the job finishes;
-	// restored reports whether every target ended holding a full copy.
-	OnDone func(restored bool)
+	// OnDone, when set, is called once when the job finishes with the
+	// number of targets that ended holding a full copy.
+	OnDone func(copies int)
 }
 
 // Stats aggregates replication traffic for the whole service.
 type Stats struct {
-	// Generations counts jobs whose full fan-out completed.
+	// Generations counts streams whose full fan-out completed.
 	Generations int
-	// Pushes counts (job, peer) copies that completed.
+	// Pushes counts (generation, peer) copies that completed.
 	Pushes int
 	// ChunksSent and BytesSent count the deduped chunk traffic that
 	// actually traveled (stored bytes).
@@ -145,9 +137,9 @@ type Stats struct {
 	// appends) rejected because the pusher's epoch was stale — a
 	// deposed leader trying to extend a superseded history.
 	FencedWrites int
-	// RepairJobs counts re-replication (repair) jobs that restored
-	// full redundancy; RepairPushes the (generation, peer) copies they
-	// completed; RepairCancels the jobs abandoned via Job.Cancel.
+	// RepairJobs counts repair-class streams that restored full
+	// redundancy; RepairPushes the (generation, peer) copies they
+	// completed; RepairCancels the ones abandoned via Job.Cancel.
 	RepairJobs    int
 	RepairPushes  int
 	RepairCancels int
@@ -158,12 +150,6 @@ type Stats struct {
 	ScrubChunks   int
 	ScrubCorrupt  int
 	CorruptServed int
-}
-
-type nodeQueue struct {
-	jobs []Job
-	busy bool
-	w    *sim.WaitQueue
 }
 
 // Service is the cluster-wide handle to the replica subsystem.
@@ -189,19 +175,14 @@ type Service struct {
 	// holder.
 	OnCorrupt func(t *kernel.Task, host string, ref store.ChunkRef)
 
-	queues map[*kernel.Node]*nodeQueue
-	// inflight counts committed-but-not-yet-enqueued generations per
-	// node (forked checkpoint writers enqueue from the background
-	// child); WaitIdle must not return before they land in a queue.
-	inflight map[*kernel.Node]int
-	idleW    *sim.WaitQueue
+	idleW *sim.WaitQueue
 
 	// daemons maps each node to its live replica daemon process, where
-	// eager-streaming shipper tasks run (they must outlive the
-	// checkpointed process that feeds them).
+	// stream shipper tasks run (they must outlive the checkpointed
+	// process that feeds them).
 	daemons map[*kernel.Node]*kernel.Process
-	// streams are the in-progress eager-replication streams per source
-	// node; WaitIdle counts them like queued jobs.
+	// streams are the open streams per source node; WaitIdle waits
+	// for them.
 	streams map[*kernel.Node][]*Stream
 
 	// sinks maps a node to the standby coordinator state machine its
@@ -221,8 +202,6 @@ func Install(c *kernel.Cluster, cfg Config) *Service {
 	sv := &Service{
 		C:        c,
 		Cfg:      cfg,
-		queues:   make(map[*kernel.Node]*nodeQueue),
-		inflight: make(map[*kernel.Node]int),
 		idleW:    sim.NewWaitQueue(c.Eng, "replica.idle"),
 		daemons:  make(map[*kernel.Node]*kernel.Process),
 		streams:  make(map[*kernel.Node][]*Stream),
@@ -246,83 +225,24 @@ func (sv *Service) StartAll() error {
 	return nil
 }
 
-func (sv *Service) queue(n *kernel.Node) *nodeQueue {
-	q := sv.queues[n]
-	if q == nil {
-		q = &nodeQueue{w: sim.NewWaitQueue(sv.C.Eng, n.Hostname+".replq")}
-		sv.queues[n] = q
-	}
-	return q
-}
-
-// Enqueue schedules asynchronous replication of a committed
-// generation from node n.
-func (sv *Service) Enqueue(n *kernel.Node, job Job) {
-	q := sv.queue(n)
-	q.jobs = append(q.jobs, job)
-	q.w.WakeAll()
-}
-
-// BeginCommit announces a checkpoint write on node n that will
-// Enqueue when it commits (a forked background writer); EndCommit
-// retires it.  The pair keeps WaitIdle honest across the window where
-// the generation exists in neither a queue nor a worker.
-func (sv *Service) BeginCommit(n *kernel.Node) { sv.inflight[n]++ }
-
-// EndCommit retires a BeginCommit announcement.
-func (sv *Service) EndCommit(n *kernel.Node) {
-	if sv.inflight[n] > 0 {
-		sv.inflight[n]--
-	}
-	sv.idleW.WakeAll()
-}
-
-// Pending returns the number of generations committed, queued, or in
-// flight on live nodes (work on dead nodes is lost with the node).
-// Eager-replication streams count from the moment they open until
-// their fan-out resolves.
+// Pending returns the number of streams open on live nodes (work on
+// dead nodes is lost with the node).  A stream counts from the moment
+// it opens until its fan-out resolves.
 func (sv *Service) Pending() int {
 	n := 0
-	for node, q := range sv.queues {
-		if node.Down {
-			continue
-		}
-		n += len(q.jobs)
-		if q.busy {
-			n++
-		}
-	}
-	for node, c := range sv.inflight {
-		if node.Down {
-			continue
-		}
-		n += c
-	}
-	for node, ss := range sv.streams {
-		if node.Down {
-			continue
-		}
-		for _, s := range ss {
-			if !s.aborted {
-				n++
-			}
+	for node := range sv.streams {
+		if !node.Down {
+			n += sv.PendingOn(node)
 		}
 	}
 	return n
 }
 
 // PendingOn returns the replication backlog attributable to node n
-// alone: queued jobs, the in-service job, in-flight commits, and open
-// eager streams.  Heartbeats report it as per-node load telemetry.
+// alone: its open streams.  Heartbeats report it as per-node load
+// telemetry.
 func (sv *Service) PendingOn(n *kernel.Node) int {
 	c := 0
-	if q := sv.queues[n]; q != nil {
-		c += len(q.jobs)
-		if q.busy {
-			c++
-		}
-	}
-	c += sv.inflight[n]
 	for _, s := range sv.streams[n] {
 		if !s.aborted {
 			c++
@@ -341,8 +261,8 @@ func (sv *Service) SinkSeq(n *kernel.Node) int64 {
 	return 0
 }
 
-// WaitIdle blocks the calling task until every live node's replication
-// queue has drained.
+// WaitIdle blocks the calling task until every live node's streams
+// have resolved.
 func (sv *Service) WaitIdle(t *kernel.Task) {
 	for sv.Pending() > 0 {
 		sv.idleW.WaitTimeout(t.T, 50*time.Millisecond)
@@ -374,7 +294,7 @@ func (sv *Service) JournalSeen(n *kernel.Node) (sim.Time, bool) {
 var ErrDeposed = errors.New("replica: deposed by newer coordinator epoch")
 
 // PushJournal ships the coordinator journal records peerHost lacks,
-// using the same want/missing discipline as chunk replication: ask
+// using the same want/missing discipline as chunk streams: ask
 // the peer's daemon for its epoch and last applied seq, then send
 // only the suffix.  When the peer sat out one or more leadership
 // changes it may hold entries a dead leader never replicated; the
@@ -491,11 +411,10 @@ func (sv *Service) Targets(src *kernel.Node) []*kernel.Node {
 	return out
 }
 
-// daemonMain is the dmtcp_replicad program: a replication worker plus
-// a get-put server.
+// daemonMain is the dmtcp_replicad program: the home of this node's
+// stream shippers and scrubber, plus a get-put server.
 func (sv *Service) daemonMain(t *kernel.Task, _ []string) {
 	sv.daemons[t.P.Node] = t.P
-	t.P.SpawnTask("repl-worker", true, sv.worker)
 	if t.P.Node.Cluster.Params.ScrubInterval > 0 {
 		t.P.SpawnTask("repl-scrub", true, sv.scrubber)
 	}
@@ -540,294 +459,6 @@ func (sv *Service) scrubber(t *kernel.Task) {
 				obs.A("corrupt", int64(res.Corrupt)), obs.A("bytes", res.Bytes))
 		}
 	}
-}
-
-// worker drains this node's replication queue.
-func (sv *Service) worker(t *kernel.Task) {
-	q := sv.queue(t.P.Node)
-	for {
-		for len(q.jobs) == 0 {
-			if q.busy {
-				q.busy = false
-				sv.idleW.WakeAll()
-			}
-			q.w.Wait(t.T)
-		}
-		job := q.jobs[0]
-		q.jobs = q.jobs[1:]
-		q.busy = true
-		sv.replicate(t, job)
-	}
-}
-
-// replicate pushes one committed generation to every placement target
-// concurrently — bounded worker tasks, the simulation's goroutines —
-// and advances the source store's replication watermark once the full
-// fan-out has succeeded.  Parallel pushes shrink the unreplicated
-// window recovery must roll back across from the sum of the per-peer
-// pushes to roughly the slowest one.  The outcome is independent of
-// completion order: the done count and the watermark depend only on
-// the set of pushes that succeeded.
-func (sv *Service) replicate(t *kernel.Task, job Job) {
-	src := t.P.Node
-	st := store.Open(src, store.Config{Root: sv.Cfg.Root})
-	restored := false
-	start := t.Now()
-	defer func() {
-		if job.Repair {
-			ok := int64(0)
-			if restored {
-				ok = 1
-			}
-			t.Trace().Span(t.Host(), "replica", "replica.repair", "repl", start, t.Now(),
-				obs.A("gen", job.Generation), obs.A("restored", ok))
-		}
-		if job.OnDone != nil {
-			job.OnDone(restored)
-		}
-	}()
-	if job.Cancel != nil && job.Cancel() {
-		sv.Stats.RepairCancels++
-		return // superseded before its turn came
-	}
-	m, err := st.LoadManifest(job.ManifestPath)
-	if err != nil {
-		if job.Repair {
-			sv.Stats.RepairCancels++
-		}
-		return // generation pruned (or lost) before its turn came
-	}
-	targets := job.Targets
-	if targets == nil {
-		targets = sv.Targets(src)
-	}
-	if len(targets) == 0 {
-		return
-	}
-	width := sv.Cfg.FanOut
-	if width <= 0 {
-		width = DefaultFanOut
-	}
-	if width > len(targets) {
-		width = len(targets)
-	}
-	next, done, finished := 0, 0, 0
-	joinW := sim.NewWaitQueue(sv.C.Eng, src.Hostname+".replfan")
-	for i := 0; i < width; i++ {
-		t.P.SpawnTask("repl-push", false, func(wt *kernel.Task) {
-			for next < len(targets) {
-				if job.Cancel != nil && job.Cancel() {
-					break // abandon the remaining peers cleanly
-				}
-				peer := targets[next]
-				next++
-				if sv.pushTo(wt, st, peer, job, m) {
-					done++
-					if sv.OnReplicated != nil {
-						sv.OnReplicated(job.Name, job.Generation, peer.Hostname)
-					}
-				}
-			}
-			finished++
-			joinW.WakeAll()
-		})
-	}
-	for finished < width {
-		joinW.Wait(t.T)
-	}
-	if job.Cancel != nil && job.Cancel() && done < len(targets) {
-		sv.Stats.RepairCancels++
-		return
-	}
-	if done == len(targets) {
-		restored = true
-		st.SetReplicationWatermark(t, job.Name, job.Generation)
-		sv.Stats.Generations++
-		if job.Repair {
-			sv.Stats.RepairJobs++
-		}
-		if sv.OnWatermark != nil {
-			sv.OnWatermark(job.Name, job.Generation, src.Hostname)
-		}
-	}
-}
-
-// pushTo copies one generation to one peer, shipping only the chunks
-// the peer lacks.
-func (sv *Service) pushTo(t *kernel.Task, st *store.Store, peer *kernel.Node, job Job, m *store.Manifest) bool {
-	fd := t.Socket()
-	defer t.Close(fd)
-	if err := t.Connect(fd, kernel.Addr{Host: peer.Hostname, Port: Port}); err != nil {
-		return false
-	}
-
-	// 1. Dedup handshake: which chunks does the peer lack?
-	refs := m.Refs()
-	missing, ok := sv.wantMissing(t, fd, refs)
-	if !ok {
-		return false
-	}
-
-	// 2. Ship the manifest first: once it lands, the chunks that
-	// follow are referenced the moment they arrive, so the peer's own
-	// mark-and-sweep can never treat them as garbage mid-push.
-	if !sv.shipManifest(t, fd, job.ManifestPath) {
-		return false
-	}
-
-	// 3. Ship the missing chunks, then verify the whole generation.
-	if !sv.shipChunks(t, st, fd, missing, job) {
-		return false
-	}
-	if !sv.verifyPush(t, st, fd, job.ManifestPath, refs, job) {
-		return false
-	}
-	sv.Stats.Pushes++
-	if job.Repair {
-		sv.Stats.RepairPushes++
-	}
-	return true
-}
-
-// wantMissing runs the want/missing dedup handshake for one batch of
-// refs on an open peer connection, returning the subset the peer
-// lacks.
-func (sv *Service) wantMissing(t *kernel.Task, fd int, refs []store.ChunkRef) ([]store.ChunkRef, bool) {
-	var e bin.Encoder
-	e.B = append(e.B, opWant)
-	e.U32(uint32(len(refs)))
-	for _, r := range refs {
-		e.Str(r.Hash)
-	}
-	if err := t.SendFrame(fd, e.B); err != nil {
-		return nil, false
-	}
-	resp, err := t.RecvFrame(fd)
-	if err != nil || len(resp) == 0 || resp[0] != opAck {
-		return nil, false
-	}
-	d := &bin.Decoder{B: resp[1:]}
-	nMissing := int(d.U32())
-	missing := make([]store.ChunkRef, 0, nMissing)
-	for i := 0; i < nMissing && d.Err == nil; i++ {
-		idx := int(d.U32())
-		if idx < 0 || idx >= len(refs) {
-			return nil, false
-		}
-		missing = append(missing, refs[idx])
-	}
-	return missing, true
-}
-
-// shipManifest sends one manifest to an open peer connection.
-func (sv *Service) shipManifest(t *kernel.Task, fd int, manifestPath string) bool {
-	p := t.P.Node.Cluster.Params
-	ino, err := t.P.Node.FS.ReadFile(manifestPath)
-	if err != nil {
-		return false
-	}
-	t.Idle(model.TransferTime(p.NetLatency, p.NetBandwidth, int64(len(ino.Data))))
-	var me bin.Encoder
-	me.B = append(me.B, opManifest)
-	me.Str(manifestPath)
-	me.Bytes(ino.Data)
-	if err := t.SendFrame(fd, me.B); err != nil {
-		return false
-	}
-	sv.Stats.ManifestBytes += int64(len(ino.Data))
-	return true
-}
-
-// verifyPush has the peer check a shipped generation against the
-// manifest it now holds, re-pushing any holes.  The verification
-// closes the remaining race: a chunk the want-reply counted as present
-// could have been swept by the peer's GC (its referencing manifest
-// pruned) before our manifest arrived to pin it — and, on the eager
-// streaming path, a chunk streamed ahead of the manifest could have
-// been swept as unreferenced garbage in the same window.
-func (sv *Service) verifyPush(t *kernel.Task, st *store.Store, fd int, manifestPath string, refs []store.ChunkRef, job Job) bool {
-	for attempt := 0; ; attempt++ {
-		var de bin.Encoder
-		de.B = append(de.B, opDone)
-		de.Str(manifestPath)
-		if err := t.SendFrame(fd, de.B); err != nil {
-			return false
-		}
-		ack, err := t.RecvFrame(fd)
-		if err != nil || len(ack) == 0 || ack[0] != opAck {
-			return false
-		}
-		d := &bin.Decoder{B: ack[1:]}
-		nHoles := int(d.U32())
-		if nHoles == 0 {
-			return true
-		}
-		if attempt >= 2 {
-			return false
-		}
-		missing := make([]store.ChunkRef, 0, nHoles)
-		for i := 0; i < nHoles && d.Err == nil; i++ {
-			idx := int(d.U32())
-			if idx < 0 || idx >= len(refs) {
-				return false
-			}
-			missing = append(missing, refs[idx])
-		}
-		if !sv.shipChunks(t, st, fd, missing, job) {
-			return false
-		}
-	}
-}
-
-// shipChunks streams the given chunks to an open peer connection:
-// local disk read plus one network transfer of the stored (compressed)
-// bytes each.  Chunks travel in stored form — no decompression, and
-// the transfer occupies no core.  Repair traffic is paced by
-// Params.RepairQoS: after each chunk's transfer the shipper idles
-// transfer×(1−q)/q, capping repair at fraction q of the push bandwidth
-// so foreground checkpoint replication keeps the rest.  A repair job
-// cancelled mid-push (its generation superseded) stops at the next
-// chunk boundary instead of finishing a transfer nobody needs.
-func (sv *Service) shipChunks(t *kernel.Task, st *store.Store, fd int, refs []store.ChunkRef, job Job) bool {
-	p := t.P.Node.Cluster.Params
-	repair := job.Repair
-	var sent int64
-	st.ChargeReadRaw(t, refs)
-	for _, ref := range refs {
-		if repair && job.Cancel != nil && job.Cancel() {
-			return false
-		}
-		// Verified read: a locally corrupt chunk is quarantined instead
-		// of shipped, the push fails, and the repair drive re-sources
-		// the generation from a clean holder.
-		data, err := st.ReadChunkVerified(t, ref)
-		if err != nil {
-			return false
-		}
-		transfer := model.TransferTime(p.NetLatency, p.NetBandwidth, ref.StoredBytes)
-		t.Idle(transfer)
-		if repair {
-			t.IdleQoS(transfer, p.RepairQoS)
-		}
-		var ce bin.Encoder
-		ce.B = append(ce.B, opChunk)
-		ce.Str(ref.Hash)
-		ce.I64(ref.LogicalBytes)
-		ce.I64(ref.StoredBytes)
-		ce.F64(ref.Entropy)
-		ce.F64(ref.ZeroFrac)
-		ce.I64(ref.Heat)
-		ce.Str(ref.Sum)
-		ce.Bytes(data)
-		if err := t.SendFrame(fd, ce.B); err != nil {
-			return false
-		}
-		sv.Stats.ChunksSent++
-		sv.Stats.BytesSent += ref.StoredBytes
-		sent += ref.StoredBytes
-	}
-	t.Trace().Add(t.Host(), "repl.bytes_sent", t.Now(), sent)
-	return true
 }
 
 // serve handles one peer connection against this node's store.

@@ -96,7 +96,7 @@ func TestFanOutReplicatesAndDedups(t *testing.T) {
 	run(t, eng, c, func(task *kernel.Task) {
 		p1 := commit(task, 0, 0)
 		name, gen, _ := store.NameForManifest(p1)
-		sv.Enqueue(c.Node(0), replica.Job{Name: name, Generation: gen, ManifestPath: p1})
+		sv.Ship(c.Node(0), replica.Job{ManifestPath: p1})
 		sv.WaitIdle(task)
 
 		if sv.Stats.Generations != 1 || sv.Stats.Pushes != 2 {
@@ -123,14 +123,89 @@ func TestFanOutReplicatesAndDedups(t *testing.T) {
 
 		// A 10%-dirty second generation ships a fraction of the first.
 		p2 := commit(task, 0.10, 7)
-		_, gen2, _ := store.NameForManifest(p2)
-		sv.Enqueue(c.Node(0), replica.Job{Name: name, Generation: gen2, ManifestPath: p2})
+		sv.Ship(c.Node(0), replica.Job{ManifestPath: p2})
 		sv.WaitIdle(task)
 		incr := sv.Stats.BytesSent - gen1Bytes
 		if incr <= 0 || incr >= gen1Bytes/4 {
 			t.Errorf("incremental fan-out shipped %d of %d", incr, gen1Bytes)
 		}
 	})
+}
+
+// TestManifestPrecedesChunksAfterCommit pins the stream's post-commit
+// rule: once a generation is committed, its manifest reaches the peer
+// before any chunk not yet shipped.  The peer runs store GC every
+// millisecond during the push; since every chunk is referenced the
+// moment it lands, none is swept and each missing chunk travels
+// exactly once.
+func TestManifestPrecedesChunksAfterCommit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		push func(sv *replica.Service, task *kernel.Task, path string, m *store.Manifest)
+	}{
+		{"committed generation", func(sv *replica.Service, task *kernel.Task, path string, _ *store.Manifest) {
+			sv.Ship(task.P.Node, replica.Job{ManifestPath: path})
+		}},
+		{"eager stream committed before its first batch", func(sv *replica.Service, task *kernel.Task, path string, m *store.Manifest) {
+			// Nothing here yields, so the shippers first run with the
+			// stream already committed.
+			s := sv.NewStream(task.P.Node, task.P, m.Name, m.Generation)
+			for _, ref := range m.Refs() {
+				s.Chunk(task, ref)
+			}
+			s.Commit(task, path)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, c := testCluster(t, 2)
+			sv := replica.Install(c, replica.Config{Factor: 1, Root: root})
+			if err := sv.StartAll(); err != nil {
+				t.Fatal(err)
+			}
+			swept, stop, stopped := 0, false, false
+			c.RegisterFunc("gc-loop", func(gt *kernel.Task, _ []string) {
+				peer := store.Open(gt.P.Node, store.Config{Root: root})
+				for !stop {
+					swept += peer.GC(gt).Swept
+					gt.Idle(time.Millisecond)
+				}
+				stopped = true
+			})
+			run(t, eng, c, func(task *kernel.Task) {
+				path := commit(task, 0, 0)
+				m, err := store.Open(c.Node(0), store.Config{Root: root}).LoadManifest(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unique := map[string]bool{}
+				for _, ref := range m.Refs() {
+					unique[ref.Hash] = true
+				}
+				if _, err := c.Node(1).Kern.Spawn("gc-loop", nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				tc.push(sv, task, path, m)
+				sv.WaitIdle(task)
+				stop = true
+				for !stopped {
+					task.Idle(time.Millisecond)
+				}
+				if sv.Stats.Pushes != 1 || sv.Stats.Generations != 1 {
+					t.Fatalf("push incomplete: %+v", sv.Stats)
+				}
+				if swept != 0 {
+					t.Errorf("peer GC swept %d chunks of the generation mid-push", swept)
+				}
+				if sv.Stats.ChunksSent != len(unique) {
+					t.Errorf("chunks sent = %d, want %d (each missing chunk exactly once)",
+						sv.Stats.ChunksSent, len(unique))
+				}
+				if missing := store.Open(c.Node(1), store.Config{Root: root}).MissingChunks(m.Refs()); len(missing) != 0 {
+					t.Errorf("peer missing %d chunks after the push", len(missing))
+				}
+			})
+		})
+	}
 }
 
 // pullAll makes one manifest generation restorable on node: it pulls
@@ -179,8 +254,7 @@ func TestPullStreamFetchesOnlyMissing(t *testing.T) {
 	}
 	run(t, eng, c, func(task *kernel.Task) {
 		p1 := commit(task, 0, 0)
-		name, gen, _ := store.NameForManifest(p1)
-		sv.Enqueue(c.Node(0), replica.Job{Name: name, Generation: gen, ManifestPath: p1})
+		sv.Ship(c.Node(0), replica.Job{ManifestPath: p1})
 		sv.WaitIdle(task)
 
 		// node02 holds nothing (factor 1 → only node01): a pull from
@@ -221,8 +295,7 @@ func TestPullStreamFailsOverMidPull(t *testing.T) {
 	}
 	run(t, eng, c, func(task *kernel.Task) {
 		p1 := commit(task, 0, 0)
-		name, gen, _ := store.NameForManifest(p1)
-		sv.Enqueue(c.Node(0), replica.Job{Name: name, Generation: gen, ManifestPath: p1})
+		sv.Ship(c.Node(0), replica.Job{ManifestPath: p1})
 		sv.WaitIdle(task)
 		m, err := store.Open(c.Node(0), store.Config{Root: root}).LoadManifest(p1)
 		if err != nil {
@@ -287,10 +360,10 @@ func TestPullStreamFailsOverMidPull(t *testing.T) {
 
 // fanOutOnce runs one factor-3 fan-out on a fresh cluster and reports
 // the outcome facts order-independence is judged on.
-func fanOutOnce(t *testing.T, seed int64, fanOut int) (bytesSent int64, pushes int, holders []string) {
+func fanOutOnce(t *testing.T, seed int64) (bytesSent int64, pushes int, holders []string) {
 	t.Helper()
 	eng, c := seededCluster(t, seed, 5)
-	sv := replica.Install(c, replica.Config{Factor: 3, Root: root, FanOut: fanOut})
+	sv := replica.Install(c, replica.Config{Factor: 3, Root: root})
 	if err := sv.StartAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +374,7 @@ func fanOutOnce(t *testing.T, seed int64, fanOut int) (bytesSent int64, pushes i
 	run(t, eng, c, func(task *kernel.Task) {
 		p1 := commit(task, 0, 0)
 		name, gen, _ := store.NameForManifest(p1)
-		sv.Enqueue(c.Node(0), replica.Job{Name: name, Generation: gen, ManifestPath: p1})
+		sv.Ship(c.Node(0), replica.Job{ManifestPath: p1})
 		sv.WaitIdle(task)
 
 		src := store.Open(c.Node(0), store.Config{Root: root})
@@ -324,26 +397,22 @@ func fanOutOnce(t *testing.T, seed int64, fanOut int) (bytesSent int64, pushes i
 }
 
 // TestParallelFanOutOrderIndependence pins the concurrent fan-out's
-// contract: whatever order the parallel pushers complete in — and
-// however wide the pool is, including the width-1 sequential case —
-// the outcome is identical: same peers hold complete generations,
-// same bytes shipped, same watermark.
+// contract: whatever order the per-peer shippers complete in, the
+// outcome is identical: same peers hold complete generations, same
+// bytes shipped, same watermark.
 func TestParallelFanOutOrderIndependence(t *testing.T) {
-	refBytes, refPushes, refHolders := fanOutOnce(t, 1, 0) // default parallel width
+	refBytes, refPushes, refHolders := fanOutOnce(t, 1)
 	if refPushes != 3 || len(refHolders) != 3 {
 		t.Fatalf("fan-out incomplete: pushes=%d holders=%v", refPushes, refHolders)
 	}
 	for _, tc := range []struct {
-		name   string
-		seed   int64
-		fanOut int
+		name string
+		seed int64
 	}{
-		{"different schedule", 7, 0},
-		{"another schedule", 23, 0},
-		{"width 2", 1, 2},
-		{"sequential", 1, 1},
+		{"different schedule", 7},
+		{"another schedule", 23},
 	} {
-		bytes, pushes, holders := fanOutOnce(t, tc.seed, tc.fanOut)
+		bytes, pushes, holders := fanOutOnce(t, tc.seed)
 		if bytes != refBytes || pushes != refPushes || !reflect.DeepEqual(holders, refHolders) {
 			t.Errorf("%s: outcome diverged: bytes %d vs %d, pushes %d vs %d, holders %v vs %v",
 				tc.name, bytes, refBytes, pushes, refPushes, holders, refHolders)
