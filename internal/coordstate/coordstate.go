@@ -4,7 +4,7 @@
 // The paper keeps its coordinator stateless precisely so that losing
 // it is cheap (§4.1); this reproduction has since made the coordinator
 // deeply stateful — client table, checkpoint rounds, placement map,
-// replication watermarks, recovery status — so node 0 dying would lose
+// replication watermarks, restart groups — so node 0 dying would lose
 // the one component that knows how to recover everyone else.  This
 // package makes that state survivable: every mutation is an Event,
 // Apply(event) advances the State deterministically, and the resulting
@@ -56,48 +56,6 @@ type StageTimes struct {
 	Write   time.Duration
 	Refill  time.Duration
 	Total   time.Duration
-}
-
-// RestartStages mirrors Table 1b, extended with the remote-fetch
-// stage a restart pays when its images must be pulled from replica
-// peers (recovery after node loss, store-mode migration).
-type RestartStages struct {
-	Files  time.Duration // reopen files and recreate ptys
-	Conns  time.Duration // recreate and reconnect sockets
-	Memory time.Duration // fork, rearrange FDs, restore memory/threads
-	Refill time.Duration
-	Total  time.Duration
-
-	// Fetch is the time spent pulling manifests and missing chunks
-	// from replica peers (max across hosts); FetchedBytes and
-	// FetchedChunks total the data that actually traveled.
-	Fetch         time.Duration
-	FetchedBytes  int64
-	FetchedChunks int
-
-	// Streamed-restore pipeline statistics: Workers is the restore
-	// pool size (max across hosts), and OverlapBytes totals the stored
-	// bytes already decompressed/installed when the remote fetch
-	// finished — the fetch/install overlap the pipeline bought over
-	// fetch-then-install.  Fetch and Memory overlap on this path, so
-	// Total can be less than the sum of the stages.
-	Workers      int
-	OverlapBytes int64
-
-	// Lazy (post-copy) restore statistics, zero on the eager paths.
-	// ResumePause is the wall time until the restored processes were
-	// running again (skeleton + files + conns + fork/resume, max
-	// across hosts) — the paper's user-visible restart pause.
-	// PrefetchDrain is the post-resume tail until every absent chunk
-	// was pulled and installed.  Total covers both.  DemandBytes /
-	// DemandFaults account the chunks a blocked fault waited on;
-	// PrefetchBytes the chunks the background prefetcher landed first.
-	// Skeleton, demand, and prefetch bytes sum to FetchedBytes.
-	ResumePause   time.Duration
-	PrefetchDrain time.Duration
-	DemandBytes   int64
-	PrefetchBytes int64
-	DemandFaults  int
 }
 
 // ImageInfo describes one per-process checkpoint file (a monolithic
@@ -288,7 +246,6 @@ const (
 	RestartRankFetched   = "fetched"   // remote chunks pulled (or local hit)
 	RestartRankInstalled = "installed" // memory restored, pre-resume
 	RestartRankResumed   = "resumed"   // processes running again
-	RestartRankDone      = "done"      // stage report sent
 )
 
 // restartRankOrder maps a rank stage to its position in the
@@ -303,8 +260,6 @@ func restartRankOrder(stage string) int {
 		return 3
 	case RestartRankResumed:
 		return 4
-	case RestartRankDone:
-		return 5
 	}
 	return 0
 }
@@ -397,18 +352,14 @@ type State struct {
 	LastCfg RoundCfg
 
 	// Advertised is the restart discovery service: guid → address.
+	// It is scoped to one restart: arming a restart group resets it,
+	// because restored sockets keep their GUIDs and an earlier
+	// restart's (long dead) listener must never answer a later query.
 	Advertised map[string]kernel.Addr
 
 	// Placement maps image name → which nodes hold which generations
 	// (writer plus replica holders, with the replication watermark).
 	Placement map[string]*PlaceInfo
-
-	// Restart aggregation (recovery status): stage times reported by
-	// restart programs, aggregated per Table 1b when all have arrived.
-	RestartExpect int
-	RestartAgg    []RestartStages
-	RestartErr    string
-	RestartStats  *RestartStages
 
 	// Restart is the journaled restart group in flight, nil outside a
 	// cluster restart.  A promoted leader uses it to *resume* a

@@ -285,18 +285,33 @@ func TestApplyTable(t *testing.T) {
 			},
 		},
 		{
-			name: "restart aggregation averages per-host stages",
+			name: "arming a restart group scopes discovery to it",
 			events: []Event{
-				{Kind: EvRestartBegin},
-				{Kind: EvRestartEnd, Expect: 2, Restart: RestartStages{Files: 2 * time.Second, Memory: time.Second}},
-				{Kind: EvRestartEnd, Expect: 2, Restart: RestartStages{Files: 4 * time.Second, Memory: 3 * time.Second}},
+				{Kind: EvRestartGroup, Name: "g1", Expect: 2, Hosts: []string{"node00", "node01"}},
+				{Kind: EvAdvertise, GUID: "sock", Addr: addr("node01", 9)},
+				{Kind: EvRestartDone, Name: "g1"},
+				// Restored sockets keep their GUIDs: the next restart
+				// must not be answered with g1's dead listener.
+				{Kind: EvRestartGroup, Name: "g2", Expect: 2, Hosts: []string{"node00", "node01"}},
 			},
-			check: func(t *testing.T, st *State, fx []Effect) {
-				if st.RestartStats == nil {
-					t.Fatal("aggregate not published")
+			check: func(t *testing.T, st *State, _ []Effect) {
+				if addr, ok := st.Advertised["sock"]; ok {
+					t.Fatalf("g1's advertisement %v outlived its restart", addr)
 				}
-				if st.RestartStats.Files != 3*time.Second || st.RestartStats.Memory != 3*time.Second {
-					t.Fatalf("aggregate = %+v", st.RestartStats)
+			},
+		},
+		{
+			name: "group end for another generation leaves the current group alone",
+			events: []Event{
+				{Kind: EvRestartGroup, Name: "g1", Expect: 1, Hosts: []string{"node01"}},
+				{Kind: EvRestartDone, Name: "g1"},
+				{Kind: EvRestartGroup, Name: "g2", Expect: 1, Hosts: []string{"node01"}},
+				// A late end for the finished g1 must not clear g2.
+				{Kind: EvRestartDone, Name: "g1"},
+			},
+			check: func(t *testing.T, st *State, _ []Effect) {
+				if st.Restart == nil || st.Restart.Gen != "g2" {
+					t.Fatalf("restart group = %+v, want g2 still in flight", st.Restart)
 				}
 			},
 		},
@@ -352,10 +367,9 @@ func TestReplayIdenticalState(t *testing.T) {
 	events = append(events,
 		Event{Kind: EvReplicated, Name: "img", Gen: 2, Holder: "node02"},
 		Event{Kind: EvWatermark, Name: "img", Gen: 2},
+		Event{Kind: EvRestartGroup, Name: "3", Expect: 1, Hosts: []string{"node01"}},
 		Event{Kind: EvAdvertise, GUID: "g1", Addr: addr("node01", 9)},
-		Event{Kind: EvRestartBegin},
-		Event{Kind: EvRestartEnd, Expect: 1, Restart: RestartStages{Total: time.Second, FetchedBytes: 5}},
-		Event{Kind: EvRestartFail, Msg: "boom"},
+		Event{Kind: EvRestartDone, Name: "3"},
 		Event{Kind: EvTakeover, Leader: "node02", Epoch: 1},
 		Event{Kind: EvDisconnect, CID: 1},
 	)
@@ -406,9 +420,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		{Kind: EvAdvertise, GUID: "g", Addr: addr("h", 80)},
 		{Kind: EvReplicated, Name: "n", Gen: 9, Holder: "h2"},
 		{Kind: EvWatermark, Name: "n", Gen: 9},
-		{Kind: EvRestartBegin},
-		{Kind: EvRestartEnd, Expect: 3, Restart: RestartStages{Files: 1, Conns: 2, Memory: 3, Refill: 4, Total: 5, Fetch: 6, FetchedBytes: 7, FetchedChunks: 8, Workers: 4, OverlapBytes: 99}},
-		{Kind: EvRestartFail, Msg: "m"},
+		{Kind: EvRestartDone, Name: "3"},
 		{Kind: EvTakeover, Leader: "l", Epoch: 2},
 	}
 	for _, ev := range events {

@@ -34,14 +34,12 @@ const (
 	EvAdvertise                         // restart advertised guid → addr
 	EvReplicated                        // one (generation, holder) copy completed
 	EvWatermark                         // a generation's full fan-out completed
-	EvRestartBegin                      // RestartAll reset restart aggregation
-	EvRestartEnd                        // one host's restart stage times
-	EvRestartFail                       // a restart program failed fatally
 	EvTakeover                          // a standby claimed leadership
 	EvHeartbeat                         // node liveness/load beat (Host, telemetry)
 	EvResync                            // manager reattached mid-round with stage progress
 	EvRestartGroup                      // a restart group was armed (gen, expected ranks)
 	EvRestartRank                       // one restart rank advanced a stage
+	EvRestartDone                       // a restart group ended (every host reported, or one failed)
 )
 
 // Event is one journal record.  Only the fields relevant to Kind are
@@ -64,17 +62,16 @@ type Event struct {
 	GUID string      // Advertise
 	Addr kernel.Addr // Advertise
 
-	Name   string // Replicated, Watermark
+	Name   string // Replicated, Watermark; RestartGroup, RestartRank, RestartDone: generation
 	Gen    int64  // Replicated, Watermark
 	Holder string // Replicated
 
 	Idxs []int         // RoundGC: round indices credited
 	GC   store.GCStats // RoundGC
 
-	Expect  int           // RestartEnd, RestartGroup; Resync: barriers passed
-	Restart RestartStages // RestartEnd
-	Msg     string        // RestartFail; RestartRank: stage reached
-	Hosts   []string      // RestartGroup: ranks by host
+	Expect int      // RestartGroup; Resync: barriers passed
+	Msg    string   // RestartRank: stage reached
+	Hosts  []string // RestartGroup: ranks by host
 
 	Leader string // Takeover
 	Epoch  int64  // Takeover
@@ -97,8 +94,6 @@ const (
 	FxReleaseOne                          // release barrier Name to the lone CID (stale/aborted round)
 	FxRoundDone                           // Round completed: satisfy command waiters
 	FxGuidKnown                           // guid Name resolved: answer pending queries
-	FxRestartDone                         // restart aggregation complete
-	FxRestartFailed                       // restart failed: unblock waiters with the error
 	FxResumeRound                         // takeover inherited a live round (Name=phase, CID=tag)
 	FxResumeRestart                       // takeover inherited a half-done restart group (Name=gen)
 )
@@ -238,68 +233,6 @@ func apply(st *State, ev Event) []Effect {
 		}
 		return nil
 
-	case EvRestartBegin:
-		st.RestartStats = nil
-		st.RestartErr = ""
-		st.RestartAgg = nil
-		st.Restart = nil
-		return nil
-
-	case EvRestartEnd:
-		st.RestartExpect = ev.Expect
-		st.RestartAgg = append(st.RestartAgg, ev.Restart)
-		if len(st.RestartAgg) < ev.Expect {
-			return nil
-		}
-		// Per the paper, the per-host stages (files, conns) are
-		// averaged across hosts; the globally synchronized stages use
-		// the max.
-		var agg RestartStages
-		for _, s := range st.RestartAgg {
-			agg.Files += s.Files
-			agg.Conns += s.Conns
-			if s.Memory > agg.Memory {
-				agg.Memory = s.Memory
-			}
-			if s.Refill > agg.Refill {
-				agg.Refill = s.Refill
-			}
-			if s.Total > agg.Total {
-				agg.Total = s.Total
-			}
-			if s.Fetch > agg.Fetch {
-				agg.Fetch = s.Fetch
-			}
-			agg.FetchedBytes += s.FetchedBytes
-			agg.FetchedChunks += s.FetchedChunks
-			if s.Workers > agg.Workers {
-				agg.Workers = s.Workers
-			}
-			agg.OverlapBytes += s.OverlapBytes
-			if s.ResumePause > agg.ResumePause {
-				agg.ResumePause = s.ResumePause
-			}
-			if s.PrefetchDrain > agg.PrefetchDrain {
-				agg.PrefetchDrain = s.PrefetchDrain
-			}
-			agg.DemandBytes += s.DemandBytes
-			agg.PrefetchBytes += s.PrefetchBytes
-			agg.DemandFaults += s.DemandFaults
-		}
-		n := time.Duration(len(st.RestartAgg))
-		agg.Files /= n
-		agg.Conns /= n
-		st.RestartStats = &agg
-		st.RestartAgg = nil
-		st.Restart = nil
-		return []Effect{{Kind: FxRestartDone}}
-
-	case EvRestartFail:
-		st.RestartErr = ev.Msg
-		st.RestartAgg = nil
-		st.Restart = nil
-		return []Effect{{Kind: FxRestartFailed}}
-
 	case EvTakeover:
 		st.Epoch = ev.Epoch
 		st.Leader = ev.Leader
@@ -359,11 +292,22 @@ func apply(st *State, ev Event) []Effect {
 			g.Ranks[h] = RestartRankSpawned
 		}
 		st.Restart = g
+		// The group is journaled before any of its restart programs
+		// runs, so every advertisement from here on belongs to it.
+		st.Advertised = make(map[string]kernel.Addr)
 		return nil
 
 	case EvRestartRank:
 		if st.Restart != nil && st.Restart.Gen == ev.Name {
 			st.Restart.Ranks[ev.Host] = ev.Msg
+		}
+		return nil
+
+	case EvRestartDone:
+		// A finished group must never be resumed by a later takeover;
+		// an end for another generation leaves the current group alone.
+		if st.Restart != nil && st.Restart.Gen == ev.Name {
+			st.Restart = nil
 		}
 		return nil
 
@@ -570,12 +514,6 @@ func (ev Event) Encode() []byte {
 	case EvWatermark:
 		e.Str(ev.Name)
 		e.I64(ev.Gen)
-	case EvRestartBegin:
-	case EvRestartEnd:
-		e.Int(ev.Expect)
-		encodeRestart(&e, ev.Restart)
-	case EvRestartFail:
-		e.Str(ev.Msg)
 	case EvTakeover:
 		e.Str(ev.Leader)
 		e.I64(ev.Epoch)
@@ -600,6 +538,8 @@ func (ev Event) Encode() []byte {
 		e.Str(ev.Name)
 		e.Str(ev.Host)
 		e.Str(ev.Msg)
+	case EvRestartDone:
+		e.Str(ev.Name)
 	}
 	return e.B
 }
@@ -655,12 +595,6 @@ func DecodeEvent(b []byte) (Event, error) {
 	case EvWatermark:
 		ev.Name = d.Str()
 		ev.Gen = d.I64()
-	case EvRestartBegin:
-	case EvRestartEnd:
-		ev.Expect = d.Int()
-		ev.Restart = decodeRestart(d)
-	case EvRestartFail:
-		ev.Msg = d.Str()
 	case EvTakeover:
 		ev.Leader = d.Str()
 		ev.Epoch = d.I64()
@@ -685,6 +619,8 @@ func DecodeEvent(b []byte) (Event, error) {
 		ev.Name = d.Str()
 		ev.Host = d.Str()
 		ev.Msg = d.Str()
+	case EvRestartDone:
+		ev.Name = d.Str()
 	default:
 		return Event{}, fmt.Errorf("%w: kind %d", ErrUnknownEvent, b[0])
 	}

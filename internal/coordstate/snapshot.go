@@ -92,16 +92,6 @@ func EncodeState(st *State) ([]byte, error) {
 			e.I64(pi.Holders[h])
 		}
 	}
-	e.Int(st.RestartExpect)
-	e.U32(uint32(len(st.RestartAgg)))
-	for _, r := range st.RestartAgg {
-		encodeRestart(&e, r)
-	}
-	e.Str(st.RestartErr)
-	e.Bool(st.RestartStats != nil)
-	if st.RestartStats != nil {
-		encodeRestart(&e, *st.RestartStats)
-	}
 	hosts := st.HealthHosts()
 	e.U32(uint32(len(hosts)))
 	for _, host := range hosts {
@@ -169,15 +159,6 @@ func DecodeState(b []byte) (*State, error) {
 			pi.Holders[h] = d.I64()
 		}
 		st.Placement[pi.Name] = pi
-	}
-	st.RestartExpect = d.Int()
-	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
-		st.RestartAgg = append(st.RestartAgg, decodeRestart(d))
-	}
-	st.RestartErr = d.Str()
-	if d.Bool() {
-		rs := decodeRestart(d)
-		st.RestartStats = &rs
 	}
 	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
 		host := d.Str()
@@ -353,42 +334,4 @@ func decodeGC(d *bin.Decoder) store.GCStats {
 	gc.SweptBytes = d.I64()
 	gc.Took = time.Duration(d.I64())
 	return gc
-}
-
-func encodeRestart(e *bin.Encoder, r RestartStages) {
-	e.I64(int64(r.Files))
-	e.I64(int64(r.Conns))
-	e.I64(int64(r.Memory))
-	e.I64(int64(r.Refill))
-	e.I64(int64(r.Total))
-	e.I64(int64(r.Fetch))
-	e.I64(r.FetchedBytes)
-	e.Int(r.FetchedChunks)
-	e.Int(r.Workers)
-	e.I64(r.OverlapBytes)
-	e.I64(int64(r.ResumePause))
-	e.I64(int64(r.PrefetchDrain))
-	e.I64(r.DemandBytes)
-	e.I64(r.PrefetchBytes)
-	e.Int(r.DemandFaults)
-}
-
-func decodeRestart(d *bin.Decoder) RestartStages {
-	var r RestartStages
-	r.Files = time.Duration(d.I64())
-	r.Conns = time.Duration(d.I64())
-	r.Memory = time.Duration(d.I64())
-	r.Refill = time.Duration(d.I64())
-	r.Total = time.Duration(d.I64())
-	r.Fetch = time.Duration(d.I64())
-	r.FetchedBytes = d.I64()
-	r.FetchedChunks = d.Int()
-	r.Workers = d.Int()
-	r.OverlapBytes = d.I64()
-	r.ResumePause = time.Duration(d.I64())
-	r.PrefetchDrain = time.Duration(d.I64())
-	r.DemandBytes = d.I64()
-	r.PrefetchBytes = d.I64()
-	r.DemandFaults = d.Int()
-	return r
 }

@@ -8,7 +8,8 @@ import (
 
 // richMachine builds a machine whose state exercises every snapshot
 // section: clients, completed rounds with images, placement,
-// advertised guids, restart stats, and a takeover.
+// advertised guids, a finished and an in-flight restart group, and a
+// takeover.
 func richMachine(t *testing.T) *Machine {
 	t.Helper()
 	m := NewMachine()
@@ -30,15 +31,14 @@ func richMachine(t *testing.T) *Machine {
 	applyAll(m, []Event{
 		{Kind: EvReplicated, Name: "img", Gen: 2, Holder: "node02"},
 		{Kind: EvWatermark, Name: "img", Gen: 2},
-		{Kind: EvAdvertise, GUID: "g1", Addr: addr("node01", 9)},
-		{Kind: EvRestartBegin},
-		{Kind: EvRestartEnd, Expect: 1, Restart: RestartStages{
-			Total: time.Second, FetchedBytes: 5, Workers: 4, OverlapBytes: 77}},
+		{Kind: EvRestartGroup, Name: "g1", Expect: 1, Hosts: []string{"node01"}},
+		{Kind: EvRestartDone, Name: "g1"},
 		{Kind: EvTakeover, Leader: "node02", Epoch: 1},
 		// A restart group in flight: the snapshot must carry it so a
 		// standby promoted mid-restart can resume the half-done group.
 		{Kind: EvRestartGroup, Name: "g2", Expect: 2, Hosts: []string{"node00", "node01"}},
 		{Kind: EvRestartRank, Name: "g2", Host: "node00", Msg: RestartRankResumed},
+		{Kind: EvAdvertise, GUID: "g1", Addr: addr("node01", 9)},
 	})
 	// Heartbeat history: enough beats for the phi detector to trust its
 	// statistics, so the snapshot's Health section carries live Welford

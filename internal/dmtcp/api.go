@@ -138,6 +138,8 @@ type System struct {
 
 	ofid       int64
 	restartGen int64
+	// restart collects the reports of the RestartAll in flight.
+	restart *restartRun
 
 	// byVirt maps "host/virtpid" to the live managed process.
 	byVirt   map[string]*Manager
@@ -613,15 +615,16 @@ type Placement map[string]kernel.NodeID
 // RestartAll restarts every process of a checkpoint round from its
 // images, optionally on different nodes, and blocks until the whole
 // computation is running again.  It returns the aggregated restart
-// stage times (Table 1b).
+// stage times (Table 1b), or the first restart program's fatal error
+// wrapped with its type intact.
 func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (*RestartStages, error) {
 	if round == nil || len(round.Images) == 0 {
 		return nil, fmt.Errorf("dmtcp: empty round")
 	}
-	// Restart programs need a live coordinator (discovery, group
-	// barriers, stage reports).  With standbys configured, wait out a
-	// pending takeover; without one, fail fast instead of spawning
-	// restarts that can only wedge.
+	// Restart programs need a live coordinator (discovery and group
+	// barriers).  With standbys configured, wait out a pending
+	// takeover; without one, fail fast instead of spawning restarts
+	// that can only wedge.
 	if s.Coord.Node.Down && s.haEnabled() {
 		p := s.C.Params
 		deadline := t.Now().Add(p.FailureDetectDelay + p.ElectionTimeout + p.CoordRetryWindow)
@@ -664,13 +667,18 @@ func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (
 			ranks = append(ranks, img.Path)
 		}
 	}
-	s.applyCoordEvent(coordstate.Event{Kind: coordstate.EvRestartBegin})
+	run := &restartRun{gen: strconv.FormatInt(gen, 10)}
+	s.restart = run
 	s.applyCoordEvent(coordstate.Event{
 		Kind:   coordstate.EvRestartGroup,
-		Name:   strconv.FormatInt(gen, 10),
+		Name:   run.gen,
 		Expect: len(round.Images),
 		Hosts:  ranks,
 	})
+	// However RestartAll returns — every host reported, one failed, or
+	// a spawn step gave up — the group is over: a later takeover must
+	// not resume it.
+	defer s.applyCoordEvent(coordstate.Event{Kind: coordstate.EvRestartDone, Name: run.gen})
 	// The group is a synchronous journal commit, like a barrier
 	// release: once restart programs are spawned, a leader death must
 	// leave a standby that knows the group exists, or the half-done
@@ -729,11 +737,7 @@ func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (
 				target.FS.WriteFile(img.Path, ino.Data, ino.LogicalSize)
 			}
 		}
-		args := []string{
-			strconv.Itoa(len(hosts)),
-			strconv.Itoa(len(round.Images)),
-			strconv.FormatInt(gen, 10),
-		}
+		args := []string{strconv.Itoa(len(round.Images)), run.gen}
 		for _, img := range imgs {
 			args = append(args, img.Path)
 		}
@@ -743,10 +747,10 @@ func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (
 		}
 		spawned = append(spawned, rp)
 	}
-	for s.Coord.st().RestartStats == nil && s.Coord.st().RestartErr == "" {
+	for run.err == nil && len(run.reports) < len(hosts) {
 		s.doneW.Wait(t.T)
 	}
-	if s.Coord.st().RestartErr != "" {
+	if run.err != nil {
 		// One host's restart failed: tear down the sibling restart
 		// programs and whatever half-restored processes they already
 		// forked, so nothing keeps the round's ports or blocks forever
@@ -756,9 +760,64 @@ func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (
 				rp.Kern.KillTree(rp.Pid)
 			}
 		}
-		return nil, fmt.Errorf("dmtcp: restart failed: %s", s.Coord.st().RestartErr)
+		return nil, fmt.Errorf("dmtcp: restart failed: %w", run.err)
 	}
-	return s.Coord.st().RestartStats, nil
+	return aggregateRestarts(run.reports), nil
+}
+
+// restartRun is one RestartAll in flight: the stage report each of
+// its dmtcp_restart programs (one per origin host) hands over in
+// process, or the first fatal error.
+type restartRun struct {
+	gen     string
+	reports []RestartStages
+	err     error
+}
+
+// reportRestart hands one dmtcp_restart's outcome — its host's stage
+// times, or its fatal error — to the RestartAll that spawned it.  A
+// report for an older generation (a sibling of a failed restart still
+// dying) is dropped.
+func (s *System) reportRestart(gen string, st RestartStages, err error) {
+	run := s.restart
+	if run == nil || run.gen != gen {
+		return
+	}
+	if err == nil {
+		run.reports = append(run.reports, st)
+	} else if run.err == nil {
+		run.err = err
+	}
+	s.doneW.WakeAll()
+}
+
+// aggregateRestarts folds the per-host reports into Table 1b.  Per the
+// paper, the per-host stages (files, conns) are averaged across hosts;
+// the globally synchronized stages, the fetch wall time and the pool
+// size take the max; bytes, chunks and faults are summed.
+func aggregateRestarts(reports []RestartStages) *RestartStages {
+	var agg RestartStages
+	for _, r := range reports {
+		agg.Files += r.Files
+		agg.Conns += r.Conns
+		agg.Memory = max(agg.Memory, r.Memory)
+		agg.Refill = max(agg.Refill, r.Refill)
+		agg.Total = max(agg.Total, r.Total)
+		agg.Fetch = max(agg.Fetch, r.Fetch)
+		agg.FetchedBytes += r.FetchedBytes
+		agg.FetchedChunks += r.FetchedChunks
+		agg.Workers = max(agg.Workers, r.Workers)
+		agg.OverlapBytes += r.OverlapBytes
+		agg.ResumePause = max(agg.ResumePause, r.ResumePause)
+		agg.PrefetchDrain = max(agg.PrefetchDrain, r.PrefetchDrain)
+		agg.DemandBytes += r.DemandBytes
+		agg.PrefetchBytes += r.PrefetchBytes
+		agg.DemandFaults += r.DemandFaults
+	}
+	n := time.Duration(len(reports))
+	agg.Files /= n
+	agg.Conns /= n
+	return &agg
 }
 
 // RestartScript renders the dmtcp_restart_script.sh contents for a

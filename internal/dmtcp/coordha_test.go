@@ -456,3 +456,47 @@ func TestTakeoverSurvivesElectedStandbyDying(t *testing.T) {
 		}
 	})
 }
+
+// TestFailedRestartReachesRestartAll pins that a restart program's
+// fatal error reaches RestartAll when no coordinator answers its dial:
+// the report travels in process and needs none.  (A leader that dies
+// before it could be told is a case of
+// TestStreamedRestartFailsTypedWhenAllHoldersLost.)
+func TestFailedRestartReachesRestartAll(t *testing.T) {
+	e := newEnv(t, 4, haConfig())
+	e.drive(t, func(task *kernel.Task) {
+		e.sys.Launch(3, "counter", "400", "/san/out/nocoord")
+		round := checkpointAndKill(t, e, task)
+		if round == nil {
+			return
+		}
+		err := restartWithin(t, e, task, round, nil, 30*time.Second, func() {
+			// Both coordinators die once the group is journaled,
+			// before the restart program can dial either.
+			deadline := task.Now().Add(10 * time.Second)
+			for e.sys.Coord.st().Restart == nil && task.Now() < deadline {
+				task.Idle(time.Millisecond)
+			}
+			e.c.KillNode(1)
+			e.c.KillNode(2)
+		})
+		if err == nil {
+			t.Error("restart succeeded with no coordinator to dial")
+		}
+	})
+}
+
+// checkpointAndKill checkpoints the running workload, lets replication
+// quiesce and kills the managed processes, returning the round (nil,
+// with the test failed, when the checkpoint errors).
+func checkpointAndKill(t *testing.T, e *env, task *kernel.Task) *CkptRound {
+	task.Compute(50 * time.Millisecond)
+	round, err := e.sys.Checkpoint(task)
+	if err != nil {
+		t.Errorf("checkpoint: %v", err)
+		return nil
+	}
+	e.sys.Replica.WaitIdle(task)
+	e.sys.KillManaged()
+	return round
+}

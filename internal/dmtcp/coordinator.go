@@ -32,8 +32,6 @@ const (
 	msgAdvertise   = 'A' // restart → coord: advertise guid → address
 	msgQuery       = 'Q' // restart → coord: resolve guid (blocks until known)
 	msgGroup       = 'G' // restart → coord: generic group barrier join
-	msgRestartEnd  = 'T' // restart → coord: restart stage times
-	msgRestartFail = 'F' // restart → coord: restart failed (message)
 	msgQuit        = 'X' // command → coord: shut down
 	msgHeartbeat   = 'H' // manager → coord: node liveness/load beat
 	msgRestartRank = 'P' // restart → coord: per-rank stage progress
@@ -156,10 +154,6 @@ func (co *Coordinator) NumClients() int { return len(co.st().Clients) }
 
 // LastRound returns the most recent completed checkpoint round.
 func (co *Coordinator) LastRound() *CkptRound { return co.st().LastRound() }
-
-// RestartStats returns the most recent completed restart's aggregated
-// stage times (nil while one is in flight).
-func (co *Coordinator) RestartStats() *RestartStages { return co.st().RestartStats }
 
 // apply journals one event through the state machine and performs the
 // returned effects.  Only tasks on the active coordinator's process
@@ -299,8 +293,6 @@ func (co *Coordinator) runEffects(t *kernel.Task, effects []coordstate.Effect) {
 				co.replyQuery(t, qfd, fx.Name)
 			}
 			delete(co.pendingQ, fx.Name)
-		case coordstate.FxRestartDone, coordstate.FxRestartFailed:
-			co.Sys.doneW.WakeAll()
 		case coordstate.FxResumeRound:
 			// A takeover inherited an in-flight round: the journal holds
 			// its exact phase, the managers re-drive their arrivals
@@ -491,10 +483,6 @@ func (co *Coordinator) serve(t *kernel.Task, fd int) {
 				co.apply(t, coordstate.Event{Kind: coordstate.EvRestartRank, Now: t.Now(),
 					Name: gen, Host: rank, Msg: stage})
 			}
-		case msgRestartEnd:
-			co.onRestartEnd(t, body)
-		case msgRestartFail:
-			co.apply(t, coordstate.Event{Kind: coordstate.EvRestartFail, Now: t.Now(), Msg: string(body)})
 		case msgQuit:
 			co.Sys.C.Eng.Stop()
 			return
@@ -543,6 +531,11 @@ func (co *Coordinator) onGroupJoin(t *kernel.Task, name string, want int, rank s
 		release(g.fds[id])
 	}
 	g.fds = make(map[string]int)
+	if strings.HasPrefix(name, "r-refill-") {
+		// The restart's last barrier: every rank is running again, so
+		// rounds whose GC deferred on forked writers collect now.
+		co.retryDeferredGC(t)
+	}
 }
 
 // resync re-binds a reconnecting manager (its coordinator died and a
@@ -864,7 +857,8 @@ func (co *Coordinator) collectStores(t *kernel.Task) (*store.GCStats, bool) {
 // retryDeferredGC re-attempts collection for every round that had to
 // defer; the first pass that covers every store is credited to all of
 // them.  A round that defers at the very end of a session is
-// collected at the next checkpoint request, status poll, or restart.
+// collected at the next checkpoint request, status poll, or restart
+// (when its last group barrier releases).
 func (co *Coordinator) retryDeferredGC(t *kernel.Task) {
 	if len(co.gcPending) == 0 || !co.Sys.Cfg.Store {
 		return
@@ -911,36 +905,6 @@ func descHost(desc string) string {
 		return desc[:i]
 	}
 	return desc
-}
-
-// onRestartEnd journals restart stage times; when all expected
-// restart processes have reported, the state machine publishes the
-// aggregate.
-func (co *Coordinator) onRestartEnd(t *kernel.Task, body []byte) {
-	d := &bin.Decoder{B: body}
-	ev := coordstate.Event{Kind: coordstate.EvRestartEnd, Now: t.Now()}
-	ev.Expect = d.Int()
-	ev.Restart = RestartStages{
-		Files:  time.Duration(d.I64()),
-		Conns:  time.Duration(d.I64()),
-		Memory: time.Duration(d.I64()),
-		Refill: time.Duration(d.I64()),
-		Total:  time.Duration(d.I64()),
-
-		Fetch:         time.Duration(d.I64()),
-		FetchedBytes:  d.I64(),
-		FetchedChunks: d.Int(),
-		Workers:       d.Int(),
-		OverlapBytes:  d.I64(),
-
-		ResumePause:   time.Duration(d.I64()),
-		PrefetchDrain: time.Duration(d.I64()),
-		DemandBytes:   d.I64(),
-		PrefetchBytes: d.I64(),
-		DemandFaults:  d.Int(),
-	}
-	co.apply(t, ev)
-	co.retryDeferredGC(t)
 }
 
 // --- journal replication and takeover --------------------------------

@@ -2,6 +2,7 @@ package dmtcp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -244,6 +245,38 @@ func (e *env) drive(t *testing.T, fn func(*kernel.Task)) {
 	}
 }
 
+// errRestartWedged is restartWithin's error for a RestartAll still
+// running at its deadline.
+var errRestartWedged = errors.New("RestartAll still running at its deadline")
+
+// restartWithin runs RestartAll in a task of its own, calls strike
+// (when non-nil) while the restart is in flight, then waits at most d
+// virtual time for it to return.  A restart still running then fails
+// the test with t.Error (a t.Fatal inside drive would leave the engine
+// running) and yields errRestartWedged.
+func restartWithin(t *testing.T, e *env, task *kernel.Task, round *CkptRound, place Placement,
+	d time.Duration, strike func()) error {
+	t.Helper()
+	var err error
+	done := false
+	task.P.SpawnTask("restarter", false, func(rt *kernel.Task) {
+		_, err = e.sys.RestartAll(rt, round, place)
+		done = true
+	})
+	if strike != nil {
+		strike()
+	}
+	deadline := task.Now().Add(d)
+	for !done && task.Now() < deadline {
+		task.Idle(10 * time.Millisecond)
+	}
+	if !done {
+		t.Errorf("RestartAll still running %v after it began", d)
+		return errRestartWedged
+	}
+	return err
+}
+
 func readLines(t *testing.T, n *kernel.Node, path string) []string {
 	t.Helper()
 	ino, err := n.FS.ReadFile(path)
@@ -357,29 +390,44 @@ func TestCheckpointRestartSingleProcess(t *testing.T) {
 	}
 }
 
+// TestDistributedCheckpointRestartPreservesStream runs a cross-node
+// socket exchange through one and two checkpoint→kill→restart cycles.
+// Restored sockets keep their GUIDs, so the second restart's discovery
+// must never be answered with the first restart's dead listener.
 func TestDistributedCheckpointRestartPreservesStream(t *testing.T) {
+	for _, restarts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d restarts", restarts), func(t *testing.T) {
+			testStreamAcrossRestarts(t, restarts)
+		})
+	}
+}
+
+func testStreamAcrossRestarts(t *testing.T, restarts int) {
+	const total = 200
 	e := newEnv(t, 2, Config{Compress: true})
 	e.drive(t, func(task *kernel.Task) {
-		const total = 50
 		e.sys.Launch(1, "ppserver", "9100", strconv.Itoa(total), "/out/pp")
 		task.Compute(5 * time.Millisecond)
 		e.sys.Launch(0, "ppclient", "node01", "9100", strconv.Itoa(total))
 		task.Compute(80 * time.Millisecond) // mid-exchange
-		round, err := e.sys.Checkpoint(task)
-		if err != nil {
-			t.Error(err)
-			return
+		for i := 1; i <= restarts; i++ {
+			round, err := e.sys.Checkpoint(task)
+			if err != nil {
+				t.Errorf("checkpoint %d: %v", i, err)
+				return
+			}
+			if round.NumProcs != 2 {
+				t.Errorf("checkpoint %d: procs = %d, want 2", i, round.NumProcs)
+			}
+			task.Compute(20 * time.Millisecond)
+			e.sys.KillManaged()
+			if err := restartWithin(t, e, task, round, nil, 10*time.Second, nil); err != nil {
+				t.Errorf("restart %d: %v", i, err)
+				return
+			}
+			task.Compute(100 * time.Millisecond) // mid-exchange again
 		}
-		if round.NumProcs != 2 {
-			t.Errorf("procs = %d, want 2", round.NumProcs)
-		}
-		task.Compute(20 * time.Millisecond)
-		e.sys.KillManaged()
-		if _, err := e.sys.RestartAll(task, round, nil); err != nil {
-			t.Error(err)
-			return
-		}
-		task.Compute(5 * time.Second)
+		task.Compute(10 * time.Second)
 	})
 	ino, err := e.c.Node(1).FS.ReadFile("/out/pp")
 	if err != nil {
@@ -392,21 +440,21 @@ func TestDistributedCheckpointRestartPreservesStream(t *testing.T) {
 	if !strings.Contains(out, "server done") {
 		t.Fatalf("server did not finish:\n%s", tail(out, 5))
 	}
-	// Rollback semantics: work done after the checkpoint is repeated
-	// after restart, so externally-logged seqs may appear at most
-	// twice (once per incarnation) — but never three times, never out
-	// of order within an incarnation, and every seq must be covered.
+	// Rollback semantics: work done after a checkpoint is repeated
+	// after the restart, so an externally-logged seq may appear once
+	// per incarnation — at most restarts+1 times — but every seq must
+	// be covered.
 	counts := map[int]int{}
 	for _, ln := range strings.Split(strings.TrimSpace(out), "\n") {
 		var seq, l int
 		if n, _ := fmt.Sscanf(ln, "got %d len=%d", &seq, &l); n == 2 {
 			counts[seq]++
-			if counts[seq] > 2 {
+			if counts[seq] > restarts+1 {
 				t.Fatalf("seq %d delivered %d times", seq, counts[seq])
 			}
 		}
 	}
-	for i := 0; i < 50; i++ {
+	for i := 0; i < total; i++ {
 		if counts[i] == 0 {
 			t.Fatalf("seq %d never delivered", i)
 		}
@@ -724,5 +772,25 @@ func TestDeterministicCheckpointTiming(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic checkpoint: %v vs %v", a, b)
+	}
+}
+
+// TestRestartAggregationAveragesPerHostStages pins the Table 1b
+// aggregation RestartAll applies to its hosts' reports: the per-host
+// stages are averaged, the synchronized stages take the max, and
+// transferred bytes are summed.
+func TestRestartAggregationAveragesPerHostStages(t *testing.T) {
+	agg := aggregateRestarts([]RestartStages{
+		{Files: 2 * time.Second, Memory: time.Second, Total: 5 * time.Second, FetchedBytes: 7},
+		{Files: 4 * time.Second, Memory: 3 * time.Second, Total: 4 * time.Second, FetchedBytes: 5},
+	})
+	if agg.Files != 3*time.Second || agg.Memory != 3*time.Second {
+		t.Fatalf("aggregate = %+v", agg)
+	}
+	if agg.Total != 5*time.Second {
+		t.Errorf("Total = %v, want the max 5s", agg.Total)
+	}
+	if agg.FetchedBytes != 12 {
+		t.Errorf("FetchedBytes = %d, want the sum 12", agg.FetchedBytes)
 	}
 }

@@ -1,6 +1,7 @@
 package dmtcp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -68,19 +69,64 @@ func TestCorruptImageRejectedAtRestart(t *testing.T) {
 		if _, err := mtcp.Decode(bad); err == nil {
 			t.Error("corrupt image decoded cleanly")
 		}
-		// The restart program reports the failure and exits non-zero
+		// The restart program hands the decoder's error to RestartAll
 		// rather than wedging the cluster.
 		e.sys.KillManaged()
-		p, err := e.c.Node(0).Kern.Spawn("dmtcp_restart",
-			[]string{"1", "1", "99", path}, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if code := task.WatchExit(p); code == 0 {
-			t.Error("restart of corrupt image exited 0")
+		err = restartWithin(t, e, task, round, nil, 10*time.Second, nil)
+		if !errors.Is(err, mtcp.ErrBadImage) {
+			t.Errorf("restart of corrupt image: err = %v, want mtcp.ErrBadImage in its chain", err)
 		}
 	})
+}
+
+// TestRestartAllEndsItsGroup pins that RestartAll journals the end of
+// its restart group however it returns — every host reported, a
+// restart program failed, or a host's images were gone before its
+// program could spawn — so a later takeover never resumes it.
+func TestRestartAllEndsItsGroup(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		// strike breaks the round, if at all, once its processes died.
+		strike  func(e *env, round *CkptRound)
+		place   Placement
+		wantErr bool
+	}{
+		{name: "every host reported"},
+		{
+			name: "a restart program failed", wantErr: true,
+			strike: func(e *env, round *CkptRound) { e.c.Node(1).FS.Unlink(round.Images[0].Path) },
+		},
+		{
+			name: "images died with their node", cfg: Config{Store: true}, wantErr: true,
+			strike: func(e *env, _ *CkptRound) { e.c.KillNode(1) }, place: Placement{"node01": 0},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, 2, tc.cfg)
+			e.drive(t, func(task *kernel.Task) {
+				e.sys.Launch(1, "counter", "1000", "/out/group")
+				task.Compute(50 * time.Millisecond)
+				round, err := e.sys.Checkpoint(task)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				e.sys.KillManaged()
+				if tc.strike != nil {
+					tc.strike(e, round)
+				}
+				err = restartWithin(t, e, task, round, tc.place, 10*time.Second, nil)
+				if (err != nil) != tc.wantErr {
+					t.Errorf("err = %v, want an error: %v", err, tc.wantErr)
+				}
+				if g := e.sys.Coord.st().Restart; g != nil {
+					t.Errorf("restart group %s still armed after RestartAll returned", g.Gen)
+				}
+			})
+		})
+	}
 }
 
 func TestSecondCheckpointAfterRestart(t *testing.T) {

@@ -160,7 +160,7 @@ func (s *System) loadImages(t *kernel.Task, paths []string, st *RestartStages) (
 	}
 	for i, pi := range imgs {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("restore %s: %v", pi.path, errs[i])
+			return nil, fmt.Errorf("restore %s: %w", pi.path, errs[i])
 		}
 		rs := stats[i]
 		if rs.Fetch > st.Fetch {
@@ -184,24 +184,24 @@ func (s *System) loadImages(t *kernel.Task, paths []string, st *RestartStages) (
 		if pi.img == nil {
 			img, err := mtcp.LoadImage(t, pi.path)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %v", pi.path, err)
+				return nil, fmt.Errorf("%s: %w", pi.path, err)
 			}
 			pi.img = img
 		}
 		var err error
 		if b, ok := pi.img.Ext["dmtcp.fdtable"]; ok {
 			if pi.fds, err = decodeFDTable(b); err != nil {
-				return nil, fmt.Errorf("%s: bad fd table: %v", pi.path, err)
+				return nil, fmt.Errorf("%s: bad fd table: %w", pi.path, err)
 			}
 		}
 		if b, ok := pi.img.Ext["dmtcp.conns"]; ok {
 			if pi.conns, err = decodeConns(b); err != nil {
-				return nil, fmt.Errorf("%s: bad conn table: %v", pi.path, err)
+				return nil, fmt.Errorf("%s: bad conn table: %w", pi.path, err)
 			}
 		}
 		if b, ok := pi.img.Ext["dmtcp.pids"]; ok {
 			if pi.vpid, pi.table, err = decodePids(b); err != nil {
-				return nil, fmt.Errorf("%s: bad pid table: %v", pi.path, err)
+				return nil, fmt.Errorf("%s: bad pid table: %w", pi.path, err)
 			}
 		}
 	}
@@ -212,21 +212,30 @@ func (s *System) loadImages(t *kernel.Task, paths []string, st *RestartStages) (
 // process per host that reopens files and ptys, reconnects sockets
 // through the discovery service, forks into the user processes,
 // rearranges descriptors, restores memory and threads, refills kernel
-// buffers, and resumes.
+// buffers, and resumes.  Its stage times — or its fatal error — go to
+// the RestartAll that spawned it in process, like its trace spans: the
+// coordinator is only the discovery service and the barrier.
 //
-// args: <nRestartProcs> <nGlobalProcs> <generation> <image>...
+// args: <nGlobalProcs> <generation> <image>...
 func (s *System) restartMain(t *kernel.Task, args []string) {
-	if len(args) < 4 {
-		t.Printf("usage: dmtcp_restart nRestart nGlobal gen images...\n")
+	if len(args) < 3 {
+		t.Printf("usage: dmtcp_restart nGlobal gen images...\n")
 		t.Exit(2)
 	}
-	nRestart, _ := strconv.Atoi(args[0])
-	nGlobal, _ := strconv.Atoi(args[1])
-	gen := args[2]
-	paths := args[3:]
+	nGlobal, _ := strconv.Atoi(args[0])
+	gen := args[1]
+	paths := args[2:]
 
 	start := t.Now()
 	var st RestartStages
+
+	// fail hands a fatal error to RestartAll (so it returns the error
+	// rather than waiting forever for stage times) and exits non-zero.
+	fail := func(err error) {
+		t.Printf("dmtcp_restart: %v\n", err)
+		s.reportRestart(gen, RestartStages{}, err)
+		t.Exit(1)
+	}
 
 	// Coordinator link for discovery and restart barriers.  A restart
 	// spawned into a takeover interregnum (the leader died after the
@@ -234,26 +243,13 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 	// out the election instead of dying.
 	cfd, err := s.dialCoord(t)
 	if err != nil {
-		t.Printf("dmtcp_restart: coordinator: %v\n", err)
-		t.Exit(1)
-	}
-	// fail reports a fatal error to the coordinator (so a blocked
-	// RestartAll returns an error rather than waiting forever for
-	// stage times) and exits non-zero.
-	fail := func(format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		t.Printf("dmtcp_restart: %s\n", msg)
-		var e bin.Encoder
-		e.B = append(e.B, msgRestartFail)
-		e.B = append(e.B, msg...)
-		t.SendFrame(cfd, e.B)
-		t.Exit(1)
+		fail(fmt.Errorf("coordinator: %w", err))
 	}
 
 	// ---- Image loading ---------------------------------------------------
 	imgs, err := s.loadImages(t, paths, &st)
 	if err != nil {
-		fail("%v", err)
+		fail(err)
 	}
 
 	// Journal per-rank fetch progress: a coordinator promoted
@@ -538,7 +534,7 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 		}
 		anyLazy = true
 		if err := lc.drain(t); err != nil {
-			fail("lazy drain: %v", err)
+			fail(fmt.Errorf("lazy drain: %w", err))
 		}
 		st.FetchedBytes += lc.ps.Bytes()
 		st.FetchedChunks += lc.ps.Chunks()
@@ -575,38 +571,7 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 		tr.Add(host, "restart.fetched_bytes", end, st.FetchedBytes)
 	}
 
-	// Report restart stage times; the coordinator aggregates across
-	// hosts (Table 1b).
-	var e bin.Encoder
-	e.B = append(e.B, msgRestartEnd)
-	e.Int(nRestart)
-	e.I64(int64(st.Files))
-	e.I64(int64(st.Conns))
-	e.I64(int64(st.Memory))
-	e.I64(int64(st.Refill))
-	e.I64(int64(st.Total))
-	e.I64(int64(st.Fetch))
-	e.I64(st.FetchedBytes)
-	e.Int(st.FetchedChunks)
-	e.Int(st.Workers)
-	e.I64(st.OverlapBytes)
-	e.I64(int64(st.ResumePause))
-	e.I64(int64(st.PrefetchDrain))
-	e.I64(st.DemandBytes)
-	e.I64(st.PrefetchBytes)
-	e.Int(st.DemandFaults)
-	// The leader may have died after the last barrier released: redial
-	// the coordinator address (a promoted standby rebinds it) and
-	// re-send, so the blocked RestartAll still gets its stage times.
-	// A failed send was never journaled, so the retry delivers at most
-	// once.
-	for t.SendFrame(cfd, e.B) != nil {
-		nfd, err := s.dialCoord(t)
-		if err != nil {
-			break
-		}
-		cfd = nfd
-	}
+	s.reportRestart(gen, st, nil)
 
 	// Remain as the parent of the restored processes (the paper's
 	// restart process stays in the tree after forking).

@@ -2,7 +2,6 @@ package dmtcp
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -178,42 +177,68 @@ func TestStreamedRestartFallsBackToAnotherHolder(t *testing.T) {
 }
 
 // TestStreamedRestartFailsTypedWhenAllHoldersLost pins the other half
-// of the contract: with a single replica holder dead mid-fetch there
-// is nowhere to fall back to — the restart fails (cleanly, not with a
-// corrupt image), and the fetcher's error is the typed
-// replica.HolderLostError.
+// of the contract: with every replica holder dead mid-fetch there is
+// nowhere to fall back to — the restart fails (cleanly, not with a
+// corrupt image), and RestartAll's error still carries the fetcher's
+// typed replica.HolderLostError, also when the coordinator leader died
+// with the holders and never heard of the failure.
 func TestStreamedRestartFailsTypedWhenAllHoldersLost(t *testing.T) {
-	e := newEnv(t, 4, Config{Compress: true, Store: true, ReplicaFactor: 1, CkptWorkers: 2})
-	e.drive(t, func(task *kernel.Task) {
-		round := restoreEnv(t, e, task)
-
-		var rerr error
-		done := false
-		task.P.SpawnTask("restarter", false, func(rt *kernel.Task) {
-			_, rerr = e.sys.RestartAll(rt, round, Placement{"node01": 0})
-			done = true
+	cfg := Config{Compress: true, Store: true, ReplicaFactor: 1, CkptWorkers: 2}
+	ha := cfg
+	ha.CoordNode, ha.CoordStandbys = 1, 2
+	cases := []struct {
+		name  string
+		nodes int
+		cfg   Config
+		// setup checkpoints a 128 MB bigdirty on node01 and kills it.
+		setup func(t *testing.T, e *env, task *kernel.Task) *CkptRound
+		place Placement
+		kill  []kernel.NodeID // killed 60 ms into the restart
+	}{
+		{
+			// node01 died with its workload: node02, its only replica
+			// holder, serves the fetch.
+			name: "only holder dies mid-fetch", nodes: 4, cfg: cfg,
+			setup: restoreEnv, place: Placement{"node01": 0}, kill: []kernel.NodeID{2},
+		},
+		{
+			// node01 leads, wrote the image and serves the fetch; node02
+			// is its only replica holder and the first standby.  node03
+			// takes over while node04's fetch has nowhere left to go.
+			name: "leader and last holder die mid-fetch", nodes: 5, cfg: ha,
+			setup: func(t *testing.T, e *env, task *kernel.Task) *CkptRound {
+				e.c.Register("bigdirty", bigDirty{})
+				e.sys.Launch(1, "bigdirty", "128")
+				return checkpointAndKill(t, e, task)
+			},
+			place: Placement{"node01": 4}, kill: []kernel.NodeID{1, 2},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, tc.nodes, tc.cfg)
+			e.drive(t, func(task *kernel.Task) {
+				round := tc.setup(t, e, task)
+				if round == nil {
+					return
+				}
+				err := restartWithin(t, e, task, round, tc.place, 30*time.Second, func() {
+					task.Idle(60 * time.Millisecond)
+					for _, n := range tc.kill {
+						e.c.KillNode(n)
+					}
+				})
+				if err == nil {
+					t.Error("restart succeeded with every holder dead")
+					return
+				}
+				var hle *replica.HolderLostError
+				if !errors.As(err, &hle) {
+					t.Errorf("restart error %v (%T) does not carry a *replica.HolderLostError", err, err)
+				}
+			})
 		})
-		task.Idle(60 * time.Millisecond)
-		e.c.KillNode(2) // the only holder
-		for !done {
-			task.Idle(20 * time.Millisecond)
-		}
-		if rerr == nil {
-			t.Fatal("restart succeeded with every holder dead")
-		}
-		if !strings.Contains(rerr.Error(), "holders") {
-			t.Errorf("restart error %q does not carry the holder-lost cause", rerr)
-		}
-
-		// The typed error surfaces at the fetcher layer.
-		hf := pullFetcher{sv: e.sys.Replica,
-			holders: e.sys.fetchHolders(round.Images[0].Path, "node02", task.P.Node), workers: 2}
-		_, _, ferr := hf.Fetch(task, []store.ChunkRef{{Hash: "feedfacefeedface", LogicalBytes: 1}}, nil)
-		var hle *replica.HolderLostError
-		if !errors.As(ferr, &hle) {
-			t.Fatalf("fetcher error %v is not a HolderLostError", ferr)
-		}
-	})
+	}
 }
 
 // TestJournalCompactionUnderHA pins the compaction satellite end to

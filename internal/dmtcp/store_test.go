@@ -237,3 +237,32 @@ func TestStoreForkedRoundsCollectOnNextRequest(t *testing.T) {
 		}
 	})
 }
+
+// TestStoreForkedRoundsCollectAtRestart: a forked round whose GC
+// deferred is collected when a restart's last group barrier releases,
+// with no further checkpoint request.
+func TestStoreForkedRoundsCollectAtRestart(t *testing.T) {
+	e := newEnv(t, 1, Config{Compress: true, Store: true, Forked: true, StoreKeep: 1})
+	e.drive(t, func(task *kernel.Task) {
+		e.sys.Launch(0, "counter", "5000", "/out/stfr")
+		task.Compute(50 * time.Millisecond)
+		r1, err := e.sys.Checkpoint(task)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if r1.GC != nil {
+			t.Errorf("forked round GC ran concurrently with its writer: %+v", r1.GC)
+		}
+		task.Compute(15 * time.Second) // the background writer commits
+		e.sys.KillManaged()
+		if _, err := e.sys.RestartAll(task, r1, nil); err != nil {
+			t.Error(err)
+			return
+		}
+		task.Compute(time.Second)
+		if r1.GC == nil || r1.GC.Manifests == 0 || r1.GC.Live == 0 {
+			t.Errorf("deferred GC never ran at restart: %+v", r1.GC)
+		}
+	})
+}

@@ -12,6 +12,7 @@ package dmtcp
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/bin"
 	"repro/internal/coordstate"
@@ -196,10 +197,6 @@ type (
 	// StageTimes breaks a checkpoint or restart into the stages of
 	// Table 1.
 	StageTimes = coordstate.StageTimes
-	// RestartStages mirrors Table 1b, extended with the remote-fetch
-	// stage a restart pays when its images must be pulled from replica
-	// peers (recovery after node loss, store-mode migration).
-	RestartStages = coordstate.RestartStages
 	// ImageInfo describes one per-process checkpoint file (a
 	// monolithic image, or a store manifest when the session runs
 	// incrementally).
@@ -208,3 +205,47 @@ type (
 	// checkpoint.
 	CkptRound = coordstate.CkptRound
 )
+
+// RestartStages mirrors Table 1b, extended with the remote-fetch
+// stage a restart pays when its images must be pulled from replica
+// peers (recovery after node loss, store-mode migration).  Each
+// dmtcp_restart fills one for its host and hands it to RestartAll in
+// process, which aggregates the hosts' reports (aggregateRestarts).
+type RestartStages struct {
+	Files  time.Duration // reopen files and recreate ptys
+	Conns  time.Duration // recreate and reconnect sockets
+	Memory time.Duration // fork, rearrange FDs, restore memory/threads
+	Refill time.Duration
+	Total  time.Duration
+
+	// Fetch is the time spent pulling manifests and missing chunks
+	// from replica peers (max across hosts); FetchedBytes and
+	// FetchedChunks total the data that actually traveled.
+	Fetch         time.Duration
+	FetchedBytes  int64
+	FetchedChunks int
+
+	// Streamed-restore pipeline statistics: Workers is the restore
+	// pool size (max across hosts), and OverlapBytes totals the stored
+	// bytes already decompressed/installed when the remote fetch
+	// finished — the fetch/install overlap the pipeline bought over
+	// fetch-then-install.  Fetch and Memory overlap on this path, so
+	// Total can be less than the sum of the stages.
+	Workers      int
+	OverlapBytes int64
+
+	// Lazy (post-copy) restore statistics, zero on the eager paths.
+	// ResumePause is the wall time until the restored processes were
+	// running again (skeleton + files + conns + fork/resume, max
+	// across hosts) — the paper's user-visible restart pause.
+	// PrefetchDrain is the post-resume tail until every absent chunk
+	// was pulled and installed.  Total covers both.  DemandBytes /
+	// DemandFaults account the chunks a blocked fault waited on;
+	// PrefetchBytes the chunks the background prefetcher landed first.
+	// Skeleton, demand, and prefetch bytes sum to FetchedBytes.
+	ResumePause   time.Duration
+	PrefetchDrain time.Duration
+	DemandBytes   int64
+	PrefetchBytes int64
+	DemandFaults  int
+}

@@ -48,7 +48,7 @@ func driveLazyTraced(seed int64) (*dmtcpsim.RestartStages, *dmtcpsim.Tracer) {
 // TestLazyRestartSpanAccounting extends the restart partition guard to
 // post-copy restarts: with the prefetch segment included, the five
 // restart stages must still sum to restart.total within 1%, and the
-// span args must agree with the stats the coordinator aggregated.
+// span args must agree with the stats RestartAll aggregated.
 func TestLazyRestartSpanAccounting(t *testing.T) {
 	stats, tr := driveLazyTraced(29)
 	evs := tr.Events()
