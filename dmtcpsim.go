@@ -43,7 +43,8 @@ type (
 	// Program is an executable registered with the cluster.
 	Program = kernel.Program
 	// Resumable is a Program that can continue from a restored
-	// checkpoint (see DESIGN.md on the resumable-program model).
+	// checkpoint (see kernel.Resumable for the resumable-program
+	// convention: control state lives in the "[state]" memory area).
 	Resumable = kernel.Resumable
 	// ProgramFunc adapts a function to Program.
 	ProgramFunc = kernel.ProgramFunc

@@ -23,9 +23,17 @@ type Program interface {
 // restored checkpoint: Restore is called on the re-created main
 // thread with the process memory (including the state payload)
 // already restored.  This is the reproduction's substitute for
-// restoring thread registers and stacks, which Go cannot capture; the
-// convention is that a program's control state lives in its process
-// memory (Process.SaveState), exactly as DESIGN.md documents.
+// restoring thread registers and stacks, which Go cannot capture.
+//
+// The resumable-program convention: a program keeps the control state
+// it needs to continue (loop counters, cursors, protocol phase) in its
+// process's "[state]" memory area, and Restore receives exactly the
+// bytes that area held when the checkpoint read process memory.  A
+// program either stores an encoded state with Process.SaveState after
+// each step, or — a library whose state is large and live — registers
+// a StateSource and calls Process.StateChanged at each change, and the
+// kernel encodes the state only when memory is read (StateSource
+// states the rule that keeps this exact).
 type Resumable interface {
 	Program
 	Restore(t *Task, state []byte)
@@ -88,6 +96,11 @@ type Process struct {
 	// Plugin carries layer-private per-process state (the DMTCP
 	// manager attaches its bookkeeping here).
 	Plugin any
+
+	// stateSrc, when set, is the live source of the "[state]" area;
+	// statePending records a StateChanged not yet encoded into it.
+	stateSrc     StateSource
+	statePending bool
 
 	// Stdout accumulates console output for tests and examples.
 	Stdout bytes.Buffer
@@ -252,22 +265,79 @@ func (p *Process) SpawnTask(role string, daemon bool, fn func(*Task)) *Task {
 // state (the "registers and stack live in memory" convention).
 const stateArea = "[state]"
 
-// SaveState stores the program's control state into process memory,
-// where checkpoint images capture it.
+// StateSource is a library that keeps a process's control state live
+// in its own structures instead of re-encoding it into "[state]" at
+// every change (the resumable-program convention on Resumable).  The
+// process encodes it only when its memory is read: a checkpoint
+// capture, a fork's memory copy, or LoadState.  That encoding must
+// equal what SaveState would have stored at the last StateChanged, so
+// the fields AppendState encodes may change only together with a
+// StateChanged call and with no scheduling point in between — inside
+// a critical section, since a checkpoint suspends threads only outside
+// one.
+type StateSource interface {
+	// StateLen returns len(AppendState(nil)) without encoding.
+	StateLen() int
+	// AppendState appends the encoded state to dst.
+	AppendState(dst []byte) []byte
+}
+
+// SetStateSource registers src as the live source of the process's
+// "[state]" area (nil unregisters it).  Registering records no change:
+// the area keeps what it holds until the next StateChanged.
+func (p *Process) SetStateSource(src StateSource) {
+	p.stateSrc = src
+	p.statePending = false
+}
+
+// SaveState stores the program's encoded control state in its
+// "[state]" memory area, where checkpoint images capture it and from
+// which Restore receives it after a restart (the resumable-program
+// convention on Resumable).
 func (p *Process) SaveState(b []byte) {
+	a := p.writeState(len(b))
+	a.Payload = append(a.Payload[:0], b...)
+}
+
+// StateChanged records that the registered StateSource changed.  It
+// does SaveState's bookkeeping — the area's size and dirty chunks, so
+// RSS and incremental checkpoints see the write at once — and defers
+// the encoding to the next read of process memory (SyncState).
+func (p *Process) StateChanged() {
+	p.writeState(p.stateSrc.StateLen())
+	p.statePending = true
+}
+
+// writeState records a write of n bytes to "[state]": it maps the area
+// on first use, raises its size to n (a high-water mark: state that
+// shrinks keeps its mapped size) and dirties the covering chunks.
+func (p *Process) writeState(n int) *VMArea {
 	a := p.Mem.Area(stateArea)
 	if a == nil {
 		a = p.Mem.Map(&VMArea{Name: stateArea, Kind: AreaData, Class: model.ClassData})
 	}
-	a.Payload = append(a.Payload[:0], b...)
-	if a.Bytes < int64(len(b)) {
-		a.Bytes = int64(len(b))
+	if a.Bytes < int64(n) {
+		a.Bytes = int64(n)
 	}
-	a.Touch(0, int64(len(b)))
+	a.Touch(0, int64(n))
+	return a
+}
+
+// SyncState encodes a pending StateChanged into "[state]".  Readers of
+// process memory call it first; it charges no virtual time, because
+// the modeled write was the StateChanged itself.
+func (p *Process) SyncState() {
+	if !p.statePending {
+		return
+	}
+	p.statePending = false
+	a := p.Mem.Area(stateArea)
+	a.Payload = p.stateSrc.AppendState(a.Payload[:0])
 }
 
 // LoadState retrieves the stored control state, or nil.
 func (p *Process) LoadState() []byte {
+	p.SyncState()
 	if a := p.Mem.Area(stateArea); a != nil {
 		return a.Payload
 	}
@@ -324,6 +394,7 @@ func (t *Task) fork(childName string, fn func(*Task), raw bool) Pid {
 	t.charge(p.params().ForkCost(p.Mem.RSS()))
 	for {
 		child := p.Kern.allocProcess(p, childName, p.Args)
+		p.SyncState()
 		child.Mem = p.Mem.clone()
 		child.Env = copyEnv(p.Env)
 		for fd, of := range p.fds {
@@ -380,6 +451,7 @@ func (t *Task) Exec(prog string, args []string) error {
 	p.ProgName = prog
 	p.Args = args
 	p.Mem = NewAddressSpace()
+	p.SetStateSource(nil)
 	p.installHooks() // re-evaluates LD_PRELOAD in the (inherited) env
 	if p.hooks != nil {
 		p.hooks.PostExec(t)

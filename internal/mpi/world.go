@@ -6,15 +6,17 @@
 //
 // Real DMTCP restores threads mid-system-call, so MPI libraries need
 // no cooperation.  This reproduction cannot capture goroutine stacks
-// (see DESIGN.md), so the library provides the equivalent guarantee
-// itself: message streams are exactly-once across restart.  Three
-// mechanisms combine:
+// (see the resumable-program convention on kernel.Resumable), so the
+// library provides the equivalent guarantee itself: message streams
+// are exactly-once across restart.  Three mechanisms combine:
 //
 //   - the kernel completes interrupted sends at restart (send
 //     continuations), so the byte stream is exact;
-//   - received bytes are appended to a per-peer reassembly log whose
-//     writes are committed to process state atomically (no scheduling
-//     point between the read and the commit);
+//   - received bytes are appended to a per-peer reassembly log in the
+//     same atomic step as the read (no scheduling point between them).
+//     The World is its process's kernel.StateSource: the log and
+//     cursors stay live in the library, and the kernel encodes them
+//     into process memory only when a checkpoint or fork reads it;
 //   - the application's control state commits together with the log's
 //     consumption offset (Commit), and send calls replayed after a
 //     rollback are suppressed by comparing the per-channel call count
@@ -153,6 +155,7 @@ func Init(t *kernel.Task, rank int, layout Layout, peers []int) (*World, error) 
 		accepted: make(map[int]int),
 	}
 	w.acceptW = sim.NewWaitQueue(t.P.Node.Cluster.Eng, fmt.Sprintf("mpi.accept.%d", rank))
+	t.P.SetStateSource(w)
 	lfd, err := t.ListenTCP(layout.PortOf(rank))
 	if err != nil {
 		return nil, fmt.Errorf("mpi: rank %d listen: %w", rank, err)
@@ -258,11 +261,24 @@ func insertionSort(a []int) {
 
 // --- persistence ------------------------------------------------------
 
-// saveState persists the library + application state into process
-// memory (where checkpoint images capture it).  Callers must invoke
-// it only inside a critical section or other atomic region.
-func (w *World) saveState() {
-	var e bin.Encoder
+// StateLen implements kernel.StateSource: the length of AppendState's
+// encoding (rank, four layout ints, listener fd, peer count; per peer
+// rank, fd, length-prefixed log and three cursors; length-prefixed app
+// state).
+func (w *World) StateLen() int {
+	n := 6*8 + 4
+	for _, p := range w.peers {
+		n += 5*8 + 4 + len(w.chans[p].rx)
+	}
+	return n + 4 + len(w.app)
+}
+
+// AppendState implements kernel.StateSource: it encodes the library
+// and application state that Resume rebuilds a World from.  The
+// encoded fields change only inside critical sections that end with
+// StateChanged (Send, commitRx, Commit).
+func (w *World) AppendState(dst []byte) []byte {
+	e := bin.Encoder{B: dst}
 	e.Int(w.Rank)
 	w.Layout.encode(&e)
 	e.Int(w.listenFD)
@@ -277,7 +293,7 @@ func (w *World) saveState() {
 		e.Int(ch.sentAtCommit)
 	}
 	e.Bytes(w.app)
-	w.T.P.SaveState(e.B)
+	return e.B
 }
 
 // Resume reconstructs a World inside a restored process and returns
@@ -313,6 +329,7 @@ func Resume(t *kernel.Task, state []byte) (*World, []byte, error) {
 		return nil, nil, fmt.Errorf("mpi: corrupt state: %w", d.Err)
 	}
 	w.acceptW = sim.NewWaitQueue(t.P.Node.Cluster.Eng, fmt.Sprintf("mpi.accept.%d", w.Rank))
+	t.P.SetStateSource(w)
 	w.startAcceptLoop()
 	return w, w.app, nil
 }
@@ -325,13 +342,14 @@ func (w *World) Commit(appState []byte) {
 	w.app = append(w.app[:0], appState...)
 	for _, p := range w.peers {
 		ch := w.chans[p]
-		// Discard consumed log bytes and advance committed cursors.
-		ch.rx = append([]byte(nil), ch.rx[ch.rxLive:]...)
+		// Discard consumed log bytes in place (every reader copies out
+		// of the log) and advance committed cursors.
+		ch.rx = ch.rx[:copy(ch.rx, ch.rx[ch.rxLive:])]
 		ch.rxCommitted = 0
 		ch.rxLive = 0
 		ch.sentAtCommit = ch.sentLive
 	}
-	w.saveState()
+	w.T.P.StateChanged()
 	w.T.EndCritical()
 }
 
@@ -355,7 +373,7 @@ func (w *World) Send(to, tag int, data []byte) {
 	}
 	w.T.BeginCritical()
 	ch.sentWire++
-	w.saveState()
+	w.T.P.StateChanged()
 	w.T.EndCritical()
 	// Raw library framing (parseFrame delimits); an interrupted send
 	// is completed by the restart continuation.
@@ -411,7 +429,7 @@ func (w *World) pumpAny() {
 func (w *World) commitRx(ch *chanState, data []byte) {
 	w.T.BeginCritical()
 	ch.rx = append(ch.rx, data...)
-	w.saveState()
+	w.T.P.StateChanged()
 	w.T.EndCritical()
 }
 

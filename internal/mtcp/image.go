@@ -101,7 +101,10 @@ type Image struct {
 
 // Capture snapshots a process into an image.  The caller (the
 // checkpoint manager) must have suspended the process's user threads.
+// A live state source's pending change is encoded into "[state]"
+// first (kernel.StateSource).
 func Capture(p *kernel.Process, virtPid kernel.Pid) *Image {
+	p.SyncState()
 	img := &Image{
 		Hostname: p.Node.Hostname,
 		ProgName: p.ProgName,
