@@ -228,6 +228,111 @@ func TestBenchRestoreLazyGuard(t *testing.T) {
 	}
 }
 
+// TestBenchStoreGuard pins the committed BENCH_store.json claims that
+// the README's store table and the table notes make:
+//
+//   - a clean (0% dirty) generation costs under 1% of a full rewrite:
+//     only the manifest is written;
+//   - incremental time and bytes rise with the dirty fraction, and the
+//     dedup share falls;
+//   - only dirty chunks are written: for dirty > 0, incr MB/gen is at
+//     most dirty % of full MB/gen;
+//   - 100% dirty converges on the full rewrite from below.
+func TestBenchStoreGuard(t *testing.T) {
+	tab := loadBenchTable(t, "BENCH_store.json", "store")
+	cDirty := col(t, tab, "dirty %/gen")
+	cFull := col(t, tab, "full ckpt (s)")
+	cIncr := col(t, tab, "incr ckpt (s)")
+	cFullMB := col(t, tab, "full MB/gen")
+	cIncrMB := col(t, tab, "incr MB/gen")
+	cDedup := col(t, tab, "dedup %")
+
+	if len(tab.Rows) < 2 {
+		t.Fatalf("store table has %d rows, want a dirty-rate sweep", len(tab.Rows))
+	}
+	var prev []string
+	for _, row := range tab.Rows {
+		dirty := mean(t, row[cDirty])
+		full, incr := mean(t, row[cFull]), mean(t, row[cIncr])
+		fullMB, incrMB := mean(t, row[cFullMB]), mean(t, row[cIncrMB])
+		switch {
+		case dirty == 0:
+			if incr >= full*0.01 {
+				t.Errorf("0%% dirty: incremental %.3fs is not under 1%% of the %.3fs full rewrite", incr, full)
+			}
+		case incrMB > dirty/100*fullMB:
+			t.Errorf("%s%% dirty: incr %.1f MB/gen exceeds %s%% of the %.1f MB full image",
+				row[cDirty], incrMB, row[cDirty], fullMB)
+		}
+		if dirty == 100 && (incr > full || incrMB > fullMB) {
+			t.Errorf("100%% dirty: incremental %.3fs / %.1f MB exceeds the full rewrite's %.3fs / %.1f MB",
+				incr, incrMB, full, fullMB)
+		}
+		if prev != nil {
+			if mean(t, prev[cDirty]) >= dirty {
+				t.Fatalf("rows not sorted by dirty %%: %s after %s", row[cDirty], prev[cDirty])
+			}
+			if mean(t, prev[cIncr]) >= incr || mean(t, prev[cIncrMB]) >= incrMB {
+				t.Errorf("%s%% dirty: incremental %.3fs / %.1f MB does not rise from %s%%'s %s / %s",
+					row[cDirty], incr, incrMB, prev[cDirty], prev[cIncr], prev[cIncrMB])
+			}
+			if mean(t, prev[cDedup]) <= mean(t, row[cDedup]) {
+				t.Errorf("%s%% dirty: dedup %s%% does not fall from %s%%'s %s%%",
+					row[cDirty], row[cDedup], prev[cDirty], prev[cDedup])
+			}
+		}
+		prev = row
+	}
+}
+
+// TestBenchFailoverGuard pins the committed BENCH_failover.json claims
+// that the README and the table notes make:
+//
+//   - recovery restarted the lost process in every trial at every
+//     replication factor;
+//   - replication is dedup-aware and factor-linear: first-generation
+//     and incremental replication bytes are within 2% of replicas
+//     times the 1-replica row;
+//   - recovery fetches nothing: the restart target already holds the
+//     replicas.
+func TestBenchFailoverGuard(t *testing.T) {
+	tab := loadBenchTable(t, "BENCH_failover.json", "failover")
+	cReplicas := col(t, tab, "replicas")
+	cGen1 := col(t, tab, "gen1 repl MB")
+	cIncr := col(t, tab, "incr repl MB/gen")
+	cFetched := col(t, tab, "fetched MB")
+	cRecovered := col(t, tab, "recovered")
+
+	var gen1, incr float64 // the 1-replica row
+	for _, row := range tab.Rows {
+		if row[cReplicas] == "1" {
+			gen1, incr = mean(t, row[cGen1]), mean(t, row[cIncr])
+		}
+	}
+	if gen1 <= 0 || incr <= 0 {
+		t.Fatal("no 1-replica row with positive replication bytes committed")
+	}
+	within := func(got, want float64) bool { return got >= want*0.98 && got <= want*1.02 }
+	for _, row := range tab.Rows {
+		if num, den, ok := strings.Cut(row[cRecovered], "/"); !ok || num != den {
+			t.Errorf("replicas %s: recovered %q, want every trial", row[cReplicas], row[cRecovered])
+		}
+		k := mean(t, row[cReplicas])
+		if g := mean(t, row[cGen1]); !within(g, k*gen1) {
+			t.Errorf("replicas %s: gen1 repl %.1f MB, want %.1f ±2%% (%s x the 1-replica row)",
+				row[cReplicas], g, k*gen1, row[cReplicas])
+		}
+		if g := mean(t, row[cIncr]); !within(g, k*incr) {
+			t.Errorf("replicas %s: incr repl %.1f MB/gen, want %.1f ±2%% (%s x the 1-replica row)",
+				row[cReplicas], g, k*incr, row[cReplicas])
+		}
+		if row[cFetched] != "0.00" {
+			t.Errorf("replicas %s: recovery fetched %s MB, want 0.00 (target holds the replicas)",
+				row[cReplicas], row[cFetched])
+		}
+	}
+}
+
 // TestBenchChaosGuard pins the committed BENCH_chaos.json robustness
 // claims:
 //

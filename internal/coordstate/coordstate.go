@@ -2,14 +2,22 @@
 // extracted into an explicit event-sourced state machine.
 //
 // The paper keeps its coordinator stateless precisely so that losing
-// it is cheap (§4.1); this reproduction has since made the coordinator
-// deeply stateful — client table, checkpoint rounds, placement map,
-// replication watermarks, restart groups — so node 0 dying would lose
-// the one component that knows how to recover everyone else.  This
-// package makes that state survivable: every mutation is an Event,
-// Apply(event) advances the State deterministically, and the resulting
-// serialized journal is replicated to standby coordinators, which
-// replay it and take over on coordinator-node death.
+// it is cheap (§4.1): it counts barrier arrivals and answers discovery
+// queries.  This reproduction's coordinator also owns the client
+// table, the placement map, replication watermarks and restart
+// groups, so node 0 dying would lose the one component that knows
+// how to recover everyone else.  This package makes that state
+// survivable: every mutation is an Event, Apply(event) advances the
+// State deterministically, and the resulting serialized journal is
+// replicated to standby coordinators, which replay it and take over on
+// coordinator-node death.
+//
+// The state keeps only what the control plane acts on: barrier
+// arrivals and releases, image placement (host, path, program, vpid,
+// generation), and each host's write time, which sizes the next
+// round's writer pools.  Checkpoint and restart reports (stage times,
+// byte counts, GC passes) travel in process to the dmtcp package and
+// never enter the journal.
 //
 // The split follows the classic replicated-state-machine discipline:
 //
@@ -36,7 +44,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 // Barriers are the checkpoint barrier names in protocol order (§4.3:
@@ -44,70 +51,37 @@ import (
 // wait-for-checkpoint-request).
 var Barriers = []string{"suspended", "elected", "drained", "checkpointed", "refilled"}
 
-// BarrierCheckpointed is the barrier that carries the image report.
+// BarrierCheckpointed is the barrier whose arrival carries the image's
+// placement and the manager's write time.
 const BarrierCheckpointed = "checkpointed"
 
-// StageTimes breaks a checkpoint or restart into the stages of
-// Table 1.
-type StageTimes struct {
-	Suspend time.Duration
-	Elect   time.Duration
-	Drain   time.Duration
-	Write   time.Duration
-	Refill  time.Duration
-	Total   time.Duration
-}
-
-// ImageInfo describes one per-process checkpoint file (a monolithic
+// ImageInfo places one per-process checkpoint file (a monolithic
 // image, or a store manifest when the session runs incrementally).
 type ImageInfo struct {
-	Host    string
-	Path    string
-	Prog    string
-	VirtPid kernel.Pid
-	Bytes   int64 // bytes written this round (new chunks + manifest in store mode)
-	Raw     int64 // uncompressed footprint
-
-	// Store-mode statistics (zero for monolithic images).
-	Generation int64 // committed store generation
-	Chunks     int   // chunks referenced by the manifest
-	NewChunks  int   // chunks actually written this round
-	Dedup      int64 // stored bytes avoided via dedup
-
-	// Pipeline statistics.
-	Workers int   // parallel writer tasks the image used
-	Overlap int64 // stored bytes at the farthest-ahead peer by commit
+	Host       string
+	Path       string
+	Prog       string
+	VirtPid    kernel.Pid
+	Generation int64 // committed store generation (0 for monolithic images)
 }
 
-// CkptRound is the record of one completed cluster-wide checkpoint.
+// CkptRound is the replicated record of one completed cluster-wide
+// checkpoint: who took part, where each image landed, and how long
+// each host took to write.
 type CkptRound struct {
-	Index    int
+	Index int
+	// Tag is the round's epoch-qualified identity (see RoundTag).
+	Tag      int64
 	NumProcs int
 	// Start and End bound the round in virtual time (Start from the
 	// opening broadcast, End from the closing barrier event), so the
 	// observability layer can place the round on a trace timeline.
 	Start    sim.Time
 	End      sim.Time
-	Stages   StageTimes
-	Bytes    int64 // aggregate on-disk
-	RawBytes int64 // aggregate uncompressed
-	SyncCost time.Duration
 	Images   []ImageInfo
 	Compress bool
 	Forked   bool
-
-	// Store is true when the round went through the chunk store;
-	// DedupBytes aggregates the stored bytes dedup avoided writing,
-	// and GC reports the coordinator's post-round collection pass.
-	Store      bool
-	DedupBytes int64
-	GC         *store.GCStats
-
-	// OverlapBytes aggregates (across the round's images) the stored
-	// bytes eager streaming had already replicated — per image, the
-	// farthest-ahead peer's total — before the manifests committed:
-	// the write/replication pipeline overlap.
-	OverlapBytes int64
+	Store    bool
 
 	// WriteByHost records each participating host's write-stage time —
 	// the raw material of the straggler analysis.  WorkerHints is the
@@ -123,20 +97,20 @@ type CkptRound struct {
 const StragglerThreshold = 1.25
 
 // StragglerScores returns each host's write time divided by the
-// round's median write time (1.0 = typical; >= StragglerThreshold
-// marks a straggler).  Empty when fewer than two hosts reported.
-func (r *CkptRound) StragglerScores() map[string]float64 {
-	if len(r.WriteByHost) < 2 {
+// median write time (1.0 = typical; >= StragglerThreshold marks a
+// straggler).  Empty when fewer than two hosts reported.
+func StragglerScores(writeByHost map[string]time.Duration) map[string]float64 {
+	if len(writeByHost) < 2 {
 		return nil
 	}
-	hosts := make([]string, 0, len(r.WriteByHost))
-	ws := make([]time.Duration, 0, len(r.WriteByHost))
-	for h := range r.WriteByHost {
+	hosts := make([]string, 0, len(writeByHost))
+	ws := make([]time.Duration, 0, len(writeByHost))
+	for h := range writeByHost {
 		hosts = append(hosts, h)
 	}
 	sort.Strings(hosts)
 	for _, h := range hosts {
-		ws = append(ws, r.WriteByHost[h])
+		ws = append(ws, writeByHost[h])
 	}
 	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
 	med := ws[len(ws)/2]
@@ -148,7 +122,7 @@ func (r *CkptRound) StragglerScores() map[string]float64 {
 	}
 	out := make(map[string]float64, len(hosts))
 	for _, h := range hosts {
-		out[h] = float64(r.WriteByHost[h]) / float64(med)
+		out[h] = float64(writeByHost[h]) / float64(med)
 	}
 	return out
 }
@@ -189,12 +163,7 @@ type RoundState struct {
 	Participants map[int64]bool
 	Arrived      map[string]map[int64]bool
 	Released     map[string]bool
-	StageMax     map[string]time.Duration
 	Images       []ImageInfo
-	Bytes, Raw   int64
-	Dedup        int64
-	Overlap      int64
-	SyncMax      time.Duration
 	// WriteByHost collects per-host write-stage times as checkpointed
 	// arrivals land (max per host, for multi-process hosts).
 	WriteByHost map[string]time.Duration
@@ -243,7 +212,6 @@ func (r *RoundState) ParticipantIDs() []int64 {
 // barrier, a rank past "resumed" the refill barrier.
 const (
 	RestartRankSpawned   = "spawned"   // restart program forked
-	RestartRankFetched   = "fetched"   // remote chunks pulled (or local hit)
 	RestartRankInstalled = "installed" // memory restored, pre-resume
 	RestartRankResumed   = "resumed"   // processes running again
 )
@@ -254,12 +222,10 @@ func restartRankOrder(stage string) int {
 	switch stage {
 	case RestartRankSpawned:
 		return 1
-	case RestartRankFetched:
-		return 2
 	case RestartRankInstalled:
-		return 3
+		return 2
 	case RestartRankResumed:
-		return 4
+		return 3
 	}
 	return 0
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 func addr(h string, p int) kernel.Addr { return kernel.Addr{Host: h, Port: p} }
@@ -107,7 +106,7 @@ func TestApplyTable(t *testing.T) {
 				for _, name := range Barriers {
 					ev := evBar(1, name, 2*time.Second)
 					if name == BarrierCheckpointed {
-						ev.Image = &ImageInfo{Host: "node00", Path: "/ckpt/img", Bytes: 100, Raw: 400}
+						ev.Image = &ImageInfo{Host: "node00", Path: "/ckpt/img"}
 					}
 					evs = append(evs, ev)
 				}
@@ -118,11 +117,11 @@ func TestApplyTable(t *testing.T) {
 					t.Fatalf("round not closed: %+v", st.Round)
 				}
 				r := st.Rounds[0]
-				if r.NumProcs != 1 || r.Bytes != 100 || r.RawBytes != 400 || len(r.Images) != 1 {
+				if r.NumProcs != 1 || len(r.Images) != 1 {
 					t.Fatalf("round = %+v", r)
 				}
-				if r.Stages.Total != 2*time.Second {
-					t.Fatalf("total = %v", r.Stages.Total)
+				if total := r.End.Sub(r.Start); total != 2*time.Second {
+					t.Fatalf("total = %v", total)
 				}
 			},
 		},
@@ -183,12 +182,12 @@ func TestApplyTable(t *testing.T) {
 			events: func() []Event {
 				evs := []Event{evReg("a/x[1]"), evReg("b/y[2]"), evCkpt(0)}
 				img := evBar(1, BarrierCheckpointed, 0)
-				img.Image = &ImageInfo{Host: "node00", Path: "/ckpt/img", Bytes: 100}
+				img.Image = &ImageInfo{Host: "node00", Path: "/ckpt/img"}
 				evs = append(evs, img, img) // re-sent across a reconnect
 				return evs
 			}(),
 			check: func(t *testing.T, st *State, _ []Effect) {
-				if len(st.Round.Images) != 1 || st.Round.Bytes != 100 {
+				if len(st.Round.Images) != 1 {
 					t.Fatalf("duplicate arrival double-counted: %+v", st.Round)
 				}
 			},
@@ -315,26 +314,6 @@ func TestApplyTable(t *testing.T) {
 				}
 			},
 		},
-		{
-			name: "round GC credits every covered round",
-			events: func() []Event {
-				evs := []Event{evCkpt(0), evCkpt(0)} // two empty rounds
-				evs = append(evs, Event{Kind: EvRoundGC, Idxs: []int{0, 1},
-					GC: store.GCStats{Swept: 7, SweptBytes: 700}})
-				return evs
-			}(),
-			check: func(t *testing.T, st *State, _ []Effect) {
-				for i := 0; i < 2; i++ {
-					if st.Rounds[i].GC == nil || st.Rounds[i].GC.Swept != 7 {
-						t.Fatalf("round %d GC = %+v", i, st.Rounds[i].GC)
-					}
-				}
-				st.Rounds[0].GC.Swept = 99 // copies, not shared
-				if st.Rounds[1].GC.Swept != 7 {
-					t.Fatal("GC stats aliased between rounds")
-				}
-			},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -358,8 +337,7 @@ func TestReplayIdenticalState(t *testing.T) {
 			ev := evBar(cid, name, 2*time.Second)
 			if name == BarrierCheckpointed {
 				ev.Image = &ImageInfo{Host: "node00", Path: "/ckpt/store/manifests/img.gen2.manifest",
-					Bytes: 123, Raw: 456, Generation: 2, Chunks: 9, NewChunks: 3, Dedup: 333}
-				ev.Sync = time.Millisecond
+					Generation: 2}
 			}
 			events = append(events, ev)
 		}
@@ -408,15 +386,13 @@ func TestReplayIdenticalState(t *testing.T) {
 
 // TestEncodeDecodeRoundtrip pins the wire format of every event kind.
 func TestEncodeDecodeRoundtrip(t *testing.T) {
-	img := &ImageInfo{Host: "h", Path: "p", Prog: "prog", VirtPid: 42,
-		Bytes: 1, Raw: 2, Generation: 3, Chunks: 4, NewChunks: 5, Dedup: 6}
+	img := &ImageInfo{Host: "h", Path: "p", Prog: "prog", VirtPid: 42, Generation: 3}
 	events := []Event{
 		{Kind: EvRegister, Now: 7, Desc: "a/b[1]"},
 		{Kind: EvDisconnect, CID: 12},
 		{Kind: EvCkptRequest, Cfg: RoundCfg{Compress: true, Fsync: true, Forked: true, Store: true}},
-		{Kind: EvBarrier, CID: 3, Barrier: BarrierCheckpointed, Stage: time.Second, Sync: time.Millisecond, Image: img},
-		{Kind: EvBarrier, CID: 3, Barrier: "drained", Stage: time.Second},
-		{Kind: EvRoundGC, Idxs: []int{1, 2}, GC: store.GCStats{Pruned: 1, Manifests: 2, Live: 3, LiveBytes: 4, Swept: 5, SweptBytes: 6, Took: 7}},
+		{Kind: EvBarrier, CID: 3, Barrier: BarrierCheckpointed, Stage: time.Second, Image: img},
+		{Kind: EvBarrier, CID: 3, Barrier: "drained"},
 		{Kind: EvAdvertise, GUID: "g", Addr: addr("h", 80)},
 		{Kind: EvReplicated, Name: "n", Gen: 9, Holder: "h2"},
 		{Kind: EvWatermark, Name: "n", Gen: 9},

@@ -30,7 +30,6 @@ const (
 	EvDisconnect                        // client connection died (CID)
 	EvCkptRequest                       // checkpoint requested (Cfg)
 	EvBarrier                           // manager arrived at a barrier
-	EvRoundGC                           // post-round GC pass credited to rounds
 	EvAdvertise                         // restart advertised guid → addr
 	EvReplicated                        // one (generation, holder) copy completed
 	EvWatermark                         // a generation's full fan-out completed
@@ -53,9 +52,8 @@ type Event struct {
 	Desc     string        // Register
 	Barrier  string        // Barrier: name
 	RoundTag int64         // Barrier: the round the arrival belongs to
-	Stage    time.Duration // Barrier: stage duration
-	Sync     time.Duration // Barrier: fsync cost (checkpointed only)
-	Image    *ImageInfo    // Barrier: image report (checkpointed only)
+	Stage    time.Duration // Barrier: write time (checkpointed only)
+	Image    *ImageInfo    // Barrier: image placement (checkpointed only)
 
 	Cfg RoundCfg // CkptRequest
 
@@ -65,9 +63,6 @@ type Event struct {
 	Name   string // Replicated, Watermark; RestartGroup, RestartRank, RestartDone: generation
 	Gen    int64  // Replicated, Watermark
 	Holder string // Replicated
-
-	Idxs []int         // RoundGC: round indices credited
-	GC   store.GCStats // RoundGC
 
 	Expect int      // RestartGroup; Resync: barriers passed
 	Msg    string   // RestartRank: stage reached
@@ -168,15 +163,12 @@ func apply(st *State, ev Event) []Effect {
 		}
 		if r.Arrived[ev.Barrier] != nil && r.Arrived[ev.Barrier][ev.CID] {
 			// Duplicate arrival (re-sent across a reconnect): never
-			// re-accumulate stats or images; re-release if the barrier
-			// already fired, otherwise the normal release will cover it.
+			// re-place the image; re-release if the barrier already
+			// fired, otherwise the normal release will cover it.
 			if r.Released[ev.Barrier] {
 				return []Effect{{Kind: FxReleaseOne, Name: ev.Barrier, CID: ev.CID}}
 			}
 			return nil
-		}
-		if ev.Stage > r.StageMax[ev.Barrier] {
-			r.StageMax[ev.Barrier] = ev.Stage
 		}
 		if ev.Barrier == BarrierCheckpointed && ev.Image != nil {
 			img := *ev.Image
@@ -187,15 +179,8 @@ func apply(st *State, ev Event) []Effect {
 				r.WriteByHost[img.Host] = ev.Stage
 			}
 			r.Images = append(r.Images, img)
-			r.Bytes += img.Bytes
-			r.Raw += img.Raw
-			r.Dedup += img.Dedup
-			r.Overlap += img.Overlap
 			if r.Cfg.Store {
 				placeImage(st, img)
-			}
-			if ev.Sync > r.SyncMax {
-				r.SyncMax = ev.Sync
 			}
 		}
 		if r.Arrived[ev.Barrier] == nil {
@@ -206,15 +191,6 @@ func apply(st *State, ev Event) []Effect {
 			return nil
 		}
 		return releaseBarrier(st, r, ev.Barrier, ev.Now)
-
-	case EvRoundGC:
-		for _, idx := range ev.Idxs {
-			if idx >= 0 && idx < len(st.Rounds) {
-				cp := ev.GC
-				st.Rounds[idx].GC = &cp
-			}
-		}
-		return nil
 
 	case EvAdvertise:
 		st.Advertised[ev.GUID] = ev.Addr
@@ -329,6 +305,7 @@ func startRound(st *State, now sim.Time) []Effect {
 	if len(st.Clients) == 0 {
 		round := &CkptRound{
 			Index:    len(st.Rounds),
+			Tag:      RoundTag(st.Epoch, len(st.Rounds)),
 			Start:    now,
 			End:      now,
 			Compress: st.LastCfg.Compress,
@@ -346,7 +323,6 @@ func startRound(st *State, now sim.Time) []Effect {
 		Participants: make(map[int64]bool, len(st.Clients)),
 		Arrived:      make(map[string]map[int64]bool),
 		Released:     make(map[string]bool),
-		StageMax:     make(map[string]time.Duration),
 	}
 	for id := range st.Clients {
 		r.Participants[id] = true
@@ -374,28 +350,16 @@ func releaseBarrier(st *State, r *RoundState, name string, now sim.Time) []Effec
 func finishRound(st *State, now sim.Time) []Effect {
 	r := st.Round
 	round := &CkptRound{
-		Index:    r.Index,
-		Start:    r.Start,
-		End:      now,
-		NumProcs: len(r.Participants),
-		Stages: StageTimes{
-			Suspend: r.StageMax["suspended"],
-			Elect:   r.StageMax["elected"],
-			Drain:   r.StageMax["drained"],
-			Write:   r.StageMax["checkpointed"],
-			Refill:  r.StageMax["refilled"],
-			Total:   now.Sub(r.Start),
-		},
-		Bytes:        r.Bytes,
-		RawBytes:     r.Raw,
-		SyncCost:     r.SyncMax,
-		Images:       r.Images,
-		Compress:     r.Cfg.Compress,
-		Forked:       r.Cfg.Forked,
-		Store:        r.Cfg.Store,
-		DedupBytes:   r.Dedup,
-		OverlapBytes: r.Overlap,
-		WriteByHost:  r.WriteByHost,
+		Index:       r.Index,
+		Tag:         r.Tag,
+		Start:       r.Start,
+		End:         now,
+		NumProcs:    len(r.Participants),
+		Images:      r.Images,
+		Compress:    r.Cfg.Compress,
+		Forked:      r.Cfg.Forked,
+		Store:       r.Cfg.Store,
+		WriteByHost: r.WriteByHost,
 	}
 	round.WorkerHints = stragglerHints(st, round)
 	st.Rounds = append(st.Rounds, round)
@@ -415,7 +379,7 @@ func finishRound(st *State, now sim.Time) []Effect {
 // idle-core sizing.  Pure state-machine arithmetic, so leader and
 // standby replays agree.
 func stragglerHints(st *State, round *CkptRound) map[string]int {
-	scores := round.StragglerScores()
+	scores := StragglerScores(round.WriteByHost)
 	if len(scores) == 0 {
 		return nil
 	}
@@ -485,24 +449,11 @@ func (ev Event) Encode() []byte {
 		e.I64(ev.CID)
 		e.Str(ev.Barrier)
 		e.I64(ev.RoundTag)
-		e.I64(int64(ev.Stage))
-		e.I64(int64(ev.Sync))
 		e.Bool(ev.Image != nil)
 		if ev.Image != nil {
+			e.I64(int64(ev.Stage))
 			encodeImage(&e, ev.Image)
 		}
-	case EvRoundGC:
-		e.U32(uint32(len(ev.Idxs)))
-		for _, idx := range ev.Idxs {
-			e.Int(idx)
-		}
-		e.Int(ev.GC.Pruned)
-		e.Int(ev.GC.Manifests)
-		e.Int(ev.GC.Live)
-		e.I64(ev.GC.LiveBytes)
-		e.Int(ev.GC.Swept)
-		e.I64(ev.GC.SweptBytes)
-		e.I64(int64(ev.GC.Took))
 	case EvAdvertise:
 		e.Str(ev.GUID)
 		e.Str(ev.Addr.Host)
@@ -566,24 +517,11 @@ func DecodeEvent(b []byte) (Event, error) {
 		ev.CID = d.I64()
 		ev.Barrier = d.Str()
 		ev.RoundTag = d.I64()
-		ev.Stage = time.Duration(d.I64())
-		ev.Sync = time.Duration(d.I64())
 		if d.Bool() {
+			ev.Stage = time.Duration(d.I64())
 			img := decodeImage(d)
 			ev.Image = &img
 		}
-	case EvRoundGC:
-		n := int(d.U32())
-		for i := 0; i < n && d.Err == nil; i++ {
-			ev.Idxs = append(ev.Idxs, d.Int())
-		}
-		ev.GC.Pruned = d.Int()
-		ev.GC.Manifests = d.Int()
-		ev.GC.Live = d.Int()
-		ev.GC.LiveBytes = d.I64()
-		ev.GC.Swept = d.Int()
-		ev.GC.SweptBytes = d.I64()
-		ev.GC.Took = time.Duration(d.I64())
 	case EvAdvertise:
 		ev.GUID = d.Str()
 		ev.Addr.Host = d.Str()

@@ -10,7 +10,7 @@ import (
 
 // The fuzz targets reuse richMachine (snapshot_test.go), whose journal
 // exercises every codec branch: registrations, a full round with image
-// reports, replication, advertisement, restart bookkeeping, a
+// placements, replication, advertisement, restart bookkeeping, a
 // takeover, and heartbeat telemetry.
 
 // mangle returns a copy of b with a seeded truncation and/or bit flip.

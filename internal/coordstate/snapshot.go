@@ -10,7 +10,6 @@ import (
 	"repro/internal/bin"
 	"repro/internal/kernel"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 // State snapshots: the journal-compaction artifact.  A long session's
@@ -191,18 +190,10 @@ func DecodeState(b []byte) (*State, error) {
 
 func encodeRound(e *bin.Encoder, r *CkptRound) {
 	e.Int(r.Index)
+	e.I64(r.Tag)
 	e.Int(r.NumProcs)
 	e.I64(int64(r.Start))
 	e.I64(int64(r.End))
-	e.I64(int64(r.Stages.Suspend))
-	e.I64(int64(r.Stages.Elect))
-	e.I64(int64(r.Stages.Drain))
-	e.I64(int64(r.Stages.Write))
-	e.I64(int64(r.Stages.Refill))
-	e.I64(int64(r.Stages.Total))
-	e.I64(r.Bytes)
-	e.I64(r.RawBytes)
-	e.I64(int64(r.SyncCost))
 	e.U32(uint32(len(r.Images)))
 	for i := range r.Images {
 		encodeImage(e, &r.Images[i])
@@ -210,12 +201,6 @@ func encodeRound(e *bin.Encoder, r *CkptRound) {
 	e.Bool(r.Compress)
 	e.Bool(r.Forked)
 	e.Bool(r.Store)
-	e.I64(r.DedupBytes)
-	e.I64(r.OverlapBytes)
-	e.Bool(r.GC != nil)
-	if r.GC != nil {
-		encodeGC(e, *r.GC)
-	}
 	whosts := make([]string, 0, len(r.WriteByHost))
 	for h := range r.WriteByHost {
 		whosts = append(whosts, h)
@@ -241,30 +226,16 @@ func encodeRound(e *bin.Encoder, r *CkptRound) {
 func decodeRound(d *bin.Decoder) *CkptRound {
 	r := &CkptRound{}
 	r.Index = d.Int()
+	r.Tag = d.I64()
 	r.NumProcs = d.Int()
 	r.Start = sim.Time(d.I64())
 	r.End = sim.Time(d.I64())
-	r.Stages.Suspend = time.Duration(d.I64())
-	r.Stages.Elect = time.Duration(d.I64())
-	r.Stages.Drain = time.Duration(d.I64())
-	r.Stages.Write = time.Duration(d.I64())
-	r.Stages.Refill = time.Duration(d.I64())
-	r.Stages.Total = time.Duration(d.I64())
-	r.Bytes = d.I64()
-	r.RawBytes = d.I64()
-	r.SyncCost = time.Duration(d.I64())
 	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
 		r.Images = append(r.Images, decodeImage(d))
 	}
 	r.Compress = d.Bool()
 	r.Forked = d.Bool()
 	r.Store = d.Bool()
-	r.DedupBytes = d.I64()
-	r.OverlapBytes = d.I64()
-	if d.Bool() {
-		gc := decodeGC(d)
-		r.GC = &gc
-	}
 	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
 		if r.WriteByHost == nil {
 			r.WriteByHost = make(map[string]time.Duration)
@@ -287,14 +258,7 @@ func encodeImage(e *bin.Encoder, img *ImageInfo) {
 	e.Str(img.Path)
 	e.Str(img.Prog)
 	e.I64(int64(img.VirtPid))
-	e.I64(img.Bytes)
-	e.I64(img.Raw)
 	e.I64(img.Generation)
-	e.Int(img.Chunks)
-	e.Int(img.NewChunks)
-	e.I64(img.Dedup)
-	e.Int(img.Workers)
-	e.I64(img.Overlap)
 }
 
 func decodeImage(d *bin.Decoder) ImageInfo {
@@ -303,35 +267,6 @@ func decodeImage(d *bin.Decoder) ImageInfo {
 	img.Path = d.Str()
 	img.Prog = d.Str()
 	img.VirtPid = kernel.Pid(d.I64())
-	img.Bytes = d.I64()
-	img.Raw = d.I64()
 	img.Generation = d.I64()
-	img.Chunks = d.Int()
-	img.NewChunks = d.Int()
-	img.Dedup = d.I64()
-	img.Workers = d.Int()
-	img.Overlap = d.I64()
 	return img
-}
-
-func encodeGC(e *bin.Encoder, gc store.GCStats) {
-	e.Int(gc.Pruned)
-	e.Int(gc.Manifests)
-	e.Int(gc.Live)
-	e.I64(gc.LiveBytes)
-	e.Int(gc.Swept)
-	e.I64(gc.SweptBytes)
-	e.I64(int64(gc.Took))
-}
-
-func decodeGC(d *bin.Decoder) store.GCStats {
-	var gc store.GCStats
-	gc.Pruned = d.Int()
-	gc.Manifests = d.Int()
-	gc.Live = d.Int()
-	gc.LiveBytes = d.I64()
-	gc.Swept = d.Int()
-	gc.SweptBytes = d.I64()
-	gc.Took = time.Duration(d.I64())
-	return gc
 }

@@ -20,10 +20,8 @@ func richMachine(t *testing.T) *Machine {
 			ev := evBar(cid, name, 2*time.Second)
 			if name == BarrierCheckpointed {
 				ev.Image = &ImageInfo{Host: "node00",
-					Path:  "/ckpt/store/manifests/ckpt_x_node00_4.g000002",
-					Bytes: 123, Raw: 456, Generation: 2, Chunks: 9, NewChunks: 3,
-					Dedup: 333, Workers: 4, Overlap: 88}
-				ev.Sync = time.Millisecond
+					Path:       "/ckpt/store/manifests/ckpt_x_node00_4.g000002",
+					Generation: 2}
 			}
 			m.Apply(ev)
 		}

@@ -140,6 +140,11 @@ type System struct {
 	restartGen int64
 	// restart collects the reports of the RestartAll in flight.
 	restart *restartRun
+	// reports holds the in-process checkpoint reports not yet joined
+	// into a record (round tag → manager identity → report); records
+	// holds each completed round's record by tag (see roundRecords).
+	reports map[int64]map[string]*ckptReport
+	records map[int64]*CkptRound
 
 	// byVirt maps "host/virtpid" to the live managed process.
 	byVirt   map[string]*Manager
@@ -172,6 +177,8 @@ func Install(c *kernel.Cluster, cfg Config) *System {
 		shm:        make(map[string]*kernel.ShmSegment),
 		storeNodes: make(map[*kernel.Node]bool),
 		storeBusy:  make(map[*kernel.Node]int),
+		reports:    make(map[int64]map[string]*ckptReport),
+		records:    make(map[int64]*CkptRound),
 	}
 	coordNode := c.Node(cfg.CoordNode)
 	sys.doneW = sim.NewWaitQueue(c.Eng, "coord.done")

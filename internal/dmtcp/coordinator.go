@@ -145,15 +145,23 @@ func (co *Coordinator) Addr() kernel.Addr {
 	return kernel.Addr{Host: co.Node.Hostname, Port: co.Port}
 }
 
-// Rounds returns the completed checkpoint rounds, oldest first.
-func (co *Coordinator) Rounds() []*CkptRound { return co.st().Rounds }
+// Rounds returns the records of the completed checkpoint rounds,
+// oldest first.
+func (co *Coordinator) Rounds() []*CkptRound { return co.Sys.roundRecords(co.st().Rounds) }
 
 // NumClients returns the number of registered checkpointable
 // processes.
 func (co *Coordinator) NumClients() int { return len(co.st().Clients) }
 
-// LastRound returns the most recent completed checkpoint round.
-func (co *Coordinator) LastRound() *CkptRound { return co.st().LastRound() }
+// LastRound returns the record of the most recent completed
+// checkpoint round.
+func (co *Coordinator) LastRound() *CkptRound {
+	rounds := co.Rounds()
+	if len(rounds) == 0 {
+		return nil
+	}
+	return rounds[len(rounds)-1]
+}
 
 // apply journals one event through the state machine and performs the
 // returned effects.  Only tasks on the active coordinator's process
@@ -658,30 +666,18 @@ func (co *Coordinator) requestCheckpoint(t *kernel.Task) {
 }
 
 // onBarrier journals a manager's arrival at a named barrier; the
-// state machine releases the barrier when everyone is in.
+// state machine releases the barrier when everyone is in.  The
+// checkpointed arrival carries the write time and the image's
+// placement.
 func (co *Coordinator) onBarrier(t *kernel.Task, cid int64, body []byte) {
 	d := &bin.Decoder{B: body}
 	ev := coordstate.Event{Kind: coordstate.EvBarrier, Now: t.Now(), CID: cid}
 	ev.Barrier = d.Str()
 	ev.RoundTag = d.I64()
-	ev.Stage = time.Duration(d.I64())
 	if ev.Barrier == coordstate.BarrierCheckpointed {
-		img := &ImageInfo{
-			Host:    d.Str(),
-			Path:    d.Str(),
-			Prog:    d.Str(),
-			VirtPid: kernel.Pid(d.I64()),
-			Bytes:   d.I64(),
-			Raw:     d.I64(),
-		}
-		ev.Sync = time.Duration(d.I64())
-		img.Generation = d.I64()
-		img.Chunks = d.Int()
-		img.NewChunks = d.Int()
-		img.Dedup = d.I64()
-		img.Workers = d.Int()
-		img.Overlap = d.I64()
-		ev.Image = img
+		ev.Stage = time.Duration(d.I64())
+		ev.Image = &coordstate.ImageInfo{Host: d.Str(), Path: d.Str(), Prog: d.Str(),
+			VirtPid: kernel.Pid(d.I64()), Generation: d.I64()}
 	}
 	co.apply(t, ev)
 }
@@ -689,7 +685,8 @@ func (co *Coordinator) onBarrier(t *kernel.Task, cid int64, body []byte) {
 // afterRound performs the leader-side work of a completed round:
 // store collection, command waiter release, and the durable journal
 // snapshot.
-func (co *Coordinator) afterRound(t *kernel.Task, round *CkptRound) {
+func (co *Coordinator) afterRound(t *kernel.Task, cr *coordstate.CkptRound) {
+	round := co.Rounds()[cr.Index]
 	if tr := t.Trace(); tr.Enabled() && round.NumProcs > 0 {
 		tr.Span(t.Host(), "coordinator", "coord.round", "coord", round.Start, round.End,
 			obs.A("index", int64(round.Index)), obs.A("procs", int64(round.NumProcs)),
@@ -709,8 +706,7 @@ func (co *Coordinator) afterRound(t *kernel.Task, round *CkptRound) {
 		if deferred {
 			co.gcPending = append(co.gcPending, round.Index)
 		} else if st != nil {
-			co.apply(t, coordstate.Event{Kind: coordstate.EvRoundGC, Now: t.Now(),
-				Idxs: []int{round.Index}, GC: *st})
+			co.creditGC([]int{round.Index}, *st)
 		}
 		t.Trace().Span(t.Host(), "coordinator", "coord.gc", "coord", gcStart, t.Now(),
 			obs.A("index", int64(round.Index)))
@@ -867,8 +863,7 @@ func (co *Coordinator) retryDeferredGC(t *kernel.Task) {
 	if deferred || st == nil {
 		return // some store still busy; keep pending
 	}
-	co.apply(t, coordstate.Event{Kind: coordstate.EvRoundGC, Now: t.Now(),
-		Idxs: co.gcPending, GC: *st})
+	co.creditGC(co.gcPending, *st)
 	co.gcPending = nil
 }
 

@@ -94,10 +94,6 @@ type Manager struct {
 
 	aware awareHooks
 
-	// lastStats records the most recent checkpoint's stage times as
-	// measured inside this process.
-	lastStats StageTimes
-
 	// lastStoreGen is the highest store generation this manager has
 	// reserved; forked checkpointing reserves numbers here before the
 	// background writer commits, so overlapping writers of the same
@@ -209,7 +205,7 @@ func (m *Manager) startHeartbeat() {
 }
 
 func (m *Manager) connectCoordinator(t *kernel.Task) {
-	m.desc = fmt.Sprintf("%s/%s[%d]", m.p.Node.Hostname, m.p.ProgName, m.virtPid)
+	m.desc = clientDesc(m.p.Node.Hostname, m.p.ProgName, m.virtPid)
 	fd := t.Socket()
 	if of, err := t.P.FD(fd); err == nil {
 		of.Protected = true // excluded from checkpointing
@@ -360,26 +356,34 @@ type ckptConfig struct {
 
 // barrier reports arrival at a named global barrier and blocks until
 // the coordinator releases it (§4.3: "the only global communication
-// primitive used at checkpoint time is a barrier").  If the
-// coordinator dies mid-wait and a standby takes over, the arrival is
-// re-sent on the resynced connection — the coordinator state machine
-// treats duplicate arrivals as idempotent and re-releases barriers the
-// old leader had already released before dying, so the manager never
-// wedges mid-algorithm.
-func (m *Manager) barrier(t *kernel.Task, name string, stage time.Duration, extra func(*bin.Encoder)) error {
+// primitive used at checkpoint time is a barrier").  The stage just
+// finished, and at the checkpointed barrier the write result, go to
+// the System in process; the frame names the barrier and round, and
+// the checkpointed arrival adds the image's placement and the write
+// time.  If the coordinator dies mid-wait and a standby takes over,
+// the arrival is re-sent on the resynced connection — the coordinator
+// state machine treats duplicate arrivals as idempotent and
+// re-releases barriers the old leader had already released before
+// dying, so the manager never wedges mid-algorithm.
+func (m *Manager) barrier(t *kernel.Task, name string, stage time.Duration, res *mtcp.WriteResult) error {
 	bStart := t.Now()
 	defer func() {
 		// The barrier wait nests inside whichever stage span encloses
 		// it: the coordinator-synchronization share of the stage.
 		t.Trace().Span(t.Host(), m.track(t), "barrier."+name, "coord", bStart, t.Now())
 	}()
+	m.sys.reportBarrier(m.curTag, m.desc, name, stage, res)
 	var e bin.Encoder
 	e.B = append(e.B, msgBarrier)
 	e.Str(name)
 	e.I64(m.curTag)
-	e.I64(int64(stage))
-	if extra != nil {
-		extra(&e)
+	if res != nil {
+		e.I64(int64(stage))
+		e.Str(t.P.Node.Hostname)
+		e.Str(res.Path)
+		e.Str(t.P.ProgName)
+		e.I64(int64(m.virtPid))
+		e.I64(res.Generation)
 	}
 	for {
 		if err := t.SendFrame(m.coordFD, e.B); err != nil {
@@ -562,23 +566,7 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 	} else {
 		res = mtcp.WriteImage(t, img, opts)
 	}
-	writeDur := t.Now().Sub(s5)
-	err := m.barrier(t, "checkpointed", writeDur, func(e *bin.Encoder) {
-		e.Str(p.Node.Hostname)
-		e.Str(res.Path)
-		e.Str(p.ProgName)
-		e.I64(int64(m.virtPid))
-		e.I64(res.Bytes)
-		e.I64(res.RawBytes)
-		e.I64(int64(res.SyncTook))
-		e.I64(res.Generation)
-		e.Int(res.Chunks)
-		e.Int(res.NewChunks)
-		e.I64(res.DedupBytes)
-		e.Int(res.Workers)
-		e.I64(res.OverlapBytes)
-	})
-	if err != nil {
+	if err := m.barrier(t, "checkpointed", t.Now().Sub(s5), &res); err != nil {
 		return
 	}
 
@@ -602,14 +590,6 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 	p.ResumeW.WakeAll()
 	for _, cb := range m.aware.postCkpt {
 		cb(t)
-	}
-	m.lastStats = StageTimes{
-		Suspend: s3.Sub(start),
-		Elect:   s4.Sub(s3),
-		Drain:   s5.Sub(s4),
-		Write:   s6.Sub(s5),
-		Refill:  t.Now().Sub(s6),
-		Total:   t.Now().Sub(start),
 	}
 
 	// Trace the round: five stage spans that exactly partition
@@ -980,10 +960,6 @@ func (m *Manager) ConsumeVirtualChild(virt kernel.Pid) {
 func (m *Manager) AtExit(p *kernel.Process) {
 	m.sys.unregisterProc(m)
 }
-
-// LastStats returns the stage times of this process's most recent
-// checkpoint.
-func (m *Manager) LastStats() StageTimes { return m.lastStats }
 
 // VirtPid returns the process's virtual pid.
 func (m *Manager) VirtPid() kernel.Pid { return m.virtPid }

@@ -252,21 +252,6 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 		fail(err)
 	}
 
-	// Journal per-rank fetch progress: a coordinator promoted
-	// mid-restart learns which ranks already hold their images.  The
-	// rank identity is the image path — unique per process even when
-	// vpids from different origin hosts collide on one restart target.
-	// Best-effort — a dead leader is healed by the barrier rejoins
-	// below, which re-report each rank's furthest stage.
-	for _, pi := range imgs {
-		var e bin.Encoder
-		e.B = append(e.B, msgRestartRank)
-		e.Str(gen)
-		e.Str(pi.path)
-		e.Str(coordstate.RestartRankFetched)
-		t.SendFrame(cfd, e.B)
-	}
-
 	// ---- Step 1: reopen files and recreate ptys ------------------------
 	filesStart := t.Now()
 	objects := make(map[int64]*kernel.OpenFile) // OFID → restored object

@@ -17,6 +17,8 @@ import (
 	"repro/internal/bin"
 	"repro/internal/coordstate"
 	"repro/internal/kernel"
+	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // GUID is a globally unique socket identifier: (host, pid, timestamp,
@@ -190,21 +192,78 @@ func sortedPids(m map[kernel.Pid]kernel.Pid) []kernel.Pid {
 	return out
 }
 
-// The coordinator's logical record types now live in coordstate — the
-// journaled, replicated state machine standby coordinators replay —
-// and are re-exported here as the package's public surface.
-type (
-	// StageTimes breaks a checkpoint or restart into the stages of
-	// Table 1.
-	StageTimes = coordstate.StageTimes
-	// ImageInfo describes one per-process checkpoint file (a
-	// monolithic image, or a store manifest when the session runs
-	// incrementally).
-	ImageInfo = coordstate.ImageInfo
-	// CkptRound is the record of one completed cluster-wide
-	// checkpoint.
-	CkptRound = coordstate.CkptRound
-)
+// StageTimes breaks a checkpoint into the stages of Table 1a.
+type StageTimes struct {
+	Suspend time.Duration
+	Elect   time.Duration
+	Drain   time.Duration
+	Write   time.Duration
+	Refill  time.Duration
+	Total   time.Duration
+}
+
+// ImageInfo describes one per-process checkpoint file: its placement,
+// as the coordinator journaled it, plus the write statistics its
+// manager reported in process.
+type ImageInfo struct {
+	coordstate.ImageInfo
+	Bytes int64 // bytes written this round (new chunks + manifest in store mode)
+	Raw   int64 // uncompressed footprint
+
+	// Store-mode statistics (zero for monolithic images).
+	Chunks    int   // chunks referenced by the manifest
+	NewChunks int   // chunks actually written this round
+	Dedup     int64 // stored bytes avoided via dedup
+
+	// Pipeline statistics.
+	Workers int   // parallel writer tasks the image used
+	Overlap int64 // stored bytes at the farthest-ahead peer by commit
+}
+
+// CkptRound is the record of one completed cluster-wide checkpoint:
+// the coordinator's replicated round joined with the reports its
+// managers handed over in process (see System.roundRecords).
+type CkptRound struct {
+	Index    int
+	NumProcs int
+	// Start and End bound the round in virtual time (Start from the
+	// opening broadcast, End from the closing barrier event), so the
+	// observability layer can place the round on a trace timeline.
+	Start    sim.Time
+	End      sim.Time
+	Stages   StageTimes
+	Bytes    int64 // aggregate on-disk
+	RawBytes int64 // aggregate uncompressed
+	SyncCost time.Duration
+	Images   []ImageInfo
+	Compress bool
+	Forked   bool
+
+	// Store is true when the round went through the chunk store;
+	// DedupBytes aggregates the stored bytes dedup avoided writing,
+	// and GC reports the leader's post-round collection pass.
+	Store      bool
+	DedupBytes int64
+	GC         *store.GCStats
+
+	// OverlapBytes aggregates (across the round's images) the stored
+	// bytes eager streaming had already replicated — per image, the
+	// farthest-ahead peer's total — before the manifests committed:
+	// the write/replication pipeline overlap.
+	OverlapBytes int64
+
+	// WriteByHost records each participating host's write-stage time;
+	// WorkerHints is the coordinator's straggler response, per-host
+	// write worker counts for the next round (see coordstate.CkptRound).
+	WriteByHost map[string]time.Duration
+	WorkerHints map[string]int
+}
+
+// StragglerScores returns each host's write time divided by the
+// round's median write time (see coordstate.StragglerScores).
+func (r *CkptRound) StragglerScores() map[string]float64 {
+	return coordstate.StragglerScores(r.WriteByHost)
+}
 
 // RestartStages mirrors Table 1b, extended with the remote-fetch
 // stage a restart pays when its images must be pulled from replica
