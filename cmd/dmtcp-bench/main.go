@@ -137,17 +137,21 @@ func main() {
 
 // criticalPathSince analyzes the whole trace and keeps only the rounds
 // and restarts recorded in run lo or later — i.e. the trials of the
-// experiment that just ran (each Env is one tracer run).
+// experiment that just ran (each Env is one tracer run).  Run numbers
+// are rebased to that experiment's first run, so a table does not
+// depend on which experiments ran before it in the same invocation.
 func criticalPathSince(tr *dmtcpsim.Tracer, lo int) *dmtcpsim.CriticalPath {
 	full := dmtcpsim.AnalyzeTrace(tr)
 	out := &dmtcpsim.CriticalPath{}
 	for _, r := range full.Rounds {
 		if r.Run >= lo {
+			r.Run -= lo
 			out.Rounds = append(out.Rounds, r)
 		}
 	}
 	for _, r := range full.Restarts {
 		if r.Run >= lo {
+			r.Run -= lo
 			out.Restarts = append(out.Restarts, r)
 		}
 	}

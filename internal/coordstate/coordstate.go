@@ -14,10 +14,12 @@
 //
 // The state keeps only what the control plane acts on: barrier
 // arrivals and releases, image placement (host, path, program, vpid,
-// generation), and each host's write time, which sizes the next
-// round's writer pools.  Checkpoint and restart reports (stage times,
-// byte counts, GC passes) travel in process to the dmtcp package and
-// never enter the journal.
+// generation), each host's write time, which sizes the next round's
+// writer pools, and one failure-detector summary per host, journaled
+// once per checkpoint request.  Checkpoint and restart reports (stage
+// times, byte counts, GC passes) travel in process to the dmtcp
+// package, and heartbeats feed only the leader's live registry;
+// neither enters the journal, so it grows with decisions, not time.
 //
 // The split follows the classic replicated-state-machine discipline:
 //
@@ -333,10 +335,11 @@ type State struct {
 	// per-rank stages — instead of re-running recovery from scratch.
 	Restart *RestartGroup
 
-	// Health is the per-node heartbeat registry (hostname → liveness
-	// and load telemetry).  It rides the journal like everything else,
-	// so a standby inherits the inter-arrival history its adaptive
-	// failure detector is seeded from.
+	// Health maps hostname → the host's last journaled detector
+	// summary (EvHealth, written just before a checkpoint request when
+	// the host's statistics moved).  A standby's election wait and
+	// watchdog read it, and a promoted leader seeds its live registry
+	// from it.
 	Health map[string]*HostHealth
 }
 

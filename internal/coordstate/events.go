@@ -34,7 +34,7 @@ const (
 	EvReplicated                        // one (generation, holder) copy completed
 	EvWatermark                         // a generation's full fan-out completed
 	EvTakeover                          // a standby claimed leadership
-	EvHeartbeat                         // node liveness/load beat (Host, telemetry)
+	EvHealth                            // one host's detector summary, journaled before a checkpoint request
 	EvResync                            // manager reattached mid-round with stage progress
 	EvRestartGroup                      // a restart group was armed (gen, expected ranks)
 	EvRestartRank                       // one restart rank advanced a stage
@@ -67,15 +67,12 @@ type Event struct {
 	Expect int      // RestartGroup; Resync: barriers passed
 	Msg    string   // RestartRank: stage reached
 	Hosts  []string // RestartGroup: ranks by host
+	Host   string   // RestartRank: rank; Health: the host summarized
 
 	Leader string // Takeover
 	Epoch  int64  // Takeover
 
-	Host     string // Heartbeat: reporting node
-	Runnable int64  // Heartbeat: runnable tasks on the node's scheduler
-	Cores    int64  // Heartbeat: the node's core count
-	Backlog  int64  // Heartbeat: replica daemon replication backlog
-	Seq      int64  // Heartbeat: newest journal seq applied (coordinators)
+	Health HostHealth // Health: the summary (its clock is not journaled)
 }
 
 // EffectKind discriminates side-effect instructions returned by Apply.
@@ -287,13 +284,10 @@ func apply(st *State, ev Event) []Effect {
 		}
 		return nil
 
-	case EvHeartbeat:
-		h := st.Health[ev.Host]
-		if h == nil {
-			h = &HostHealth{}
-			st.Health[ev.Host] = h
-		}
-		h.observe(ev.Now, ev.Runnable, ev.Cores, ev.Backlog, ev.Seq)
+	case EvHealth:
+		h := ev.Health
+		h.LastBeat = 0 // leader-local: a replay must not see it
+		st.Health[ev.Host] = &h
 		return nil
 	}
 	return nil
@@ -468,12 +462,9 @@ func (ev Event) Encode() []byte {
 	case EvTakeover:
 		e.Str(ev.Leader)
 		e.I64(ev.Epoch)
-	case EvHeartbeat:
+	case EvHealth:
 		e.Str(ev.Host)
-		e.I64(ev.Runnable)
-		e.I64(ev.Cores)
-		e.I64(ev.Backlog)
-		e.I64(ev.Seq)
+		encodeHealth(&e, &ev.Health)
 	case EvResync:
 		e.I64(ev.CID)
 		e.I64(ev.RoundTag)
@@ -536,12 +527,9 @@ func DecodeEvent(b []byte) (Event, error) {
 	case EvTakeover:
 		ev.Leader = d.Str()
 		ev.Epoch = d.I64()
-	case EvHeartbeat:
+	case EvHealth:
 		ev.Host = d.Str()
-		ev.Runnable = d.I64()
-		ev.Cores = d.I64()
-		ev.Backlog = d.I64()
-		ev.Seq = d.I64()
+		ev.Health = decodeHealth(d)
 	case EvResync:
 		ev.CID = d.I64()
 		ev.RoundTag = d.I64()

@@ -11,7 +11,7 @@ import (
 // The fuzz targets reuse richMachine (snapshot_test.go), whose journal
 // exercises every codec branch: registrations, a full round with image
 // placements, replication, advertisement, restart bookkeeping, a
-// takeover, and heartbeat telemetry.
+// takeover, and health summaries.
 
 // mangle returns a copy of b with a seeded truncation and/or bit flip.
 func mangle(rng *rand.Rand, b []byte) []byte {

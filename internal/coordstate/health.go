@@ -1,18 +1,24 @@
 package coordstate
 
 import (
+	"math"
 	"sort"
 	"time"
 
+	"repro/internal/bin"
 	"repro/internal/sim"
 )
 
-// Health registry: the coordinator's view of per-node liveness and
-// load, fed by the compact heartbeats managers piggyback over the
-// coordinator connection.  Beats are journaled (EvHeartbeat), so a
-// standby that replays the journal inherits the full inter-arrival
-// history and derives the same adaptive failure-detection deadline the
-// dead leader would have used — takeover does not reset the detector.
+// Health registry: the coordinator's view of per-node liveness, fed by
+// the compact beats (host and core count) managers send over their
+// coordinator connection and by the leader's own self-beat.  Beats are
+// not journaled: the leader folds them into a live registry of its
+// own, and just before each checkpoint request journals one EvHealth
+// summary per host whose statistics moved since its last summary.
+// State.Health holds those summaries, so a standby that replays the
+// journal inherits the inter-arrival statistics its adaptive failure
+// detector is derived from, while the journal grows with decisions,
+// not time.
 //
 // The detector is phi-accrual in spirit: it tracks the running mean
 // and variance of heartbeat inter-arrival times (Welford's algorithm,
@@ -28,42 +34,38 @@ import (
 // deadline falls back to the static cap.
 const healthMinSamples = 4
 
-// HostHealth is one node's entry in the coordinator health registry.
+// HostHealth is one node's entry in a health registry.
 type HostHealth struct {
-	// LastBeat is the leader-clock time of the newest heartbeat.
+	// LastBeat is the leader-clock time of the newest beat.  It is
+	// leader-local and never journaled: a summary carries no clock, and
+	// an entry without one arms it on its next beat.
 	LastBeat sim.Time
-	// Count is the number of beats received; MeanNS/M2NS are Welford
+	// Count is the number of beats folded; MeanNS/M2NS are Welford
 	// running statistics over the Count-1 inter-arrival intervals, in
 	// nanoseconds.
 	Count  int64
 	MeanNS float64
 	M2NS   float64
-
-	// Last-reported load telemetry: runnable tasks vs cores on the
-	// node's scheduler, the replica daemon's replication backlog, and
-	// the newest journal seq the node has applied (coordinator hosts).
-	Runnable int64
-	Cores    int64
-	Backlog  int64
-	LastSeq  int64
+	// Cores is the node's core count, as its last beat reported it.
+	Cores int64
 }
 
-// observe folds one heartbeat into the registry entry.
-func (h *HostHealth) observe(at sim.Time, runnable, cores, backlog, seq int64) {
-	if h.Count > 0 {
+// Observe folds one beat at leader time at into the entry.  An entry
+// whose clock is not armed (a new host, or one seeded from a journaled
+// summary by a promoted leader) only arms it, so the silence before a
+// host's first beat to this leader never counts as an inter-arrival.
+func (h *HostHealth) Observe(at sim.Time, cores int64) {
+	if h.LastBeat != 0 {
 		delta := float64(at.Sub(h.LastBeat))
 		d1 := delta - h.MeanNS
 		h.MeanNS += d1 / float64(h.Count)
 		h.M2NS += d1 * (delta - h.MeanNS)
+		h.Count++
+	} else if h.Count == 0 {
+		h.Count = 1
 	}
-	h.Count++
 	h.LastBeat = at
-	h.Runnable = runnable
 	h.Cores = cores
-	h.Backlog = backlog
-	if seq > h.LastSeq {
-		h.LastSeq = seq
-	}
 }
 
 // StdNS returns the inter-arrival standard deviation in nanoseconds.
@@ -75,8 +77,8 @@ func (h *HostHealth) StdNS() float64 {
 	if v <= 0 {
 		return 0
 	}
-	// Newton iterations avoid importing math for a single sqrt and
-	// keep the result deterministic across platforms.
+	// Newton iterations keep the result deterministic across
+	// platforms.
 	x := v
 	for i := 0; i < 32; i++ {
 		x = 0.5 * (x + v/x)
@@ -102,6 +104,24 @@ func (h *HostHealth) Deadline(factor float64, floor, cap time.Duration) time.Dur
 	return d
 }
 
+// encodeHealth writes a health summary; EvHealth and the snapshot
+// share it.  The leader-local clock is not part of a summary.
+func encodeHealth(e *bin.Encoder, h *HostHealth) {
+	e.I64(h.Count)
+	e.I64(int64(math.Float64bits(h.MeanNS)))
+	e.I64(int64(math.Float64bits(h.M2NS)))
+	e.I64(h.Cores)
+}
+
+func decodeHealth(d *bin.Decoder) HostHealth {
+	var h HostHealth
+	h.Count = d.I64()
+	h.MeanNS = math.Float64frombits(uint64(d.I64()))
+	h.M2NS = math.Float64frombits(uint64(d.I64()))
+	h.Cores = d.I64()
+	return h
+}
+
 // HealthHosts returns the registry hostnames in deterministic order.
 func (st *State) HealthHosts() []string {
 	out := make([]string, 0, len(st.Health))
@@ -112,9 +132,9 @@ func (st *State) HealthHosts() []string {
 	return out
 }
 
-// HostDeadline is the State-level lookup Recover and the standby
-// election path use: the adaptive deadline for host, or cap when the
-// registry has never heard from it.
+// HostDeadline is the State-level lookup the standby election wait and
+// the partition watchdog use: the adaptive deadline for host from its
+// journaled summary, or cap when no summary names it.
 func (st *State) HostDeadline(host string, factor float64, floor, cap time.Duration) time.Duration {
 	return st.Health[host].Deadline(factor, floor, cap)
 }

@@ -15,38 +15,76 @@ func beatAt(i, periodMS int64) sim.Time {
 	return sim.Time(time.Second).Add(time.Duration(i*periodMS) * time.Millisecond)
 }
 
-// beat is an EvHeartbeat for host at beat i of a periodMS train.
-func beat(host string, i, periodMS int64) Event {
-	return Event{Kind: EvHeartbeat, Now: beatAt(i, periodMS), Host: host,
-		Runnable: 3, Cores: 4, Backlog: i, Seq: i}
+// train folds n beats of a periodMS train from a 4-core node into a
+// fresh live registry entry.
+func train(n, periodMS int64) *HostHealth {
+	h := &HostHealth{}
+	for i := int64(0); i < n; i++ {
+		h.Observe(beatAt(i, periodMS), 4)
+	}
+	return h
 }
 
-// TestHealthObserveWelford pins the registry's statistics: Count is
-// beats received, the mean tracks the inter-arrival period, and a
-// perfectly regular train has zero variance.
+// summary is the EvHealth a leader journals for host's live entry h.
+func summary(host string, h *HostHealth) Event {
+	return Event{Kind: EvHealth, Now: h.LastBeat, Host: host, Health: *h}
+}
+
+// TestHealthObserveWelford pins the registry's statistics and their
+// summary: Count is beats folded, the mean tracks the inter-arrival
+// period, a perfectly regular train has zero variance, and the
+// journaled summary carries all of it except the leader-local clock.
 func TestHealthObserveWelford(t *testing.T) {
-	m := NewMachine()
-	for i := int64(0); i < 8; i++ {
-		applyAll(m, []Event{beat("node01", i, 25)})
+	live := train(8, 25)
+	if live.Count != 8 {
+		t.Errorf("Count = %d, want 8", live.Count)
 	}
-	h := m.State().Health["node01"]
-	if h == nil {
-		t.Fatal("no registry entry after 8 beats")
+	if want := float64(25 * time.Millisecond); live.MeanNS != want {
+		t.Errorf("MeanNS = %f, want %f", live.MeanNS, want)
 	}
-	if h.Count != 8 {
-		t.Errorf("Count = %d, want 8", h.Count)
-	}
-	if want := float64(25 * time.Millisecond); h.MeanNS != want {
-		t.Errorf("MeanNS = %f, want %f", h.MeanNS, want)
-	}
-	if sd := h.StdNS(); sd != 0 {
+	if sd := live.StdNS(); sd != 0 {
 		t.Errorf("StdNS = %f for a perfectly regular train, want 0", sd)
 	}
-	if h.LastBeat != beatAt(7, 25) {
-		t.Errorf("LastBeat = %d, want %d", h.LastBeat, beatAt(7, 25))
+	if live.LastBeat != beatAt(7, 25) || live.Cores != 4 {
+		t.Errorf("LastBeat = %d cores = %d, want %d and 4", live.LastBeat, live.Cores, beatAt(7, 25))
 	}
-	if h.Backlog != 7 || h.LastSeq != 7 {
-		t.Errorf("telemetry not updated: backlog=%d lastseq=%d", h.Backlog, h.LastSeq)
+
+	m := NewMachine()
+	applyAll(m, []Event{summary("node01", live)})
+	h := m.State().Health["node01"]
+	if h == nil {
+		t.Fatal("no registry entry after a summary")
+	}
+	want := *live
+	want.LastBeat = 0
+	if *h != want {
+		t.Errorf("journaled summary = %+v, want %+v (statistics without the clock)", *h, want)
+	}
+}
+
+// TestHealthSeededEntryRearms pins what a promoted leader relies on:
+// an entry seeded from a summary has no clock, so the first beat after
+// a long leaderless gap only arms it, and the gap never enters the
+// statistics or the deadline.
+func TestHealthSeededEntryRearms(t *testing.T) {
+	const (
+		factor = 1.5
+		floor  = 60 * time.Millisecond
+		cap    = 250 * time.Millisecond
+	)
+	live := train(8, 25)
+	seeded := *live
+	seeded.LastBeat = 0
+	gap := beatAt(7, 25).Add(2 * time.Second)
+	for i := int64(0); i < 4; i++ {
+		seeded.Observe(gap.Add(time.Duration(i)*25*time.Millisecond), 4)
+		live.Observe(beatAt(8+i, 25), 4)
+	}
+	if seeded.Count != 11 || seeded.MeanNS != live.MeanNS || seeded.M2NS != live.M2NS {
+		t.Errorf("seeded entry after the gap = %+v, want the unbroken train's statistics %+v", seeded, *live)
+	}
+	if d := seeded.Deadline(factor, floor, cap); d != floor {
+		t.Errorf("deadline after the gap = %v, want the floor %v", d, floor)
 	}
 }
 
@@ -64,14 +102,11 @@ func TestHealthDeadline(t *testing.T) {
 	if d := h.Deadline(factor, floor, cap); d != cap {
 		t.Errorf("nil entry deadline = %v, want static cap %v", d, cap)
 	}
-	h = &HostHealth{}
-	for i := int64(0); i < 3; i++ {
-		h.observe(beatAt(i, 25), 0, 4, 0, 0)
-	}
+	h = train(3, 25)
 	if d := h.Deadline(factor, floor, cap); d != cap {
 		t.Errorf("3-sample deadline = %v, want static cap %v (not enough evidence)", d, cap)
 	}
-	h.observe(beatAt(3, 25), 0, 4, 0, 0)
+	h.Observe(beatAt(3, 25), 4)
 	// Quiet 25ms train: 1.5*25ms = 37.5ms, clamped up to the floor.
 	if d := h.Deadline(factor, floor, cap); d != floor {
 		t.Errorf("quiet-train deadline = %v, want floor %v", d, floor)
@@ -80,9 +115,9 @@ func TestHealthDeadline(t *testing.T) {
 	// A jittery train widens the deadline but never past the cap.
 	j := &HostHealth{}
 	at := sim.Time(time.Second)
-	for i, gap := range []time.Duration{25, 25, 80, 25, 120, 25, 90} {
+	for _, gap := range []time.Duration{25, 25, 80, 25, 120, 25, 90} {
 		at = at.Add(gap * time.Millisecond)
-		j.observe(at, 0, 4, 0, int64(i))
+		j.Observe(at, 4)
 	}
 	quiet := h.Deadline(factor, floor, cap)
 	loaded := j.Deadline(factor, floor, cap)
@@ -94,10 +129,10 @@ func TestHealthDeadline(t *testing.T) {
 	}
 }
 
-// TestHeartbeatEventRoundTrip pins the journal encoding of EvHeartbeat.
-func TestHeartbeatEventRoundTrip(t *testing.T) {
-	in := Event{Kind: EvHeartbeat, Now: beatAt(5, 25), Host: "node03",
-		Runnable: 9, Cores: 4, Backlog: 1234, Seq: 42}
+// TestHealthEventRoundTrip pins the journal encoding of EvHealth.
+func TestHealthEventRoundTrip(t *testing.T) {
+	in := Event{Kind: EvHealth, Now: beatAt(5, 25), Host: "node03",
+		Health: HostHealth{Count: 9, MeanNS: 2.5e7, M2NS: 1.25e12, Cores: 4}}
 	out, err := DecodeEvent(in.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +145,8 @@ func TestHeartbeatEventRoundTrip(t *testing.T) {
 // TestHealthSurvivesReplay is the takeover-inheritance contract: a
 // standby that replays the leader's journal derives the identical
 // adaptive deadline — promotion does not reset the failure detector to
-// the static delay.
+// the static delay.  A later summary of a host supersedes its earlier
+// one.
 func TestHealthSurvivesReplay(t *testing.T) {
 	const (
 		factor = 1.5
@@ -118,9 +154,8 @@ func TestHealthSurvivesReplay(t *testing.T) {
 		cap    = 250 * time.Millisecond
 	)
 	leader := NewMachine()
-	for i := int64(0); i < 10; i++ {
-		applyAll(leader, []Event{beat("node01", i, 25), beat("node02", i, 35)})
-	}
+	applyAll(leader, []Event{summary("node01", train(3, 25)), summary("node02", train(10, 35))})
+	applyAll(leader, []Event{summary("node01", train(10, 25))})
 	want := leader.State().HostDeadline("node01", factor, floor, cap)
 	if want >= cap {
 		t.Fatalf("leader deadline %v not adaptive (cap %v): test premise broken", want, cap)
@@ -152,5 +187,9 @@ func TestHealthSurvivesReplay(t *testing.T) {
 	}
 	if got := cold.State().HostDeadline("node01", factor, floor, cap); got != want {
 		t.Errorf("snapshot-installed standby deadline %v != leader %v", got, want)
+	}
+	if !reflect.DeepEqual(cold.State().Health, leader.State().Health) {
+		t.Errorf("snapshot-installed health registry diverges:\n got %+v\nwant %+v",
+			cold.State().Health, leader.State().Health)
 	}
 }

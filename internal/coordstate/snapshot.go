@@ -3,7 +3,6 @@ package coordstate
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -94,16 +93,8 @@ func EncodeState(st *State) ([]byte, error) {
 	hosts := st.HealthHosts()
 	e.U32(uint32(len(hosts)))
 	for _, host := range hosts {
-		h := st.Health[host]
 		e.Str(host)
-		e.I64(int64(h.LastBeat))
-		e.I64(h.Count)
-		e.I64(int64(math.Float64bits(h.MeanNS)))
-		e.I64(int64(math.Float64bits(h.M2NS)))
-		e.I64(h.Runnable)
-		e.I64(h.Cores)
-		e.I64(h.Backlog)
-		e.I64(h.LastSeq)
+		encodeHealth(&e, st.Health[host])
 	}
 	e.Bool(st.Restart != nil)
 	if st.Restart != nil {
@@ -161,16 +152,8 @@ func DecodeState(b []byte) (*State, error) {
 	}
 	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
 		host := d.Str()
-		h := &HostHealth{}
-		h.LastBeat = sim.Time(d.I64())
-		h.Count = d.I64()
-		h.MeanNS = math.Float64frombits(uint64(d.I64()))
-		h.M2NS = math.Float64frombits(uint64(d.I64()))
-		h.Runnable = d.I64()
-		h.Cores = d.I64()
-		h.Backlog = d.I64()
-		h.LastSeq = d.I64()
-		st.Health[host] = h
+		h := decodeHealth(d)
+		st.Health[host] = &h
 	}
 	if d.Bool() {
 		g := &RestartGroup{Ranks: make(map[string]string)}

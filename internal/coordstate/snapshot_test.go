@@ -38,17 +38,14 @@ func richMachine(t *testing.T) *Machine {
 		{Kind: EvRestartRank, Name: "g2", Host: "node00", Msg: RestartRankResumed},
 		{Kind: EvAdvertise, GUID: "g1", Addr: addr("node01", 9)},
 	})
-	// Heartbeat history: enough beats for the phi detector to trust its
-	// statistics, so the snapshot's Health section carries live Welford
-	// state, not just zeroes.
+	// Health summaries with enough beats for the phi detector to trust
+	// their statistics, so the snapshot's Health section carries live
+	// Welford state, not just zeroes.
+	jittery := &HostHealth{}
 	for i := int64(0); i < 6; i++ {
-		applyAll(m, []Event{
-			{Kind: EvHeartbeat, Now: beatAt(i, 25), Host: "node00",
-				Runnable: 2 + i%2, Cores: 4, Backlog: 10 - i, Seq: i},
-			{Kind: EvHeartbeat, Now: beatAt(i, 40), Host: "node01",
-				Runnable: 7, Cores: 4, Backlog: 0, Seq: i},
-		})
+		jittery.Observe(beatAt(i*i, 5), 4)
 	}
+	applyAll(m, []Event{summary("node00", jittery), summary("node01", train(6, 40))})
 	return m
 }
 

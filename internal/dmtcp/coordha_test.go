@@ -2,6 +2,7 @@ package dmtcp
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -366,6 +367,107 @@ func TestTakeoverInheritsHealthRegistry(t *testing.T) {
 			if d >= p.FailureDetectDelay {
 				t.Errorf("%s: post-takeover deadline %v not adaptive (static %v)",
 					host, d, p.FailureDetectDelay)
+			}
+		}
+		// The promoted leader's live registry starts from those
+		// summaries.  After node03 has beaten it for a while, its
+		// deadline must still be adaptive: the time without a leader is
+		// not an inter-arrival, so it never widens the statistics.
+		inherited := st.Health["node03"].Count
+		task.Compute(300 * time.Millisecond)
+		h := e.sys.Coord.health["node03"]
+		if h == nil || h.Count < inherited+4 {
+			t.Errorf("node03 barely beat the promoted leader: %+v (inherited %d beats)", h, inherited)
+			return
+		}
+		if d := h.Deadline(p.PhiTimeoutFactor, p.PhiFloor, p.FailureDetectDelay); d >= p.FailureDetectDelay {
+			t.Errorf("node03: deadline %v after beating the promoted leader, not adaptive (static %v)",
+				d, p.FailureDetectDelay)
+		}
+	})
+}
+
+// sleeperProg is a managed process that only sleeps: its manager keeps
+// beating while the session does nothing else.
+type sleeperProg struct{}
+
+func (sleeperProg) Main(t *kernel.Task, _ []string) {
+	t.MapAnon("[heap]", 4*model.MB, model.ClassData)
+	for {
+		t.Idle(time.Second)
+	}
+}
+
+// TestJournalBoundedWhileIdle pins that nothing is journaled per unit
+// of time: once a round has shipped, every manager and the leader keep
+// beating, yet neither the leader's journal nor the standby's grows
+// however long the session idles.
+func TestJournalBoundedWhileIdle(t *testing.T) {
+	e := newEnv(t, 4, haConfig())
+	e.c.Register("sleeper", sleeperProg{})
+	e.drive(t, func(task *kernel.Task) {
+		for n := kernel.NodeID(1); n <= 3; n++ {
+			if _, err := e.sys.Launch(n, "sleeper"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		task.Compute(50 * time.Millisecond)
+		if _, err := e.sys.Checkpoint(task); err != nil {
+			t.Error(err)
+			return
+		}
+		e.sys.Replica.WaitIdle(task)
+		standby := e.sys.coords[1]
+		type journal struct{ seq, bytes, standbySeq, beats int64 }
+		var at []journal
+		start := task.Now()
+		for _, idle := range []time.Duration{10 * time.Second, 60 * time.Second} {
+			task.Idle(start.Add(idle).Sub(task.Now()))
+			co := e.sys.Coord
+			at = append(at, journal{co.Mach.Seq(), int64(len(co.Mach.JournalBytes())),
+				standby.Mach.Seq(), co.health["node03"].Count})
+		}
+		if e.sys.NumManaged() != 3 || at[1].beats <= at[0].beats {
+			t.Errorf("managers stopped beating while idle (managed %d, node03 beats %d → %d)",
+				e.sys.NumManaged(), at[0].beats, at[1].beats)
+		}
+		if at[0].seq != at[1].seq || at[0].bytes != at[1].bytes || at[0].standbySeq != at[1].standbySeq {
+			t.Errorf("journal grew while idle: leader seq %d → %d (%d → %d B), standby seq %d → %d",
+				at[0].seq, at[1].seq, at[0].bytes, at[1].bytes, at[0].standbySeq, at[1].standbySeq)
+		}
+	})
+}
+
+// TestSingleStandbyRoundsCommitPromptly: with one standby a release
+// needs its ack (quorum 2), so a shipper that backed off after a push
+// the standby fully acked — entries applied meanwhile — would hold the
+// release for its whole retry delay.  No round may spend more than
+// BarrierAckTimeout outside its five stages.  Stage jitter spreads the
+// arrivals so some land while a push is in flight.
+func TestSingleStandbyRoundsCommitPromptly(t *testing.T) {
+	e := newEnv(t, 4, haConfig())
+	e.c.Params.JitterPct = 0.06
+	slack := e.c.Params.BarrierAckTimeout
+	e.drive(t, func(task *kernel.Task) {
+		for n := kernel.NodeID(1); n <= 3; n++ {
+			if _, err := e.sys.Launch(n, "counter", "2000", fmt.Sprintf("/out/prompt%d", n)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for i := 0; i < 30; i++ {
+			task.Compute(50 * time.Millisecond)
+			r, err := e.sys.Checkpoint(task)
+			if err != nil {
+				t.Errorf("round %d: %v", i, err)
+				return
+			}
+			st := r.Stages
+			stages := st.Suspend + st.Elect + st.Drain + st.Write + st.Refill
+			if st.Total-stages > slack {
+				t.Errorf("round %d: total %v exceeds its stages %v by more than %v",
+					i, st.Total, stages, slack)
 			}
 		}
 	})

@@ -33,7 +33,7 @@ const (
 	msgQuery       = 'Q' // restart → coord: resolve guid (blocks until known)
 	msgGroup       = 'G' // restart → coord: generic group barrier join
 	msgQuit        = 'X' // command → coord: shut down
-	msgHeartbeat   = 'H' // manager → coord: node liveness/load beat
+	msgHeartbeat   = 'H' // manager → coord: node liveness beat (host, cores)
 	msgRestartRank = 'P' // restart → coord: per-rank stage progress
 )
 
@@ -109,6 +109,10 @@ type Coordinator struct {
 	shipW   *sim.WaitQueue
 	shipped map[string]int64
 
+	// health is the live registry every heartbeat folds into (what
+	// detectDelay reads); only journalHealth's summaries are journaled.
+	health map[string]*coordstate.HostHealth
+
 	// commitW wakes barrier-release commits waiting for the shipper to
 	// replicate the release to every live standby (bounded by
 	// Params.BarrierAckTimeout).
@@ -133,6 +137,7 @@ func newCoordinator(sys *System, node *kernel.Node, port int, standby bool) *Coo
 		groups:   make(map[string]*groupBarrier),
 		shipW:    sim.NewWaitQueue(sys.C.Eng, node.Hostname+".coordship"),
 		shipped:  make(map[string]int64),
+		health:   make(map[string]*coordstate.HostHealth),
 		commitW:  sim.NewWaitQueue(sys.C.Eng, node.Hostname+".coordcommit"),
 	}
 }
@@ -393,12 +398,12 @@ func (co *Coordinator) startInterval() {
 	})
 }
 
-// startHealthBeat launches the leader's own heartbeat: the active
-// coordinator journals a beat for its host every HeartbeatInterval, so
-// the registry covers the leader node even when no managed process
-// runs there — the standby election wait is derived from exactly these
-// inter-arrival statistics.  The beat is journaled through apply, so
-// it rides the normal shipping path to every standby.
+// startHealthBeat launches the leader's own heartbeat: every
+// HeartbeatInterval the active coordinator folds a beat for its host
+// into the live registry, so the registry covers the leader node even
+// when no managed process runs there.  The standby election wait is
+// derived from these inter-arrival statistics, which reach the
+// standbys in the summaries journalHealth writes.
 func (co *Coordinator) startHealthBeat() {
 	iv := co.Sys.C.Params.HeartbeatInterval
 	if iv <= 0 || co.proc == nil {
@@ -410,16 +415,38 @@ func (co *Coordinator) startHealthBeat() {
 			if co.Sys.Coord != co {
 				return
 			}
-			n := co.Node
-			var backlog int64
-			if co.Sys.Replica != nil {
-				backlog = int64(co.Sys.Replica.PendingOn(n))
-			}
-			co.apply(t, coordstate.Event{Kind: coordstate.EvHeartbeat, Now: t.Now(),
-				Host: n.Hostname, Runnable: int64(n.CPU().Runnable()),
-				Cores: int64(n.CPU().Cores()), Backlog: backlog, Seq: co.Mach.Seq()})
+			co.beat(co.Node.Hostname, t.Now(), int64(co.Node.CPU().Cores()))
 		}
 	})
+}
+
+// beat folds one heartbeat into the live health registry.
+func (co *Coordinator) beat(host string, at sim.Time, cores int64) {
+	h := co.health[host]
+	if h == nil {
+		h = &coordstate.HostHealth{}
+		co.health[host] = h
+	}
+	h.Observe(at, cores)
+}
+
+// journalHealth journals one EvHealth summary for each host whose live
+// entry moved since its last summary.  It runs just before each
+// checkpoint request, so that round's straggler hints know every
+// host's cores and standbys inherit statistics at most one round old.
+func (co *Coordinator) journalHealth(t *kernel.Task) {
+	hosts := make([]string, 0, len(co.health))
+	for host := range co.health {
+		hosts = append(hosts, host)
+	}
+	sort.Strings(hosts)
+	for _, host := range hosts {
+		h := co.health[host]
+		if old := co.st().Health[host]; old != nil && old.Count == h.Count && old.Cores == h.Cores {
+			continue
+		}
+		co.apply(t, coordstate.Event{Kind: coordstate.EvHealth, Now: t.Now(), Host: host, Health: *h})
+	}
 }
 
 // serve handles one client connection.
@@ -475,14 +502,9 @@ func (co *Coordinator) serve(t *kernel.Task, fd int) {
 			co.onGroupJoin(t, name, want, rank, fd)
 		case msgHeartbeat:
 			d := &bin.Decoder{B: body}
-			ev := coordstate.Event{Kind: coordstate.EvHeartbeat, Now: t.Now()}
-			ev.Host = d.Str()
-			ev.Runnable = d.I64()
-			ev.Cores = d.I64()
-			ev.Backlog = d.I64()
-			ev.Seq = d.I64()
+			host, cores := d.Str(), d.I64()
 			if d.Err == nil {
-				co.apply(t, ev)
+				co.beat(host, t.Now(), cores)
 			}
 		case msgRestartRank:
 			d := &bin.Decoder{B: body}
@@ -660,6 +682,7 @@ func (co *Coordinator) requestCheckpoint(t *kernel.Task) {
 	// committing) are collected now, before the new round's writes
 	// begin.
 	co.retryDeferredGC(t)
+	co.journalHealth(t)
 	cfg := co.Sys.Cfg
 	co.apply(t, coordstate.Event{Kind: coordstate.EvCkptRequest, Now: t.Now(),
 		Cfg: coordstate.RoundCfg{Compress: cfg.Compress, Fsync: cfg.Fsync, Forked: cfg.Forked, Store: cfg.Store}})
@@ -907,23 +930,32 @@ func descHost(desc string) string {
 // shipLoop is the leader's journal replicator: after every state
 // change (batched by JournalShipDelay) it pushes the journal suffix
 // each live standby lacks through that standby's replica daemon — the
-// same want/missing discipline chunk replication uses.  On a standby
-// instance the loop idles until promotion.
+// same want/missing discipline chunk replication uses.  Only a failed
+// or short-acked push backs off; entries applied during a push ship at
+// once.  Idle, it still contacts every live standby once per
+// HeartbeatInterval (the want/ack handshake alone): the pushes are the
+// leader's heartbeat.  On a standby the loop idles until promotion.
 func (co *Coordinator) shipLoop(t *kernel.Task) {
 	p := co.Sys.C.Params
 	// Unified retry policy: flat delay (the loop doubles as the leader
 	// heartbeat), jittered so leaders that lost standbys simultaneously
 	// don't re-push in lockstep.
 	bo := retry.JournalShip(p).Backoff(co.Sys.C.Eng.Rand())
+	// contacted is when the last pass reached every live standby.
+	var contacted sim.Time
 	for {
 		if co.Standby {
 			co.shipW.Wait(t.T)
 			continue
 		}
-		peers := co.Sys.coordPeers(co)
-		behind := false
-		for _, peer := range peers {
-			if co.shipped[peer.Hostname] >= co.Mach.Seq() {
+		all := p.HeartbeatInterval > 0 && t.Now().Sub(contacted) >= p.HeartbeatInterval
+		if all {
+			contacted = t.Now()
+		}
+		failed := false
+		for _, peer := range co.Sys.coordPeers(co) {
+			want := co.Mach.Seq()
+			if !all && co.shipped[peer.Hostname] >= want {
 				continue
 			}
 			shipStart := t.Now()
@@ -939,40 +971,32 @@ func (co *Coordinator) shipLoop(t *kernel.Task) {
 					co.stepDown(t)
 					break
 				}
-				behind = true
+				failed = true
 				continue
 			}
 			co.shipped[peer.Hostname] = seq
 			co.commitW.WakeAll()
-			if seq < co.Mach.Seq() {
-				behind = true
+			if seq < want {
+				failed = true
 			}
 		}
-		if behind {
+		if failed {
 			// A standby daemon is unreachable (booting, or its node
-			// died and liveness has not been re-read): back off and
-			// retry rather than spinning.
+			// died and liveness has not been re-read) or refused part
+			// of the batch: back off and retry rather than spinning.
 			co.shipW.WaitTimeout(t.T, bo.Next())
 			continue
 		}
-		caughtUp := true
-		for _, peer := range peers {
-			if co.shipped[peer.Hostname] < co.Mach.Seq() {
-				caughtUp = false
-			}
+		if co.journalLag() > 0 {
+			continue // entries applied during the pushes ship now
 		}
-		if caughtUp {
-			// Journal pushes double as leader liveness beats: even a
-			// fully caught-up shipper re-runs a heartbeat interval later
-			// so standbys keep hearing from the leader.
-			if p.HeartbeatInterval > 0 {
-				co.shipW.WaitTimeout(t.T, p.HeartbeatInterval)
-			} else {
-				co.shipW.Wait(t.T)
-			}
-			// Batch window: let a barrier storm coalesce into one push.
-			t.Idle(p.JournalShipDelay)
+		if p.HeartbeatInterval > 0 {
+			co.shipW.WaitTimeout(t.T, max(contacted.Add(p.HeartbeatInterval).Sub(t.Now()), 0))
+		} else {
+			co.shipW.Wait(t.T)
 		}
+		// Batch window: let a barrier storm coalesce into one push.
+		t.Idle(p.JournalShipDelay)
 	}
 }
 
@@ -1169,6 +1193,13 @@ func (s *System) promote(t *kernel.Task, co *Coordinator) {
 		co.apply(t, ev)
 	}
 	s.pendingEv = nil
+	// The live registry starts from the journaled summaries, whose
+	// clocks are unarmed: the time without a leader is no interval.
+	co.health = make(map[string]*coordstate.HostHealth, len(co.st().Health))
+	for host, h := range co.st().Health {
+		seeded := *h
+		co.health[host] = &seeded
+	}
 	co.startInterval()
 	co.startHealthBeat()
 	co.writeJournalFile(t)
@@ -1212,11 +1243,11 @@ func (s *System) promote(t *kernel.Task, co *Coordinator) {
 // only delays takeover by one more timeout instead of losing it.
 //
 // The detection component is adaptive: each standby derives the dead
-// leader's silence threshold from its own replayed health registry
-// (phi-accrual over heartbeat inter-arrivals), so a quiet, regular
-// network converges well below the static FailureDetectDelay while a
-// jittery one degrades gracefully back to it — the clamp guarantees
-// detection is never slower than the static path.
+// leader's silence threshold from the leader's journaled health
+// summary (phi-accrual over heartbeat inter-arrivals), so a quiet,
+// regular network converges well below the static FailureDetectDelay
+// while a jittery one degrades gracefully back to it — the clamp
+// guarantees detection is never slower than the static path.
 func (s *System) onCoordNodeDown(n *kernel.Node) {
 	if s.Coord == nil || s.Coord.Node != n {
 		return

@@ -134,13 +134,12 @@ func (m *Manager) Start(t *kernel.Task) {
 	m.startHeartbeat()
 }
 
-// startHeartbeat launches the health-telemetry beat: every
-// HeartbeatInterval the manager piggybacks a compact frame on its
-// coordinator connection carrying the node's load (runnable vs cores),
-// the local replica daemon's replication backlog, and — when this node
-// hosts a standby coordinator — the journal seq it has applied.  The
-// coordinator journals each beat, so the health registry (and the
-// adaptive failure detector derived from it) survives takeover.
+// startHeartbeat launches the liveness beat: every HeartbeatInterval
+// the manager sends a compact frame (its host and core count) on its
+// coordinator connection.  The leader folds each beat into its live
+// health registry and journals only a per-host summary before each
+// checkpoint request, so the adaptive failure detector derived from it
+// survives takeover without the journal growing with time.
 func (m *Manager) startHeartbeat() {
 	iv := m.sys.C.Params.HeartbeatInterval
 	if iv <= 0 || m.hbProc == m.p {
@@ -184,18 +183,10 @@ func (m *Manager) startHeartbeat() {
 				// does not expire this (perfectly alive) client.
 			}
 			n := m.p.Node
-			var backlog, seq int64
-			if m.sys.Replica != nil {
-				backlog = int64(m.sys.Replica.PendingOn(n))
-				seq = m.sys.Replica.SinkSeq(n)
-			}
 			var e bin.Encoder
 			e.B = append(e.B, msgHeartbeat)
 			e.Str(n.Hostname)
-			e.I64(int64(n.CPU().Runnable()))
 			e.I64(int64(n.CPU().Cores()))
-			e.I64(backlog)
-			e.I64(seq)
 			// Send errors are left to the manager loop's reconnect
 			// logic; a missed beat is exactly what the detector expects
 			// from a failing node.

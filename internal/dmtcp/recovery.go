@@ -124,22 +124,20 @@ func (s *System) Recover(t *kernel.Task) (*Recovery, error) {
 
 // detectDelay is the node-death detection wait Recover pays before
 // trusting liveness: the maximum adaptive heartbeat deadline over the
-// currently down nodes, read from the live coordinator's health
-// registry, clamped to [PhiFloor, FailureDetectDelay].  Nodes the
-// registry never heard from — and a down coordinator — fall back to
-// the static delay.
+// currently down nodes, read from the leader's live health registry,
+// clamped to [PhiFloor, FailureDetectDelay].  Nodes the registry never
+// heard from — and a down coordinator — fall back to the static delay.
 func (s *System) detectDelay() time.Duration {
 	p := s.C.Params
 	if s.Coord == nil || s.Coord.Node.Down {
 		return p.FailureDetectDelay
 	}
-	st := s.Coord.st()
 	var wait time.Duration
 	for _, n := range s.C.Nodes() {
 		if !n.Down {
 			continue
 		}
-		if d := st.HostDeadline(n.Hostname, p.PhiTimeoutFactor, p.PhiFloor, p.FailureDetectDelay); d > wait {
+		if d := s.Coord.health[n.Hostname].Deadline(p.PhiTimeoutFactor, p.PhiFloor, p.FailureDetectDelay); d > wait {
 			wait = d
 		}
 	}

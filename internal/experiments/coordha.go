@@ -24,10 +24,10 @@ import (
 // standby's replayed dedup/placement state is complete.
 //
 // The adaptive column pair compares the health plane's phi-accrual
-// failure detector against the static FailureDetectDelay: the leader's
-// journaled heartbeats give every standby the inter-arrival stats to
-// derive a tighter detection deadline on a quiet network, so takeover
-// is strictly faster; the loaded column counts false-positive
+// failure detector against the static FailureDetectDelay: the health
+// summaries the leader journals before each checkpoint request give
+// every standby the inter-arrival stats to derive a tighter detection
+// deadline on a quiet network, so takeover is strictly faster; the loaded column counts false-positive
 // takeovers under heavy background load and replication traffic (the
 // detector only widens under load, and promotion keys off real node
 // death, so the count must be zero).
@@ -51,7 +51,7 @@ func RunCoordFailover(o Opts) *Table {
 		Notes: []string{
 			"journal KB = coordinator state-machine records shipped to standbys (control plane only,",
 			"  independent of image size); takeover = node kill -> promoted standby answering, under",
-			"  the adaptive (phi-accrual) detector seeded from journaled heartbeat stats; static",
+			"  the adaptive (phi-accrual) detector seeded from journaled health summaries; static",
 			"  takeover = the same kill with the health plane off (HeartbeatInterval=0), paying the",
 			"  full FailureDetectDelay; false+ = takeovers that fired with the leader alive under",
 			"  heavy load (must be 0/N: the detector widens under load, never fires early);",

@@ -249,10 +249,10 @@ type Params struct {
 	// ---- Health telemetry plane ----
 
 	// HeartbeatInterval is the period on which every checkpoint manager
-	// piggybacks a compact health frame (queue depths, core
-	// utilization, replication backlog, last journal seq) to the
-	// coordinator, and on which the leader's journal shipper pushes
-	// even when caught up (so journal traffic doubles as a leader
+	// sends a compact liveness frame (its host and core count) to the
+	// coordinator, on which the leader beats for its own host, and on
+	// which the leader's journal shipper contacts every standby even
+	// with nothing to ship (so journal traffic doubles as a leader
 	// heartbeat for standbys).  0 disables the telemetry plane.
 	HeartbeatInterval time.Duration
 	// PhiTimeoutFactor scales the adaptive failure-detector deadline:

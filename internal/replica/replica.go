@@ -230,35 +230,17 @@ func (sv *Service) StartAll() error {
 // it opens until its fan-out resolves.
 func (sv *Service) Pending() int {
 	n := 0
-	for node := range sv.streams {
-		if !node.Down {
-			n += sv.PendingOn(node)
+	for node, streams := range sv.streams {
+		if node.Down {
+			continue
+		}
+		for _, s := range streams {
+			if !s.aborted {
+				n++
+			}
 		}
 	}
 	return n
-}
-
-// PendingOn returns the replication backlog attributable to node n
-// alone: its open streams.  Heartbeats report it as per-node load
-// telemetry.
-func (sv *Service) PendingOn(n *kernel.Node) int {
-	c := 0
-	for _, s := range sv.streams[n] {
-		if !s.aborted {
-			c++
-		}
-	}
-	return c
-}
-
-// SinkSeq returns the last journal seq the standby coordinator sink on
-// node n has applied (0 when n hosts no sink) — the replication-lag
-// figure heartbeats carry.
-func (sv *Service) SinkSeq(n *kernel.Node) int64 {
-	if m := sv.sinks[n]; m != nil {
-		return m.Seq()
-	}
-	return 0
 }
 
 // WaitIdle blocks the calling task until every live node's streams
@@ -280,9 +262,10 @@ func (sv *Service) ClearJournalSink(n *kernel.Node) { delete(sv.sinks, n) }
 
 // JournalSeen returns the virtual time n's sink last accepted a
 // journal op from a leader (ok=false before the first one).  Standby
-// watchdogs compare it against the leader's heartbeat cadence: a
-// live leader's shipper re-pushes at least every heartbeat interval,
-// so prolonged silence means the leader is dead or unreachable.
+// watchdogs compare it against the leader's heartbeat cadence: a live
+// leader's shipper contacts every standby at least once per heartbeat
+// interval, with a want/ack handshake when it has nothing to ship, so
+// prolonged silence means the leader is dead or unreachable.
 func (sv *Service) JournalSeen(n *kernel.Node) (sim.Time, bool) {
 	ts, ok := sv.sinkSeen[n]
 	return ts, ok
