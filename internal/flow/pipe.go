@@ -42,8 +42,9 @@ type Pipe struct {
 	jobs   []*job
 	lastAt sim.Time
 
-	gen     uint64 // invalidates scheduled rate-change events
+	next    *sim.Timer // the one pending rate-change event
 	syncers *sim.WaitQueue
+	wname   string // name of each write's completion wait queue
 
 	// Stats
 	totalBytes float64
@@ -61,14 +62,17 @@ func NewPipe(e *sim.Engine, name string, fastBW, slowBW, bufCap float64) *Pipe {
 	if slowBW <= 0 {
 		panic(fmt.Sprintf("flow: %s: non-positive slowBW", name))
 	}
-	return &Pipe{
+	p := &Pipe{
 		eng:     e,
 		name:    name,
 		fastBW:  fastBW,
 		slowBW:  slowBW,
 		bufCap:  bufCap,
 		syncers: sim.NewWaitQueue(e, name+".sync"),
+		wname:   name + ".write",
 	}
+	p.next = e.NewTimer(p.step)
+	return p
 }
 
 // Name returns the pipe's diagnostic name.
@@ -98,8 +102,8 @@ func (p *Pipe) rate() float64 {
 }
 
 // advance integrates state from lastAt to now.  Callers must have
-// arranged (via scheduled events) that no rate change occurs strictly
-// inside the interval.
+// arranged (via the rate-change timer) that no rate change occurs
+// strictly inside the interval.
 func (p *Pipe) advance() {
 	now := p.eng.Now()
 	dt := now.Sub(p.lastAt).Seconds()
@@ -125,10 +129,8 @@ func (p *Pipe) advance() {
 }
 
 // reschedule computes the next instant at which rates or job states
-// change and arms a single event for it.
+// change and moves the rate-change timer to it.
 func (p *Pipe) reschedule() {
-	p.gen++
-	gen := p.gen
 	next := math.Inf(1) // seconds until next state change
 
 	r := p.rate()
@@ -158,6 +160,7 @@ func (p *Pipe) reschedule() {
 		}
 	}
 	if math.IsInf(next, 1) {
+		p.next.Stop()
 		return
 	}
 	// Round up to a whole nanosecond: truncation would schedule the
@@ -167,12 +170,7 @@ func (p *Pipe) reschedule() {
 	if d <= 0 {
 		d = 1
 	}
-	p.eng.Schedule(d, func() {
-		if p.gen != gen {
-			return
-		}
-		p.step()
-	})
+	p.next.Reset(d)
 }
 
 // step advances state, completes any finished jobs, wakes syncers if
@@ -205,7 +203,7 @@ func (p *Pipe) Write(t *sim.Thread, n int64) {
 	p.advance()
 	j := &job{
 		remaining: float64(n),
-		done:      sim.NewWaitQueue(p.eng, p.name+".write"),
+		done:      sim.NewWaitQueue(p.eng, p.wname),
 	}
 	p.jobs = append(p.jobs, j)
 	p.totalBytes += float64(n)

@@ -232,3 +232,29 @@ func TestManyWritersAggregateThroughput(t *testing.T) {
 		t.Fatalf("total bytes = %d", p.TotalBytes())
 	}
 }
+
+// TestPipeOneRateEvent pins that a pipe owns a single rate-change event
+// and moves it in place: 8 writers joining 10 ms apart re-rate the
+// pipe at every arrival, yet once all are in flight the event queue
+// holds nothing but that one event, and the run fires only live
+// events.  Queueing a fresh rate-change event per re-rate instead
+// leaves 8 events queued here and fires 34, 7 of them no-ops.
+func TestPipeOneRateEvent(t *testing.T) {
+	e := sim.NewEngine(1)
+	p := NewPipe(e, "d", 1000, 100, 500) // buffered: absorb, then throttle
+	const n = 8
+	for i := 0; i < n; i++ {
+		e.GoAfter(time.Duration(i)*10*time.Millisecond, "w", func(th *sim.Thread) { p.Write(th, 200) })
+	}
+	var pending int
+	e.Schedule(n*10*time.Millisecond, func() { pending = e.Pending() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pending != 1 {
+		t.Errorf("%d events queued with 8 writes in flight, want the pipe's one", pending)
+	}
+	if got := e.EventsFired(); got != 27 {
+		t.Errorf("fired %d events, want 27", got)
+	}
+}

@@ -40,7 +40,8 @@ type CPUSched struct {
 
 	jobs   []*cpuJob
 	lastAt sim.Time
-	gen    uint64 // invalidates scheduled completion events
+	next   *sim.Timer // the one pending completion event
+	qname  string     // name of each job's completion wait queue
 }
 
 type cpuJob struct {
@@ -51,7 +52,9 @@ type cpuJob struct {
 }
 
 func newCPUSched(n *Node, cores int) *CPUSched {
-	return &CPUSched{node: n, cores: cores, speed: 1}
+	cs := &CPUSched{node: n, cores: cores, speed: 1, qname: n.Hostname + ".cpu"}
+	cs.next = n.Cluster.Eng.NewTimer(cs.step)
+	return cs
 }
 
 // Speed returns the node's current core-rate factor (1 is nominal).
@@ -118,8 +121,9 @@ func (cs *CPUSched) rate() float64 {
 }
 
 // advance integrates job progress from lastAt to now.  Callers must
-// have arranged (via gen-guarded events) that no rate change occurred
-// strictly inside the interval.
+// have arranged that no rate change occurred strictly inside the
+// interval: every change of the runnable set calls advance first and
+// then reschedule, which moves the completion timer.
 func (cs *CPUSched) advance() {
 	now := cs.node.Cluster.Eng.Now()
 	dt := now.Sub(cs.lastAt).Seconds()
@@ -138,13 +142,12 @@ func (cs *CPUSched) advance() {
 	}
 }
 
-// reschedule arms a single completion event for the next job to finish
-// at the current rate.
+// reschedule moves the completion timer to the instant the next job
+// finishes at the current rate, or stops it when no job is runnable.
 func (cs *CPUSched) reschedule() {
-	cs.gen++
-	gen := cs.gen
 	r := cs.rate()
 	if r == 0 {
+		cs.next.Stop()
 		return
 	}
 	minRem := math.Inf(1)
@@ -154,6 +157,7 @@ func (cs *CPUSched) reschedule() {
 		}
 	}
 	if math.IsInf(minRem, 1) {
+		cs.next.Stop()
 		return
 	}
 	var d time.Duration
@@ -163,12 +167,7 @@ func (cs *CPUSched) reschedule() {
 			d = 1
 		}
 	}
-	cs.node.Cluster.Eng.Schedule(d, func() {
-		if cs.gen != gen {
-			return
-		}
-		cs.step()
-	})
+	cs.next.Reset(d)
 }
 
 // step advances progress, completes finished jobs, and re-arms.
@@ -216,7 +215,7 @@ func (cs *CPUSched) Run(th *sim.Thread, d time.Duration) {
 	cs.advance()
 	j := &cpuJob{
 		remaining: d.Seconds(),
-		done:      sim.NewWaitQueue(cs.node.Cluster.Eng, cs.node.Hostname+".cpu"),
+		done:      sim.NewWaitQueue(cs.node.Cluster.Eng, cs.qname),
 	}
 	cs.jobs = append(cs.jobs, j)
 	th.SetSuspendHook(func(suspended bool) {

@@ -222,3 +222,40 @@ func TestCPUKilledTaskReleasesCore(t *testing.T) {
 		}
 	})
 }
+
+// TestCPUOneCompletionEvent pins that the core scheduler owns a single
+// completion event and moves it in place: 8 Task.Compute charges
+// arriving 1 ms apart on a 4-core node re-rate the node at every
+// arrival, yet once all are in flight the event queue holds nothing
+// but that one event, and the run fires only live events.  Queueing a
+// fresh completion event per re-rate instead leaves 8 events queued
+// here and fires 49, 7 of them no-ops.
+func TestCPUOneCompletionEvent(t *testing.T) {
+	te := newEnv(t, 1)
+	const n = 8
+	var pending int
+	te.run(t, func(task *Task) {
+		done := 0
+		join := sim.NewWaitQueue(te.eng, "cpu-test-join")
+		for i := 0; i < n; i++ {
+			i := i
+			task.P.SpawnTask("burn", false, func(bt *Task) {
+				bt.Idle(time.Duration(i) * time.Millisecond)
+				bt.Compute(10 * time.Millisecond)
+				done++
+				join.WakeAll()
+			})
+		}
+		// Sample while every charge is in flight and main is parked.
+		te.eng.Schedule(n*time.Millisecond, func() { pending = te.eng.Pending() })
+		for done < n {
+			join.Wait(task.T)
+		}
+	})
+	if pending != 1 {
+		t.Errorf("%d events queued with 8 charges in flight, want the scheduler's one", pending)
+	}
+	if got := te.eng.EventsFired(); got != 42 {
+		t.Errorf("fired %d events, want 42", got)
+	}
+}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -21,13 +20,7 @@ type Engine struct {
 	now    Time
 	events eventHeap
 	seq    uint64
-
-	// waiter is the channel the currently running thread must signal
-	// when it yields control (parks or exits).  Each control handoff
-	// (startThread/transfer) installs its own channel here, so nested
-	// handoffs — e.g. thread A killing thread B — each wait on their
-	// own frame and cannot steal one another's yield token.
-	waiter chan struct{}
+	free   []*event // fired one-shot events, reused by Schedule
 
 	running *Thread              // thread currently executing, if any
 	threads map[*Thread]struct{} // all live (non-dead) threads
@@ -39,9 +32,11 @@ type Engine struct {
 
 	fired uint64 // total events fired, for stats and runaway detection
 
-	// MaxEvents, when non-zero, aborts Run with an error after that
-	// many events have fired.  It is a backstop against accidental
-	// infinite event loops in workload code.
+	// MaxEvents, when non-zero, aborts Run or RunFor with an error
+	// after that many events have fired.  It is a backstop against
+	// accidental infinite event loops in workload code.  Only live
+	// events count: a re-armed Timer or wake never leaves a superseded
+	// event behind to fire.
 	MaxEvents uint64
 }
 
@@ -61,18 +56,32 @@ func (e *Engine) Now() Time { return e.now }
 // be used from engine or thread context, like all other engine state.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// EventsFired reports how many events have fired so far.
+// EventsFired reports how many events have fired so far.  Every event
+// counted did work: superseded deadlines are withdrawn, not fired.
 func (e *Engine) EventsFired() uint64 { return e.fired }
+
+// Pending reports how many events are queued.
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Schedule arranges for fn to run in engine context after virtual
 // delay d.  A negative delay panics; a zero delay runs fn after all
-// currently pending events at the present instant.
+// currently pending events at the present instant.  Schedule is for
+// one-shot work; an owner that keeps moving one deadline (a resource
+// scheduler's next completion) holds a Timer instead.
 func (e *Engine) Schedule(d time.Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Schedule with negative delay %v", d))
 	}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{pooled: true}
+	}
 	e.seq++
-	heap.Push(&e.events, &event{at: e.now.Add(d), seq: e.seq, fn: fn})
+	ev.at, ev.seq, ev.fn = e.now.Add(d), e.seq, fn
+	e.events.push(ev)
 }
 
 // Go creates a virtual thread named name that will begin executing fn
@@ -89,8 +98,10 @@ func (e *Engine) GoAfter(d time.Duration, name string, fn func(*Thread)) *Thread
 		id:    e.nextTID,
 		name:  name,
 		wake:  make(chan struct{}),
+		yield: make(chan struct{}),
 		state: stateReady,
 	}
+	t.slot.init(e, t.fireSlot)
 	t.exited = NewWaitQueue(e, name+".exited")
 	e.threads[t] = struct{}{}
 	e.Schedule(d, func() { e.startThread(t, fn) })
@@ -105,9 +116,6 @@ func (e *Engine) startThread(t *Thread, fn func(*Thread)) {
 	}
 	t.started = true
 	prev := e.running
-	prevW := e.waiter
-	frame := make(chan struct{})
-	e.waiter = frame
 	t.state = stateRunning
 	e.running = t // set before the goroutine starts: `go` is the happens-before edge
 	go func() {
@@ -118,30 +126,48 @@ func (e *Engine) startThread(t *Thread, fn func(*Thread)) {
 				}
 			}
 			t.markDead()
-			e.waiter <- struct{}{}
+			t.yield <- struct{}{}
 		}()
 		fn(t)
 	}()
-	<-frame
-	e.waiter = prevW
+	<-t.yield
 	e.running = prev
 }
 
 // transfer hands control to t, which must be blocked in park, and
-// waits until it parks again or exits.  transfer may be called from
-// engine context or from another thread's context (e.g. Kill); the
-// previously running thread and wait frame are restored afterwards.
+// waits on t's own yield channel until it parks again or exits.
+// transfer may be called from engine context or from another thread's
+// context (Kill): each handoff waits on the thread it woke, so a
+// nested handoff cannot take another's yield token.  The previously
+// running thread is restored afterwards.
 func (e *Engine) transfer(t *Thread) {
 	prev := e.running
-	prevW := e.waiter
-	frame := make(chan struct{})
-	e.waiter = frame
 	t.state = stateRunning
 	e.running = t
 	t.wake <- struct{}{}
-	<-frame
-	e.waiter = prevW
+	<-t.yield
 	e.running = prev
+}
+
+// fire pops the earliest event and runs it: the one path Run and
+// RunFor share, with the MaxEvents backstop and the clock check.
+func (e *Engine) fire() error {
+	if e.MaxEvents != 0 && e.fired >= e.MaxEvents {
+		return fmt.Errorf("sim: aborted after %d events (MaxEvents)", e.fired)
+	}
+	ev := e.events.remove(0)
+	if ev.at < e.now {
+		panic("sim: event scheduled in the past")
+	}
+	e.now = ev.at
+	e.fired++
+	fn := ev.fn
+	if ev.pooled {
+		ev.fn = nil
+		e.free = append(e.free, ev)
+	}
+	fn()
+	return nil
 }
 
 // Run fires events until none remain, Stop is called, or a thread
@@ -150,16 +176,9 @@ func (e *Engine) transfer(t *Thread) {
 // (a deadlock in the simulated system).
 func (e *Engine) Run() error {
 	for !e.stopped && e.fatal == nil && len(e.events) > 0 {
-		if e.MaxEvents != 0 && e.fired >= e.MaxEvents {
-			return fmt.Errorf("sim: aborted after %d events (MaxEvents)", e.fired)
+		if err := e.fire(); err != nil {
+			return err
 		}
-		ev := heap.Pop(&e.events).(*event)
-		if ev.at < e.now {
-			panic("sim: event scheduled in the past")
-		}
-		e.now = ev.at
-		e.fired++
-		ev.fn()
 	}
 	if e.fatal != nil {
 		return e.fatal
@@ -179,10 +198,9 @@ func (e *Engine) Run() error {
 func (e *Engine) RunFor(d time.Duration) error {
 	deadline := e.now.Add(d)
 	for !e.stopped && e.fatal == nil && len(e.events) > 0 && e.events[0].at <= deadline {
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.at
-		e.fired++
-		ev.fn()
+		if err := e.fire(); err != nil {
+			return err
+		}
 	}
 	if e.fatal == nil && e.now < deadline {
 		e.now = deadline
@@ -246,7 +264,7 @@ func (e *Engine) threadSummaries() []string {
 // DeadlockError reports that the simulation ran out of events while
 // threads were still alive and blocked.
 type DeadlockError struct {
-	At      Time
+	At      Time // time of the last event fired, which was a live one
 	Threads []string
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -410,13 +411,145 @@ func TestRunFor(t *testing.T) {
 }
 
 func TestMaxEvents(t *testing.T) {
+	for name, run := range map[string]func(*Engine) error{
+		"Run":    (*Engine).Run,
+		"RunFor": func(e *Engine) error { return e.RunFor(time.Second) },
+	} {
+		e := NewEngine(1)
+		e.MaxEvents = 100
+		var loop func()
+		loop = func() { e.Schedule(0, loop) }
+		e.Schedule(0, loop)
+		if err := run(e); err == nil {
+			t.Errorf("%s: expected MaxEvents error", name)
+		}
+		if e.EventsFired() != 100 {
+			t.Errorf("%s: fired %d events, want the 100 allowed", name, e.EventsFired())
+		}
+	}
+}
+
+// TestTimerRearm pins the Timer contract: Reset moves the one pending
+// event (the queue never holds two), Stop withdraws it and reports
+// whether it was armed, and a callback may re-arm its own timer.
+func TestTimerRearm(t *testing.T) {
 	e := NewEngine(1)
-	e.MaxEvents = 100
-	var loop func()
-	loop = func() { e.Schedule(0, loop) }
-	e.Schedule(0, loop)
-	if err := e.Run(); err == nil {
-		t.Fatal("expected MaxEvents error")
+	var fired []Time
+	var tm *Timer
+	tm = e.NewTimer(func() {
+		fired = append(fired, e.Now())
+		if len(fired) < 3 {
+			tm.Reset(time.Millisecond)
+		}
+	})
+	for d := 10; d > 0; d-- {
+		tm.Reset(time.Duration(d) * time.Millisecond)
+		if e.Pending() != 1 {
+			t.Fatalf("Pending = %d after re-arming, want 1", e.Pending())
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(fired) != "[T+1ms T+2ms T+3ms]" || e.EventsFired() != 3 {
+		t.Fatalf("fired at %v (%d events), want 1, 2, 3 ms", fired, e.EventsFired())
+	}
+	if tm.Stop() {
+		t.Fatal("Stop on a fired timer reported a pending event")
+	}
+	tm.Reset(time.Second)
+	if !tm.Stop() || e.Pending() != 0 {
+		t.Fatal("Stop did not withdraw the armed event")
+	}
+}
+
+// TestHandoffAllocs pins that handing control to a thread and back
+// allocates nothing, whether the thread sleeps or is woken through a
+// wait queue: each thread owns its wake slot and channels, and a
+// refilled queue reuses its backing array.  Each fired event is one
+// handoff.
+func TestHandoffAllocs(t *testing.T) {
+	for name, setup := range map[string]func(*Engine){
+		"Sleep": func(e *Engine) {
+			for _, n := range []string{"a", "b"} {
+				e.Go(n, func(th *Thread) {
+					for {
+						th.Sleep(time.Microsecond)
+					}
+				})
+			}
+		},
+		"WaitQueue": func(e *Engine) {
+			qa, qb := NewWaitQueue(e, "qa"), NewWaitQueue(e, "qb")
+			e.Go("a", func(th *Thread) {
+				for {
+					qb.Wake(1)
+					qa.Wait(th)
+				}
+			})
+			e.Go("b", func(th *Thread) {
+				for {
+					qa.Wake(1)
+					qb.Wait(th)
+				}
+			})
+		},
+	} {
+		e := NewEngine(1)
+		setup(e)
+		handoff := func() {
+			if err := e.fire(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			handoff() // start both threads
+		}
+		if n := testing.AllocsPerRun(1000, handoff); n != 0 {
+			t.Errorf("%s ping-pong: %v allocations per handoff, want 0", name, n)
+		}
+		e.Shutdown()
+	}
+}
+
+// TestShutdownLeavesNoGoroutines pins that every virtual thread's
+// goroutine exits by Shutdown, whatever it was doing: sleeping,
+// suspended mid-sleep, waiting on a queue, never started, or killed by
+// another running thread (a nested handoff inside that thread's turn).
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	q := NewWaitQueue(e, "q")
+	e.Go("sleeper", func(th *Thread) { th.Sleep(time.Hour) })
+	frozen := e.Go("frozen", func(th *Thread) { th.Sleep(time.Hour) })
+	for i := 0; i < 3; i++ {
+		e.Go(fmt.Sprintf("waiter%d", i), func(th *Thread) { q.Wait(th) })
+	}
+	unstarted := e.GoAfter(time.Hour, "unstarted", func(th *Thread) {})
+	victim := e.Go("victim", func(th *Thread) { q.Wait(th) })
+	e.GoAfter(time.Millisecond, "killer", func(th *Thread) {
+		frozen.Suspend()
+		unstarted.Kill()
+		victim.Kill()
+		if !victim.Dead() {
+			t.Error("victim survived a kill from a running thread")
+		}
+		q.Wait(th)
+	})
+	e.Schedule(2*time.Millisecond, e.Stop)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.LiveThreads(); got != 6 {
+		t.Fatalf("live threads before Shutdown = %d, want 6", got)
+	}
+	e.Shutdown()
+	// A goroutine's last act is its yield; give it a moment to return.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Shutdown, baseline %d", n, base)
 	}
 }
 

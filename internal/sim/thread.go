@@ -73,14 +73,24 @@ var ErrInterrupted = errors.New("sim: interrupted")
 // WaitQueue waits naming this thread) must be called from the thread's
 // own body; control methods (Suspend, Resume, Interrupt, Kill) may be
 // called from any simulation context.
+//
+// A thread owns one wake slot: a Timer that is either its sleep or
+// WaitTimeout deadline or a pending wake (signal, interrupt, resumed
+// wake).  A newer wake moves the slot and a cancellation (Suspend of a
+// sleeper, Kill) withdraws it, so a thread has at most one pending
+// event besides its start event, and no superseded one ever fires.
 type Thread struct {
 	eng  *Engine
 	id   int64
 	name string
 
-	wake    chan struct{}
+	wake    chan struct{} // engine → thread: run
+	yield   chan struct{} // thread → whoever handed it control: parked or exited
 	state   threadState
 	started bool // goroutine has been launched
+
+	slot       Timer      // the thread's one wake event
+	slotReason WakeReason // reason the slot delivers when it fires
 
 	// suspended is orthogonal to state: a sleeping, waiting, or ready
 	// thread can be suspended in place.
@@ -95,12 +105,6 @@ type Thread struct {
 	// by Suspend; the sleep is re-armed for this long on Resume.
 	sleepRemainder time.Duration
 	sleepUntil     Time
-
-	// wakeGen invalidates outstanding wake and timer events: each
-	// scheduled wake captures the generation at schedule time and is
-	// ignored if the generation has moved on by the time it fires.
-	// At most one in-flight event carries the current generation.
-	wakeGen uint64
 
 	waitingOn  *WaitQueue
 	wakeReason WakeReason
@@ -152,10 +156,10 @@ func (t *Thread) assertCurrent(op string) {
 	}
 }
 
-// park yields control to the current wait frame (whoever handed this
-// thread control) and blocks until woken.
+// park yields control to whoever handed this thread control and
+// blocks until woken.
 func (t *Thread) park() {
-	t.eng.waiter <- struct{}{}
+	t.yield <- struct{}{}
 	<-t.wake
 	if t.killed {
 		panic(errThreadKilled)
@@ -181,33 +185,24 @@ func (t *Thread) Sleep(d time.Duration) {
 // current instant, letting other ready threads run.
 func (t *Thread) Yield() { t.Sleep(0) }
 
-func (t *Thread) bumpGen() uint64 {
-	t.wakeGen++
-	return t.wakeGen
-}
-
-// armTimer schedules a WakeTimeout after d, guarded by the wake
-// generation so that any newer wake supersedes it.
+// armTimer arms the wake slot to deliver WakeTimeout after d,
+// superseding any earlier wake.
 func (t *Thread) armTimer(d time.Duration) {
-	gen := t.bumpGen()
-	t.eng.Schedule(d, func() {
-		if t.wakeGen == gen {
-			t.deliverWake(WakeTimeout)
-		}
-	})
+	t.slotReason = WakeTimeout
+	t.slot.Reset(d)
 }
 
-// scheduleWake queues an engine event that will hand control to the
-// thread, superseding any pending timer or earlier wake.
+// scheduleWake moves the wake slot to the present instant, so that it
+// hands control to the thread after the events already pending now,
+// superseding any pending timer or earlier wake.
 func (t *Thread) scheduleWake(reason WakeReason) {
-	gen := t.bumpGen()
 	t.state = stateReady
-	t.eng.Schedule(0, func() {
-		if t.wakeGen == gen {
-			t.deliverWake(reason)
-		}
-	})
+	t.slotReason = reason
+	t.slot.Reset(0)
 }
+
+// fireSlot is the wake slot's callback.
+func (t *Thread) fireSlot() { t.deliverWake(t.slotReason) }
 
 // deliverWake runs in engine context and either transfers control to
 // the thread or, if it is suspended, records the wake for Resume.
@@ -252,7 +247,7 @@ func (t *Thread) Suspend() {
 			t.pendingWake = true
 			t.pendingReason = WakeTimeout
 		}
-		t.bumpGen() // cancel the armed timer
+		t.slot.Stop() // cancel the armed timer
 	}
 }
 
@@ -324,7 +319,7 @@ func (t *Thread) Kill() {
 	}
 	t.killed = true
 	t.suspended = false
-	t.bumpGen() // cancel in-flight wakes and timers
+	t.slot.Stop() // cancel any pending wake or timer
 	if t.waitingOn != nil {
 		t.waitingOn.remove(t)
 	}

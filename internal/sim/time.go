@@ -16,6 +16,15 @@
 // These semantics mirror signal-based thread suspension in a real
 // operating system and are relied upon by the checkpointing layers
 // built on top of this package.
+//
+// Every recurring deadline has one owner holding one pending event:
+// a Timer for a resource scheduler's next completion, a wake slot for
+// each thread.  Re-arming moves that event within the queue and
+// cancelling withdraws it, so superseded deadlines never fire.  Live
+// events keep the order they would have if each re-arm queued a fresh
+// event and stale ones were skipped.  EventsFired and MaxEvents
+// therefore count live events only, and DeadlockError.At is the time
+// of the last live event.
 package sim
 
 import (

@@ -57,15 +57,22 @@ func (q *WaitQueue) enqueue(t *Thread) {
 // suspended waiter consumes a wakeup and defers it until Resume; code
 // that must not lose wakeups should use WakeAll.
 func (q *WaitQueue) Wake(n int) int {
-	woken := 0
-	for woken < n && len(q.waiters) > 0 {
-		t := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	if n > len(q.waiters) {
+		n = len(q.waiters)
+	}
+	if n <= 0 {
+		return 0
+	}
+	for _, t := range q.waiters[:n] {
 		t.waitingOn = nil
 		t.scheduleWake(WakeSignal)
-		woken++
 	}
-	return woken
+	// Shift the remaining waiters down in place, so a queue that keeps
+	// refilling reuses its backing array.
+	m := copy(q.waiters, q.waiters[n:])
+	clear(q.waiters[m:])
+	q.waiters = q.waiters[:m]
+	return n
 }
 
 // WakeAll wakes every thread parked on the queue and returns how many
