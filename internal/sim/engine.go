@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -12,10 +12,20 @@ import (
 // Engine is a deterministic discrete-event simulation engine.
 //
 // The zero value is not usable; construct with NewEngine.  All methods
-// must be called either from the goroutine that calls Run (before Run
-// starts or from within an event callback) or from the currently
-// executing virtual thread; the engine guarantees that only one of
-// those contexts is active at a time.
+// must be called from the context that holds control: the goroutine
+// that calls Run or RunFor (before the call or between calls), an
+// event callback, or the currently executing virtual thread.  The
+// engine guarantees that only one of those contexts is active at a
+// time.
+//
+// Control passes directly between goroutines.  The goroutine that
+// gives it up (a thread parking or exiting, or the runner: the
+// goroutine inside Run or RunFor) fires the pending events itself
+// until one wakes or starts a thread, then hands control to that
+// thread's goroutine, or keeps it when the thread is its own.  When
+// the runner's call must end, control goes back to the runner.  A
+// panic in an event callback, on whichever goroutine fired it, is
+// raised again with the same value on the runner.
 type Engine struct {
 	now    Time
 	events eventHeap
@@ -23,8 +33,15 @@ type Engine struct {
 	free   []*event // fired one-shot events, reused by Schedule
 
 	running *Thread              // thread currently executing, if any
+	firing  *Thread              // parked thread whose goroutine fires the current event
+	next    *Thread              // thread the current event hands control to
 	threads map[*Thread]struct{} // all live (non-dead) threads
 	nextTID int64
+
+	limit    Time          // the runner's call fires no event after this
+	done     chan struct{} // wakes the runner when its call must end
+	abort    error         // MaxEvents error for the runner's call
+	panicked any           // event callback panic, raised again on the runner
 
 	rng     *rand.Rand
 	fatal   error
@@ -45,6 +62,7 @@ type Engine struct {
 func NewEngine(seed int64) *Engine {
 	return &Engine{
 		threads: make(map[*Thread]struct{}),
+		done:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
@@ -100,74 +118,112 @@ func (e *Engine) GoAfter(d time.Duration, name string, fn func(*Thread)) *Thread
 		wake:  make(chan struct{}),
 		yield: make(chan struct{}),
 		state: stateReady,
+		body:  fn,
 	}
 	t.slot.init(e, t.fireSlot)
 	t.exited = NewWaitQueue(e, name+".exited")
 	e.threads[t] = struct{}{}
-	e.Schedule(d, func() { e.startThread(t, fn) })
+	e.Schedule(d, func() { e.startThread(t) })
 	return t
 }
 
-// startThread launches the goroutine backing t and hands control to
-// it.  Engine context only.
-func (e *Engine) startThread(t *Thread, fn func(*Thread)) {
+// startThread is a thread's start event: control passes to t, whose
+// goroutine the handoff launches.
+func (e *Engine) startThread(t *Thread) {
 	if t.state == stateDead || t.killed {
 		return // killed before it ever ran
 	}
 	t.started = true
-	prev := e.running
-	t.state = stateRunning
-	e.running = t // set before the goroutine starts: `go` is the happens-before edge
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && r != errThreadKilled {
-				if e.fatal == nil {
-					e.fatal = fmt.Errorf("sim: thread %q panicked: %v\n%s", t.name, r, debug.Stack())
-				}
-			}
-			t.markDead()
-			t.yield <- struct{}{}
-		}()
-		fn(t)
+	e.next = t
+}
+
+// dispatch fires events on the calling goroutine until one hands
+// control to a thread, and returns that thread, or nil when control
+// must go back to the runner: Stop, a fatal error, MaxEvents, a
+// callback panic, no event left, or none due by the runner's limit.
+// self is the parked thread the goroutine belongs to, nil for the
+// runner or an exited thread; when an event kills self, dispatch
+// returns self as soon as that callback returns, so that it unwinds
+// before the next event.
+func (e *Engine) dispatch(self *Thread) (next *Thread) {
+	e.running, e.firing = nil, self
+	defer func() {
+		e.firing = nil
+		if r := recover(); r != nil {
+			e.panicked = r
+			next = nil
+		}
 	}()
-	<-t.yield
-	e.running = prev
+	for e.next == nil {
+		if e.stopped || e.fatal != nil || len(e.events) == 0 || e.events[0].at > e.limit {
+			return nil
+		}
+		if e.MaxEvents != 0 && e.fired >= e.MaxEvents {
+			e.abort = fmt.Errorf("sim: aborted after %d events (MaxEvents)", e.fired)
+			return nil
+		}
+		ev := e.events.remove(0)
+		if ev.at < e.now {
+			panic("sim: event scheduled in the past")
+		}
+		e.now = ev.at
+		e.fired++
+		fn := ev.fn
+		if ev.pooled {
+			ev.fn = nil
+			e.free = append(e.free, ev)
+		}
+		fn()
+		if self != nil && self.killed {
+			return self
+		}
+	}
+	next, e.next = e.next, nil
+	return next
 }
 
-// transfer hands control to t, which must be blocked in park, and
-// waits on t's own yield channel until it parks again or exits.
-// transfer may be called from engine context or from another thread's
-// context (Kill): each handoff waits on the thread it woke, so a
-// nested handoff cannot take another's yield token.  The previously
-// running thread is restored afterwards.
-func (e *Engine) transfer(t *Thread) {
-	prev := e.running
-	t.state = stateRunning
-	e.running = t
-	t.wake <- struct{}{}
-	<-t.yield
-	e.running = prev
+// handoff passes control from the calling goroutine, which belongs to
+// self (nil for the runner or an exited thread), to next, or to the
+// runner when next is nil.  It reports whether the caller must now
+// block on its own channel until control comes back; it need not when
+// control stays with self.
+func (e *Engine) handoff(self, next *Thread) (block bool) {
+	if next == nil {
+		e.done <- struct{}{}
+		return true
+	}
+	next.state = stateRunning
+	e.running = next
+	if next == self {
+		return false
+	}
+	if fn := next.body; fn != nil {
+		next.body = nil // the goroutine holds it from here
+		go next.main(fn)
+	} else {
+		next.wake <- struct{}{}
+	}
+	return true
 }
 
-// fire pops the earliest event and runs it: the one path Run and
-// RunFor share, with the MaxEvents backstop and the clock check.
-func (e *Engine) fire() error {
-	if e.MaxEvents != 0 && e.fired >= e.MaxEvents {
-		return fmt.Errorf("sim: aborted after %d events (MaxEvents)", e.fired)
+// runTo is the runner's side of Run and RunFor: it fires events until
+// none is due by limit, handing control to threads as events wake
+// them, and returns once control comes back.
+func (e *Engine) runTo(limit Time) error {
+	e.limit = limit
+	if next := e.dispatch(nil); next != nil {
+		e.handoff(nil, next)
+		<-e.done
 	}
-	ev := e.events.remove(0)
-	if ev.at < e.now {
-		panic("sim: event scheduled in the past")
+	if p := e.panicked; p != nil {
+		e.panicked = nil
+		panic(p)
 	}
-	e.now = ev.at
-	e.fired++
-	fn := ev.fn
-	if ev.pooled {
-		ev.fn = nil
-		e.free = append(e.free, ev)
+	if err := e.abort; err != nil {
+		e.abort = nil
+		return err
 	}
-	fn()
-	return nil
+	return e.fatal
 }
 
 // Run fires events until none remain, Stop is called, or a thread
@@ -175,13 +231,8 @@ func (e *Engine) fire() error {
 // exceeded, or if live threads remain blocked with no pending events
 // (a deadlock in the simulated system).
 func (e *Engine) Run() error {
-	for !e.stopped && e.fatal == nil && len(e.events) > 0 {
-		if err := e.fire(); err != nil {
-			return err
-		}
-	}
-	if e.fatal != nil {
-		return e.fatal
+	if err := e.runTo(math.MaxInt64); err != nil {
+		return err
 	}
 	if e.stopped {
 		return nil
@@ -197,15 +248,13 @@ func (e *Engine) Run() error {
 // unlike Run — does not treat remaining blocked threads as a deadlock.
 func (e *Engine) RunFor(d time.Duration) error {
 	deadline := e.now.Add(d)
-	for !e.stopped && e.fatal == nil && len(e.events) > 0 && e.events[0].at <= deadline {
-		if err := e.fire(); err != nil {
-			return err
-		}
+	if err := e.runTo(deadline); err != nil {
+		return err
 	}
-	if e.fatal == nil && e.now < deadline {
+	if e.now < deadline {
 		e.now = deadline
 	}
-	return e.fatal
+	return nil
 }
 
 // Stop makes Run return after the current event completes.

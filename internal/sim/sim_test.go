@@ -463,11 +463,11 @@ func TestTimerRearm(t *testing.T) {
 	}
 }
 
-// TestHandoffAllocs pins that handing control to a thread and back
-// allocates nothing, whether the thread sleeps or is woken through a
-// wait queue: each thread owns its wake slot and channels, and a
-// refilled queue reuses its backing array.  Each fired event is one
-// handoff.
+// TestHandoffAllocs pins that handing control between threads and the
+// runner allocates nothing, whether a thread sleeps or is woken through
+// a wait queue: each thread owns its wake slot and channels, and a
+// refilled queue reuses its backing array.  Each 1 µs RunFor slice
+// wakes both threads once and returns to the runner.
 func TestHandoffAllocs(t *testing.T) {
 	for name, setup := range map[string]func(*Engine){
 		"Sleep": func(e *Engine) {
@@ -483,14 +483,15 @@ func TestHandoffAllocs(t *testing.T) {
 			qa, qb := NewWaitQueue(e, "qa"), NewWaitQueue(e, "qb")
 			e.Go("a", func(th *Thread) {
 				for {
+					th.Sleep(time.Microsecond)
 					qb.Wake(1)
 					qa.Wait(th)
 				}
 			})
 			e.Go("b", func(th *Thread) {
 				for {
-					qa.Wake(1)
 					qb.Wait(th)
+					qa.Wake(1)
 				}
 			})
 		},
@@ -498,7 +499,7 @@ func TestHandoffAllocs(t *testing.T) {
 		e := NewEngine(1)
 		setup(e)
 		handoff := func() {
-			if err := e.fire(); err != nil {
+			if err := e.RunFor(time.Microsecond); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -506,7 +507,7 @@ func TestHandoffAllocs(t *testing.T) {
 			handoff() // start both threads
 		}
 		if n := testing.AllocsPerRun(1000, handoff); n != 0 {
-			t.Errorf("%s ping-pong: %v allocations per handoff, want 0", name, n)
+			t.Errorf("%s ping-pong: %v allocations per 1 µs slice, want 0", name, n)
 		}
 		e.Shutdown()
 	}
@@ -544,12 +545,130 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("live threads before Shutdown = %d, want 6", got)
 	}
 	e.Shutdown()
-	// A goroutine's last act is its yield; give it a moment to return.
+	noGoroutinesLeft(t, base)
+}
+
+// noGoroutinesLeft fails unless the goroutine count falls back to base.
+// A thread goroutine's last act is a channel send to whoever takes
+// control next, so give it a moment to return.
+func noGoroutinesLeft(t *testing.T, base int) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after Shutdown, baseline %d", n, base)
+	}
+}
+
+// TestKillFromFiringCallback pins the one case where Kill does not
+// unwind its victim before returning: an event callback that kills the
+// thread whose goroutine is firing it.  The victim is marked killed,
+// the rest of the callback runs, then the victim's deferred functions,
+// and the victim is dead by the next event.
+func TestKillFromFiringCallback(t *testing.T) {
+	for name, at := range map[string]func(e *Engine, d time.Duration, fn func()){
+		"Schedule": (*Engine).Schedule,
+		"Timer":    func(e *Engine, d time.Duration, fn func()) { e.NewTimer(fn).Reset(d) },
+	} {
+		base := runtime.NumGoroutine()
+		e := NewEngine(1)
+		q := NewWaitQueue(e, "q")
+		var log []string
+		var victim *Thread
+		victim = e.Go("victim", func(th *Thread) {
+			defer func() { log = append(log, "victim's deferred functions") }()
+			q.Wait(th)
+			t.Errorf("%s: victim woke normally", name)
+		})
+		at(e, time.Millisecond, func() {
+			if e.firing != victim {
+				t.Errorf("%s: callback did not fire on the victim's goroutine", name)
+			}
+			log = append(log, "kill")
+			victim.Kill()
+			log = append(log, fmt.Sprintf("rest of callback dead=%v", victim.Dead()))
+		})
+		e.Schedule(time.Millisecond, func() {
+			log = append(log, fmt.Sprintf("next event dead=%v", victim.Dead()))
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("%s: Run = %v", name, err)
+		}
+		want := "[kill rest of callback dead=false victim's deferred functions next event dead=true]"
+		if got := fmt.Sprint(log); got != want {
+			t.Errorf("%s: order %v, want %v", name, got, want)
+		}
+		e.Shutdown()
+		noGoroutinesLeft(t, base)
+	}
+}
+
+// TestCallbackPanicForwarded pins that a panic in an event callback
+// fired on a parked thread's goroutine reaches the caller of RunFor
+// with its original value, and leaves the engine able to shut down.
+func TestCallbackPanicForwarded(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	q := NewWaitQueue(e, "q")
+	parked := e.Go("parked", func(th *Thread) { q.Wait(th) })
+	boom := errors.New("boom")
+	e.Schedule(time.Millisecond, func() {
+		if e.firing != parked {
+			t.Error("callback did not fire on the parked thread's goroutine")
+		}
+		panic(boom)
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_ = e.RunFor(time.Second)
+		return nil
+	}()
+	if got != boom {
+		t.Fatalf("RunFor panicked with %v, want the callback's value %v", got, boom)
+	}
+	e.Shutdown()
+	if !parked.Dead() {
+		t.Fatal("Shutdown left the parked thread alive")
+	}
+	noGoroutinesLeft(t, base)
+}
+
+// TestWaitQueueDropsRemovedWaiters pins that a long-lived queue keeps
+// no reference to a thread removed from it by timeout, interrupt or
+// kill, and that no thread keeps its body once started, so nothing
+// pins a dead thread or the state its closures reference.
+func TestWaitQueueDropsRemovedWaiters(t *testing.T) {
+	e := NewEngine(1)
+	q := NewWaitQueue(e, "q")
+	var ths []*Thread
+	for i, d := range []time.Duration{time.Hour, time.Hour, time.Millisecond} {
+		d := d
+		ths = append(ths, e.Go(fmt.Sprintf("w%d", i), func(th *Thread) { q.WaitTimeout(th, d) }))
+	}
+	ths = append(ths, e.GoAfter(time.Hour, "unstarted", func(th *Thread) {}))
+	// Each removal takes the last waiter: w2 by its timeout, w1 by
+	// interrupt, w0 by kill.
+	e.Schedule(2*time.Millisecond, func() { ths[1].Interrupt() })
+	e.Schedule(3*time.Millisecond, func() {
+		ths[0].Kill()
+		ths[3].Kill()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != Time(time.Hour) {
+		t.Fatalf("run ended at %v, want the unstarted thread's start at 1h", e.Now())
+	}
+	for _, w := range q.waiters[:cap(q.waiters)] {
+		if w != nil {
+			t.Errorf("queue's backing array still holds %s", w.name)
+		}
+	}
+	for _, th := range ths {
+		if !th.Dead() || th.body != nil {
+			t.Errorf("%s: dead=%v, body retained=%v", th.name, th.Dead(), th.body != nil)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 )
 
@@ -84,10 +85,12 @@ type Thread struct {
 	id   int64
 	name string
 
-	wake    chan struct{} // engine → thread: run
-	yield   chan struct{} // thread → whoever handed it control: parked or exited
+	wake    chan struct{} // to its parked goroutine: run, or unwind if killed
+	yield   chan struct{} // from its goroutine to a Kill waiting for the unwind
+	body    func(*Thread) // until the goroutine starts, which then holds it
 	state   threadState
-	started bool // goroutine has been launched
+	started bool // start event fired: control has passed to the thread
+	reaped  bool // a Kill from another context waits on yield for the unwind
 
 	slot       Timer      // the thread's one wake event
 	slotReason WakeReason // reason the slot delivers when it fires
@@ -156,14 +159,43 @@ func (t *Thread) assertCurrent(op string) {
 	}
 }
 
-// park yields control to whoever handed this thread control and
-// blocks until woken.
+// park gives up control: the thread's goroutine fires the pending
+// events itself until one wakes a thread.  It returns at once if that
+// thread is itself; otherwise it hands control on and blocks until
+// woken.  A killed thread unwinds on return.
 func (t *Thread) park() {
-	t.yield <- struct{}{}
-	<-t.wake
+	e := t.eng
+	if e.handoff(t, e.dispatch(t)) {
+		<-t.wake
+	}
 	if t.killed {
 		panic(errThreadKilled)
 	}
+}
+
+// main is the body of the thread's goroutine.
+func (t *Thread) main(fn func(*Thread)) {
+	defer t.exit()
+	fn(t)
+}
+
+// exit ends the thread once its body returns, panics, or unwinds from
+// a kill.  A Kill from another context is waiting on yield and keeps
+// control; otherwise this goroutine holds control and fires on until
+// it can hand it to a thread or the runner.
+func (t *Thread) exit() {
+	e := t.eng
+	if r := recover(); r != nil && r != errThreadKilled {
+		if e.fatal == nil {
+			e.fatal = fmt.Errorf("sim: thread %q panicked: %v\n%s", t.name, r, debug.Stack())
+		}
+	}
+	t.markDead()
+	if t.reaped {
+		t.yield <- struct{}{}
+		return
+	}
+	e.handoff(nil, e.dispatch(nil))
 }
 
 // Sleep blocks the thread for virtual duration d.  If the thread is
@@ -204,8 +236,9 @@ func (t *Thread) scheduleWake(reason WakeReason) {
 // fireSlot is the wake slot's callback.
 func (t *Thread) fireSlot() { t.deliverWake(t.slotReason) }
 
-// deliverWake runs in engine context and either transfers control to
-// the thread or, if it is suspended, records the wake for Resume.
+// deliverWake runs as an event callback and either passes control to
+// the thread once the callback returns or, if it is suspended, records
+// the wake for Resume.
 func (t *Thread) deliverWake(reason WakeReason) {
 	if t.state == stateDead {
 		return
@@ -220,7 +253,7 @@ func (t *Thread) deliverWake(reason WakeReason) {
 		return
 	}
 	t.wakeReason = reason
-	t.eng.transfer(t)
+	t.eng.next = t
 }
 
 // Suspend freezes the thread in place: a sleeping thread's timer is
@@ -309,10 +342,21 @@ func (t *Thread) Interrupted() bool { return t.interrupted }
 // caller owns the window in which it is set.
 func (t *Thread) SetSuspendHook(fn func(suspended bool)) { t.suspendHook = fn }
 
-// Kill terminates the thread.  If it has not started it never will;
-// otherwise its goroutine is unwound immediately (deferred functions
-// run, but must not block on simulation primitives).  The currently
-// running thread may kill itself, which unwinds it on the spot.
+// Kill terminates the thread.  If it has not started it never will.
+// Otherwise its goroutine unwinds: deferred functions run, but must
+// not block on simulation primitives.  When the unwind happens depends
+// on the caller's context:
+//
+//   - The currently running thread may kill itself, which unwinds it on
+//     the spot.
+//   - Kill of a thread whose goroutine is parked (from another thread,
+//     from Shutdown, or from an event callback fired on some other
+//     goroutine) unwinds it synchronously: the victim's deferred
+//     functions have run and Dead reports true when Kill returns.
+//   - An event callback may kill the thread whose goroutine is firing
+//     it.  Kill then only marks the thread killed; the rest of the
+//     callback runs, then the victim's deferred functions, and the
+//     thread is dead before the next event fires.
 func (t *Thread) Kill() {
 	if t.state == stateDead {
 		return
@@ -323,15 +367,24 @@ func (t *Thread) Kill() {
 	if t.waitingOn != nil {
 		t.waitingOn.remove(t)
 	}
-	if !t.started {
+	e := t.eng
+	switch {
+	case !t.started:
 		// The start event will observe killed state and do nothing.
+		t.body = nil
 		t.markDead()
-		return
-	}
-	if t.eng.running == t {
+	case e.running == t:
 		panic(errThreadKilled)
+	case e.firing == t:
+		// dispatch returns t to park once this callback returns.
+	default:
+		prev := e.running
+		e.running = t
+		t.reaped = true
+		t.wake <- struct{}{} // park observes killed and unwinds
+		<-t.yield
+		e.running = prev
 	}
-	t.eng.transfer(t) // park() observes killed and unwinds
 }
 
 // markDead finalizes thread termination bookkeeping.

@@ -5,9 +5,13 @@
 // priority queue ordered by (time, sequence number).  "Processes" in
 // the DES sense are virtual threads (Thread): ordinary Go functions
 // running on their own goroutines, but scheduled cooperatively so that
-// exactly one of them — or the engine itself — executes at any moment.
-// All simulation state may therefore be mutated without locks, and a
-// given program produces a bit-identical event trace on every run.
+// exactly one goroutine — a thread's or the one that called Run —
+// holds control at any moment.  Events fire on whichever goroutine
+// gave control up, and control passes straight from it to the thread
+// an event wakes, so a wake costs one goroutine switch, or none when
+// the woken thread is the one that parked.  All simulation state may
+// therefore be mutated without locks, and a given program produces a
+// bit-identical event trace on every run.
 //
 // Virtual threads block on wait queues (WaitQueue), sleep for virtual
 // durations, and can be suspended and resumed by other threads; a

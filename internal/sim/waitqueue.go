@@ -84,7 +84,10 @@ func (q *WaitQueue) WakeAll() int { return q.Wake(len(q.waiters)) }
 func (q *WaitQueue) remove(t *Thread) {
 	for i, w := range q.waiters {
 		if w == t {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			n := len(q.waiters) - 1
+			copy(q.waiters[i:], q.waiters[i+1:])
+			q.waiters[n] = nil // the backing array must not pin t
+			q.waiters = q.waiters[:n]
 			break
 		}
 	}
