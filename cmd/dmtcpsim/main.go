@@ -26,6 +26,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/experiments"
 	"repro/internal/mpi"
+	"repro/internal/npb"
 )
 
 // scenOpts carries the command-line knobs into a scenario.
@@ -180,7 +181,9 @@ func mpiScenario(o scenOpts) {
 			t.Compute(100 * time.Millisecond)
 		}
 		if ino, err := s.C.Node(0).FS.ReadFile("/out/nas-lu.verify"); err == nil {
+			spec, _ := npb.SpecFor("nas-lu")
 			fmt.Printf("%s\n", ino.Data)
+			fmt.Printf("expected: %s\n", (&npb.Kernel{Spec: spec}).FormatVerify(np))
 		} else {
 			fmt.Println("benchmark did not finish in time")
 		}

@@ -106,6 +106,7 @@ func (c *chomboProg) Main(t *kernel.Task, args []string) {
 	}
 	t.MapAnon("[amr]", c.w.FootMB*model.MB, model.ClassNumeric)
 	msg := make([]byte, c.w.MsgKB*1024)
+	var in []byte
 	pageSize := t.P.Node.Cluster.Params.PageSize
 	for i := 0; i < c.w.Iters; i++ {
 		cpu := c.w.CPUPerIter
@@ -116,7 +117,8 @@ func (c *chomboProg) Main(t *kernel.Task, args []string) {
 		}
 		t.Compute(cpu)
 		for _, p := range mpi.MergePeers(mpi.RingPeers(ra.Rank, ra.Layout.Size)) {
-			if _, err := w.Sendrecv(p, i, msg); err != nil {
+			var err error
+			if in, err = w.Sendrecv(p, i, msg, in); err != nil {
 				return
 			}
 			if c.over != nil {

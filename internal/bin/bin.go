@@ -97,15 +97,18 @@ func (d *Decoder) Bool() bool {
 	return b != nil && b[0] != 0
 }
 
-// Bytes reads a length-prefixed byte slice (copied).
-func (d *Decoder) Bytes() []byte {
+// field reads a length-prefixed field without copying it.
+func (d *Decoder) field() []byte {
 	n := d.U32()
 	if d.Err != nil || uint32(len(d.B)) < n {
 		d.Err = ErrTruncated
 		return nil
 	}
-	return append([]byte(nil), d.need(int(n))...)
+	return d.need(int(n))
 }
 
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string { return string(d.Bytes()) }
+// Bytes reads a length-prefixed byte slice (copied).
+func (d *Decoder) Bytes() []byte { return append([]byte(nil), d.field()...) }
+
+// Str reads a length-prefixed string, copying its bytes once.
+func (d *Decoder) Str() string { return string(d.field()) }

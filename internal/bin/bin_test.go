@@ -34,13 +34,19 @@ func TestRoundtripAllTypes(t *testing.T) {
 }
 
 func TestTruncationSetsErr(t *testing.T) {
-	var e Encoder
-	e.Str("some payload")
-	for cut := 0; cut < len(e.B); cut++ {
-		d := Decoder{B: e.B[:cut]}
-		d.Str()
-		if d.Err == nil && cut < len(e.B) {
-			t.Fatalf("truncation at %d not detected", cut)
+	for _, want := range []string{"", "some payload"} {
+		var e Encoder
+		e.Str(want)
+		for cut := 0; cut <= len(e.B); cut++ {
+			d := Decoder{B: e.B[:cut]}
+			got := d.Str()
+			if cut == len(e.B) {
+				if got != want || d.Err != nil {
+					t.Fatalf("Str roundtrip of %q = %q, err %v", want, got, d.Err)
+				}
+			} else if got != "" || d.Err != ErrTruncated {
+				t.Fatalf("Str of %q cut at %d = %q, err %v; want \"\", ErrTruncated", want, cut, got, d.Err)
+			}
 		}
 	}
 }

@@ -72,6 +72,11 @@ type TCPEndpoint struct {
 	// share it); it is not the DMTCP global socket ID.
 	ConnID int64
 
+	// recvBuf is owned by the kernel alone: an arrival adopts its
+	// private copy of the sender's bytes as recvBuf when the buffer is
+	// empty, and a read that takes every buffered byte hands recvBuf
+	// itself to the reader and drops it.  No slice handed across the
+	// Task API is referenced again by the side that gave it.
 	recvBuf     []byte
 	inflight    int64    // bytes scheduled for delivery into recvBuf
 	lastArrival sim.Time // serialization point for FIFO delivery
@@ -171,13 +176,18 @@ func (ep *TCPEndpoint) enqueue(src *Node, data []byte) {
 	arrive += sim.Time(xfer)
 	ep.lastArrival = arrive
 	ep.inflight += int64(len(data))
+	// The kernel's copy: the sender may reuse data once this returns.
 	buf := append([]byte(nil), data...)
 	e.Schedule(arrive.Sub(e.Now()), func() {
 		ep.inflight -= int64(len(buf))
 		if ep.closedLocal {
 			return // receiver gone; bytes dropped
 		}
-		ep.recvBuf = append(ep.recvBuf, buf...)
+		if len(ep.recvBuf) == 0 {
+			ep.recvBuf = buf
+		} else {
+			ep.recvBuf = append(ep.recvBuf, buf...)
+		}
 		ep.readq.WakeAll()
 	})
 }
@@ -559,7 +569,8 @@ func (t *Task) TrySend(fd int, data []byte) (int, error) {
 }
 
 // Recv reads up to max buffered bytes, blocking until data arrives or
-// the peer closes (io.EOF).
+// the peer closes (io.EOF).  The result belongs to the caller, who may
+// write into it or append to it; it may have spare capacity.
 func (t *Task) Recv(fd int, max int) ([]byte, error) {
 	return t.recv(fd, max, -1)
 }
@@ -582,8 +593,14 @@ func (t *Task) recv(fd int, max int, timeout sim.Time) ([]byte, error) {
 			if n < 0 || n > len(ep.recvBuf) {
 				n = len(ep.recvBuf)
 			}
-			out := append([]byte(nil), ep.recvBuf[:n]...)
-			ep.recvBuf = ep.recvBuf[n:]
+			var out []byte
+			if n == len(ep.recvBuf) {
+				// A full read hands the buffer itself over.
+				out, ep.recvBuf = ep.recvBuf, nil
+			} else {
+				out = append([]byte(nil), ep.recvBuf[:n]...)
+				ep.recvBuf = ep.recvBuf[n:]
+			}
 			// Space freed: wake senders blocked on our window.
 			ep.writeq.WakeAll()
 			return out, nil

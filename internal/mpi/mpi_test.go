@@ -1,6 +1,7 @@
 package mpi_test
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -89,7 +90,7 @@ func TestWorldPointToPoint(t *testing.T) {
 	e.c.Register("xchg", rankProg(func(w *mpi.World) {
 		peer := 1 - w.Rank
 		out := []byte(fmt.Sprintf("hello from %d", w.Rank))
-		in, err := w.Sendrecv(peer, 7, out)
+		in, err := w.Sendrecv(peer, 7, out, make([]byte, 0, 64))
 		if err != nil {
 			results[w.Rank] = "err: " + err.Error()
 			return
@@ -256,6 +257,122 @@ func TestNASKernelCheckpointRestartUnderOpenMPI(t *testing.T) {
 	k := &npb.Kernel{Spec: spec}
 	if string(ino.Data) != k.FormatVerify(4) {
 		t.Fatalf("verify = %q, want %q (stream not exactly-once)", ino.Data, k.FormatVerify(4))
+	}
+}
+
+// scribbleProg is a two-rank program that overwrites what Sendrecv
+// returned, and its receive buffer, then idles before its Commit until
+// the test has checkpointed and killed it.  Rank 0's buffer fits the
+// message (the result aliases it); rank 1's does not.
+type scribbleProg struct {
+	size   int
+	parked map[int]bool
+	got    map[string][]byte // "rank r first" / "rank r replay"
+}
+
+func scribblePayload(rank, size int) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = byte(rank*31 + i%251)
+	}
+	return b
+}
+
+func (p *scribbleProg) exchange(w *mpi.World, label string) {
+	bufLen := p.size
+	if w.Rank == 1 {
+		bufLen = 16
+	}
+	in := make([]byte, bufLen)
+	got, err := w.Sendrecv(1-w.Rank, 3, scribblePayload(w.Rank, p.size), in)
+	if err != nil {
+		return
+	}
+	p.got[fmt.Sprintf("rank %d %s", w.Rank, label)] = append([]byte(nil), got...)
+	for i := range got {
+		got[i] = 0xEE
+	}
+	for i := range in {
+		in[i] = 0xEE
+	}
+}
+
+func (p *scribbleProg) Main(t *kernel.Task, args []string) {
+	ra, err := mpi.ParseRankArgs(args)
+	if err != nil {
+		return
+	}
+	w, err := mpi.Init(t, ra.Rank, ra.Layout, []int{1 - ra.Rank})
+	if err != nil {
+		return
+	}
+	w.Commit(nil)
+	p.exchange(w, "first")
+	p.parked[w.Rank] = true
+	for {
+		t.Compute(10 * time.Millisecond)
+	}
+}
+
+func (p *scribbleProg) Restore(t *kernel.Task, state []byte) {
+	w, _, err := mpi.Resume(t, state)
+	if err != nil {
+		t.Printf("resume: %v\n", err)
+		return
+	}
+	p.exchange(w, "replay")
+	w.Commit(nil)
+}
+
+// TestReplayAfterOverwrite guards the rule that the reassembly log, the
+// rollback record, never aliases a caller's buffer: a rank that
+// overwrites what Sendrecv returned, and its receive buffer, then is
+// checkpointed before its Commit, re-reads the original bytes when it
+// replays the receive after a restart.
+func TestReplayAfterOverwrite(t *testing.T) {
+	e := newEnv(t, 2, dmtcp.Config{})
+	prog := &scribbleProg{size: 20 << 10, parked: map[int]bool{}, got: map[string][]byte{}}
+	e.c.Register("scribble", prog)
+	e.drive(t, func(task *kernel.Task) {
+		if _, err := e.sys.Launch(0, "orterun", "2", "1", "0", strconv.Itoa(mpi.BasePort), "scribble"); err != nil {
+			t.Error(err)
+			return
+		}
+		deadline := task.Now().Add(5 * time.Second)
+		for !(prog.parked[0] && prog.parked[1]) && task.Now() < deadline {
+			task.Compute(10 * time.Millisecond)
+		}
+		if !(prog.parked[0] && prog.parked[1]) {
+			t.Error("ranks never finished their first exchange")
+			return
+		}
+		round, err := e.sys.Checkpoint(task)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		e.sys.KillManaged()
+		if _, err := e.sys.RestartAll(task, round, nil); err != nil {
+			t.Error(err)
+			return
+		}
+		deadline = task.Now().Add(5 * time.Second)
+		for len(prog.got) < 4 && task.Now() < deadline {
+			task.Compute(10 * time.Millisecond)
+		}
+	})
+	for r := 0; r < 2; r++ {
+		want := scribblePayload(1-r, prog.size)
+		for _, label := range []string{"first", "replay"} {
+			key := fmt.Sprintf("rank %d %s", r, label)
+			got, ok := prog.got[key]
+			switch {
+			case !ok:
+				t.Errorf("%s: no receive recorded", key)
+			case !bytes.Equal(got, want):
+				t.Errorf("%s: received %d bytes that differ from the %d sent", key, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -95,25 +95,27 @@ func heapAllocBytes() uint64 {
 	return s[0].Value.Uint64()
 }
 
-// TestExchangeAllocationsLinear guards the encode-on-read path: k
-// exchanges with no Commit between them grow the reassembly logs
-// without re-encoding them, so the heap bytes they allocate stay under
-// a fixed multiple of k × message size.  Per exchange the two ranks
-// frame, buffer, read, log and copy out each message (about 22× the
-// message size in all); re-encoding the logs at every send and receive
-// instead grows as k² (about 300× at k = 128).
-func TestExchangeAllocationsLinear(t *testing.T) {
-	const k, size, multiple = 128, 4 << 10, 48
+// exchangeAllocs runs k Sendrecv exchanges of size bytes between two
+// ranks, each passing its previous result back as the receive buffer
+// and, with commit, committing after every exchange.  It returns the
+// heap bytes the process allocated meanwhile, both ranks included.
+func exchangeAllocs(t *testing.T, k, size int, commit bool) uint64 {
+	t.Helper()
 	var allocated uint64
 	e := newEnv(t, 2, dmtcp.Config{})
 	e.c.Register("xchg", rankProg(func(w *mpi.World) {
 		peer := 1 - w.Rank
 		msg := make([]byte, size)
+		var in []byte
 		start := heapAllocBytes()
 		for i := 0; i < k; i++ {
-			if _, err := w.Sendrecv(peer, i, msg); err != nil {
+			var err error
+			if in, err = w.Sendrecv(peer, i, msg, in); err != nil {
 				t.Errorf("rank %d exchange %d: %v", w.Rank, i, err)
 				return
+			}
+			if commit {
+				w.Commit([]byte{byte(i)})
 			}
 		}
 		if w.Rank == 0 {
@@ -127,8 +129,41 @@ func TestExchangeAllocationsLinear(t *testing.T) {
 	if allocated == 0 {
 		t.Fatal("rank 0 did not finish its exchanges")
 	}
+	return allocated
+}
+
+// TestExchangeAllocationsLinear guards the encode-on-read path: k
+// exchanges with no Commit between them grow the reassembly logs
+// without re-encoding them, so the heap bytes they allocate stay under
+// a fixed multiple of k × message size.  Per exchange the two ranks
+// queue each message in the kernel and grow their logs by it (about
+// 13× the message size in all); re-encoding the logs at every send and
+// receive instead grows as k² (about 300× at k = 128).
+func TestExchangeAllocationsLinear(t *testing.T) {
+	const k, size, multiple = 128, 4 << 10, 48
+	allocated := exchangeAllocs(t, k, size, false)
+	t.Logf("%d exchanges of %d B allocated %.1f× k × size", k, size, float64(allocated)/float64(k*size))
 	if limit := uint64(multiple * k * size); allocated > limit {
 		t.Errorf("%d exchanges of %d B allocated %d B (%.0f× k × size), over the %d× bound",
 			k, size, allocated, float64(allocated)/float64(k*size), multiple)
+	}
+}
+
+// TestExchangeCopyBudget guards the host cost of a steady-state
+// exchange in the NAS loop's pattern: a reused receive buffer and a
+// Commit after every exchange.  A message's bytes are copied three
+// times (framed into the sender's scratch, queued by the kernel, copied
+// out of the reassembly log into the receive buffer), and only the
+// kernel's copy allocates: the socket buffer and the log adopt the
+// slices they are handed.  Copying at every hand-off instead allocates
+// about 5× the message size.
+func TestExchangeCopyBudget(t *testing.T) {
+	const k, size, multiple = 64, 60 << 10, 2
+	// Both ranks run in this process: 2k messages moved.
+	perMsg := float64(exchangeAllocs(t, k, size, true)) / float64(2*k*size)
+	t.Logf("%d messages of %d B allocated %.2f× the message size each", 2*k, size, perMsg)
+	if perMsg > multiple {
+		t.Errorf("%d messages of %d B allocated %.2f× the message size each, over the %d× budget",
+			2*k, size, perMsg, multiple)
 	}
 }

@@ -79,7 +79,9 @@ type chanState struct {
 	fd int // connection descriptor (stable across restart)
 
 	// rx is the reassembly log: every byte received from the peer
-	// and not yet discarded by a Commit.
+	// and not yet discarded by a Commit.  It is the rollback record,
+	// so nothing outside the World ever aliases it: it adopts only
+	// slices the kernel handed over, and readers copy out of it.
 	rx []byte
 	// rxCommitted is the log offset the application had consumed at
 	// its last Commit; live consumption runs ahead in memory only.
@@ -112,20 +114,20 @@ type World struct {
 
 	accepted map[int]int // inbound rank → fd (handshook, unclaimed)
 	acceptW  *sim.WaitQueue
+
+	// sendBuf is the scratch every Send encodes its frame into.  One
+	// buffer suffices: TrySend copies the bytes it queues, progressSend
+	// clears the send continuation before it returns (a checkpoint
+	// captures a copy of it), and a World's sends never nest, because
+	// progressSend only receives while it waits.
+	sendBuf []byte
 }
 
 // Size returns the communicator size.
 func (w *World) Size() int { return w.Layout.Size }
 
-// msg header: sender rank (known from channel), tag, length.
-func frame(tag int, data []byte) []byte {
-	var e bin.Encoder
-	e.Int(tag)
-	e.Bytes(data)
-	return e.B
-}
-
-// parseFrame reads one frame from buf, returning the tag, payload,
+// parseFrame reads one frame (tag, length, payload; the sender is
+// known from the channel) from buf, returning the tag, payload,
 // and bytes consumed (0 if incomplete).
 func parseFrame(buf []byte) (tag int, data []byte, n int) {
 	if len(buf) < 12 {
@@ -377,7 +379,11 @@ func (w *World) Send(to, tag int, data []byte) {
 	w.T.EndCritical()
 	// Raw library framing (parseFrame delimits); an interrupted send
 	// is completed by the restart continuation.
-	w.progressSend(ch, frame(tag, data))
+	e := bin.Encoder{B: w.sendBuf[:0]}
+	e.Int(tag)
+	e.Bytes(data)
+	w.sendBuf = e.B
+	w.progressSend(ch, e.B)
 }
 
 // progressSend pushes payload without ever blocking on a full window:
@@ -426,9 +432,15 @@ func (w *World) pumpAny() {
 }
 
 // commitRx appends received bytes to the reassembly log atomically.
+// An empty log adopts data instead of copying it: data is a slice the
+// kernel handed over, and the caller does not touch it again.
 func (w *World) commitRx(ch *chanState, data []byte) {
 	w.T.BeginCritical()
-	ch.rx = append(ch.rx, data...)
+	if len(ch.rx) == 0 {
+		ch.rx = data
+	} else {
+		ch.rx = append(ch.rx, data...)
+	}
 	w.T.P.StateChanged()
 	w.T.EndCritical()
 }
@@ -439,9 +451,28 @@ type Message struct {
 	Data []byte
 }
 
+// anyTag makes recv accept a message whatever its tag.
+const anyTag = -1
+
 // RecvAny returns the next message from a peer regardless of tag
 // (TOP-C style task/stop dispatch).
 func (w *World) RecvAny(from int) (Message, error) {
+	return w.recv(from, anyTag, nil)
+}
+
+// Recv returns the next message from a peer, blocking as needed.  It
+// verifies the tag (channels are FIFO and our kernels' exchanges are
+// deterministic).
+func (w *World) Recv(from, tag int) ([]byte, error) {
+	m, err := w.recv(from, tag, nil)
+	return m.Data, err
+}
+
+// recv is the one receive path: it waits for the next message from a
+// peer and copies its payload out of the reassembly log into buf's
+// backing array, or a new array when buf is too small.  Copying keeps
+// the log, the rollback record, unaliased by the caller.
+func (w *World) recv(from, tag int, buf []byte) (Message, error) {
 	ch := w.chans[from]
 	if ch == nil {
 		return Message{}, fmt.Errorf("mpi: rank %d has no channel to %d", w.Rank, from)
@@ -449,9 +480,11 @@ func (w *World) RecvAny(from int) (Message, error) {
 	for {
 		gotTag, data, n := parseFrame(ch.rx[ch.rxLive:])
 		if n > 0 {
-			out := append([]byte(nil), data...)
+			if tag != anyTag && gotTag != tag {
+				return Message{}, fmt.Errorf("mpi: rank %d expected tag %d from %d, got %d", w.Rank, tag, from, gotTag)
+			}
 			ch.rxLive += n
-			return Message{Tag: gotTag, Data: out}, nil
+			return Message{Tag: gotTag, Data: append(buf[:0], data...)}, nil
 		}
 		if err := w.pumpFor(ch); err != nil {
 			return Message{}, err
@@ -459,33 +492,11 @@ func (w *World) RecvAny(from int) (Message, error) {
 	}
 }
 
-// Recv returns the next message from a peer, blocking as needed.  It
-// verifies the tag (channels are FIFO and our kernels' exchanges are
-// deterministic).
-func (w *World) Recv(from, tag int) ([]byte, error) {
-	ch := w.chans[from]
-	if ch == nil {
-		return nil, fmt.Errorf("mpi: rank %d has no channel to %d", w.Rank, from)
-	}
-	for {
-		gotTag, data, n := parseFrame(ch.rx[ch.rxLive:])
-		if n > 0 {
-			if gotTag != tag {
-				return nil, fmt.Errorf("mpi: rank %d expected tag %d from %d, got %d", w.Rank, tag, from, gotTag)
-			}
-			out := append([]byte(nil), data...)
-			ch.rxLive += n
-			return out, nil
-		}
-		if err := w.pumpFor(ch); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // pumpFor waits for bytes on the awaited channel but keeps servicing
 // the other channels while blocked, so stalled senders elsewhere can
-// always make progress (no cyclic waits among ranks).
+// always make progress (no cyclic waits among ranks).  Each read goes
+// into the log with no scheduling point in between, so a checkpoint
+// can never split them.
 func (w *World) pumpFor(ch *chanState) error {
 	data, err := w.T.RecvTimeout(ch.fd, 1<<20, sim.Time(2*time.Millisecond))
 	if err == nil {
@@ -499,23 +510,16 @@ func (w *World) pumpFor(ch *chanState) error {
 	return nil
 }
 
-// pump blocks for more bytes from the peer and appends them to the
-// reassembly log atomically (read → commit with no scheduling point
-// in between, so a checkpoint can never split them).
-func (w *World) pump(ch *chanState) error {
-	data, err := w.T.Recv(ch.fd, 1<<20)
-	if err != nil {
-		return err
-	}
-	w.commitRx(ch, data)
-	return nil
-}
-
 // Sendrecv performs the symmetric neighbor exchange common to the NAS
-// kernels.
-func (w *World) Sendrecv(peer, tag int, out []byte) ([]byte, error) {
+// kernels.  Like MPI_Sendrecv's recvbuf, in receives the message: the
+// result reuses in's backing array when the message fits, so a loop
+// that passes the previous result back allocates nothing.  The World
+// keeps no reference to out or in, and the caller may overwrite either
+// before its next Commit: a replay re-reads the logged bytes.
+func (w *World) Sendrecv(peer, tag int, out, in []byte) ([]byte, error) {
 	w.Send(peer, tag, out)
-	return w.Recv(peer, tag)
+	m, err := w.recv(peer, tag, in)
+	return m.Data, err
 }
 
 // Finalize closes rank channels (the listener stays until exit).

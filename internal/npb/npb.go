@@ -233,6 +233,7 @@ func (k *Kernel) loop(t *kernel.Task, w *mpi.World, st kstate) {
 		msgBytes = msgBytes/size + 64
 	}
 	msg := make([]byte, msgBytes)
+	var in []byte // receive buffer, reused by every Sendrecv
 	for st.iter < s.Iters {
 		w.ComputeFor(s.CPUPerIter)
 		// Deterministic payload so the checksum verifies transport.
@@ -249,7 +250,8 @@ func (k *Kernel) loop(t *kernel.Task, w *mpi.World, st kstate) {
 			}
 		} else {
 			for _, p := range xpeers {
-				in, err := w.Sendrecv(p, st.iter, msg)
+				var err error
+				in, err = w.Sendrecv(p, st.iter, msg, in)
 				if err != nil {
 					return
 				}
