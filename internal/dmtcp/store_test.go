@@ -1,6 +1,9 @@
 package dmtcp
 
 import (
+	"errors"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -263,6 +266,125 @@ func TestStoreForkedRoundsCollectAtRestart(t *testing.T) {
 		task.Compute(time.Second)
 		if r1.GC == nil || r1.GC.Manifests == 0 || r1.GC.Live == 0 {
 			t.Errorf("deferred GC never ran at restart: %+v", r1.GC)
+		}
+	})
+}
+
+// TestSharedManifestsStayIntact pins the manifest memo: each manifest
+// file is decoded once per content, and the decoded manifest, cached on
+// its inode, is shared read-only by every reader.  A store round trip
+// writes two generations, replicates them to two holders, restarts the
+// job on one of them, and checkpoints it twice more there, so the
+// restore, the writer's dedup against the prior generation, the
+// replicas' verify passes and GC all read shared manifests.
+// Afterwards every cached manifest must equal a fresh decode of its
+// bytes: a reader that wrote into one (its Header included) fails here.
+// Then a cached manifest changed in place, through a file descriptor or
+// by the corruption injector, must decode afresh: a flipped magic byte
+// makes the next LoadManifest fail with ErrBadManifest.
+func TestSharedManifestsStayIntact(t *testing.T) {
+	e := newEnv(t, 4, Config{Compress: true, Store: true, StoreKeep: 2, ReplicaFactor: 2, CkptWorkers: 2})
+	scribbled := false
+	e.c.RegisterFunc("scribble", func(st *kernel.Task, args []string) {
+		defer func() { scribbled = true }()
+		ino, err := st.P.Node.FS.ReadFile(args[0])
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fd, err := st.Open(args[0])
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := st.Write(fd, []byte{ino.Data[0] ^ 1}); err != nil {
+			t.Error(err)
+		}
+		st.Close(fd)
+	})
+	e.drive(t, func(task *kernel.Task) {
+		intact := func(stage string) map[kernel.NodeID]int {
+			cached := map[kernel.NodeID]int{}
+			for i := kernel.NodeID(0); i < 4; i++ {
+				fs := e.c.Node(i).FS
+				for _, path := range fs.List(e.sys.StoreRoot()) {
+					ino, err := fs.ReadFile(path)
+					if err != nil {
+						continue
+					}
+					m, ok := ino.Memo().(*store.Manifest)
+					if !ok {
+						continue
+					}
+					cached[i]++
+					if fresh, err := store.DecodeManifest(ino.Data); err != nil || !reflect.DeepEqual(m, fresh) {
+						t.Errorf("%s: node%02d %s: the cached manifest differs from its bytes (%v)", stage, i, path, err)
+					}
+				}
+			}
+			return cached
+		}
+		round := restoreEnv(t, e, task) // holders node02 and node03; node01 dead
+		if _, err := e.sys.RestartAll(task, round, Placement{"node01": 2}); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		intact("after the restart")
+		// The restarted job checkpoints under a new image name: its
+		// first generation is a cold start, its second dedups
+		// against the first.
+		var last *CkptRound
+		for i := 0; i < 2; i++ {
+			task.Compute(50 * time.Millisecond)
+			r, err := e.sys.Checkpoint(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = r
+		}
+		e.sys.Replica.WaitIdle(task)
+		if cached := intact("after two more checkpoints"); cached[2] < 3 || cached[3] == 0 {
+			t.Fatalf("cached manifests per node = %v, want three on node02 and some on node03", cached)
+		}
+
+		// In place through a file descriptor: a process on node02
+		// flips the first byte of the magic.
+		st := e.sys.StoreOn(e.c.Node(2))
+		path := last.Images[0].Path
+		ino, err := e.c.Node(2).FS.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.LoadManifest(path); err != nil || ino.Memo() == nil {
+			t.Fatalf("the last manifest is not cached: %v", err)
+		}
+		if _, err := e.c.Node(2).Kern.Spawn("scribble", []string{path}, nil); err != nil {
+			t.Fatal(err)
+		}
+		for !scribbled {
+			task.Idle(time.Millisecond)
+		}
+		if _, err := st.LoadManifest(path); !errors.Is(err, store.ErrBadManifest) {
+			t.Errorf("LoadManifest after an fd write into the magic: %v, want ErrBadManifest", err)
+		}
+
+		// In place by the corruption injector, seeded so that its bit
+		// flip lands in the magic.
+		hst := e.sys.StoreOn(e.c.Node(3))
+		hpath := round.Images[0].Path
+		hino, err := e.c.Node(3).FS.ReadFile(hpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hst.LoadManifest(hpath); err != nil || hino.Memo() == nil {
+			t.Fatalf("node03's manifest is not cached: %v", err)
+		}
+		seed := int64(1)
+		for rand.New(rand.NewSource(seed)).Intn(len(hino.Data)) >= len(store.ManifestMagic) {
+			seed++
+		}
+		hino.Corrupt(rand.New(rand.NewSource(seed)))
+		if _, err := hst.LoadManifest(hpath); !errors.Is(err, store.ErrBadManifest) {
+			t.Errorf("LoadManifest after the injector flipped a magic bit: %v, want ErrBadManifest", err)
 		}
 	})
 }

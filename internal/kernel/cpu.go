@@ -29,6 +29,15 @@ const cpuEpsilon = 1e-9
 // rather than a constant slowdown factor: a forked
 // checkpoint writer's compression jobs and the application's compute
 // loop dilate one another exactly when they oversubscribe the node.
+//
+// A charge that no other event can interrupt is served in place (Run):
+// the charging thread moves the clock to its completion itself instead
+// of parking behind the completion event and its wake.  That is exact
+// because core shares change only at events: an arrival, a completion,
+// a suspension or a speed change.  If no other event is due before the
+// charge's completion and no other job finishes with it, the rates
+// hold throughout, and integrating every job at the completion instant
+// is what the completion event would do.
 type CPUSched struct {
 	node  *Node
 	cores int
@@ -41,20 +50,37 @@ type CPUSched struct {
 	jobs   []*cpuJob
 	lastAt sim.Time
 	next   *sim.Timer // the one pending completion event
-	qname  string     // name of each job's completion wait queue
 }
 
+// cpuJob is one task's compute charge.  Each task owns one, made on
+// its first Compute and reused by every later one.
 type cpuJob struct {
 	remaining float64 // core-seconds of work left
 	paused    bool    // owning thread suspended: no core share
 	finished  bool
-	done      *sim.WaitQueue
+	done      *sim.WaitQueue // the parked task waits here
+	hook      func(bool)     // the task's suspend hook while it computes
 }
 
 func newCPUSched(n *Node, cores int) *CPUSched {
-	cs := &CPUSched{node: n, cores: cores, speed: 1, qname: n.Hostname + ".cpu"}
+	cs := &CPUSched{node: n, cores: cores, speed: 1}
 	cs.next = n.Cluster.Eng.NewTimer(cs.step)
 	return cs
+}
+
+// job returns t's reusable compute job, making it on first use.
+func (cs *CPUSched) job(t *Task) *cpuJob {
+	if j := t.cpu; j != nil {
+		return j
+	}
+	j := &cpuJob{done: sim.NewWaitQueue(cs.node.Cluster.Eng, cs.node.Hostname+".cpu")}
+	j.hook = func(suspended bool) {
+		cs.advance()
+		j.paused = suspended
+		cs.reschedule()
+	}
+	t.cpu = j
+	return j
 }
 
 // Speed returns the node's current core-rate factor (1 is nominal).
@@ -120,35 +146,42 @@ func (cs *CPUSched) rate() float64 {
 	return cs.speed * float64(cs.cores) / float64(k)
 }
 
+// served returns the core-seconds each runnable job is served from
+// lastAt to at at the current rate.  The product is rounded to a
+// float64 here, so advance and the in-place check in Run subtract the
+// very same amount.
+func (cs *CPUSched) served(at sim.Time) float64 {
+	dt := at.Sub(cs.lastAt).Seconds()
+	if dt <= 0 {
+		return 0
+	}
+	return float64(dt * cs.rate())
+}
+
 // advance integrates job progress from lastAt to now.  Callers must
 // have arranged that no rate change occurred strictly inside the
 // interval: every change of the runnable set calls advance first and
 // then reschedule, which moves the completion timer.
 func (cs *CPUSched) advance() {
 	now := cs.node.Cluster.Eng.Now()
-	dt := now.Sub(cs.lastAt).Seconds()
+	w := cs.served(now)
 	cs.lastAt = now
-	if dt <= 0 {
-		return
-	}
-	r := cs.rate()
-	if r == 0 {
+	if w == 0 {
 		return
 	}
 	for _, j := range cs.jobs {
 		if !j.paused {
-			j.remaining -= dt * r
+			j.remaining -= w
 		}
 	}
 }
 
-// reschedule moves the completion timer to the instant the next job
-// finishes at the current rate, or stops it when no job is runnable.
-func (cs *CPUSched) reschedule() {
+// nextDone returns the delay from now until the next job finishes at
+// the current rate, or false when no job is runnable.
+func (cs *CPUSched) nextDone() (time.Duration, bool) {
 	r := cs.rate()
 	if r == 0 {
-		cs.next.Stop()
-		return
+		return 0, false
 	}
 	minRem := math.Inf(1)
 	for _, j := range cs.jobs {
@@ -157,8 +190,7 @@ func (cs *CPUSched) reschedule() {
 		}
 	}
 	if math.IsInf(minRem, 1) {
-		cs.next.Stop()
-		return
+		return 0, false
 	}
 	var d time.Duration
 	if minRem > cpuEpsilon {
@@ -167,7 +199,17 @@ func (cs *CPUSched) reschedule() {
 			d = 1
 		}
 	}
-	cs.next.Reset(d)
+	return d, true
+}
+
+// reschedule moves the completion timer to the instant the next job
+// finishes at the current rate, or stops it when no job is runnable.
+func (cs *CPUSched) reschedule() {
+	if d, ok := cs.nextDone(); ok {
+		cs.next.Reset(d)
+	} else {
+		cs.next.Stop()
+	}
 }
 
 // step advances progress, completes finished jobs, and re-arms.
@@ -182,6 +224,7 @@ func (cs *CPUSched) step() {
 			live = append(live, j)
 		}
 	}
+	clear(cs.jobs[len(live):]) // the backing array must not pin finished jobs
 	cs.jobs = live
 	cs.reschedule()
 }
@@ -191,20 +234,50 @@ func (cs *CPUSched) step() {
 func (cs *CPUSched) remove(job *cpuJob) {
 	for i, j := range cs.jobs {
 		if j == job {
-			cs.jobs = append(cs.jobs[:i], cs.jobs[i+1:]...)
+			n := len(cs.jobs) - 1
+			copy(cs.jobs[i:], cs.jobs[i+1:])
+			cs.jobs[n] = nil // the backing array must not pin job
+			cs.jobs = cs.jobs[:n]
 			return
 		}
 	}
 }
 
-// Run charges d of core time to the calling thread, blocking it until
-// the work has been served under the node's core-sharing discipline.
-// With core accounting disabled (cores <= 0) it degrades to a plain
-// virtual-time sleep.
-func (cs *CPUSched) Run(th *sim.Thread, d time.Duration) {
+// soleCompletion returns the instant the completion event would fire
+// now that job j has joined, and whether that event would finish j and
+// no other job.  It computes both exactly as reschedule and step
+// would.
+func (cs *CPUSched) soleCompletion(j *cpuJob) (sim.Time, bool) {
+	d, ok := cs.nextDone()
+	if !ok {
+		return 0, false
+	}
+	at := cs.node.Cluster.Eng.Now().Add(d)
+	w := cs.served(at)
+	for _, o := range cs.jobs {
+		if !o.paused && (o.remaining-w <= cpuEpsilon) != (o == j) {
+			return 0, false
+		}
+	}
+	return at, true
+}
+
+// Run charges d of core time to task t, blocking it until the work has
+// been served under the node's core-sharing discipline.  With core
+// accounting disabled (cores <= 0) it degrades to a plain virtual-time
+// sleep.
+//
+// The charge is served in place when the completion event it arms
+// would finish it alone and nothing else is due first (see
+// sim.Thread.ServeInPlace): the task moves the clock to that instant,
+// and step runs there as the event would, integrating and re-arming
+// the node's other jobs.  Otherwise the task parks until step wakes
+// it.
+func (cs *CPUSched) Run(t *Task, d time.Duration) {
 	if d <= 0 {
 		return
 	}
+	th := t.T
 	if cs.cores <= 0 {
 		if cs.speed > 0 && cs.speed != 1 {
 			d = time.Duration(float64(d) / cs.speed)
@@ -213,16 +286,16 @@ func (cs *CPUSched) Run(th *sim.Thread, d time.Duration) {
 		return
 	}
 	cs.advance()
-	j := &cpuJob{
-		remaining: d.Seconds(),
-		done:      sim.NewWaitQueue(cs.node.Cluster.Eng, cs.qname),
-	}
+	j := cs.job(t)
+	j.remaining, j.finished = d.Seconds(), false
 	cs.jobs = append(cs.jobs, j)
-	th.SetSuspendHook(func(suspended bool) {
-		cs.advance()
-		j.paused = suspended
-		cs.reschedule()
-	})
+	// Parked, the charge arms the completion event, which fires and
+	// then fires the task's wake: two events.
+	if at, ok := cs.soleCompletion(j); ok && th.ServeInPlace(at, 2, cs.next) {
+		cs.step()
+		return
+	}
+	th.SetSuspendHook(j.hook)
 	defer func() {
 		th.SetSuspendHook(nil)
 		if !j.finished {

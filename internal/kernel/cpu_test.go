@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/sim"
 )
 
@@ -257,5 +258,89 @@ func TestCPUOneCompletionEvent(t *testing.T) {
 	}
 	if got := te.eng.EventsFired(); got != 42 {
 		t.Errorf("fired %d events, want 42", got)
+	}
+}
+
+// TestCPUDropsFinishedJobs pins that the scheduler's job list never
+// keeps a finished or killed job reachable through its backing array:
+// a job is reused per task, so a stale slot would pin an exited task
+// and its process.  Filtering the list in place (a completion) or
+// splicing a job out (a kill) must clear the slots it vacates.
+func TestCPUDropsFinishedJobs(t *testing.T) {
+	te := newEnv(t, 1)
+	te.run(t, func(task *Task) {
+		cpu := task.P.Node.CPU()
+		vacated := func(when string) {
+			for i, j := range cpu.jobs[len(cpu.jobs):cap(cpu.jobs)] {
+				if j != nil {
+					t.Errorf("after %s: vacated slot %d still holds a job", when, len(cpu.jobs)+i)
+				}
+			}
+		}
+		// The short charge finishes first, out of a two-job list.
+		task.P.SpawnTask("long", false, func(bt *Task) { bt.Compute(10 * time.Millisecond) })
+		task.P.SpawnTask("short", false, func(bt *Task) { bt.Compute(time.Millisecond) })
+		task.Idle(2 * time.Millisecond)
+		if n := len(cpu.jobs); n != 1 {
+			t.Fatalf("%d jobs after the short charge finished, want 1", n)
+		}
+		vacated("a completion")
+		// Killing the last-added job splices it out of the list.
+		victim := task.ForkFn("victim", func(ct *Task) { ct.Compute(time.Hour) })
+		task.Idle(time.Millisecond)
+		if n := len(cpu.jobs); n != 2 {
+			t.Fatalf("%d jobs with the victim computing, want 2", n)
+		}
+		if err := task.P.Kern.Kill(victim); err != nil {
+			t.Fatal(err)
+		}
+		vacated("a kill")
+		task.Idle(10 * time.Millisecond)
+	})
+}
+
+// TestComputeAllocs pins that a steady-state Task.Compute allocates
+// nothing, whether it is served in place (a lone task on an idle node)
+// or parks behind its siblings (8 tasks tied on 4 cores): each task
+// reuses one job, wait queue and suspend hook.  A fresh job per charge
+// cost 4 allocations, 104 B.
+func TestComputeAllocs(t *testing.T) {
+	for name, tasks := range map[string]int{"in place": 1, "parked": 8} {
+		tasks := tasks
+		eng := sim.NewEngine(1)
+		c := NewCluster(eng, model.Default(), 1)
+		charges := 0
+		burn := func(bt *Task) {
+			for {
+				bt.Compute(time.Microsecond)
+				charges++
+			}
+		}
+		c.RegisterFunc("burn", func(task *Task, _ []string) {
+			for i := 1; i < tasks; i++ {
+				task.P.SpawnTask("burn", false, burn)
+			}
+			burn(task)
+		})
+		if _, err := c.Node(0).Kern.Spawn("burn", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		slice := func() {
+			if err := eng.RunFor(10 * time.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Start every task (exec costs a few ms) and grow every list.
+		if err := eng.RunFor(10 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		before := charges
+		if n := testing.AllocsPerRun(200, slice); n != 0 {
+			t.Errorf("%s: %v allocations per 10 µs of 1 µs charges, want 0", name, n)
+		}
+		if got := charges - before; got < 201*9 {
+			t.Errorf("%s: %d charges in 201 slices of 10 µs, want at least %d", name, got, 201*9)
+		}
+		eng.Shutdown()
 	}
 }

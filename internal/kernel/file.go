@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"math/rand"
 	"sort"
 	"strings"
 )
@@ -12,11 +13,54 @@ var ErrNoEnt = errors.New("kernel: no such file")
 // Inode is a file in a node-local Store.  Data carries real bytes
 // (checkpoint images, scripts, small app files); LogicalSize is the
 // modeled on-disk size used for time and capacity accounting, which
-// may far exceed len(Data) for synthetic large files.
+// may far exceed len(Data) for synthetic large files.  Data changes in
+// place only through WriteAt and Corrupt; Store.WriteFile replaces the
+// whole inode.
 type Inode struct {
 	Path        string
 	Data        []byte
 	LogicalSize int64
+
+	// memo is a decoding of Data cached by a layer above: see Memo.
+	memo any
+}
+
+// Memo returns the decoding of Data that a layer above cached with
+// SetMemo, or nil.  The chunk store caches each decoded manifest here
+// (store.ManifestOf), so every reader of one manifest file shares one
+// decoding.  WriteAt and Corrupt, the only in-place changes to Data,
+// drop the memo, so it always decodes the current bytes; a file
+// replaced by Store.WriteFile is a new inode with no memo, and the
+// memo dies with its inode.  The value is shared by every reader and
+// must be treated as read-only.
+func (ino *Inode) Memo() any { return ino.memo }
+
+// SetMemo caches v as the decoding of Data's current bytes.
+func (ino *Inode) SetMemo(v any) { ino.memo = v }
+
+// WriteAt writes p into Data at offset off, growing Data as needed,
+// and drops the memo.
+func (ino *Inode) WriteAt(off int64, p []byte) {
+	end := off + int64(len(p))
+	if int64(len(ino.Data)) < end {
+		grown := make([]byte, end)
+		copy(grown, ino.Data)
+		ino.Data = grown
+	}
+	copy(ino.Data[off:end], p)
+	ino.memo = nil
+}
+
+// Corrupt is the disk-fault injector: it flips one random bit of Data
+// in place (or plants a garbage byte in an empty file), using the
+// caller's seeded RNG, and drops the memo.
+func (ino *Inode) Corrupt(rng *rand.Rand) {
+	if len(ino.Data) == 0 {
+		ino.WriteAt(0, []byte{0xff})
+		return
+	}
+	i := rng.Intn(len(ino.Data))
+	ino.WriteAt(int64(i), []byte{ino.Data[i] ^ 1<<uint(rng.Intn(8))})
 }
 
 // Size returns the accounted size: LogicalSize if set, else len(Data).

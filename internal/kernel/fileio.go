@@ -42,15 +42,8 @@ func (t *Task) Write(fd int, data []byte) (int, error) {
 			return 0, err
 		}
 		t.P.Node.WritePipeFor(fh.Path).Write(t.T, int64(len(data)))
-		// Extend/overwrite at offset.
-		end := fh.Offset + int64(len(data))
-		if int64(len(ino.Data)) < end {
-			grown := make([]byte, end)
-			copy(grown, ino.Data)
-			ino.Data = grown
-		}
-		copy(ino.Data[fh.Offset:end], data)
-		fh.Offset = end
+		ino.WriteAt(fh.Offset, data)
+		fh.Offset += int64(len(data))
 		return len(data), nil
 	case FKConsole:
 		t.P.Stdout.Write(data)

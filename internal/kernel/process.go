@@ -123,6 +123,9 @@ type Task struct {
 
 	criticalDepth int
 
+	// cpu is the task's compute job, reused by every Compute charge.
+	cpu *cpuJob
+
 	// sendCont captures an in-progress blocking send so that restart
 	// can complete the stream exactly (the stack-capture substitute
 	// for threads suspended inside write()).
@@ -175,8 +178,12 @@ func (t *Task) chargeSyscall() { t.charge(t.P.params().SyscallCost) }
 // Compute charges d of CPU time (the workload's "work", compression,
 // hashing).  Concurrent Compute charges on one node contend for its
 // cores: up to Node.Cores runnable tasks proceed at full rate, and an
-// oversubscribed node dilates every charge by runnable/cores.
-func (t *Task) Compute(d time.Duration) { t.P.Node.cpu.Run(t.T, d) }
+// oversubscribed node dilates every charge by runnable/cores.  A
+// charge that would finish alone before any other event is due is
+// served in place (CPUSched.Run): the task moves the clock to its end
+// without parking, with the same result, since nothing else could run
+// or change the node's core shares in between.
+func (t *Task) Compute(d time.Duration) { t.P.Node.cpu.Run(t, d) }
 
 // Idle blocks the task for d of wall-clock time without occupying a
 // core — network transfers in flight, poll timeouts, backoff waits.

@@ -357,7 +357,7 @@ func loadChunked(t *kernel.Task, path string) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := store.DecodeManifest(ino.Data)
+	m, err := store.ManifestOf(ino)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadImage, err)
 	}

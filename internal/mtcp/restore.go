@@ -109,7 +109,7 @@ func Restore(t *kernel.Task, path string, opts RestoreOptions) (*Image, []LazyCh
 	if err != nil {
 		return nil, nil, rs, err
 	}
-	m, err := store.DecodeManifest(ino.Data)
+	m, err := store.ManifestOf(ino)
 	if err != nil {
 		return nil, nil, rs, fmt.Errorf("%w: %v", ErrBadImage, err)
 	}

@@ -26,6 +26,11 @@ import (
 // the runner's call must end, control goes back to the runner.  A
 // panic in an event callback, on whichever goroutine fired it, is
 // raised again with the same value on the runner.
+//
+// A blocking charge that nothing could interrupt does not park at all:
+// when no other event falls due before it ends, the running thread
+// moves the clock there itself and counts the events its parked twin
+// would have fired (Thread.ServeInPlace).
 type Engine struct {
 	now    Time
 	events eventHeap
@@ -53,7 +58,9 @@ type Engine struct {
 	// after that many events have fired.  It is a backstop against
 	// accidental infinite event loops in workload code.  Only live
 	// events count: a re-armed Timer or wake never leaves a superseded
-	// event behind to fire.
+	// event behind to fire.  A charge served in place counts the
+	// events its parked twin would fire, and is served in place only
+	// if they all fit within the limit.
 	MaxEvents uint64
 }
 
@@ -75,7 +82,10 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // EventsFired reports how many events have fired so far.  Every event
-// counted did work: superseded deadlines are withdrawn, not fired.
+// counted did work: superseded deadlines are withdrawn, not fired.  A
+// charge served in place (Thread.ServeInPlace) counts the events its
+// parked twin would have fired, so the count does not depend on which
+// way a charge went.
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // Pending reports how many events are queued.
@@ -180,6 +190,35 @@ func (e *Engine) dispatch(self *Thread) (next *Thread) {
 	}
 	next, e.next = e.next, nil
 	return next
+}
+
+// inPlace takes the n events that would end a charge of the running
+// thread at instant at, without firing them, when no other context
+// could run first; see Thread.ServeInPlace.  It checks what dispatch
+// would check before firing each of them.
+func (e *Engine) inPlace(at Time, n uint64, own *Timer) bool {
+	if e.stopped || e.fatal != nil || at > e.limit ||
+		(e.MaxEvents != 0 && e.fired+n > e.MaxEvents) || e.dueBy(at, own) {
+		return false
+	}
+	e.seq += n
+	e.now = at
+	e.fired += n
+	return true
+}
+
+// dueBy reports whether a pending event other than own's (own may be
+// nil) falls due at or before at.  When own's event is the earliest,
+// the next-earliest is one of its two children in the heap.
+func (e *Engine) dueBy(at Time, own *Timer) bool {
+	h := e.events
+	if len(h) == 0 {
+		return false
+	}
+	if own == nil || h[0] != &own.ev {
+		return h[0].at <= at
+	}
+	return len(h) > 1 && h[1].at <= at || len(h) > 2 && h[2].at <= at
 }
 
 // handoff passes control from the calling goroutine, which belongs to

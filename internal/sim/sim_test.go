@@ -427,6 +427,65 @@ func TestMaxEvents(t *testing.T) {
 			t.Errorf("%s: fired %d events, want the 100 allowed", name, e.EventsFired())
 		}
 	}
+	// A charge served in place counts the events its parked twin would
+	// fire, and only if they all fit: a thread whose charges nothing
+	// else could interrupt still stops at exactly MaxEvents, whether a
+	// charge stands for one event (a sleep) or two (a CPU completion
+	// and its wake, parked as two sleeps).
+	for name, run := range map[string]func(*Engine) error{
+		"Run":    (*Engine).Run,
+		"RunFor": func(e *Engine) error { return e.RunFor(time.Second) },
+	} {
+		for _, n := range []uint64{1, 2} {
+			n := n
+			e := NewEngine(1)
+			e.MaxEvents = 101
+			e.Go("charger", func(th *Thread) {
+				for i := 0; i < 1000; i++ {
+					if !th.ServeInPlace(th.Now().Add(time.Microsecond), n, nil) {
+						if n == 2 {
+							th.Sleep(0)
+						}
+						th.Sleep(time.Microsecond)
+					}
+				}
+			})
+			if err := run(e); err == nil {
+				t.Errorf("%s, %d-event charges: expected MaxEvents error", name, n)
+			}
+			if e.EventsFired() != 101 {
+				t.Errorf("%s, %d-event charges: fired %d events, want the 101 allowed", name, n, e.EventsFired())
+			}
+			e.Shutdown()
+		}
+	}
+}
+
+// TestInPlaceHonorsStop pins that neither Stop nor a fatal error lets a
+// thread carry on through sleeps served in place: its next sleep parks
+// and the run ends there, as it would if every sleep parked.
+func TestInPlaceHonorsStop(t *testing.T) {
+	for name, end := range map[string]func(*Engine){
+		"Stop": (*Engine).Stop,
+		"Fail": func(e *Engine) { e.Fail(errors.New("failed")) },
+	} {
+		end := end
+		e := NewEngine(1)
+		after := 0
+		e.Go("sleeper", func(th *Thread) {
+			th.Sleep(time.Microsecond)
+			end(e)
+			for i := 0; i < 100; i++ {
+				th.Sleep(time.Microsecond)
+				after++
+			}
+		})
+		e.Run()
+		if after != 0 {
+			t.Errorf("%s: the thread slept %d more times, want 0", name, after)
+		}
+		e.Shutdown()
+	}
 }
 
 // TestTimerRearm pins the Timer contract: Reset moves the one pending

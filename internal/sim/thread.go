@@ -200,17 +200,48 @@ func (t *Thread) exit() {
 
 // Sleep blocks the thread for virtual duration d.  If the thread is
 // suspended mid-sleep, the unexpired remainder is preserved and the
-// sleep continues after Resume.
+// sleep continues after Resume.  A sleep that no other event falls due
+// before is served in place (ServeInPlace): the thread moves the clock
+// past it and carries on, counting the one event its wake would fire.
 func (t *Thread) Sleep(d time.Duration) {
 	t.assertCurrent("Sleep")
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Sleep with negative duration %v", d))
 	}
+	at := t.eng.now.Add(d)
+	if t.eng.inPlace(at, 1, nil) {
+		return
+	}
 	t.state = stateSleeping
-	t.sleepUntil = t.eng.now.Add(d)
+	t.sleepUntil = at
 	t.armTimer(d)
 	t.park()
 	t.state = stateRunning
+}
+
+// ServeInPlace ends a blocking charge of the running thread t without
+// parking it, where nothing could tell the difference.  Parked, the
+// charge would arm n events of its own, each firing in turn, the last
+// at instant at, and the last would wake t: one for a sleep, two for a
+// CPU completion plus the wake it delivers.  The charge is served in
+// place only if, at the instant it would end:
+//
+//   - no pending event is due at or before at, except own's (own may
+//     be nil: a Timer that the caller re-arms whichever way it goes);
+//   - at is within the runner's limit;
+//   - neither Stop nor a fatal error has ended the run, and n more
+//     events keep EventsFired within MaxEvents.
+//
+// Then no other thread runs, no event callback fires, and so no Kill,
+// Suspend or fault can land before the charge ends.  ServeInPlace
+// moves the clock to at and advances the sequence counter and
+// EventsFired by n, exactly as the parked path would, and reports
+// true; the caller then does what the charge's last events would have
+// done.  Otherwise it changes nothing and reports false, and the
+// caller parks as usual.
+func (t *Thread) ServeInPlace(at Time, n uint64, own *Timer) bool {
+	t.assertCurrent("ServeInPlace")
+	return t.eng.inPlace(at, n, own)
 }
 
 // Yield reschedules the thread behind all events pending at the

@@ -29,6 +29,13 @@
 // event and stale ones were skipped.  EventsFired and MaxEvents
 // therefore count live events only, and DeadlockError.At is the time
 // of the last live event.
+//
+// A blocking charge (a Sleep, or a CPU charge through
+// Thread.ServeInPlace) that no other pending event falls due before
+// is served in place: the running thread moves the clock to the
+// charge's end itself instead of parking, and counts the events its
+// parked twin would have fired.  Nothing else can run in between, so
+// every virtual output, EventsFired included, is the same either way.
 package sim
 
 import (

@@ -146,15 +146,17 @@ func (s *Store) GC(t *kernel.Task) GCStats {
 		if err != nil {
 			continue
 		}
-		m, err := DecodeManifest(ino.Data)
+		m, err := ManifestOf(ino)
 		if err != nil {
 			continue
 		}
 		st.Manifests++
 		manifestBytes += ino.Size()
-		for _, ref := range m.Refs() {
-			entries++
-			live[ref.Hash] = ref.StoredBytes
+		for _, a := range m.Areas {
+			for _, ref := range a.Chunks {
+				entries++
+				live[ref.Hash] = ref.StoredBytes
+			}
 		}
 	}
 	s.Node.ReadPipeFor(s.manifestDir()).Read(t.T, manifestBytes)

@@ -116,19 +116,14 @@ func (s *Store) Quarantined() []string {
 
 // CorruptChunk is the disk-fault injector: it flips one random bit of
 // the stored object's payload in place (or plants a garbage byte in an
-// empty object), using the caller's seeded RNG.  It reports false if
-// the chunk object does not exist.
+// empty object), using the caller's seeded RNG (kernel.Inode.Corrupt).
+// It reports false if the chunk object does not exist.
 func (s *Store) CorruptChunk(rng *rand.Rand, hash string) bool {
 	ino, err := s.Node.FS.ReadFile(s.ChunkPath(hash))
 	if err != nil {
 		return false
 	}
-	if len(ino.Data) == 0 {
-		ino.Data = []byte{0xff}
-		return true
-	}
-	i := rng.Intn(len(ino.Data))
-	ino.Data[i] ^= 1 << uint(rng.Intn(8))
+	ino.Corrupt(rng)
 	return true
 }
 

@@ -171,15 +171,33 @@ func (s *Store) WriteManifest(t *kernel.Task, m *Manifest) (string, int64) {
 	return path, int64(len(data))
 }
 
-// LoadManifest reads and decodes a manifest by path, without charging
-// bulk time (callers charge the metadata read, mirroring how restart
-// reads image headers before the bulk restore).
+// ManifestOf returns the manifest the file ino holds.  It decodes the
+// bytes once per inode content and caches the result as the inode's
+// memo (kernel.Inode.Memo), which any in-place change to the bytes
+// drops.  The manifest is shared by every reader of the file: callers
+// must not modify it, its Header, or its chunk lists.
+func ManifestOf(ino *kernel.Inode) (*Manifest, error) {
+	if m, ok := ino.Memo().(*Manifest); ok {
+		return m, nil
+	}
+	m, err := DecodeManifest(ino.Data)
+	if err != nil {
+		return nil, err
+	}
+	ino.SetMemo(m)
+	return m, nil
+}
+
+// LoadManifest reads a manifest by path, without charging bulk time
+// (callers charge the metadata read, mirroring how restart reads image
+// headers before the bulk restore).  The result is shared read-only
+// (ManifestOf).
 func (s *Store) LoadManifest(path string) (*Manifest, error) {
 	ino, err := s.Node.FS.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeManifest(ino.Data)
+	return ManifestOf(ino)
 }
 
 // LatestManifest returns the newest committed generation for name.
@@ -200,21 +218,22 @@ func (s *Store) CopyTo(dst *Store, manifestPath string) error {
 	if err != nil {
 		return err
 	}
-	m, err := DecodeManifest(ino.Data)
+	m, err := ManifestOf(ino)
 	if err != nil {
 		return err
 	}
-	for _, ref := range m.Refs() {
-		src := s.ChunkPath(ref.Hash)
-		dp := dst.ChunkPath(ref.Hash)
-		if dst.Node.FS.Exists(dp) {
-			continue
+	for _, a := range m.Areas {
+		for _, ref := range a.Chunks {
+			dp := dst.ChunkPath(ref.Hash)
+			if dst.Node.FS.Exists(dp) {
+				continue
+			}
+			cino, err := s.Node.FS.ReadFile(s.ChunkPath(ref.Hash))
+			if err != nil {
+				return fmt.Errorf("store: missing chunk %s: %w", ref.Hash, err)
+			}
+			dst.Node.FS.WriteFile(dp, cino.Data, cino.LogicalSize)
 		}
-		cino, err := s.Node.FS.ReadFile(src)
-		if err != nil {
-			return fmt.Errorf("store: missing chunk %s: %w", ref.Hash, err)
-		}
-		dst.Node.FS.WriteFile(dp, cino.Data, cino.LogicalSize)
 	}
 	if !dst.Node.FS.Exists(manifestPath) {
 		dst.Node.FS.WriteFile(manifestPath, ino.Data, ino.LogicalSize)
