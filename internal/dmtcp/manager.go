@@ -654,7 +654,7 @@ func (m *Manager) drainAll(t *kernel.Task, fds []int) map[int][]byte {
 		progress := false
 		for _, j := range jobs {
 			if len(j.tokenOut) > 0 {
-				n, err := t.TrySend(j.fd, j.tokenOut)
+				n, err := t.TrySend(j.fd, nil, j.tokenOut)
 				if err != nil {
 					j.tokenOut = nil // peer gone; nothing to flush
 				} else {

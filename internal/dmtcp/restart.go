@@ -709,10 +709,7 @@ func (s *System) restoreProcess(
 	// Complete interrupted sends so streams stay byte-exact.
 	for _, tr := range img.Threads {
 		if tr.ContFD >= 0 && len(tr.ContData) > 0 {
-			tr := tr
-			p.SpawnTask("send-cont", false, func(sc *kernel.Task) {
-				sc.Send(int(tr.ContFD), tr.ContData)
-			})
+			c.ResumeSend(int(tr.ContFD), tr.ContData)
 		}
 	}
 	for _, cb := range mgr.aware.postRestart {

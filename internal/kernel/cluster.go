@@ -55,6 +55,11 @@ type Cluster struct {
 	nextFaultID int
 	parkedEps   []*TCPEndpoint
 
+	// freeBufs is the free list of in-flight socket buffers given back
+	// for reuse (see sockbuf.go): at most poolMaxBufs arrays of one to
+	// poolMaxCapMul windows each, none referenced anywhere else.
+	freeBufs [][]byte
+
 	// SAN and NFS are the shared central-storage write paths used by
 	// the Fig. 5b experiment; nodes route paths under /san to one of
 	// them according to their mount table.

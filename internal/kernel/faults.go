@@ -233,16 +233,17 @@ func (c *Cluster) faultExtraDelay(src, dst *Node) time.Duration {
 	return extra
 }
 
-// parkFrame holds a frame on a partitioned link.  Parked bytes count
-// as in flight, so senders block on their window exactly as they
-// would against a wedged link.
+// parkFrame holds a frame on a partitioned link; data is the kernel's
+// own copy of the frame's bytes, which the parked frame adopts.  Parked
+// bytes count as in flight, so senders block on their window exactly
+// as they would against a wedged link.
 func (c *Cluster) parkFrame(ep *TCPEndpoint, src *Node, data []byte, fin bool) {
 	if len(ep.parked) == 0 {
 		// First parked frame registers the endpoint; the slice keeps
 		// release order deterministic (park order), unlike a map.
 		c.parkedEps = append(c.parkedEps, ep)
 	}
-	ep.parked = append(ep.parked, parkedFrame{src: src, data: append([]byte(nil), data...), fin: fin})
+	ep.parked = append(ep.parked, parkedFrame{src: src, data: data, fin: fin})
 	ep.inflight += int64(len(data))
 	c.Trace.Add(ep.node.Hostname, "net.frames_parked", c.Eng.Now(), 1)
 }
@@ -260,7 +261,7 @@ func (c *Cluster) releaseParked() {
 			if fr.fin {
 				ep.sendFIN(fr.src)
 			} else {
-				ep.enqueue(fr.src, fr.data)
+				ep.enqueue(fr.src, gather{body: fr.data})
 			}
 		}
 	}

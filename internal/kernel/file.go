@@ -118,6 +118,18 @@ func (s *Store) Exists(path string) bool {
 	return ok
 }
 
+// ExistsIn reports whether the path dir+name exists; dir routes the
+// lookup to central storage as a whole path's prefix would.  It builds
+// the path in a stack buffer (indexing a map with string(b) does not
+// allocate), so a caller probing many names in one directory builds
+// no string per probe.
+func (s *Store) ExistsIn(dir, name string) bool {
+	var buf [128]byte
+	path := append(append(buf[:0], dir...), name...)
+	_, ok := s.target(dir)[string(path)]
+	return ok
+}
+
 // Unlink removes path; missing files are ignored (like rm -f).
 func (s *Store) Unlink(path string) {
 	delete(s.target(path), path)

@@ -13,14 +13,15 @@ import (
 // reader.
 const MaxFrame = 64 << 20
 
-// SendFrame writes one length-prefixed frame.
+// SendFrame writes one length-prefixed frame: the header and the
+// payload go out as one gather send, so the payload is not copied into
+// a joined frame first.
 func (t *Task) SendFrame(fd int, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("kernel: frame too large (%d bytes)", len(payload))
 	}
-	hdr := make([]byte, 4, 4+len(payload))
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)))
-	_, err := t.Send(fd, append(hdr, payload...))
+	binary.BigEndian.PutUint32(t.frameHdr[:], uint32(len(payload)))
+	_, err := t.send(fd, gather{t.frameHdr[:], payload})
 	return err
 }
 

@@ -126,40 +126,59 @@ type Task struct {
 	// cpu is the task's compute job, reused by every Compute charge.
 	cpu *cpuJob
 
-	// sendCont captures an in-progress blocking send so that restart
-	// can complete the stream exactly (the stack-capture substitute
-	// for threads suspended inside write()).
-	sendCont *SendCont
+	// sendFD and sendRest are the task's send in progress, so that
+	// restart can complete the stream exactly (the stack-capture
+	// substitute for threads suspended inside write()): the bytes not
+	// yet handed to the kernel, the rest of a header and then the rest
+	// of a body.  The task owns this one record and updates it in place
+	// as bytes move.  sendRest references the sender's own slices,
+	// which stay untouched until the send returns; SendContinuation
+	// copies them out.
+	sendFD   int
+	sendRest gather
+
+	// frameHdr is SendFrame's length-header scratch.  One per task
+	// suffices: a task's sends never nest, the kernel copies what it
+	// queues, and the send continuation is cleared before send returns.
+	frameHdr [4]byte
 }
 
 // SendCont describes a send interrupted by a checkpoint: the bytes
-// not yet handed to the kernel when the thread was suspended.
+// not yet handed to the kernel when the thread was suspended, joined
+// into one slice.  A SendCont from SendContinuation is a copy that
+// belongs to the caller.
 type SendCont struct {
 	FD        int
 	Remaining []byte
 }
 
-// SendContinuation returns a copy of the task's in-progress send, or
-// nil.  Only meaningful while the task is suspended.
+// SendContinuation returns a copy of the task's in-progress send, the
+// rest of its header followed by the rest of its body, or nil.  Only
+// meaningful while the task is suspended.
 func (t *Task) SendContinuation() *SendCont {
-	if t.sendCont == nil || len(t.sendCont.Remaining) == 0 {
+	n := t.sendRest.len()
+	if n == 0 {
 		return nil
 	}
-	return &SendCont{FD: t.sendCont.FD, Remaining: append([]byte(nil), t.sendCont.Remaining...)}
+	return &SendCont{FD: t.sendFD, Remaining: t.sendRest.appendTo(make([]byte, 0, n))}
 }
 
-// SetSendContinuation registers (or, with empty remaining, clears) a
-// library-managed in-progress send.  Libraries that push bytes with
-// TrySend under their own progress engines use it so that checkpoint
-// images can complete their interrupted sends exactly like ones
-// blocked inside Send.
-func (t *Task) SetSendContinuation(fd int, remaining []byte) {
-	if len(remaining) == 0 {
-		t.sendCont = nil
+// SetSendContinuation registers (or, with head and body both empty,
+// clears) a library-managed in-progress send: the rest of head, then
+// the rest of body, still to go out on fd.  Libraries that push bytes
+// with TrySend under their own progress engines use it so that
+// checkpoint images can complete their interrupted sends exactly like
+// ones blocked inside Send.  The task keeps head and body, not a copy,
+// until the next call; the library must not change them meanwhile.
+func (t *Task) SetSendContinuation(fd int, head, body []byte) {
+	if len(head)+len(body) == 0 {
+		t.clearSendContinuation()
 		return
 	}
-	t.sendCont = &SendCont{FD: fd, Remaining: remaining}
+	t.sendFD, t.sendRest = fd, gather{head, body}
 }
+
+func (t *Task) clearSendContinuation() { t.sendFD, t.sendRest = 0, gather{} }
 
 func (p *Process) params() *model.Params { return p.Node.Cluster.Params }
 
@@ -279,9 +298,9 @@ const stateArea = "[state]"
 // capture, a fork's memory copy, or LoadState.  That encoding must
 // equal what SaveState would have stored at the last StateChanged, so
 // the fields AppendState encodes may change only together with a
-// StateChanged call and with no scheduling point in between — inside
-// a critical section, since a checkpoint suspends threads only outside
-// one.
+// StateChanged call and with no scheduling point in between: a
+// checkpoint suspends a thread only at a scheduling point, so it sees
+// both or neither.
 type StateSource interface {
 	// StateLen returns len(AppendState(nil)) without encoding.
 	StateLen() int

@@ -74,9 +74,10 @@ type TCPEndpoint struct {
 
 	// recvBuf is owned by the kernel alone: an arrival adopts its
 	// private copy of the sender's bytes as recvBuf when the buffer is
-	// empty, and a read that takes every buffered byte hands recvBuf
-	// itself to the reader and drops it.  No slice handed across the
-	// Task API is referenced again by the side that gave it.
+	// empty, or appends it and gives the copy's array back to the
+	// cluster's free list; a read that takes every buffered byte hands
+	// recvBuf itself to the reader and drops it.  No slice handed
+	// across the Task API is referenced again by the side that gave it.
 	recvBuf     []byte
 	inflight    int64    // bytes scheduled for delivery into recvBuf
 	lastArrival sim.Time // serialization point for FIFO delivery
@@ -88,6 +89,15 @@ type TCPEndpoint struct {
 
 	closedLocal bool // this side shut down
 	peerClosed  bool // FIN from peer delivered
+
+	// resumer, when set, is the task completing a send that a
+	// checkpoint interrupted (Task.ResumeSend).  Until it has, no other
+	// user task's bytes go out on this stream, so the interrupted
+	// write's tail precedes every later write, as it does when a thread
+	// blocked in write() resumes mid-call.  The checkpoint manager's
+	// drain (a daemon task) is exempt: its token belongs ahead of the
+	// unsent tail, which a later checkpoint captures again.
+	resumer *Task
 
 	// tag carries wrapper metadata attached at connection setup (the
 	// DMTCP connector→acceptor information transfer of §4.4, carried
@@ -126,6 +136,11 @@ func (ep *TCPEndpoint) InFlight() int64 { return ep.inflight }
 // PeerClosed reports whether the peer has shut down.
 func (ep *TCPEndpoint) PeerClosed() bool { return ep.peerClosed }
 
+// heldFrom reports whether a resumed send holds the stream against t.
+func (ep *TCPEndpoint) heldFrom(t *Task) bool {
+	return ep.resumer != nil && ep.resumer != t && !t.Daemon
+}
+
 func (c *Cluster) newEndpointPair(a, b *Node, kind FileKind, la, lb Addr) (*TCPEndpoint, *TCPEndpoint) {
 	c.nextConnID++
 	id := c.nextConnID
@@ -152,20 +167,22 @@ func (ep *TCPEndpoint) linkFrom(src *Node) (lat float64, bw float64) {
 	return src.netDelayTo(ep.node)
 }
 
-// enqueue schedules delivery of data into ep's receive buffer,
-// preserving FIFO order and modeling link serialization.
-func (ep *TCPEndpoint) enqueue(src *Node, data []byte) {
+// enqueue schedules delivery of g's bytes, as one segment, into ep's
+// receive buffer, preserving FIFO order and modeling link
+// serialization.
+func (ep *TCPEndpoint) enqueue(src *Node, g gather) {
 	c := ep.node.Cluster
 	e := c.Eng
 	if len(ep.parked) > 0 || c.linkPartitioned(src, ep.node) {
 		// The link is partitioned (or earlier frames still are parked,
 		// which FIFO must not let this frame overtake): hold the frame
 		// until the fault heals.
-		c.parkFrame(ep, src, data, false)
+		c.parkFrame(ep, src, g.appendTo(nil), false)
 		return
 	}
+	n := g.len()
 	lat, bw := ep.linkFrom(src)
-	xfer := float64(len(data)) / bw * 1e9 // ns
+	xfer := float64(n) / bw * 1e9 // ns
 	if extra := c.faultExtraDelay(src, ep.node); extra > 0 {
 		lat += float64(extra.Nanoseconds())
 	}
@@ -175,18 +192,21 @@ func (ep *TCPEndpoint) enqueue(src *Node, data []byte) {
 	}
 	arrive += sim.Time(xfer)
 	ep.lastArrival = arrive
-	ep.inflight += int64(len(data))
-	// The kernel's copy: the sender may reuse data once this returns.
-	buf := append([]byte(nil), data...)
+	ep.inflight += int64(n)
+	// The kernel's copy, into a recycled buffer when the segment is
+	// large: the sender may reuse its slices once this returns.
+	buf := g.appendTo(c.sockBuf(n))
 	e.Schedule(arrive.Sub(e.Now()), func() {
 		ep.inflight -= int64(len(buf))
 		if ep.closedLocal {
+			c.releaseBuf(buf)
 			return // receiver gone; bytes dropped
 		}
 		if len(ep.recvBuf) == 0 {
 			ep.recvBuf = buf
 		} else {
 			ep.recvBuf = append(ep.recvBuf, buf...)
+			c.releaseBuf(buf)
 		}
 		ep.readq.WakeAll()
 	})
@@ -506,13 +526,20 @@ func (t *Task) streamFor(fd int) (*TCPEndpoint, error) {
 }
 
 // Send writes all of data to the stream, blocking as the receive
-// window fills.  The in-progress remainder is captured as a send
-// continuation — registered before the first scheduling point, so a
+// window fills.
+func (t *Task) Send(fd int, data []byte) (int, error) {
+	return t.send(fd, gather{body: data})
+}
+
+// send is the blocking gather write behind Send and SendFrame: it
+// queues g's bytes, head then body, in the same segments one
+// contiguous slice would take.  The unsent remainder is the task's
+// send continuation from before the first scheduling point, so a
 // checkpoint can complete the stream exactly even if it lands before
 // any byte has moved.
-func (t *Task) Send(fd int, data []byte) (int, error) {
-	t.sendCont = &SendCont{FD: fd, Remaining: data}
-	defer func() { t.sendCont = nil }()
+func (t *Task) send(fd int, g gather) (int, error) {
+	t.sendFD, t.sendRest = fd, g
+	defer t.clearSendContinuation()
 	t.chargeSyscall()
 	ep, err := t.streamFor(fd)
 	if err != nil {
@@ -520,33 +547,32 @@ func (t *Task) Send(fd int, data []byte) (int, error) {
 	}
 	bufCap := int(t.P.params().SocketBufBytes)
 	sent := 0
-	for sent < len(data) {
+	for t.sendRest.len() > 0 {
 		peer := ep.peer
 		if ep.closedLocal || peer == nil || peer.closedLocal {
 			return sent, ErrClosed
 		}
 		space := bufCap - (len(peer.recvBuf) + int(peer.inflight))
-		if space <= 0 {
+		if space <= 0 || ep.heldFrom(t) {
 			peer.writeq.Wait(t.T)
 			continue
 		}
-		chunk := len(data) - sent
-		if chunk > space {
-			chunk = space
-		}
-		peer.enqueue(t.P.Node, data[sent:sent+chunk])
-		sent += chunk
-		t.sendCont.Remaining = data[sent:]
+		front, rest := t.sendRest.split(min(space, t.sendRest.len()))
+		peer.enqueue(t.P.Node, front)
+		sent += front.len()
+		t.sendRest = rest
 	}
 	return sent, nil
 }
 
-// TrySend queues as much of data as the peer's receive window allows
-// without blocking and returns the byte count (possibly zero).  The
-// drain stage uses it to interleave token sends across many sockets
-// without deadlocking on full buffers (real DMTCP drains with
-// non-blocking I/O under a poll loop).
-func (t *Task) TrySend(fd int, data []byte) (int, error) {
+// TrySend queues as much of head followed by body as the peer's
+// receive window allows, as one segment, without blocking, and returns
+// the byte count (possibly zero).  The drain stage uses it to
+// interleave token sends across many sockets without deadlocking on
+// full buffers (real DMTCP drains with non-blocking I/O under a poll
+// loop); the MPI library sends a frame header and its payload with it,
+// so neither is copied into a joined frame first.
+func (t *Task) TrySend(fd int, head, body []byte) (int, error) {
 	t.chargeSyscall()
 	ep, err := t.streamFor(fd)
 	if err != nil {
@@ -557,20 +583,42 @@ func (t *Task) TrySend(fd int, data []byte) (int, error) {
 		return 0, ErrClosed
 	}
 	space := int(t.P.params().SocketBufBytes) - (len(peer.recvBuf) + int(peer.inflight))
-	if space <= 0 {
+	if space <= 0 || ep.heldFrom(t) {
 		return 0, nil
 	}
-	chunk := len(data)
-	if chunk > space {
-		chunk = space
+	g := gather{head, body}
+	front, _ := g.split(min(space, g.len()))
+	peer.enqueue(t.P.Node, front)
+	return front.len(), nil
+}
+
+// ResumeSend completes a send that a checkpoint interrupted (a
+// SendCont restored from an image): a new task of t's process sends
+// data on fd.  The stream is held for that task from this call on,
+// before any scheduling point, so whatever the process's other tasks
+// send on fd afterwards goes out after data: a library that replays
+// from its last commit cannot slip a later frame into the middle of
+// the interrupted one.
+func (t *Task) ResumeSend(fd int, data []byte) {
+	ep, err := t.streamFor(fd)
+	sc := t.P.SpawnTask("send-cont", false, func(st *Task) {
+		st.Send(fd, data)
+		if err == nil && ep.resumer == st {
+			ep.resumer = nil
+			if ep.peer != nil {
+				ep.peer.writeq.WakeAll()
+			}
+		}
+	})
+	if err == nil {
+		ep.resumer = sc
 	}
-	peer.enqueue(t.P.Node, data[:chunk])
-	return chunk, nil
 }
 
 // Recv reads up to max buffered bytes, blocking until data arrives or
 // the peer closes (io.EOF).  The result belongs to the caller, who may
-// write into it or append to it; it may have spare capacity.
+// write into it or append to it; it may have spare capacity.  A caller
+// done with its bytes may give it back with ReleaseBuf.
 func (t *Task) Recv(fd int, max int) ([]byte, error) {
 	return t.recv(fd, max, -1)
 }
@@ -628,6 +676,8 @@ func (t *Task) recv(fd int, max int, timeout sim.Time) ([]byte, error) {
 }
 
 // RecvN blocks until exactly n bytes have been read (or an error).
+// It gives each slice a read handed over back to the kernel once it
+// has appended its bytes to the result.
 func (t *Task) RecvN(fd, n int) ([]byte, error) {
 	out := make([]byte, 0, n)
 	for len(out) < n {
@@ -636,6 +686,7 @@ func (t *Task) RecvN(fd, n int) ([]byte, error) {
 			return out, err
 		}
 		out = append(out, chunk...)
+		t.ReleaseBuf(chunk)
 	}
 	return out, nil
 }

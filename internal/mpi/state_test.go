@@ -151,19 +151,23 @@ func TestExchangeAllocationsLinear(t *testing.T) {
 
 // TestExchangeCopyBudget guards the host cost of a steady-state
 // exchange in the NAS loop's pattern: a reused receive buffer and a
-// Commit after every exchange.  A message's bytes are copied three
-// times (framed into the sender's scratch, queued by the kernel, copied
-// out of the reassembly log into the receive buffer), and only the
-// kernel's copy allocates: the socket buffer and the log adopt the
-// slices they are handed.  Copying at every hand-off instead allocates
-// about 5× the message size.
+// Commit after every exchange.  A message's bytes are copied twice:
+// the kernel copies the frame header and the caller's payload into its
+// in-flight buffer (a gather send, no frame scratch), and the receiver
+// copies the payload out of the reassembly log into its receive buffer.
+// Once buffers circulate neither copy allocates: the kernel copies into
+// a recycled window-sized buffer, the socket buffer and the log adopt
+// it, and the log gives back the array it drops.  What remains is a
+// window remainder of a split frame, which gets an exact-size buffer.
+// A fresh kernel buffer per message allocates about 1.6× the message
+// size, and copying at every hand-off about 5×.
 func TestExchangeCopyBudget(t *testing.T) {
-	const k, size, multiple = 64, 60 << 10, 2
+	const k, size, budget = 64, 60 << 10, 0.25
 	// Both ranks run in this process: 2k messages moved.
 	perMsg := float64(exchangeAllocs(t, k, size, true)) / float64(2*k*size)
 	t.Logf("%d messages of %d B allocated %.2f× the message size each", 2*k, size, perMsg)
-	if perMsg > multiple {
-		t.Errorf("%d messages of %d B allocated %.2f× the message size each, over the %d× budget",
-			2*k, size, perMsg, multiple)
+	if perMsg > budget {
+		t.Errorf("%d messages of %d B allocated %.2f× the message size each, over the %.2f× budget",
+			2*k, size, perMsg, budget)
 	}
 }

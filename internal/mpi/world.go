@@ -11,9 +11,11 @@
 // are exactly-once across restart.  Three mechanisms combine:
 //
 //   - the kernel completes interrupted sends at restart (send
-//     continuations), so the byte stream is exact;
+//     continuations) ahead of any later send on the same stream, so
+//     the byte stream is exact;
 //   - received bytes are appended to a per-peer reassembly log in the
-//     same atomic step as the read (no scheduling point between them).
+//     same atomic step as the read (no scheduling point between them,
+//     not even a wait for a pending checkpoint).
 //     The World is its process's kernel.StateSource: the log and
 //     cursors stay live in the library, and the kernel encodes them
 //     into process memory only when a checkpoint or fork reads it;
@@ -81,7 +83,10 @@ type chanState struct {
 	// rx is the reassembly log: every byte received from the peer
 	// and not yet discarded by a Commit.  It is the rollback record,
 	// so nothing outside the World ever aliases it: it adopts only
-	// slices the kernel handed over, and readers copy out of it.
+	// slices the kernel handed over, readers copy out of it, and an
+	// array it drops, outgrows or empties goes back to the kernel
+	// (commitRx, Commit), after which the World never references it
+	// again.
 	rx []byte
 	// rxCommitted is the log offset the application had consumed at
 	// its last Commit; live consumption runs ahead in memory only.
@@ -115,12 +120,13 @@ type World struct {
 	accepted map[int]int // inbound rank → fd (handshook, unclaimed)
 	acceptW  *sim.WaitQueue
 
-	// sendBuf is the scratch every Send encodes its frame into.  One
-	// buffer suffices: TrySend copies the bytes it queues, progressSend
-	// clears the send continuation before it returns (a checkpoint
-	// captures a copy of it), and a World's sends never nest, because
-	// progressSend only receives while it waits.
-	sendBuf []byte
+	// head is the scratch every Send encodes its 12-byte frame header
+	// into; the payload goes out of the caller's slice.  One suffices:
+	// the kernel copies the bytes TrySend queues, progressSend clears
+	// the send continuation before it returns (a checkpoint captures a
+	// copy of it), and a World's sends never nest, because progressSend
+	// only receives while it waits.
+	head [12]byte
 }
 
 // Size returns the communicator size.
@@ -277,8 +283,8 @@ func (w *World) StateLen() int {
 
 // AppendState implements kernel.StateSource: it encodes the library
 // and application state that Resume rebuilds a World from.  The
-// encoded fields change only inside critical sections that end with
-// StateChanged (Send, commitRx, Commit).
+// encoded fields change only together with StateChanged, with no
+// scheduling point in between (Send, commitRx, Commit).
 func (w *World) AppendState(dst []byte) []byte {
 	e := bin.Encoder{B: dst}
 	e.Int(w.Rank)
@@ -345,8 +351,15 @@ func (w *World) Commit(appState []byte) {
 	for _, p := range w.peers {
 		ch := w.chans[p]
 		// Discard consumed log bytes in place (every reader copies out
-		// of the log) and advance committed cursors.
+		// of the log) and advance committed cursors.  A log this
+		// empties gives its array back to the kernel while the copy
+		// out of it is recent, so the next send's kernel copy writes
+		// cache-warm memory.
 		ch.rx = ch.rx[:copy(ch.rx, ch.rx[ch.rxLive:])]
+		if len(ch.rx) == 0 {
+			w.T.ReleaseBuf(ch.rx)
+			ch.rx = nil
+		}
 		ch.rxCommitted = 0
 		ch.rxLive = 0
 		ch.sentAtCommit = ch.sentLive
@@ -377,34 +390,38 @@ func (w *World) Send(to, tag int, data []byte) {
 	ch.sentWire++
 	w.T.P.StateChanged()
 	w.T.EndCritical()
-	// Raw library framing (parseFrame delimits); an interrupted send
-	// is completed by the restart continuation.
-	e := bin.Encoder{B: w.sendBuf[:0]}
+	// Raw library framing (parseFrame delimits): the header and the
+	// caller's payload go to the kernel as one gather send, so the
+	// payload is copied only by the kernel.  An interrupted send is
+	// completed by the restart continuation.
+	e := bin.Encoder{B: w.head[:0]}
 	e.Int(tag)
-	e.Bytes(data)
-	w.sendBuf = e.B
-	w.progressSend(ch, e.B)
+	e.U32(uint32(len(data)))
+	w.progressSend(ch, e.B, data)
 }
 
-// progressSend pushes payload without ever blocking on a full window:
-// while the peer's receive buffer is full it services inbound traffic
-// instead (the MPI progress engine), so symmetric exchanges larger
-// than the kernel socket buffers cannot deadlock.
-func (w *World) progressSend(ch *chanState, payload []byte) {
+// progressSend pushes the frame head‖body without ever blocking on a
+// full window: while the peer's receive buffer is full it services
+// inbound traffic instead (the MPI progress engine), so symmetric
+// exchanges larger than the kernel socket buffers cannot deadlock.
+func (w *World) progressSend(ch *chanState, head, body []byte) {
 	// Register the remainder as a send continuation so a checkpoint
 	// taken mid-progress restores a byte-exact stream (the on-wire
 	// counter was already committed by the caller).
-	w.T.SetSendContinuation(ch.fd, payload)
-	defer w.T.SetSendContinuation(ch.fd, nil)
-	sent := 0
-	for sent < len(payload) {
-		n, err := w.T.TrySend(ch.fd, payload[sent:])
+	w.T.SetSendContinuation(ch.fd, head, body)
+	defer w.T.SetSendContinuation(ch.fd, nil, nil)
+	for {
+		n, err := w.T.TrySend(ch.fd, head, body)
 		if err != nil {
 			return
 		}
-		sent += n
-		w.T.SetSendContinuation(ch.fd, payload[sent:])
-		if sent >= len(payload) {
+		if n < len(head) {
+			head = head[n:]
+		} else {
+			body, head = body[n-len(head):], nil
+		}
+		w.T.SetSendContinuation(ch.fd, head, body)
+		if len(head)+len(body) == 0 {
 			return
 		}
 		w.pumpAny()
@@ -432,17 +449,42 @@ func (w *World) pumpAny() {
 }
 
 // commitRx appends received bytes to the reassembly log atomically.
-// An empty log adopts data instead of copying it: data is a slice the
-// kernel handed over, and the caller does not touch it again.
+// data is a slice the kernel handed over, and the caller does not
+// touch it again.  The log keeps an array that already has room when
+// it can: an empty log (Commit gave its array back) adopts data
+// instead of copying it; a log whose array is too small for data moves
+// into data's array when that one has room (the second part of a frame
+// the window split lands in a recycled window-sized buffer); only when
+// neither has room does the append allocate.  Every array the log
+// drops or copied out of goes back to the kernel and is never
+// referenced again: nothing outside the World aliases the log.
+//
+// commitRx takes no critical section.  The bytes it holds exist
+// nowhere else, so it must not wait for a pending checkpoint, as
+// BeginCritical would: a checkpoint taken during that wait would find
+// them neither in the kernel (for the drain) nor in the log (for the
+// state), and a restart would lose them.  No checkpoint can split the
+// read from the append anyway: the caller hands data over with no
+// scheduling point in between, and there is none in here.
 func (w *World) commitRx(ch *chanState, data []byte) {
-	w.T.BeginCritical()
-	if len(ch.rx) == 0 {
+	old, n := ch.rx, len(ch.rx)+len(data)
+	switch {
+	case len(old) == 0:
 		ch.rx = data
-	} else {
-		ch.rx = append(ch.rx, data...)
+	case cap(old) >= n:
+		ch.rx = append(old, data...)
+		w.T.ReleaseBuf(data)
+	case cap(data) >= n:
+		ch.rx = data[:n]
+		copy(ch.rx[len(old):], data)
+		copy(ch.rx, old)
+		w.T.ReleaseBuf(old)
+	default:
+		ch.rx = append(old, data...)
+		w.T.ReleaseBuf(old)
+		w.T.ReleaseBuf(data)
 	}
 	w.T.P.StateChanged()
-	w.T.EndCritical()
 }
 
 // Message is a received tagged payload.

@@ -163,7 +163,7 @@ func (s *Store) GC(t *kernel.Task) GCStats {
 	t.Compute(time.Duration(entries) * p.ManifestEntryCost)
 
 	// Sweep: unlink chunks no manifest references.
-	dir := s.chunkDir()
+	dir := s.chunks
 	for _, path := range s.Node.FS.List(dir) {
 		t.Compute(p.ChunkLookupCost)
 		hash := path[len(dir):]

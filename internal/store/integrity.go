@@ -131,7 +131,7 @@ func (s *Store) CorruptChunk(rng *rand.Rand, hash string) bool {
 // returns its hash (deterministic for a given RNG state: candidates
 // are drawn from the sorted object list).
 func (s *Store) CorruptRandomChunk(rng *rand.Rand) (string, bool) {
-	dir := s.chunkDir()
+	dir := s.chunks
 	paths := s.Node.FS.List(dir)
 	if len(paths) == 0 {
 		return "", false
@@ -180,7 +180,7 @@ func (s *Store) ScrubPass(t *kernel.Task, qos float64, onCorrupt func(ref ChunkR
 		if !s.HasChunk(ref.Hash) {
 			continue
 		}
-		s.Node.ReadPipeFor(s.chunkDir()).Read(t.T, ref.StoredBytes)
+		s.Node.ReadPipeFor(s.chunks).Read(t.T, ref.StoredBytes)
 		t.Compute(p.HashTime(ref.StoredBytes))
 		st.Checked++
 		st.Bytes += ref.StoredBytes

@@ -51,11 +51,13 @@ type Config struct {
 type Store struct {
 	Node *kernel.Node
 	Cfg  Config
+
+	chunks string // chunk object directory, Cfg.Root + "/chunks/"
 }
 
 // Open returns a handle to the store rooted at cfg.Root on node n.
 func Open(n *kernel.Node, cfg Config) *Store {
-	return &Store{Node: n, Cfg: cfg}
+	return &Store{Node: n, Cfg: cfg, chunks: cfg.Root + "/chunks/"}
 }
 
 // ChunkRef identifies one stored chunk and carries the accounting
@@ -102,11 +104,10 @@ func ChunkHash(scope string, index int, version uint64, span int64, class model.
 	return hex.EncodeToString(h.Sum(nil)[:20])
 }
 
-func (s *Store) chunkDir() string    { return s.Cfg.Root + "/chunks/" }
 func (s *Store) manifestDir() string { return s.Cfg.Root + "/manifests/" }
 
 // ChunkPath returns the object path for a chunk hash.
-func (s *Store) ChunkPath(hash string) string { return s.chunkDir() + hash }
+func (s *Store) ChunkPath(hash string) string { return s.chunks + hash }
 
 // ManifestPath returns the manifest path for (name, generation).
 func (s *Store) ManifestPath(name string, gen int64) string {
@@ -141,9 +142,10 @@ func RootForManifest(path string) (string, bool) {
 // params returns the cluster's calibrated model.
 func (s *Store) params() *model.Params { return s.Node.Cluster.Params }
 
-// HasChunk reports whether the chunk object already exists.
+// HasChunk reports whether the chunk object already exists.  It probes
+// without building the object's path.
 func (s *Store) HasChunk(hash string) bool {
-	return s.Node.FS.Exists(s.ChunkPath(hash))
+	return s.Node.FS.ExistsIn(s.chunks, hash)
 }
 
 // inflightPuts tracks chunk hashes currently being compressed/written
@@ -271,7 +273,7 @@ func (s *Store) ChargeReadRaw(t *kernel.Task, refs []ChunkRef) {
 	for _, r := range refs {
 		stored += r.StoredBytes
 	}
-	s.Node.ReadPipeFor(s.chunkDir()).Read(t.T, stored)
+	s.Node.ReadPipeFor(s.chunks).Read(t.T, stored)
 }
 
 // Generations returns the committed generation numbers for an image

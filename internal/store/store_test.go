@@ -398,3 +398,34 @@ func TestPrunePinnedGenerationSurvives(t *testing.T) {
 		}
 	})
 }
+
+// TestHasChunkProbesWithoutAllocating pins the dedup probe: HasChunk
+// answers as a lookup of the chunk's full path would, for a local root
+// and a shared /san root seen from another node, and builds no path
+// string on the heap to do it.
+func TestHasChunkProbesWithoutAllocating(t *testing.T) {
+	eng, c := testCluster(t)
+	run(t, eng, c, func(task *kernel.Task) {
+		s, refs := commitOne(t, task)
+		hash := refs[0].Hash
+		if !s.HasChunk(hash) || !task.P.Node.FS.Exists(s.ChunkPath(hash)) {
+			t.Errorf("committed chunk %s not found", hash)
+		}
+		if s.HasChunk("no-such-chunk") {
+			t.Error("HasChunk found a chunk that was never stored")
+		}
+		if n := testing.AllocsPerRun(100, func() { s.HasChunk(hash) }); n != 0 {
+			t.Errorf("HasChunk allocated %.0f times per probe, want 0", n)
+		}
+
+		shared := store.Open(task.P.Node, store.Config{Root: "/san/store"})
+		task.P.Node.FS.WriteFile(shared.ChunkPath(hash), []byte("x"), 0)
+		peer := store.Open(c.Node(1), store.Config{Root: "/san/store"})
+		if !peer.HasChunk(hash) {
+			t.Error("a chunk under /san is not found from another node")
+		}
+		if local := store.Open(c.Node(1), store.Config{Root: "/ckpt/store"}); local.HasChunk(hash) {
+			t.Error("another node's local store claims a chunk it never stored")
+		}
+	})
+}
