@@ -571,8 +571,10 @@ func TestSendContinuationCapturedWhenSuspended(t *testing.T) {
 		sender.T.Suspend()
 		cont := sender.SendContinuation()
 		if cont == nil {
-			// NOTE: t.Fatal would Goexit out of the sim thread and
-			// wedge the engine; report and bail out normally instead.
+			// NOTE: t.Fatal's Goexit would pass out of the sim thread
+			// to the goroutine running the engine and end it mid-run,
+			// leaving the engine unusable (see sim.Thread); report
+			// and bail out normally instead.
 			t.Error("no send continuation captured")
 			sender.T.Resume()
 			return

@@ -18,14 +18,14 @@ import (
 // engine guarantees that only one of those contexts is active at a
 // time.
 //
-// Control passes directly between goroutines.  The goroutine that
-// gives it up (a thread parking or exiting, or the runner: the
-// goroutine inside Run or RunFor) fires the pending events itself
-// until one wakes or starts a thread, then hands control to that
-// thread's goroutine, or keeps it when the thread is its own.  When
-// the runner's call must end, control goes back to the runner.  A
-// panic in an event callback, on whichever goroutine fired it, is
-// raised again with the same value on the runner.
+// Each virtual thread runs as a coroutine.  The runner (the goroutine
+// inside Run or RunFor) is the only context that fires events: it
+// fires them until one wakes or starts a thread, then resumes that
+// thread's coroutine, and fires on once the thread parks or ends.  A
+// Kill of a parked thread resumes the victim from the calling context
+// instead.  Control passes by coroutine switches, never through the Go
+// scheduler, and an event callback's panic unwinds straight out of Run
+// or RunFor.
 //
 // A blocking charge that nothing could interrupt does not park at all:
 // when no other event falls due before it ends, the running thread
@@ -38,15 +38,12 @@ type Engine struct {
 	free   []*event // fired one-shot events, reused by Schedule
 
 	running *Thread              // thread currently executing, if any
-	firing  *Thread              // parked thread whose goroutine fires the current event
-	next    *Thread              // thread the current event hands control to
+	next    *Thread              // thread the current event wakes or starts
 	threads map[*Thread]struct{} // all live (non-dead) threads
 	nextTID int64
 
-	limit    Time          // the runner's call fires no event after this
-	done     chan struct{} // wakes the runner when its call must end
-	abort    error         // MaxEvents error for the runner's call
-	panicked any           // event callback panic, raised again on the runner
+	limit Time  // the runner's call fires no event after this
+	abort error // MaxEvents error for the runner's call
 
 	rng     *rand.Rand
 	fatal   error
@@ -69,7 +66,6 @@ type Engine struct {
 func NewEngine(seed int64) *Engine {
 	return &Engine{
 		threads: make(map[*Thread]struct{}),
-		done:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
@@ -125,8 +121,6 @@ func (e *Engine) GoAfter(d time.Duration, name string, fn func(*Thread)) *Thread
 		eng:   e,
 		id:    e.nextTID,
 		name:  name,
-		wake:  make(chan struct{}),
-		yield: make(chan struct{}),
 		state: stateReady,
 		body:  fn,
 	}
@@ -137,33 +131,20 @@ func (e *Engine) GoAfter(d time.Duration, name string, fn func(*Thread)) *Thread
 	return t
 }
 
-// startThread is a thread's start event: control passes to t, whose
-// goroutine the handoff launches.
+// startThread is a thread's start event: the runner resumes t next,
+// which makes its coroutine.
 func (e *Engine) startThread(t *Thread) {
 	if t.state == stateDead || t.killed {
 		return // killed before it ever ran
 	}
-	t.started = true
 	e.next = t
 }
 
-// dispatch fires events on the calling goroutine until one hands
-// control to a thread, and returns that thread, or nil when control
-// must go back to the runner: Stop, a fatal error, MaxEvents, a
-// callback panic, no event left, or none due by the runner's limit.
-// self is the parked thread the goroutine belongs to, nil for the
-// runner or an exited thread; when an event kills self, dispatch
-// returns self as soon as that callback returns, so that it unwinds
-// before the next event.
-func (e *Engine) dispatch(self *Thread) (next *Thread) {
-	e.running, e.firing = nil, self
-	defer func() {
-		e.firing = nil
-		if r := recover(); r != nil {
-			e.panicked = r
-			next = nil
-		}
-	}()
+// dispatch fires events until one wakes or starts a thread, and
+// returns that thread, or nil when the runner's call must end: Stop, a
+// fatal error, MaxEvents, no event left, or none due by the runner's
+// limit.
+func (e *Engine) dispatch() *Thread {
 	for e.next == nil {
 		if e.stopped || e.fatal != nil || len(e.events) == 0 || e.events[0].at > e.limit {
 			return nil
@@ -184,11 +165,9 @@ func (e *Engine) dispatch(self *Thread) (next *Thread) {
 			e.free = append(e.free, ev)
 		}
 		fn()
-		if self != nil && self.killed {
-			return self
-		}
 	}
-	next, e.next = e.next, nil
+	next := e.next
+	e.next = nil
 	return next
 }
 
@@ -221,42 +200,14 @@ func (e *Engine) dueBy(at Time, own *Timer) bool {
 	return len(h) > 1 && h[1].at <= at || len(h) > 2 && h[2].at <= at
 }
 
-// handoff passes control from the calling goroutine, which belongs to
-// self (nil for the runner or an exited thread), to next, or to the
-// runner when next is nil.  It reports whether the caller must now
-// block on its own channel until control comes back; it need not when
-// control stays with self.
-func (e *Engine) handoff(self, next *Thread) (block bool) {
-	if next == nil {
-		e.done <- struct{}{}
-		return true
-	}
-	next.state = stateRunning
-	e.running = next
-	if next == self {
-		return false
-	}
-	if fn := next.body; fn != nil {
-		next.body = nil // the goroutine holds it from here
-		go next.main(fn)
-	} else {
-		next.wake <- struct{}{}
-	}
-	return true
-}
-
 // runTo is the runner's side of Run and RunFor: it fires events until
-// none is due by limit, handing control to threads as events wake
-// them, and returns once control comes back.
+// none is due by limit, and resumes each thread they wake or start
+// until it parks or ends.
 func (e *Engine) runTo(limit Time) error {
 	e.limit = limit
-	if next := e.dispatch(nil); next != nil {
-		e.handoff(nil, next)
-		<-e.done
-	}
-	if p := e.panicked; p != nil {
-		e.panicked = nil
-		panic(p)
+	for t := e.dispatch(); t != nil; t = e.dispatch() {
+		t.state = stateRunning
+		t.resume()
 	}
 	if err := e.abort; err != nil {
 		e.abort = nil

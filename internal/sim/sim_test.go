@@ -295,27 +295,56 @@ func TestJoinAlreadyDead(t *testing.T) {
 	}
 }
 
+// TestKillParkedThread pins that Kill of a parked thread unwinds it
+// before Kill returns, from whichever context calls it: an event
+// callback, another running thread, or the runner between RunFor calls.
 func TestKillParkedThread(t *testing.T) {
-	e := NewEngine(1)
-	q := NewWaitQueue(e, "q")
-	deferRan := false
-	w := e.Go("victim", func(th *Thread) {
-		defer func() { deferRan = true }()
-		q.Wait(th)
-		t.Error("victim should never wake normally")
-	})
-	e.Schedule(time.Millisecond, func() { w.Kill() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !deferRan {
-		t.Fatal("deferred function did not run on kill")
-	}
-	if !w.Dead() {
-		t.Fatal("victim not dead")
-	}
-	if q.Len() != 0 {
-		t.Fatal("victim left on queue")
+	for name, from := range map[string]func(e *Engine, kill func()){
+		"EventCallback": func(e *Engine, kill func()) {
+			e.Schedule(time.Millisecond, kill)
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"OtherThread": func(e *Engine, kill func()) {
+			e.GoAfter(time.Millisecond, "killer", func(*Thread) { kill() })
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"RunnerBetweenRunFor": func(e *Engine, kill func()) {
+			if err := e.RunFor(time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			kill()
+			if err := e.RunFor(time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		e := NewEngine(1)
+		q := NewWaitQueue(e, "q")
+		deferRan := false
+		w := e.Go("victim", func(th *Thread) {
+			defer func() { deferRan = true }()
+			q.Wait(th)
+			t.Errorf("%s: victim should never wake normally", name)
+		})
+		from(e, func() {
+			w.Kill()
+			if !deferRan || !w.Dead() {
+				t.Errorf("%s: when Kill returned, deferred ran=%v, dead=%v", name, deferRan, w.Dead())
+			}
+		})
+		if !w.Dead() {
+			t.Fatalf("%s: victim not dead", name)
+		}
+		if q.Len() != 0 {
+			t.Fatalf("%s: victim left on queue", name)
+		}
+		if e.LiveThreads() != 0 {
+			t.Fatalf("%s: %d live threads", name, e.LiveThreads())
+		}
 	}
 }
 
@@ -524,7 +553,7 @@ func TestTimerRearm(t *testing.T) {
 
 // TestHandoffAllocs pins that handing control between threads and the
 // runner allocates nothing, whether a thread sleeps or is woken through
-// a wait queue: each thread owns its wake slot and channels, and a
+// a wait queue: each thread owns its wake slot and coroutine, and a
 // refilled queue reuses its backing array.  Each 1 µs RunFor slice
 // wakes both threads once and returns to the runner.
 func TestHandoffAllocs(t *testing.T) {
@@ -573,9 +602,9 @@ func TestHandoffAllocs(t *testing.T) {
 }
 
 // TestShutdownLeavesNoGoroutines pins that every virtual thread's
-// goroutine exits by Shutdown, whatever it was doing: sleeping,
+// coroutine ends by Shutdown, whatever it was doing: sleeping,
 // suspended mid-sleep, waiting on a queue, never started, or killed by
-// another running thread (a nested handoff inside that thread's turn).
+// another running thread (a nested resume inside that thread's turn).
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine(1)
@@ -607,24 +636,20 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	noGoroutinesLeft(t, base)
 }
 
-// noGoroutinesLeft fails unless the goroutine count falls back to base.
-// A thread goroutine's last act is a channel send to whoever takes
-// control next, so give it a moment to return.
+// noGoroutinesLeft fails unless the goroutine count is back at base.
+// A coroutine's goroutine is gone as soon as the coroutine ends, so the
+// count is checked at once, without waiting.
 func noGoroutinesLeft(t *testing.T, base int) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after Shutdown, baseline %d", n, base)
 	}
 }
 
-// TestKillFromFiringCallback pins the one case where Kill does not
-// unwind its victim before returning: an event callback that kills the
-// thread whose goroutine is firing it.  The victim is marked killed,
-// the rest of the callback runs, then the victim's deferred functions,
-// and the victim is dead by the next event.
+// TestKillFromFiringCallback pins that an event callback that kills a
+// parked thread, whether a Schedule or a Timer callback, unwinds the
+// victim before Kill returns: its deferred functions run before the
+// rest of the callback, which already sees it dead.
 func TestKillFromFiringCallback(t *testing.T) {
 	for name, at := range map[string]func(e *Engine, d time.Duration, fn func()){
 		"Schedule": (*Engine).Schedule,
@@ -641,9 +666,6 @@ func TestKillFromFiringCallback(t *testing.T) {
 			t.Errorf("%s: victim woke normally", name)
 		})
 		at(e, time.Millisecond, func() {
-			if e.firing != victim {
-				t.Errorf("%s: callback did not fire on the victim's goroutine", name)
-			}
 			log = append(log, "kill")
 			victim.Kill()
 			log = append(log, fmt.Sprintf("rest of callback dead=%v", victim.Dead()))
@@ -654,7 +676,7 @@ func TestKillFromFiringCallback(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatalf("%s: Run = %v", name, err)
 		}
-		want := "[kill rest of callback dead=false victim's deferred functions next event dead=true]"
+		want := "[kill victim's deferred functions rest of callback dead=true next event dead=true]"
 		if got := fmt.Sprint(log); got != want {
 			t.Errorf("%s: order %v, want %v", name, got, want)
 		}
@@ -663,9 +685,10 @@ func TestKillFromFiringCallback(t *testing.T) {
 	}
 }
 
-// TestCallbackPanicForwarded pins that a panic in an event callback
-// fired on a parked thread's goroutine reaches the caller of RunFor
-// with its original value, and leaves the engine able to shut down.
+// TestCallbackPanicForwarded pins that a panic in an event callback,
+// fired by the runner while a thread is parked, reaches the caller of
+// RunFor with its original value, and leaves the engine able to shut
+// down.
 func TestCallbackPanicForwarded(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine(1)
@@ -673,8 +696,8 @@ func TestCallbackPanicForwarded(t *testing.T) {
 	parked := e.Go("parked", func(th *Thread) { q.Wait(th) })
 	boom := errors.New("boom")
 	e.Schedule(time.Millisecond, func() {
-		if e.firing != parked {
-			t.Error("callback did not fire on the parked thread's goroutine")
+		if e.Current() != nil {
+			t.Errorf("callback fired with %s current, want none", e.Current().Name())
 		}
 		panic(boom)
 	})
@@ -693,10 +716,34 @@ func TestCallbackPanicForwarded(t *testing.T) {
 	noGoroutinesLeft(t, base)
 }
 
+// TestGoexitInBodyEndsRunner pins what a thread body's runtime.Goexit
+// (testing.T's FailNow) does: it passes out of the thread's coroutine to
+// the runner, whose goroutine exits through its deferred functions
+// instead of hanging, and RunFor never returns.
+func TestGoexitInBodyEndsRunner(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("goexit", func(*Thread) { runtime.Goexit() })
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = e.RunFor(time.Second)
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the runner's goroutine hung after a thread body called runtime.Goexit")
+	}
+	if returned {
+		t.Fatal("RunFor returned after a thread body called runtime.Goexit")
+	}
+}
+
 // TestWaitQueueDropsRemovedWaiters pins that a long-lived queue keeps
 // no reference to a thread removed from it by timeout, interrupt or
-// kill, and that no thread keeps its body once started, so nothing
-// pins a dead thread or the state its closures reference.
+// kill, and that no dead thread keeps its body or its coroutine, so
+// nothing pins a dead thread or the state its closures reference.
 func TestWaitQueueDropsRemovedWaiters(t *testing.T) {
 	e := NewEngine(1)
 	q := NewWaitQueue(e, "q")
@@ -725,8 +772,9 @@ func TestWaitQueueDropsRemovedWaiters(t *testing.T) {
 		}
 	}
 	for _, th := range ths {
-		if !th.Dead() || th.body != nil {
-			t.Errorf("%s: dead=%v, body retained=%v", th.name, th.Dead(), th.body != nil)
+		if !th.Dead() || th.body != nil || th.run != nil {
+			t.Errorf("%s: dead=%v, body retained=%v, coroutine retained=%v",
+				th.name, th.Dead(), th.body != nil, th.run != nil)
 		}
 	}
 }

@@ -69,7 +69,7 @@ var errThreadKilled = errors.New("sim: thread killed")
 // Thread.Interrupt.
 var ErrInterrupted = errors.New("sim: interrupted")
 
-// Thread is a virtual thread: a goroutine scheduled cooperatively by
+// Thread is a virtual thread: a coroutine scheduled cooperatively by
 // the engine.  All methods that block (Sleep, Yield, Join, and
 // WaitQueue waits naming this thread) must be called from the thread's
 // own body; control methods (Suspend, Resume, Interrupt, Kill) may be
@@ -80,17 +80,21 @@ var ErrInterrupted = errors.New("sim: interrupted")
 // wake).  A newer wake moves the slot and a cancellation (Suspend of a
 // sleeper, Kill) withdraws it, so a thread has at most one pending
 // event besides its start event, and no superseded one ever fires.
+//
+// A body must not call runtime.Goexit (testing.T's FailNow, Fatal and
+// SkipNow do): the Goexit passes out of the thread's coroutine to the
+// context that resumed it, whose goroutine then exits through its
+// deferred functions, and the engine is unusable from then on.  Report
+// a failure and return instead.
 type Thread struct {
 	eng  *Engine
 	id   int64
 	name string
 
-	wake    chan struct{} // to its parked goroutine: run, or unwind if killed
-	yield   chan struct{} // from its goroutine to a Kill waiting for the unwind
-	body    func(*Thread) // until the goroutine starts, which then holds it
-	state   threadState
-	started bool // start event fired: control has passed to the thread
-	reaped  bool // a Kill from another context waits on yield for the unwind
+	body  func(*Thread)           // until the first resume makes the coroutine from it
+	run   func() (struct{}, bool) // resumes the coroutine; nil before the first resume and once dead
+	yield func(struct{}) bool     // inside the coroutine: gives control back to its resumer
+	state threadState
 
 	slot       Timer      // the thread's one wake event
 	slotReason WakeReason // reason the slot delivers when it fires
@@ -159,30 +163,38 @@ func (t *Thread) assertCurrent(op string) {
 	}
 }
 
-// park gives up control: the thread's goroutine fires the pending
-// events itself until one wakes a thread.  It returns at once if that
-// thread is itself; otherwise it hands control on and blocks until
-// woken.  A killed thread unwinds on return.
+// park gives control back to the context that resumed the thread and
+// returns when it is resumed again.  A killed thread unwinds on return.
 func (t *Thread) park() {
-	e := t.eng
-	if e.handoff(t, e.dispatch(t)) {
-		<-t.wake
-	}
+	t.yield(struct{}{})
 	if t.killed {
 		panic(errThreadKilled)
 	}
 }
 
-// main is the body of the thread's goroutine.
-func (t *Thread) main(fn func(*Thread)) {
-	defer t.exit()
-	fn(t)
+// resume runs t until it parks or ends, then gives control back to the
+// caller: the runner, or a Kill from any context.  The first resume
+// makes t's coroutine from its body.
+func (t *Thread) resume() {
+	e := t.eng
+	prev := e.running
+	e.running = t
+	if t.run == nil {
+		fn := t.body
+		t.body = nil
+		t.run = coroutine(func(yield func(struct{}) bool) {
+			t.yield = yield
+			defer t.exit()
+			fn(t)
+		})
+	}
+	t.run()
+	e.running = prev
 }
 
 // exit ends the thread once its body returns, panics, or unwinds from
-// a kill.  A Kill from another context is waiting on yield and keeps
-// control; otherwise this goroutine holds control and fires on until
-// it can hand it to a thread or the runner.
+// a kill.  Its coroutine then ends, and control goes back to the
+// context that resumed it.
 func (t *Thread) exit() {
 	e := t.eng
 	if r := recover(); r != nil && r != errThreadKilled {
@@ -191,11 +203,6 @@ func (t *Thread) exit() {
 		}
 	}
 	t.markDead()
-	if t.reaped {
-		t.yield <- struct{}{}
-		return
-	}
-	e.handoff(nil, e.dispatch(nil))
 }
 
 // Sleep blocks the thread for virtual duration d.  If the thread is
@@ -374,20 +381,13 @@ func (t *Thread) Interrupted() bool { return t.interrupted }
 func (t *Thread) SetSuspendHook(fn func(suspended bool)) { t.suspendHook = fn }
 
 // Kill terminates the thread.  If it has not started it never will.
-// Otherwise its goroutine unwinds: deferred functions run, but must
-// not block on simulation primitives.  When the unwind happens depends
-// on the caller's context:
-//
-//   - The currently running thread may kill itself, which unwinds it on
-//     the spot.
-//   - Kill of a thread whose goroutine is parked (from another thread,
-//     from Shutdown, or from an event callback fired on some other
-//     goroutine) unwinds it synchronously: the victim's deferred
-//     functions have run and Dead reports true when Kill returns.
-//   - An event callback may kill the thread whose goroutine is firing
-//     it.  Kill then only marks the thread killed; the rest of the
-//     callback runs, then the victim's deferred functions, and the
-//     thread is dead before the next event fires.
+// Otherwise its coroutine unwinds: deferred functions run, but must not
+// block on simulation primitives.  The currently running thread may
+// kill itself, which unwinds it on the spot.  Kill of a parked thread,
+// from any context (another thread, an event callback, or the runner
+// between Run or RunFor calls), resumes its coroutine to unwind it: the
+// victim's deferred functions have run and Dead reports true when Kill
+// returns.
 func (t *Thread) Kill() {
 	if t.state == stateDead {
 		return
@@ -398,29 +398,23 @@ func (t *Thread) Kill() {
 	if t.waitingOn != nil {
 		t.waitingOn.remove(t)
 	}
-	e := t.eng
 	switch {
-	case !t.started:
+	case t.run == nil:
 		// The start event will observe killed state and do nothing.
 		t.body = nil
 		t.markDead()
-	case e.running == t:
+	case t.eng.running == t:
 		panic(errThreadKilled)
-	case e.firing == t:
-		// dispatch returns t to park once this callback returns.
 	default:
-		prev := e.running
-		e.running = t
-		t.reaped = true
-		t.wake <- struct{}{} // park observes killed and unwinds
-		<-t.yield
-		e.running = prev
+		t.resume() // park observes killed and unwinds
 	}
 }
 
-// markDead finalizes thread termination bookkeeping.
+// markDead finalizes thread termination bookkeeping.  A dead thread
+// keeps no reference to its coroutine, so nothing it ran stays pinned.
 func (t *Thread) markDead() {
 	t.state = stateDead
+	t.run, t.yield = nil, nil
 	delete(t.eng.threads, t)
 	t.exited.WakeAll()
 }

@@ -3,15 +3,15 @@
 //
 // The simulator advances a virtual clock by firing events from a
 // priority queue ordered by (time, sequence number).  "Processes" in
-// the DES sense are virtual threads (Thread): ordinary Go functions
-// running on their own goroutines, but scheduled cooperatively so that
-// exactly one goroutine — a thread's or the one that called Run —
-// holds control at any moment.  Events fire on whichever goroutine
-// gave control up, and control passes straight from it to the thread
-// an event wakes, so a wake costs one goroutine switch, or none when
-// the woken thread is the one that parked.  All simulation state may
-// therefore be mutated without locks, and a given program produces a
-// bit-identical event trace on every run.
+// the DES sense are virtual threads (Thread): ordinary Go functions,
+// each run as a coroutine and scheduled cooperatively so that exactly
+// one context — a thread or the runner, the goroutine that called Run
+// — holds control at any moment.  Only the runner fires events; when
+// one wakes a thread, the runner resumes that thread's coroutine until
+// it parks again, so a wake costs two coroutine switches and no pass
+// through the Go scheduler.  All simulation state may therefore be
+// mutated without locks, and a given program produces a bit-identical
+// event trace on every run.
 //
 // Virtual threads block on wait queues (WaitQueue), sleep for virtual
 // durations, and can be suspended and resumed by other threads; a
