@@ -838,7 +838,7 @@ func (co *Coordinator) collectStores(t *kernel.Task) (*store.GCStats, bool) {
 	var agg store.GCStats
 	collected := false
 	deferred := false
-	if strings.HasPrefix(sys.StoreRoot(), "/san") {
+	if kernel.IsSANPath(sys.StoreRoot()) {
 		if sys.storeBusyTotal() > 0 {
 			return nil, true
 		}

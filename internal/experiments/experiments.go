@@ -111,6 +111,30 @@ func (e *Env) Drive(fn func(*kernel.Task)) {
 	e.Eng.Shutdown()
 }
 
+// awaitVerify waits up to 60 virtual seconds, idling, for rank 0 of
+// the NAS job kernel (np ranks) to write its verify line on node 0,
+// and panics unless the line equals what an uninterrupted run prints
+// (npb.Kernel.FormatVerify): a stage time measured on a restart is
+// reported only if the restarted job resumed and finished correctly.
+func (e *Env) awaitVerify(task *kernel.Task, kernelName string, np int) {
+	spec, ok := npb.SpecFor(kernelName)
+	if !ok {
+		panic(fmt.Sprintf("unknown NAS kernel %q", kernelName))
+	}
+	want := (&npb.Kernel{Spec: spec}).FormatVerify(np)
+	path := "/out/" + kernelName + ".verify"
+	fs := e.C.Node(0).FS
+	for deadline := task.Now().Add(60 * time.Second); !fs.Exists(path); task.Idle(100 * time.Millisecond) {
+		if task.Now() >= deadline {
+			panic(fmt.Sprintf("restarted %s did not verify within 60 s", kernelName))
+		}
+	}
+	ino, _ := fs.ReadFile(path)
+	if got := string(ino.Data); got != want {
+		panic(fmt.Sprintf("restarted %s printed %q, want %q", kernelName, got, want))
+	}
+}
+
 // Sample accumulates trial measurements.
 type Sample struct{ xs []float64 }
 

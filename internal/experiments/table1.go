@@ -11,7 +11,9 @@ import (
 
 // RunTable1 reproduces Table 1: the per-stage breakdown of checkpoint
 // (a) and restart (b) for NAS/MG under OpenMPI on 8 nodes, in
-// uncompressed, compressed, and forked-compressed modes.
+// uncompressed, compressed, and forked-compressed modes.  Each
+// restarted job must run on to MG's verified result, or the run
+// panics.
 func RunTable1(o Opts) *Table {
 	nodes := 8
 	if o.Quick {
@@ -55,6 +57,7 @@ func RunTable1(o Opts) *Table {
 			if err != nil {
 				panic(err)
 			}
+			env.awaitVerify(task, "nas-mg", np)
 			restarts[m.name] = stats
 		})
 	}

@@ -14,7 +14,6 @@ package kernel
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/flow"
 	"repro/internal/model"
@@ -65,6 +64,9 @@ type Cluster struct {
 	// them according to their mount table.
 	SAN *flow.Pipe
 	NFS *flow.Pipe
+	// san is the central storage's namespace, which every node's
+	// Store routes SAN paths (IsSANPath) to.
+	san *Store
 
 	// Trace, when non-nil, records virtual-time spans and counters
 	// from every layer running on this cluster.  It may be attached at
@@ -90,6 +92,7 @@ func NewCluster(e *sim.Engine, p *model.Params, n int) *Cluster {
 	}
 	c.SAN = flow.NewPipe(e, "san", p.SANBandwidth, p.SANBandwidth, 0)
 	c.NFS = flow.NewPipe(e, "nfs", p.NFSBandwidth, p.NFSBandwidth, 0)
+	c.san = NewStore(nil)
 	for i := 0; i < n; i++ {
 		c.nodes = append(c.nodes, newNode(c, NodeID(i)))
 	}
@@ -163,14 +166,9 @@ func (c *Cluster) KillNode(id NodeID) int {
 		p.terminate(9)
 		killed++
 	}
-	// Local storage dies with the machine; the shared /san namespace
-	// (anchored, as an implementation detail, in node 0's map) is
-	// central and survives.
-	for path := range n.FS.files {
-		if !strings.HasPrefix(path, "/san") {
-			delete(n.FS.files, path)
-		}
-	}
+	// Local storage dies with the machine; central storage, the
+	// cluster's own namespace, survives.
+	n.FS.wipe()
 	for _, hook := range c.nodeDownHooks {
 		hook(n)
 	}
@@ -259,10 +257,10 @@ func newNode(c *Cluster, id NodeID) *Node {
 func (n *Node) CPU() *CPUSched { return n.cpu }
 
 // WritePipeFor returns the bandwidth server charged for writing at
-// path: the shared SAN volume for /san paths (direct or via NFS
-// depending on attachment), the local disk otherwise.
+// path: the shared SAN volume for central paths (IsSANPath; direct or
+// via NFS depending on attachment), the local disk otherwise.
 func (n *Node) WritePipeFor(path string) *flow.Pipe {
-	if len(path) >= 4 && path[:4] == "/san" {
+	if IsSANPath(path) {
 		if n.SANDirect {
 			return n.Cluster.SAN
 		}
@@ -273,7 +271,7 @@ func (n *Node) WritePipeFor(path string) *flow.Pipe {
 
 // ReadPipeFor is the read-side analogue of WritePipeFor.
 func (n *Node) ReadPipeFor(path string) *flow.Pipe {
-	if len(path) >= 4 && path[:4] == "/san" {
+	if IsSANPath(path) {
 		if n.SANDirect {
 			return n.Cluster.SAN
 		}

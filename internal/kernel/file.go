@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -71,27 +72,38 @@ func (ino *Inode) Size() int64 {
 	return int64(len(ino.Data))
 }
 
-// Store is a node-local filesystem: a flat path→inode map.  Paths
-// under /san live on the cluster's central storage (shared namespace);
-// the Store transparently routes them there so every node sees the
-// same /san tree, like the paper's SAN+NFS arrangement.
+// Store is a node-local filesystem: a flat path→inode map.  Paths on
+// central storage (IsSANPath) live in one namespace the cluster owns;
+// every node's Store routes them there, so all nodes see the same /san
+// tree, like the paper's SAN+NFS arrangement.  Each namespace keeps
+// its paths sorted, so List costs only what it returns.
 type Store struct {
-	node  *Node
+	node  *Node // nil for the central namespace
 	files map[string]*Inode
+	paths []string // the keys of files, sorted
 }
 
-// NewStore returns an empty filesystem for node n.
+// NewStore returns an empty filesystem for node n, or the central
+// namespace when n is nil.
 func NewStore(n *Node) *Store {
 	return &Store{node: n, files: make(map[string]*Inode)}
 }
 
-// sanStore returns the shared central-storage namespace, lazily
-// anchored on node 0's store map.
-func (s *Store) target(path string) map[string]*Inode {
-	if strings.HasPrefix(path, "/san") && s.node != nil {
-		return s.node.Cluster.nodes[0].FS.files
+// IsSANPath reports whether path lives on the cluster's central
+// storage: /san itself or anything under /san/.  Central files are
+// visible from every node and survive any node's death; everything
+// else is local to the node that wrote it.
+func IsSANPath(path string) bool {
+	return strings.HasPrefix(path, "/san") && (len(path) == 4 || path[4] == '/')
+}
+
+// target returns the namespace holding path: the cluster's central one
+// for SAN paths, else s itself.
+func (s *Store) target(path string) *Store {
+	if s.node != nil && IsSANPath(path) {
+		return s.node.Cluster.san
 	}
-	return s.files
+	return s
 }
 
 // WriteFile creates or replaces a file.  logical may be 0 to account
@@ -99,13 +111,18 @@ func (s *Store) target(path string) map[string]*Inode {
 // and the mtcp image writer), keeping policy out of the store.
 func (s *Store) WriteFile(path string, data []byte, logical int64) *Inode {
 	ino := &Inode{Path: path, Data: append([]byte(nil), data...), LogicalSize: logical}
-	s.target(path)[path] = ino
+	ns := s.target(path)
+	if _, ok := ns.files[path]; !ok {
+		i, _ := slices.BinarySearch(ns.paths, path)
+		ns.paths = slices.Insert(ns.paths, i, path)
+	}
+	ns.files[path] = ino
 	return ino
 }
 
 // ReadFile returns the inode at path.
 func (s *Store) ReadFile(path string) (*Inode, error) {
-	ino, ok := s.target(path)[path]
+	ino, ok := s.target(path).files[path]
 	if !ok {
 		return nil, ErrNoEnt
 	}
@@ -114,7 +131,7 @@ func (s *Store) ReadFile(path string) (*Inode, error) {
 
 // Exists reports whether path exists.
 func (s *Store) Exists(path string) bool {
-	_, ok := s.target(path)[path]
+	_, ok := s.target(path).files[path]
 	return ok
 }
 
@@ -126,32 +143,41 @@ func (s *Store) Exists(path string) bool {
 func (s *Store) ExistsIn(dir, name string) bool {
 	var buf [128]byte
 	path := append(append(buf[:0], dir...), name...)
-	_, ok := s.target(dir)[string(path)]
+	_, ok := s.target(dir).files[string(path)]
 	return ok
 }
 
 // Unlink removes path; missing files are ignored (like rm -f).
 func (s *Store) Unlink(path string) {
-	delete(s.target(path), path)
+	ns := s.target(path)
+	if _, ok := ns.files[path]; !ok {
+		return
+	}
+	delete(ns.files, path)
+	i, _ := slices.BinarySearch(ns.paths, path)
+	ns.paths = slices.Delete(ns.paths, i, i+1)
 }
 
-// List returns the paths under prefix, sorted.
+// List returns the paths that begin with prefix, sorted.  The prefix
+// may be a directory ("/ckpt/store/chunks/"), part of a name
+// ("<root>/manifests/<name>.g") or any root, which lists recursively;
+// it routes to central storage as a path would.  The matching paths
+// are one run of the namespace's sorted index, found by binary search
+// and copied, so a call costs only what it returns.  The slice is the
+// caller's: unlinking the listed paths while iterating over it is
+// safe.
 func (s *Store) List(prefix string) []string {
-	var out []string
-	for p := range s.target(prefix) {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
+	paths := s.target(prefix).paths
+	i, _ := slices.BinarySearch(paths, prefix)
+	n := sort.Search(len(paths)-i, func(k int) bool {
+		return !strings.HasPrefix(paths[i+k], prefix)
+	})
+	return append([]string(nil), paths[i:i+n]...)
 }
 
-// TotalBytes returns the accounted size of all local files.
-func (s *Store) TotalBytes() int64 {
-	var n int64
-	for _, ino := range s.files {
-		n += ino.Size()
-	}
-	return n
+// wipe drops every file: the local disk dying with its machine.
+func (s *Store) wipe() {
+	clear(s.files)
+	clear(s.paths)
+	s.paths = s.paths[:0]
 }

@@ -36,9 +36,14 @@ type Manifest struct {
 	Areas  []AreaChunks
 }
 
-// Refs returns every chunk reference in the manifest, in order.
+// Refs returns every chunk reference in the manifest, in order, in
+// one allocation (nil when there are none).
 func (m *Manifest) Refs() []ChunkRef {
-	var out []ChunkRef
+	n := m.NumChunks()
+	if n == 0 {
+		return nil
+	}
+	out := make([]ChunkRef, 0, n)
 	for _, a := range m.Areas {
 		out = append(out, a.Chunks...)
 	}
@@ -103,9 +108,30 @@ func (m *Manifest) StoredBytes() int64 {
 	return n
 }
 
-// Encode serializes the manifest.
+// Encoded sizes: the fixed part of an area entry (index, chunk count)
+// and of a chunk ref (the length prefixes of Hash and Sum, LogicalBytes,
+// StoredBytes, Entropy, ZeroFrac, Heat).  A ref is at least refBytes
+// long, which bounds how many refs a buffer can hold.
+const (
+	areaBytes = 8 + 4
+	refBytes  = 4 + 5*8 + 4
+)
+
+// encodedLen returns the exact length of Encode's output.
+func (m *Manifest) encodedLen() int {
+	n := len(ManifestMagic) + 4 + len(m.Name) + 8 + 4 + len(m.Header) + 4
+	for _, a := range m.Areas {
+		n += areaBytes
+		for _, c := range a.Chunks {
+			n += refBytes + len(c.Hash) + len(c.Sum)
+		}
+	}
+	return n
+}
+
+// Encode serializes the manifest into one buffer of its exact length.
 func (m *Manifest) Encode() []byte {
-	var e bin.Encoder
+	e := bin.Encoder{B: make([]byte, 0, m.encodedLen())}
 	e.B = append(e.B, ManifestMagic...)
 	e.Str(m.Name)
 	e.I64(m.Generation)
@@ -127,7 +153,10 @@ func (m *Manifest) Encode() []byte {
 	return e.B
 }
 
-// DecodeManifest parses a serialized manifest.
+// DecodeManifest parses a serialized manifest.  Each list is sized
+// from its encoded count, capped by what the remaining bytes could
+// hold, so a corrupt count fails as ErrBadManifest without a large
+// allocation.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	if len(b) < len(ManifestMagic) || string(b[:len(ManifestMagic)]) != ManifestMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadManifest)
@@ -137,20 +166,26 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	m.Name = d.Str()
 	m.Generation = d.I64()
 	m.Header = d.Bytes()
-	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
-		a := AreaChunks{Area: d.Int()}
-		for j, k := 0, int(d.U32()); j < k && d.Err == nil; j++ {
-			a.Chunks = append(a.Chunks, ChunkRef{
-				Hash:         d.Str(),
-				LogicalBytes: d.I64(),
-				StoredBytes:  d.I64(),
-				Entropy:      d.F64(),
-				ZeroFrac:     d.F64(),
-				Heat:         d.I64(),
-				Sum:          d.Str(),
-			})
+	if n := int(d.U32()); n > 0 {
+		m.Areas = make([]AreaChunks, 0, min(n, len(d.B)/areaBytes))
+		for i := 0; i < n && d.Err == nil; i++ {
+			a := AreaChunks{Area: d.Int()}
+			if k := int(d.U32()); k > 0 {
+				a.Chunks = make([]ChunkRef, 0, min(k, len(d.B)/refBytes))
+				for j := 0; j < k && d.Err == nil; j++ {
+					a.Chunks = append(a.Chunks, ChunkRef{
+						Hash:         d.Str(),
+						LogicalBytes: d.I64(),
+						StoredBytes:  d.I64(),
+						Entropy:      d.F64(),
+						ZeroFrac:     d.F64(),
+						Heat:         d.I64(),
+						Sum:          d.Str(),
+					})
+				}
+			}
+			m.Areas = append(m.Areas, a)
 		}
-		m.Areas = append(m.Areas, a)
 	}
 	if d.Err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadManifest, d.Err)

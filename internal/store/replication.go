@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -122,8 +123,13 @@ func (s *Store) PutReplicaChunk(t *kernel.Task, ref ChunkRef, data []byte) (bool
 }
 
 // PutRawManifest stores serialized manifest bytes received from a
-// peer, charging storage bandwidth for them.
+// peer, charging storage bandwidth for them.  A node that already
+// holds the same bytes at path keeps its file: nothing is charged or
+// replaced, so the manifest decoded from it (ManifestOf) stays cached.
 func (s *Store) PutRawManifest(t *kernel.Task, path string, data []byte) {
+	if ino, err := s.Node.FS.ReadFile(path); err == nil && bytes.Equal(ino.Data, data) {
+		return
+	}
 	s.Node.WritePipeFor(path).Write(t.T, int64(len(data)))
 	s.Node.FS.WriteFile(path, data, 0)
 }

@@ -97,11 +97,28 @@ func (r ChunkRef) Class() model.MemClass {
 // payload bytes it carries.  Identical spans — an untouched libc text
 // chunk in every process, generation after generation of a clean heap
 // — therefore collapse to one stored object.
+//
+// The fingerprint hashes the preimage
+// fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%.4f\x00%.4f\x00", scope,
+// index, version, span, class.Entropy, class.ZeroFrac) followed by
+// data; the preimage is built with strconv in a stack buffer, byte for
+// byte what that format prints.
 func ChunkHash(scope string, index int, version uint64, span int64, class model.MemClass, data []byte) string {
+	var buf [128]byte
+	b := append(buf[:0], scope...)
+	b = strconv.AppendInt(append(b, 0), int64(index), 10)
+	b = strconv.AppendUint(append(b, 0), version, 10)
+	b = strconv.AppendInt(append(b, 0), span, 10)
+	b = strconv.AppendFloat(append(b, 0), class.Entropy, 'f', 4, 64)
+	b = strconv.AppendFloat(append(b, 0), class.ZeroFrac, 'f', 4, 64)
+	b = append(b, 0)
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%d\x00%d\x00%d\x00%.4f\x00%.4f\x00", scope, index, version, span, class.Entropy, class.ZeroFrac)
+	h.Write(b)
 	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil)[:20])
+	var sum [sha256.Size]byte
+	var name [40]byte
+	hex.Encode(name[:], h.Sum(sum[:0])[:20])
+	return string(name[:])
 }
 
 func (s *Store) manifestDir() string { return s.Cfg.Root + "/manifests/" }
