@@ -35,9 +35,10 @@ type Config struct {
 
 	// CkptWorkers is the number of parallel writer tasks each process
 	// partitions its checkpoint across (hashing, compression, chunk
-	// writes), and symmetrically the restore/fetch pool at restart.
-	// The kernel's per-node core accounting keeps the speedup honest:
-	// workers beyond Node.Cores buy nothing.
+	// writes), and symmetrically the restore/fetch pool at restart,
+	// including a lazy restore's post-copy installers.  The kernel's
+	// per-node core accounting keeps the speedup honest: workers
+	// beyond Node.Cores buy nothing.
 	//
 	// 0 means AUTO for the store pipeline: each pool sizes itself from
 	// the node's observed idle cores at the moment it starts (the core
@@ -55,7 +56,9 @@ type Config struct {
 	// not-yet-installed chunk blocks just that thread while the chunk
 	// is pulled on demand, and a background prefetcher drains the
 	// remainder hottest-first, striped across every placement-verified
-	// complete holder.  RestartStages then reports ResumePause (the
+	// complete holder, into a pool of installers sized as the
+	// skeleton's install pool (CkptWorkers, or the idle cores when it
+	// is 0).  RestartStages then reports ResumePause (the
 	// user-visible pause) separately from the PrefetchDrain tail;
 	// Total covers both.  Needs the replica service (ReplicaFactor);
 	// without it restarts stay eager.

@@ -13,23 +13,26 @@ import (
 
 // lazyCtrl drives one image's post-copy tail after a skeleton restore:
 // it owns the striped pull-stream that fetches pending chunks from the
-// holders, a background installer that decompresses and lands each
-// delivered chunk, and the first-touch fault hook the kernel invokes
-// when the resumed process reaches a chunk that has not landed yet.
+// holders, a pool of background installers that decompress and land
+// the delivered chunks, and the first-touch fault hook the kernel
+// invokes when the resumed process reaches a chunk that has not landed
+// yet.  The pool is as large as the skeleton's install pool, so a
+// compressed tail gunzips on every idle core, as an eager restore does.
 //
 // Chunk installs race the fork on purpose: chunks landed before
 // InstallMemory copies the image buffers ride into the process for
 // free; chunks landing after go through the live area's presence map
 // (wire switches the install target).  Demand faults preempt the
 // prefetch queue via PullStream.Demand, and the faulting thread
-// installs its own chunk unless the installer already claimed it —
+// installs its own chunk unless an installer already claimed it —
 // whoever gets there first, exactly once.
 type lazyCtrl struct {
 	sys   *System
 	local *store.Store
 	img   *mtcp.Image
 	ps    *replica.PullStream
-	w     *sim.WaitQueue
+	w     *sim.WaitQueue // drain and faulting threads: residency, end of tail
+	idle  *sim.WaitQueue // installers with nothing delivered to claim
 
 	pending []mtcp.LazyChunk
 	refOf   map[[2]int]store.ChunkRef // (area, chunk) → ref
@@ -52,13 +55,16 @@ type lazyCtrl struct {
 
 // newLazyCtrl arms the post-copy tail for one skeleton-restored image
 // and starts pulling immediately, so the prefetch overlaps the
-// files/conns/fork stages that still separate us from resume.
-func newLazyCtrl(s *System, t *kernel.Task, img *mtcp.Image, pending []mtcp.LazyChunk, holders []string) *lazyCtrl {
+// files/conns/fork stages that still separate us from resume.  workers
+// sizes the installer pool, capped at the chunks left to pull.
+func newLazyCtrl(s *System, t *kernel.Task, img *mtcp.Image, pending []mtcp.LazyChunk, holders []string, workers int) *lazyCtrl {
+	eng := t.P.Node.Cluster.Eng
 	lc := &lazyCtrl{
 		sys:        s,
 		local:      store.Open(t.P.Node, store.Config{Root: s.StoreRoot()}),
 		img:        img,
-		w:          sim.NewWaitQueue(t.P.Node.Cluster.Eng, "lazy.install"),
+		w:          sim.NewWaitQueue(eng, "lazy.install"),
+		idle:       sim.NewWaitQueue(eng, "lazy.idle"),
 		pending:    pending,
 		refOf:      make(map[[2]int]store.ChunkRef, len(pending)),
 		byHash:     make(map[string][][2]int, len(pending)),
@@ -79,34 +85,47 @@ func newLazyCtrl(s *System, t *kernel.Task, img *mtcp.Image, pending []mtcp.Lazy
 	}
 	lc.ps = replica.NewPullStream(t, s.Replica, holders, refs,
 		replica.PullOptions{Stripe: s.Cfg.LazyHolders, Deliver: lc.onDeliver})
-	t.P.SpawnTask("lazy-install", true, lc.installer)
+	for i := max(1, min(workers, len(refs))); i > 0; i-- {
+		t.P.SpawnTask("lazy-install", true, lc.installer)
+	}
 	// The pull stream wakes its own waiters on failure; relay that to
-	// ours so the installer, drain, and blocked faulters all observe a
+	// ours so the installers, drain, and blocked faulters all observe a
 	// holders-exhausted stream instead of sleeping forever.
 	t.P.SpawnTask("lazy-watch", true, func(wt *kernel.Task) {
 		if err := lc.ps.Wait(wt); err != nil && lc.err == nil && !lc.aborted {
 			lc.err = err
 		}
-		lc.w.WakeAll()
+		lc.wakeAll()
 	})
 	return lc
 }
 
 // onDeliver runs on a puller task as each chunk becomes locally
-// durable: queue it for the installer.
+// durable: queue it and wake one idle installer to claim it.  A chunk
+// that lands while every installer is busy waits in the queue for the
+// first one to finish; nobody else waits on a delivery.
 func (lc *lazyCtrl) onDeliver(ref store.ChunkRef) {
 	lc.delivered = append(lc.delivered, ref)
+	lc.idle.Wake(1)
+}
+
+// wakeAll wakes every waiter of the tail, installers included: the
+// tail ended (all installed, failed, or aborted) and each must see it.
+func (lc *lazyCtrl) wakeAll() {
+	lc.idle.WakeAll()
 	lc.w.WakeAll()
 }
 
-// installer is the background install loop: it charges the read and
-// decompression for each delivered chunk and lands it — into the image
-// buffers before the fork, into the live areas (marking presence)
-// after.  It aborts if the restored process dies mid-drain.
+// installer is one task of the background install pool: it claims
+// delivered chunks in arrival order, charges each one's read and
+// decompression (the core scheduler meters the pool's real speedup)
+// and lands it — into the image buffers before the fork, into the live
+// areas (marking presence) after.  It aborts if the restored process
+// dies mid-drain.
 func (lc *lazyCtrl) installer(t *kernel.Task) {
 	for {
 		if lc.err != nil || lc.aborted || lc.remaining == 0 {
-			lc.w.WakeAll()
+			lc.wakeAll()
 			return
 		}
 		if lc.proc != nil && (lc.proc.Dead || lc.proc.Zombie) {
@@ -114,7 +133,7 @@ func (lc *lazyCtrl) installer(t *kernel.Task) {
 			return
 		}
 		if len(lc.delivered) == 0 {
-			lc.w.Wait(t.T)
+			lc.idle.Wait(t.T)
 			continue
 		}
 		ref := lc.delivered[0]
@@ -130,7 +149,7 @@ func (lc *lazyCtrl) installer(t *kernel.Task) {
 }
 
 // install pays one chunk's read/decompress and lands it at its
-// coordinate.  Runs on the installer or on a faulting thread.
+// coordinate.  Runs on an installer or on a faulting thread.
 func (lc *lazyCtrl) install(t *kernel.Task, key [2]int, ref store.ChunkRef) {
 	lc.local.ChargeRead(t, []store.ChunkRef{ref})
 	// Verified read: a chunk that went bad after it landed is
@@ -140,7 +159,7 @@ func (lc *lazyCtrl) install(t *kernel.Task, key [2]int, ref store.ChunkRef) {
 		if lc.err == nil {
 			lc.err = fmt.Errorf("dmtcp: lazy install of chunk %s: %w", ref.Hash, err)
 		}
-		lc.w.WakeAll()
+		lc.wakeAll()
 		return
 	}
 	if lc.wired {
@@ -155,6 +174,9 @@ func (lc *lazyCtrl) install(t *kernel.Task, key [2]int, ref store.ChunkRef) {
 	}
 	lc.installed[key] = true
 	lc.remaining--
+	if lc.remaining == 0 {
+		lc.idle.WakeAll() // the tail is done: idle installers exit
+	}
 	lc.w.WakeAll()
 }
 
@@ -208,10 +230,10 @@ func (lc *lazyCtrl) fault(t *kernel.Task, a *kernel.VMArea, chunk int) error {
 	fStart := t.Now()
 	if err := lc.ps.Demand(t, ref); err != nil {
 		lc.err = err
-		lc.w.WakeAll()
+		lc.wakeAll()
 		return err
 	}
-	// Locally durable now.  Install it ourselves unless the installer
+	// Locally durable now.  Install it ourselves unless an installer
 	// already claimed this coordinate; either way, wait for residency.
 	if !lc.installed[key] && !lc.installing[key] {
 		lc.installing[key] = true
@@ -241,7 +263,7 @@ func (lc *lazyCtrl) abort() {
 	}
 	lc.aborted = true
 	lc.ps.Abort()
-	lc.w.WakeAll()
+	lc.wakeAll()
 }
 
 // drain blocks until every pending chunk is installed, the stream

@@ -109,7 +109,8 @@ type procImage struct {
 // each as it arrives, so node-failure recovery, store-mode migration
 // and plain store restarts all ride one path.  With Config.LazyRestore
 // the pipeline returns on the skeleton, and the image's post-copy tail
-// starts pulling the rest here, overlapping files, conns and fork.
+// starts pulling the rest here, overlapping files, conns and fork; it
+// installs on as many workers as the pipeline did.
 // Monolithic images load headers only; their children pay the bulk.
 // Pipeline statistics fold into st, with the slowest pipeline's wall
 // time as Memory.
@@ -176,7 +177,7 @@ func (s *System) loadImages(t *kernel.Task, paths []string, st *RestartStages) (
 			st.Memory = rs.Took
 		}
 		if len(pending[i]) > 0 {
-			pi.lazy = newLazyCtrl(s, t, pi.img, pending[i], holders[i])
+			pi.lazy = newLazyCtrl(s, t, pi.img, pending[i], holders[i], workers)
 		}
 	}
 

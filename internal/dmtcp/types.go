@@ -89,6 +89,15 @@ const (
 	extPids    = "dmtcp.pids"
 )
 
+// The least bytes one record of each table encodes to.  A decoder
+// caps its preallocation at the bytes left divided by these, so a
+// corrupt count cannot size a buffer beyond what its input can hold.
+const (
+	fdRecBytes   = 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4 + 1 + 4 + 1 + 1 + 8 + 8
+	connRecBytes = 4 + 4
+	pidRecBytes  = 8 + 8
+)
+
 func encodeFDTable(recs []FDRec) []byte {
 	var e bin.Encoder
 	e.U32(uint32(len(recs)))
@@ -114,7 +123,7 @@ func encodeFDTable(recs []FDRec) []byte {
 func decodeFDTable(b []byte) ([]FDRec, error) {
 	d := &bin.Decoder{B: b}
 	n := int(d.U32())
-	out := make([]FDRec, 0, n)
+	out := make([]FDRec, 0, min(n, len(d.B)/fdRecBytes))
 	for i := 0; i < n && d.Err == nil; i++ {
 		var r FDRec
 		r.FD = d.Int()
@@ -149,7 +158,7 @@ func encodeConns(recs []ConnRec) []byte {
 func decodeConns(b []byte) ([]ConnRec, error) {
 	d := &bin.Decoder{B: b}
 	n := int(d.U32())
-	out := make([]ConnRec, 0, n)
+	out := make([]ConnRec, 0, min(n, len(d.B)/connRecBytes))
 	for i := 0; i < n && d.Err == nil; i++ {
 		out = append(out, ConnRec{GUID: d.Str(), Drained: d.Bytes()})
 	}
@@ -171,7 +180,7 @@ func decodePids(b []byte) (kernel.Pid, map[kernel.Pid]kernel.Pid, error) {
 	d := &bin.Decoder{B: b}
 	virt := kernel.Pid(d.I64())
 	n := int(d.U32())
-	table := make(map[kernel.Pid]kernel.Pid, n)
+	table := make(map[kernel.Pid]kernel.Pid, min(n, len(d.B)/pidRecBytes))
 	for i := 0; i < n && d.Err == nil; i++ {
 		k := kernel.Pid(d.I64())
 		table[k] = kernel.Pid(d.I64())

@@ -167,12 +167,22 @@ func (s *Store) Unlink(path string) {
 // caller's: unlinking the listed paths while iterating over it is
 // safe.
 func (s *Store) List(prefix string) []string {
+	return append([]string(nil), s.run(prefix)...)
+}
+
+// Count returns how many paths begin with prefix: len(List(prefix))
+// without the copy.
+func (s *Store) Count(prefix string) int { return len(s.run(prefix)) }
+
+// run returns the sorted index's run of paths that begin with prefix.
+// The slice aliases the index.
+func (s *Store) run(prefix string) []string {
 	paths := s.target(prefix).paths
 	i, _ := slices.BinarySearch(paths, prefix)
 	n := sort.Search(len(paths)-i, func(k int) bool {
 		return !strings.HasPrefix(paths[i+k], prefix)
 	})
-	return append([]string(nil), paths[i:i+n]...)
+	return paths[i : i+n]
 }
 
 // wipe drops every file: the local disk dying with its machine.

@@ -109,6 +109,9 @@ func TestListMatchesSortedScan(t *testing.T) {
 					if got, want := fs.List(prefix), scan(m, prefix); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: List(%q) = %v, want %v", where, prefix, got, want)
 					}
+					if got, want := fs.Count(prefix), len(scan(m, prefix)); got != want {
+						t.Fatalf("%s: Count(%q) = %d, want %d", where, prefix, got, want)
+					}
 				}
 			}
 		}

@@ -52,14 +52,16 @@ func EncodeStrings(ss []string) []byte {
 	return out
 }
 
-// DecodeStrings reverses EncodeStrings.
+// DecodeStrings reverses EncodeStrings.  Each entry takes at least its
+// 4-byte length, so the list is preallocated for no more entries than
+// the bytes left can hold, whatever count the input claims.
 func DecodeStrings(b []byte) ([]string, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("kernel: truncated string list")
 	}
 	n := binary.BigEndian.Uint32(b)
 	b = b[4:]
-	out := make([]string, 0, n)
+	out := make([]string, 0, min(n, uint32(len(b)/4)))
 	for i := uint32(0); i < n; i++ {
 		if len(b) < 4 {
 			return nil, fmt.Errorf("kernel: truncated string list")

@@ -27,8 +27,6 @@ type Params struct {
 
 	// SyscallCost is the base cost of an inexpensive system call.
 	SyscallCost time.Duration
-	// ContextSwitch approximates a scheduling hop (wakeup latency).
-	ContextSwitch time.Duration
 	// ForkBase plus ForkPerPage*(RSS/4KiB) is the cost of fork().
 	// Anchor: Table 1a "write checkpoint" under forked checkpointing
 	// is 0.0618 s for a ≈106 MB process → ≈2.2 µs per 4 KiB page.
@@ -290,13 +288,12 @@ type Params struct {
 // Default returns parameters calibrated against the paper's cluster.
 func Default() *Params {
 	return &Params{
-		SyscallCost:   1500 * time.Nanosecond,
-		ContextSwitch: 4 * time.Microsecond,
-		ForkBase:      300 * time.Microsecond,
-		ForkPerPage:   2200 * time.Nanosecond,
-		ExecCost:      2 * time.Millisecond,
-		PageSize:      4 * KB,
-		CoresPerNode:  4,
+		SyscallCost:  1500 * time.Nanosecond,
+		ForkBase:     300 * time.Microsecond,
+		ForkPerPage:  2200 * time.Nanosecond,
+		ExecCost:     2 * time.Millisecond,
+		PageSize:     4 * KB,
+		CoresPerNode: 4,
 
 		SuspendQuantum:   22 * time.Millisecond,
 		SuspendPerThread: 600 * time.Microsecond,

@@ -137,8 +137,10 @@ func (s *Store) GC(t *kernel.Task) GCStats {
 	start := t.Now()
 	var st GCStats
 
-	// Mark: scan every committed manifest.
-	live := map[string]int64{} // hash → stored bytes
+	// Mark: scan every committed manifest.  The chunk directory holds
+	// every live chunk plus the dead ones the sweep will reclaim, so a
+	// live set sized to it never rehashes as it fills.
+	live := make(map[string]int64, s.Node.FS.Count(s.chunks)) // hash → stored bytes
 	var manifestBytes int64
 	var entries int
 	for _, path := range s.Node.FS.List(s.manifestDir()) {

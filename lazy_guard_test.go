@@ -3,11 +3,13 @@ package dmtcpsim_test
 // Accounting guards for the lazy post-copy restore path: the resume
 // pause and prefetch drain must partition the restart wall exactly,
 // the five restart segments (prefetch included) must reconcile against
-// restart.total within 1%, every demand fault must leave a span, and
-// the whole traced scenario must stay byte-deterministic.
+// restart.total within 1%, every demand fault must leave a span, the
+// whole traced scenario must stay byte-deterministic, and a compressed
+// tail must drain about as fast as an eager restore installs.
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,5 +129,76 @@ func TestLazyTraceDeterministic(t *testing.T) {
 	b1, b2 := tr1.ChromeTrace(), tr2.ChromeTrace()
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("same lazy seed produced different traces: %d vs %d bytes", len(b1), len(b2))
+	}
+}
+
+// restartCompressed checkpoints a 256 MB lazyapp on node1 through the
+// gzip chunk store, replicated to two peers, kills it and restarts it
+// on node0, which holds none of its chunks.  It returns the restart
+// stats with the heap's chunk versions at the checkpoint and after the
+// restart (after the drain, when lazy).
+func restartCompressed(seed int64, lazy bool) (stats *dmtcpsim.RestartStages, want, got []uint64) {
+	s := dmtcpsim.New(dmtcpsim.Options{Seed: seed, Nodes: 4,
+		Checkpoint: dmtcpsim.Config{Compress: true, Store: true, ReplicaFactor: 2, LazyRestore: lazy}})
+	s.Run(func(t *dmtcpsim.Task) {
+		p, err := s.Launch(1, dmtcpsim.LazyAppName, "256")
+		if err != nil {
+			panic(err)
+		}
+		t.Compute(200 * time.Millisecond)
+		dmtcpsim.TouchHeap(p, 0.3, uint64(seed))
+		want = p.Mem.Area("[heap]").ChunkVersions()
+		round, err := s.Checkpoint(t)
+		if err != nil {
+			panic(err)
+		}
+		s.Sys.Replica.WaitIdle(t)
+		s.KillAll()
+		if stats, err = s.Restart(t, round, dmtcpsim.Placement{"node01": 0}); err != nil {
+			panic(err)
+		}
+		for _, rp := range s.Sys.ManagedProcesses() {
+			if rp.Node.ID == 0 && rp.ProgName == dmtcpsim.LazyAppName {
+				got = rp.Mem.Area("[heap]").ChunkVersions()
+			}
+		}
+	})
+	return stats, want, got
+}
+
+// TestLazyCompressedDrainsLikeEager guards the compressed post-copy
+// tail: its installers gunzip on as many cores as the eager restore
+// pipeline, so the lazy restart's Total (skeleton resume plus drain)
+// stays within 1.3x of the eager restart's, while the process still
+// resumes on the skeleton in under 10% of the eager MTTR, takes demand
+// faults, and ends with the checkpointed heap.
+func TestLazyCompressedDrainsLikeEager(t *testing.T) {
+	const seed = 41
+	eager, wantE, gotE := restartCompressed(seed, false)
+	lazy, want, got := restartCompressed(seed, true)
+	t.Logf("eager total %v; lazy total %v = pause %v + drain %v, %d demand faults",
+		eager.Total, lazy.Total, lazy.ResumePause, lazy.PrefetchDrain, lazy.DemandFaults)
+	if !slices.Equal(want, wantE) {
+		t.Fatal("the eager and lazy runs checkpointed different heaps; same seed must mean same run")
+	}
+	if !slices.Equal(gotE, wantE) {
+		t.Error("eager restart: heap chunk versions differ from the checkpointed ones")
+	}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("lazy restart: heap chunk versions differ from the checkpointed ones (%d vs %d chunks)",
+			len(got), len(want))
+	}
+	if lazy.Total > eager.Total*13/10 {
+		t.Errorf("lazy restart total %v is %.2fx the eager %v, want <= 1.3x",
+			lazy.Total, float64(lazy.Total)/float64(eager.Total), eager.Total)
+	}
+	if lazy.ResumePause > eager.Total/10 {
+		t.Errorf("lazy resume pause %v is over 10%% of the eager restart %v", lazy.ResumePause, eager.Total)
+	}
+	if lazy.DemandFaults == 0 {
+		t.Errorf("no demand faults on the compressed lazy restart: %+v", lazy)
+	}
+	if sum := lazy.ResumePause + lazy.PrefetchDrain; sum != lazy.Total {
+		t.Errorf("pause %v + drain %v != total %v", lazy.ResumePause, lazy.PrefetchDrain, lazy.Total)
 	}
 }
