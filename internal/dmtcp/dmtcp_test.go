@@ -251,30 +251,60 @@ var errRestartWedged = errors.New("RestartAll still running at its deadline")
 
 // restartWithin runs RestartAll in a task of its own, calls strike
 // (when non-nil) while the restart is in flight, then waits at most d
-// virtual time for it to return.  A restart still running then fails
-// the test with t.Error (a t.Fatal inside drive would leave the engine
-// running) and yields errRestartWedged.
+// virtual time for it to return, and returns at the instant it does.
+// A restart still running then fails the test with t.Error (a t.Fatal
+// inside drive would leave the engine running) and yields
+// errRestartWedged.
 func restartWithin(t *testing.T, e *env, task *kernel.Task, round *CkptRound, place Placement,
 	d time.Duration, strike func()) error {
 	t.Helper()
 	var err error
 	done := false
+	wq := sim.NewWaitQueue(e.eng, "test.restart")
 	task.P.SpawnTask("restarter", false, func(rt *kernel.Task) {
 		_, err = e.sys.RestartAll(rt, round, place)
 		done = true
+		wq.WakeAll()
 	})
 	if strike != nil {
 		strike()
 	}
-	deadline := task.Now().Add(d)
-	for !done && task.Now() < deadline {
-		task.Idle(10 * time.Millisecond)
-	}
-	if !done {
+	if !waitDone(task, wq, &done, d) {
 		t.Errorf("RestartAll still running %v after it began", d)
 		return errRestartWedged
 	}
 	return err
+}
+
+// checkpointWithin runs Checkpoint in a task of its own and waits at
+// most d virtual time for the round; a round still open then fails the
+// test with t.Error.
+func checkpointWithin(t *testing.T, e *env, task *kernel.Task, d time.Duration) (*CkptRound, error) {
+	t.Helper()
+	var round *CkptRound
+	var err error
+	done := false
+	wq := sim.NewWaitQueue(e.eng, "test.ckpt")
+	task.P.SpawnTask("checkpointer", false, func(ct *kernel.Task) {
+		round, err = e.sys.Checkpoint(ct)
+		done = true
+		wq.WakeAll()
+	})
+	if !waitDone(task, wq, &done, d) {
+		t.Errorf("checkpoint still open %v after it was requested", d)
+		return nil, errors.New("checkpoint round still open at its deadline")
+	}
+	return round, err
+}
+
+// waitDone parks task on wq until *done or until d of virtual time
+// passes, and reports whether *done became true.
+func waitDone(task *kernel.Task, wq *sim.WaitQueue, done *bool, d time.Duration) bool {
+	deadline := task.Now().Add(d)
+	for !*done && task.Now() < deadline {
+		wq.WaitTimeout(task.T, deadline.Sub(task.Now()))
+	}
+	return *done
 }
 
 func readLines(t *testing.T, n *kernel.Node, path string) []string {
@@ -394,15 +424,26 @@ func TestCheckpointRestartSingleProcess(t *testing.T) {
 // socket exchange through one and two checkpoint→kill→restart cycles.
 // Restored sockets keep their GUIDs, so the second restart's discovery
 // must never be answered with the first restart's dead listener.
+//
+// With ckptAtOnce, each restart is followed by a checkpoint requested
+// at the instant RestartAll returns, while the restored ranks still
+// wait at their last restart barrier: the request must not be lost,
+// and the round must complete.
 func TestDistributedCheckpointRestartPreservesStream(t *testing.T) {
 	for _, restarts := range []int{1, 2} {
-		t.Run(fmt.Sprintf("%d restarts", restarts), func(t *testing.T) {
-			testStreamAcrossRestarts(t, restarts)
-		})
+		for _, atOnce := range []bool{false, true} {
+			name := fmt.Sprintf("%d restarts", restarts)
+			if atOnce {
+				name += ", checkpoint at once"
+			}
+			t.Run(name, func(t *testing.T) {
+				testStreamAcrossRestarts(t, restarts, atOnce)
+			})
+		}
 	}
 }
 
-func testStreamAcrossRestarts(t *testing.T, restarts int) {
+func testStreamAcrossRestarts(t *testing.T, restarts int, ckptAtOnce bool) {
 	const total = 200
 	e := newEnv(t, 2, Config{Compress: true})
 	e.drive(t, func(task *kernel.Task) {
@@ -424,6 +465,16 @@ func testStreamAcrossRestarts(t *testing.T, restarts int) {
 			if err := restartWithin(t, e, task, round, nil, 10*time.Second, nil); err != nil {
 				t.Errorf("restart %d: %v", i, err)
 				return
+			}
+			if ckptAtOnce {
+				r, err := checkpointWithin(t, e, task, 10*time.Second)
+				if err != nil {
+					t.Errorf("checkpoint at once after restart %d: %v", i, err)
+					return
+				}
+				if r.NumProcs != 2 {
+					t.Errorf("checkpoint at once after restart %d: procs = %d, want 2", i, r.NumProcs)
+				}
 			}
 			task.Compute(100 * time.Millisecond) // mid-exchange again
 		}

@@ -13,30 +13,32 @@ import (
 
 // lazyCtrl drives one image's post-copy tail after a skeleton restore:
 // it owns the striped pull-stream that fetches pending chunks from the
-// holders, a pool of background installers that decompress and land
-// the delivered chunks, and the first-touch fault hook the kernel
+// holders, a read-ahead stage that reads each delivered chunk off the
+// local disk, a pool of background installers that decompress and land
+// the chunks already read, and the first-touch fault hook the kernel
 // invokes when the resumed process reaches a chunk that has not landed
 // yet.  The pool is as large as the skeleton's install pool, so a
-// compressed tail gunzips on every idle core, as an eager restore does.
+// compressed tail gunzips on every idle core while the stage keeps the
+// disk busy, as an eager restore does.
 //
 // Chunk installs race the fork on purpose: chunks landed before
 // InstallMemory copies the image buffers ride into the process for
 // free; chunks landing after go through the live area's presence map
 // (wire switches the install target).  Demand faults preempt the
-// prefetch queue via PullStream.Demand, and the faulting thread
-// installs its own chunk unless an installer already claimed it —
-// whoever gets there first, exactly once.
+// prefetch queue via PullStream.Demand, and the faulting thread claims,
+// reads and installs its own chunk unless an installer already claimed
+// it — whoever gets there first, exactly once.
 type lazyCtrl struct {
 	sys   *System
 	local *store.Store
 	img   *mtcp.Image
 	ps    *replica.PullStream
-	w     *sim.WaitQueue // drain and faulting threads: residency, end of tail
-	idle  *sim.WaitQueue // installers with nothing delivered to claim
+	ra    *kernel.ReadAhead // delivered chunks, by pending index
+	w     *sim.WaitQueue    // drain and faulting threads: residency, end of tail
 
 	pending []mtcp.LazyChunk
 	refOf   map[[2]int]store.ChunkRef // (area, chunk) → ref
-	byHash  map[string][][2]int       // hash → coords sharing it
+	byHash  map[string][]int          // hash → pending indices sharing it
 
 	installed  map[[2]int]bool
 	installing map[[2]int]bool
@@ -47,10 +49,9 @@ type lazyCtrl struct {
 	areas   map[int]*kernel.VMArea
 	areaIdx map[*kernel.VMArea]int
 
-	delivered []store.ChunkRef
-	faults    int
-	aborted   bool
-	err       error
+	faults  int
+	aborted bool
+	err     error
 }
 
 // newLazyCtrl arms the post-copy tail for one skeleton-restored image
@@ -58,31 +59,29 @@ type lazyCtrl struct {
 // files/conns/fork stages that still separate us from resume.  workers
 // sizes the installer pool, capped at the chunks left to pull.
 func newLazyCtrl(s *System, t *kernel.Task, img *mtcp.Image, pending []mtcp.LazyChunk, holders []string, workers int) *lazyCtrl {
-	eng := t.P.Node.Cluster.Eng
 	lc := &lazyCtrl{
 		sys:        s,
 		local:      store.Open(t.P.Node, store.Config{Root: s.StoreRoot()}),
 		img:        img,
-		w:          sim.NewWaitQueue(eng, "lazy.install"),
-		idle:       sim.NewWaitQueue(eng, "lazy.idle"),
+		w:          sim.NewWaitQueue(t.P.Node.Cluster.Eng, "lazy.install"),
 		pending:    pending,
 		refOf:      make(map[[2]int]store.ChunkRef, len(pending)),
-		byHash:     make(map[string][][2]int, len(pending)),
+		byHash:     make(map[string][]int, len(pending)),
 		installed:  map[[2]int]bool{},
 		installing: map[[2]int]bool{},
 		areas:      map[int]*kernel.VMArea{},
 		areaIdx:    map[*kernel.VMArea]int{},
 	}
 	var refs []store.ChunkRef
-	for _, pc := range pending {
-		key := [2]int{pc.Area, pc.Idx}
-		lc.refOf[key] = pc.Ref
+	for i, pc := range pending {
+		lc.refOf[[2]int{pc.Area, pc.Idx}] = pc.Ref
 		if len(lc.byHash[pc.Ref.Hash]) == 0 {
 			refs = append(refs, pc.Ref) // hottest-first, unique by hash
 		}
-		lc.byHash[pc.Ref.Hash] = append(lc.byHash[pc.Ref.Hash], key)
+		lc.byHash[pc.Ref.Hash] = append(lc.byHash[pc.Ref.Hash], i)
 		lc.remaining++
 	}
+	lc.ra = kernel.NewReadAhead(t, t.P.Node.ReadPipeFor(lc.local.ChunkPath("")), lc.unclaimed)
 	lc.ps = replica.NewPullStream(t, s.Replica, holders, refs,
 		replica.PullOptions{Stripe: s.Cfg.LazyHolders, Deliver: lc.onDeliver})
 	for i := max(1, min(workers, len(refs))); i > 0; i-- {
@@ -90,76 +89,88 @@ func newLazyCtrl(s *System, t *kernel.Task, img *mtcp.Image, pending []mtcp.Lazy
 	}
 	// The pull stream wakes its own waiters on failure; relay that to
 	// ours so the installers, drain, and blocked faulters all observe a
-	// holders-exhausted stream instead of sleeping forever.
+	// holders-exhausted stream instead of sleeping forever.  A stream
+	// that delivered everything closes the stage: the installers drain
+	// what it still holds.
 	t.P.SpawnTask("lazy-watch", true, func(wt *kernel.Task) {
-		if err := lc.ps.Wait(wt); err != nil && lc.err == nil && !lc.aborted {
-			lc.err = err
+		if err := lc.ps.Wait(wt); err != nil && !lc.aborted {
+			lc.fail(err)
+			return
 		}
-		lc.wakeAll()
+		lc.ra.Close()
+		lc.w.WakeAll()
 	})
 	return lc
 }
 
 // onDeliver runs on a puller task as each chunk becomes locally
-// durable: queue it and wake one idle installer to claim it.  A chunk
-// that lands while every installer is busy waits in the queue for the
-// first one to finish; nobody else waits on a delivery.
+// durable: queue every coordinate that shares it on the read-ahead
+// stage, which wakes one idle installer per chunk it has read.  A
+// chunk read while every installer is busy waits for the first one to
+// finish; nobody else waits on a delivery.
 func (lc *lazyCtrl) onDeliver(ref store.ChunkRef) {
-	lc.delivered = append(lc.delivered, ref)
-	lc.idle.Wake(1)
+	for _, i := range lc.byHash[ref.Hash] {
+		lc.ra.Queue(i, ref.StoredBytes)
+	}
 }
 
-// wakeAll wakes every waiter of the tail, installers included: the
-// tail ended (all installed, failed, or aborted) and each must see it.
-func (lc *lazyCtrl) wakeAll() {
-	lc.idle.WakeAll()
+// unclaimed reports whether pending chunk i's coordinate is still
+// nobody's: the stage's hook as its reader takes the chunk off the
+// queue, so it never reads one a fault already installed or is
+// installing.
+func (lc *lazyCtrl) unclaimed(i int) bool {
+	key := [2]int{lc.pending[i].Area, lc.pending[i].Idx}
+	return !lc.installed[key] && !lc.installing[key]
+}
+
+// fail records the tail's first error and ends it: the stage stops,
+// so the installers exit, and the drain and the faulters wake to see
+// the error.
+func (lc *lazyCtrl) fail(err error) {
+	if lc.err == nil {
+		lc.err = err
+	}
+	lc.ra.Stop()
 	lc.w.WakeAll()
 }
 
-// installer is one task of the background install pool: it claims
-// delivered chunks in arrival order, charges each one's read and
-// decompression (the core scheduler meters the pool's real speedup)
-// and lands it — into the image buffers before the fork, into the live
-// areas (marking presence) after.  It aborts if the restored process
-// dies mid-drain.
+// installer is one task of the background install pool: it claims the
+// chunks the stage has read, in read order, skips one a fault claimed
+// meanwhile, charges each other one's decompression (the core
+// scheduler meters the pool's real speedup) and lands it — into the
+// image buffers before the fork, into the live areas (marking
+// presence) after.  It exits when the stage ends, and aborts the tail
+// if the restored process dies mid-drain.
 func (lc *lazyCtrl) installer(t *kernel.Task) {
 	for {
-		if lc.err != nil || lc.aborted || lc.remaining == 0 {
-			lc.wakeAll()
+		i, ok := lc.ra.Claim(t)
+		if !ok {
+			lc.w.WakeAll() // the drain rechecks the restored process
 			return
 		}
 		if lc.proc != nil && (lc.proc.Dead || lc.proc.Zombie) {
 			lc.abort()
 			return
 		}
-		if len(lc.delivered) == 0 {
-			lc.idle.Wait(t.T)
-			continue
+		pc := lc.pending[i]
+		key := [2]int{pc.Area, pc.Idx}
+		if lc.installed[key] || lc.installing[key] {
+			continue // a fault claimed it after the stage read it
 		}
-		ref := lc.delivered[0]
-		lc.delivered = lc.delivered[1:]
-		for _, key := range lc.byHash[ref.Hash] {
-			if lc.installed[key] || lc.installing[key] {
-				continue
-			}
-			lc.installing[key] = true
-			lc.install(t, key, ref)
-		}
+		lc.installing[key] = true
+		lc.install(t, key, pc.Ref)
 	}
 }
 
-// install pays one chunk's read/decompress and lands it at its
+// install pays one read chunk's decompression and lands it at its
 // coordinate.  Runs on an installer or on a faulting thread.
 func (lc *lazyCtrl) install(t *kernel.Task, key [2]int, ref store.ChunkRef) {
-	lc.local.ChargeRead(t, []store.ChunkRef{ref})
+	store.ChargeGunzip(t, ref)
 	// Verified read: a chunk that went bad after it landed is
 	// quarantined and never marked present — the tail fails instead.
 	data, err := lc.local.ReadChunkVerified(t, ref)
 	if err != nil {
-		if lc.err == nil {
-			lc.err = fmt.Errorf("dmtcp: lazy install of chunk %s: %w", ref.Hash, err)
-		}
-		lc.wakeAll()
+		lc.fail(fmt.Errorf("dmtcp: lazy install of chunk %s: %w", ref.Hash, err))
 		return
 	}
 	if lc.wired {
@@ -175,7 +186,7 @@ func (lc *lazyCtrl) install(t *kernel.Task, key [2]int, ref store.ChunkRef) {
 	lc.installed[key] = true
 	lc.remaining--
 	if lc.remaining == 0 {
-		lc.idle.WakeAll() // the tail is done: idle installers exit
+		lc.ra.Stop() // the tail is done: the installers exit
 	}
 	lc.w.WakeAll()
 }
@@ -228,15 +239,18 @@ func (lc *lazyCtrl) fault(t *kernel.Task, a *kernel.VMArea, chunk int) error {
 	}
 	lc.faults++
 	fStart := t.Now()
+	// Claim the coordinate before demanding it, unless an installer
+	// already has, so the stage does not read it as well.
+	mine := !lc.installing[key]
+	lc.installing[key] = true
 	if err := lc.ps.Demand(t, ref); err != nil {
-		lc.err = err
-		lc.wakeAll()
+		lc.fail(err)
 		return err
 	}
-	// Locally durable now.  Install it ourselves unless an installer
-	// already claimed this coordinate; either way, wait for residency.
-	if !lc.installed[key] && !lc.installing[key] {
-		lc.installing[key] = true
+	// Locally durable now.  Read and install it ourselves if we claimed
+	// it; either way, wait for residency.
+	if mine {
+		lc.local.ChargeReadRaw(t, []store.ChunkRef{ref})
 		lc.install(t, key, ref)
 	}
 	for !lc.installed[key] {
@@ -263,7 +277,8 @@ func (lc *lazyCtrl) abort() {
 	}
 	lc.aborted = true
 	lc.ps.Abort()
-	lc.wakeAll()
+	lc.ra.Stop()
+	lc.w.WakeAll()
 }
 
 // drain blocks until every pending chunk is installed, the stream

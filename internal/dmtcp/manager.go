@@ -78,8 +78,9 @@ type Manager struct {
 	desc string
 	// pendingCkpt stashes a checkpoint request that arrived while the
 	// manager was mid-barrier (a promoted coordinator re-sends the
-	// request at resync if it started a round the manager never saw);
-	// loop consumes it before reading the socket again.
+	// request at resync if it started a round the manager never saw) or
+	// while a restored rank waited at a restart barrier; loop consumes
+	// it before reading the socket again.
 	pendingCkpt []byte
 	// curTag is the round identity of the checkpoint in progress,
 	// echoed with every barrier arrival.

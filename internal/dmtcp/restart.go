@@ -611,7 +611,7 @@ func (s *System) restoreProcess(
 
 	// ---- Step 5: restore memory and threads ----------------------------
 	m5 := c.Now()
-	mtcp.ChargeMemoryRestoreN(c, img, path, s.Cfg.CkptWorkers)
+	mtcp.ChargeMemoryRestore(c, img, path, s.Cfg.CkptWorkers)
 	mtcp.InstallMemory(p, img, c, func(t *kernel.Task, rec mtcp.AreaRecord) *kernel.ShmSegment {
 		seg := s.resolveShm(t, rec.ShmBacking, rec.Bytes, rec.Class())
 		if len(seg.Payload) == 0 && len(rec.Payload) > 0 {
@@ -799,6 +799,12 @@ func (s *System) groupBarrier(t *kernel.Task, mgr *Manager, name string, total i
 				if d.Str() == name {
 					return
 				}
+			}
+			if len(frame) > 0 && frame[0] == msgDoCkpt {
+				// A checkpoint requested as RestartAll returned: keep it
+				// for the manager's loop, which starts after the last
+				// restart barrier and serves it first.
+				mgr.pendingCkpt = append([]byte(nil), frame...)
 			}
 		}
 	}

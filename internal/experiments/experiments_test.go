@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/dmtcp"
 	"repro/internal/kernel"
+	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 func quickOpts() Opts { return Opts{Trials: 1, Seed: 3, Quick: true} }
@@ -219,6 +221,60 @@ func TestMigrationUseCase(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCheckpointAtOnceAfterMPIRestart requests a checkpoint at the
+// instant an in-place RestartAll of a gzip NAS/LU job returns, while
+// the restored ranks still wait at their last restart barrier.  The
+// round must complete within a virtual deadline, and the job must
+// still verify.
+func TestCheckpointAtOnceAfterMPIRestart(t *testing.T) {
+	env := NewEnv(1, 4, dmtcp.Config{Compress: true})
+	var failure any
+	env.Drive(func(task *kernel.Task) {
+		defer func() { failure = recover() }()
+		if _, err := env.Sys.Launch(0, "orterun", "16", "4", "0",
+			strconv.Itoa(mpi.BasePort), "nas-lu"); err != nil {
+			t.Error(err)
+			return
+		}
+		task.Compute(300 * time.Millisecond)
+		round, err := env.Sys.Checkpoint(task)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		env.Sys.KillManaged()
+		if _, err := env.Sys.RestartAll(task, round, nil); err != nil {
+			t.Errorf("restart: %v", err)
+			return
+		}
+		var again *dmtcp.CkptRound
+		done := false
+		wq := sim.NewWaitQueue(env.Eng, "test.ckpt")
+		task.P.SpawnTask("checkpointer", false, func(ct *kernel.Task) {
+			again, err = env.Sys.Checkpoint(ct)
+			done = true
+			wq.WakeAll()
+		})
+		for deadline := task.Now().Add(60 * time.Second); !done && task.Now() < deadline; {
+			wq.WaitTimeout(task.T, deadline.Sub(task.Now()))
+		}
+		switch {
+		case !done:
+			t.Error("checkpoint requested as RestartAll returned is still open after 60 s")
+			return
+		case err != nil:
+			t.Errorf("checkpoint at once: %v", err)
+			return
+		case again.NumProcs != round.NumProcs:
+			t.Errorf("checkpoint at once covered %d processes, want %d", again.NumProcs, round.NumProcs)
+		}
+		env.awaitVerify(task, "nas-lu", 16)
+	})
+	if failure != nil {
+		t.Fatal(failure)
+	}
 }
 
 // TestStoreQuick checks the incremental-store experiment's physics: a

@@ -107,7 +107,8 @@ func RunTable1(o Opts) *Table {
 		rsRow("restart: TOTAL", func(r *dmtcp.RestartStages) time.Duration { return r.Total }),
 	)
 	t.Notes = append(t.Notes,
-		"restart stages here are serial, as in the paper (monolithic images);",
+		"restart stages here are serial, as in the paper (monolithic images); within",
+		"memory/threads the image read overlaps gunzip, as gzip -d through a pipe does;",
 		"under Config.Store the streamed restore pipeline overlaps the remote-fetch and",
 		"memory/threads stages (restart TOTAL < their sum) — see BENCH_restore.json",
 	)

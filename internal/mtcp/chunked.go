@@ -390,9 +390,10 @@ func loadChunked(t *kernel.Task, path string) (*Image, error) {
 }
 
 // chargeChunkedRestore charges the bulk of a store-backed restart:
-// streaming every referenced chunk and decompressing the compressed
-// ones — or, for an image the restore pipeline already loaded, only
-// the per-area install bookkeeping.
+// streaming every referenced chunk through a read-ahead stage while
+// one consumer decompresses the compressed ones — or, for an image the
+// restore pipeline already loaded, only the per-area install
+// bookkeeping.
 func chargeChunkedRestore(t *kernel.Task, img *Image, path string) {
 	p := t.P.Node.Cluster.Params
 	if !img.bulkCharged {
@@ -405,7 +406,14 @@ func chargeChunkedRestore(t *kernel.Task, img *Image, path string) {
 				return
 			}
 		}
-		s.ChargeRead(t, m.Refs())
+		refs := m.Refs()
+		stored := make([]int64, len(refs))
+		for i, r := range refs {
+			stored[i] = r.StoredBytes
+		}
+		kernel.ReadAll(t, t.P.Node.ReadPipeFor(s.ChunkPath("")), stored, 1, func(wt *kernel.Task, i int) {
+			store.ChargeGunzip(wt, refs[i])
+		})
 	}
 	t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
 }

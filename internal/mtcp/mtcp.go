@@ -156,15 +156,15 @@ func WriteImage(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 // ReadImage loads and decodes an image from storage, charging read
 // bandwidth for the on-disk size and decompression CPU for the
 // restored bytes.  This is the I/O half of restart step 5, as a
-// single call (LoadImage + ChargeMemoryRestore for callers that do
-// not split the work between a restart orchestrator and its forked
-// children).
+// single call (LoadImage + ChargeMemoryRestore with one gunzip
+// consumer, for callers that do not split the work between a restart
+// orchestrator and its forked children).
 func ReadImage(t *kernel.Task, path string) (*Image, error) {
 	img, err := LoadImage(t, path)
 	if err != nil {
 		return nil, err
 	}
-	ChargeMemoryRestore(t, img, path)
+	ChargeMemoryRestore(t, img, path, 1)
 	return img, nil
 }
 
@@ -199,8 +199,17 @@ func LoadImage(t *kernel.Task, path string) (*Image, error) {
 }
 
 // ChargeMemoryRestore charges the bulk of restart step 5: streaming
-// the image body from storage and decompressing it.
-func ChargeMemoryRestore(t *kernel.Task, img *Image, path string) {
+// the image body from storage and decompressing it.  A compressed
+// monolithic image is read as kernel.CkptChunkBytes blocks of logical
+// bytes through a read-ahead stage, each carrying the stored bytes its
+// area's class gives (the header and the tables ride the first), while
+// workers gunzip consumers decompress the blocks already read: the
+// restore pays for its gunzip plus one block's read, as gzip -d
+// through a pipe does, not for its whole read and then its gunzip.
+// workers <= 1 is one consumer, the calling task; the node's core
+// scheduler bounds the real speedup of more.  An uncompressed image is
+// one read.  Store images charge through the chunk path instead.
+func ChargeMemoryRestore(t *kernel.Task, img *Image, path string, workers int) {
 	if store.IsManifestPath(path) {
 		chargeChunkedRestore(t, img, path)
 		return
@@ -210,11 +219,24 @@ func ChargeMemoryRestore(t *kernel.Task, img *Image, path string) {
 	if ino, err := t.P.Node.FS.ReadFile(path); err == nil {
 		onDisk = ino.Size()
 	}
-	t.P.Node.ReadPipeFor(path).Read(t.T, onDisk)
+	pipe := t.P.Node.ReadPipeFor(path)
+	var spans []compressSpan
 	if onDisk > 0 && onDisk < img.LogicalBytes() {
-		for _, a := range img.Areas {
-			t.Compute(p.DecompressTime(a.Bytes, a.Class()))
+		spans = compressSpans(img)
+	}
+	if len(spans) == 0 {
+		pipe.Read(t.T, onDisk) // nothing to gunzip
+	} else {
+		stored := make([]int64, len(spans))
+		left := onDisk
+		for i, sp := range spans {
+			stored[i] = min(p.CompressedSize(sp.bytes, sp.class), left)
+			left -= stored[i]
 		}
+		stored[0] += left
+		kernel.ReadAll(t, pipe, stored, workers, func(wt *kernel.Task, i int) {
+			wt.Compute(p.DecompressTime(spans[i].bytes, spans[i].class))
+		})
 	}
 	t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
 }
@@ -226,7 +248,8 @@ func ChargeMemoryRestore(t *kernel.Task, img *Image, path string) {
 type ShmResolver func(t *kernel.Task, rec AreaRecord) *kernel.ShmSegment
 
 // InstallMemory rebuilds the process address space from the image
-// (restart step 5, "restore memory").  Time is charged by ReadImage;
+// (restart step 5, "restore memory").  Time is charged by
+// ChargeMemoryRestore (or the store's restore pipeline);
 // this is pure structure.
 func InstallMemory(p *kernel.Process, img *Image, t *kernel.Task, shm ShmResolver) {
 	p.Mem = kernel.NewAddressSpace()

@@ -16,11 +16,13 @@ import (
 // manifest and verifies every local chunk — a corrupt one is
 // quarantined and treated as missing, so latent disk corruption found
 // at restart heals instead of being installed.  A fetch stage pulls
-// the missing chunks through the caller's ChunkFetcher while a worker
-// pool installs each chunk at its offset the moment it is local, so a
-// restart on a replica holder is pure parallel decompress and a
-// restart on a cold node hides most of the decompress time inside the
-// transfer.
+// the missing chunks through the caller's ChunkFetcher; a read-ahead
+// stage (kernel.ReadAhead) reads each chunk off the local disk the
+// moment it is local, in order; and a worker pool decompresses each
+// chunk whose read has ended and installs it at its offset.  A restart
+// on a replica holder is therefore pure parallel decompress behind one
+// chunk's read, and a restart on a cold node hides most of the
+// decompress time inside the transfer.
 //
 // An eager restore returns with every chunk installed.  A lazy
 // (post-copy) one returns as soon as the skeleton is in — the hottest
@@ -46,7 +48,8 @@ type ChunkFetcher interface {
 type RestoreOptions struct {
 	// Workers sizes the install pool (decompression CPU; the node's
 	// core scheduler bounds the real speedup).  <= 1 installs serially
-	// but still overlaps with the fetch stage.
+	// but still overlaps with the fetch and read-ahead stages: one
+	// reader task reads the chunks whatever the pool's size.
 	Workers int
 	// Fetch supplies chunks the local store lacks; nil requires every
 	// chunk to be local already (the short-circuit-only case).
@@ -174,12 +177,12 @@ func Restore(t *kernel.Task, path string, opts RestoreOptions) (*Image, []LazyCh
 	// Local chunks are ready at once; the rest go to the fetcher,
 	// unique by hash (a dedup'd chunk referenced by several areas
 	// travels once and installs everywhere).
-	ready := make([]int, 0, len(install))
+	ra := kernel.NewReadAhead(t, t.P.Node.ReadPipeFor(s.ChunkPath("")), nil)
 	byHash := make(map[string][]int)
 	var missing []store.ChunkRef
 	for i, c := range install {
 		if local[c.Ref.Hash] {
-			ready = append(ready, i)
+			ra.Queue(i, c.Ref.StoredBytes)
 			continue
 		}
 		if len(byHash[c.Ref.Hash]) == 0 {
@@ -188,6 +191,7 @@ func Restore(t *kernel.Task, path string, opts RestoreOptions) (*Image, []LazyCh
 		byHash[c.Ref.Hash] = append(byHash[c.Ref.Hash], i)
 	}
 	if len(missing) > 0 && opts.Fetch == nil {
+		ra.Stop()
 		return nil, nil, rs, fmt.Errorf("%w: %d chunks missing locally with no fetch source", ErrBadImage, len(missing))
 	}
 
@@ -205,43 +209,52 @@ func Restore(t *kernel.Task, path string, opts RestoreOptions) (*Image, []LazyCh
 	}
 	rs.Workers = nWorkers
 
-	eng := t.P.Node.Cluster.Eng
-	cond := sim.NewWaitQueue(eng, t.P.Node.Hostname+".restore-ready")
-	join := sim.NewWaitQueue(eng, t.P.Node.Hostname+".restore-join")
+	join := sim.NewWaitQueue(t.P.Node.Cluster.Eng, t.P.Node.Hostname+".restore-join")
 	fetching := len(missing) > 0
 	var fetchErr error
 	var installedStored int64
+	// fail records the pipeline's first error and ends the read stage,
+	// so every install worker winds down.
+	fail := func(err error) {
+		if fetchErr == nil {
+			fetchErr = err
+		}
+		ra.Stop()
+	}
 
 	track := fmt.Sprintf("%s[%d]", t.P.ProgName, t.P.Pid)
 	if fetching {
 		fStart := t.Now()
 		t.P.SpawnTask("restore-fetch", true, func(ft *kernel.Task) {
 			bytes, chunks, err := opts.Fetch.Fetch(ft, missing, func(ref store.ChunkRef) {
-				ready = append(ready, byHash[ref.Hash]...)
-				cond.WakeAll()
+				for _, i := range byHash[ref.Hash] {
+					ra.Queue(i, ref.StoredBytes)
+				}
 			})
 			rs.FetchedBytes += bytes
 			rs.FetchedChunks += chunks
 			rs.Fetch = ft.Now().Sub(fStart)
 			if err != nil {
-				fetchErr = err
+				fail(err)
 			} else {
 				// The network stage just ended: whatever the install
 				// pool finished by now rode inside the transfer.
 				rs.OverlapBytes = installedStored
+				ra.Close()
 			}
 			ft.Trace().Span(ft.Host(), track+" fetch", "restore.fetch", "restore",
 				fStart, ft.Now(), obs.A("bytes", bytes), obs.A("chunks", int64(chunks)))
 			ft.Trace().Add(ft.Host(), "restore.fetched_bytes", ft.Now(), bytes)
 			fetching = false
-			cond.WakeAll()
 			join.WakeAll()
 		})
+	} else {
+		ra.Close()
 	}
 
-	// Install pool: each worker claims ready chunks, charges the read
-	// bandwidth and decompression CPU (the core scheduler meters the
-	// real speedup), and copies the payload to the chunk's offset.
+	// Install pool: each worker claims chunks whose read has ended,
+	// charges their decompression (the core scheduler meters the real
+	// speedup), and copies the payload to the chunk's offset.
 	joined := 0
 	for w := 0; w < nWorkers; w++ {
 		w := w
@@ -255,22 +268,15 @@ func Restore(t *kernel.Task, path string, opts RestoreOptions) (*Image, []LazyCh
 				join.WakeAll()
 			}()
 			for {
-				for len(ready) == 0 && fetching && fetchErr == nil {
-					cond.Wait(wt.T)
-				}
-				if len(ready) == 0 || fetchErr != nil {
+				i, ok := ra.Claim(wt)
+				if !ok {
 					return
 				}
-				c := install[ready[0]]
-				ready = ready[1:]
-				s.ChargeRead(wt, []store.ChunkRef{c.Ref})
+				c := install[i]
+				store.ChargeGunzip(wt, c.Ref)
 				data, err := s.ReadChunkVerified(wt, c.Ref)
 				if err != nil {
-					if fetchErr == nil {
-						fetchErr = fmt.Errorf("%w: chunk %s vanished mid-restore: %v",
-							ErrBadImage, c.Ref.Hash, err)
-					}
-					cond.WakeAll()
+					fail(fmt.Errorf("%w: chunk %s vanished mid-restore: %v", ErrBadImage, c.Ref.Hash, err))
 					return
 				}
 				off := int64(c.Idx) * kernel.CkptChunkBytes

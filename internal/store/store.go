@@ -260,7 +260,7 @@ func (s *Store) PutChunk(t *kernel.Task, ref *ChunkRef, data []byte) (int64, boo
 
 // ReadChunkData returns a chunk's real payload bytes without charging
 // time (bulk read time is charged from manifest refs, which know the
-// stored sizes — see ChargeRead).
+// stored sizes — see ChargeReadRaw and ChargeGunzip).
 func (s *Store) ReadChunkData(hash string) ([]byte, error) {
 	ino, err := s.Node.FS.ReadFile(s.ChunkPath(hash))
 	if err != nil {
@@ -269,22 +269,22 @@ func (s *Store) ReadChunkData(hash string) ([]byte, error) {
 	return ino.Data, nil
 }
 
-// ChargeRead charges storage bandwidth and decompression CPU for
-// streaming the given chunks out of the store and reconstructing their
-// logical bytes (the restore path).
-func (s *Store) ChargeRead(t *kernel.Task, refs []ChunkRef) {
-	p := s.params()
-	s.ChargeReadRaw(t, refs)
-	for _, r := range refs {
-		if r.StoredBytes < r.LogicalBytes {
-			t.Compute(p.DecompressTime(r.LogicalBytes, r.Class()))
-		}
+// ChargeGunzip charges the decompression CPU that rebuilds one
+// chunk's logical bytes from its stored form (nothing for a chunk
+// stored raw).  The read of the stored bytes is charged apart: by the
+// restore side's read-ahead stage, or by ChargeReadRaw on a demand
+// fault.
+func ChargeGunzip(t *kernel.Task, ref ChunkRef) {
+	if ref.StoredBytes < ref.LogicalBytes {
+		t.Compute(t.P.Node.Cluster.Params.DecompressTime(ref.LogicalBytes, ref.Class()))
 	}
 }
 
 // ChargeReadRaw charges only the storage bandwidth for streaming the
-// given chunks out in their stored (compressed) form — what shipping a
-// chunk to a replica peer costs, where nothing is decompressed.
+// given chunks out in their stored (compressed) form, in one transfer:
+// what shipping a chunk to a replica peer costs, where nothing is
+// decompressed, and what a lazy restore's demand fault pays for its
+// chunk before ChargeGunzip.
 func (s *Store) ChargeReadRaw(t *kernel.Task, refs []ChunkRef) {
 	var stored int64
 	for _, r := range refs {

@@ -120,7 +120,7 @@ func TestRoundtripByteEqualityThroughStore(t *testing.T) {
 		}
 		// Bulk restore charging must stream the stored bytes.
 		t0 := task.Now()
-		mtcp.ChargeMemoryRestore(task, got, res.Path)
+		mtcp.ChargeMemoryRestore(task, got, res.Path, 1)
 		if took := task.Now().Sub(t0); took <= 0 {
 			t.Errorf("restore charged %v", took)
 		}
