@@ -38,9 +38,10 @@ func chaosScenario(o scenOpts) {
 		}
 		s.Sys.Replica.WaitIdle(t)
 
-		// Fault 1: cut the leader's host off mid-round.  Its node stays
-		// alive, so only the standbys' journal-silence watchdog can
-		// detect the loss and elect on the majority side.
+		// Fault 1: cut the leader's host off mid-round, once the round's
+		// start has reached the standbys.  Its node stays alive, so only
+		// the standbys' journal-silence watchdog can detect the loss and
+		// elect on the majority side, which resumes the round.
 		co := s.Sys.Coord
 		preRounds := len(co.Rounds())
 		fmt.Printf("\n[1/4] partitioning leader %s away mid-round ...\n", co.Node.Hostname)
@@ -50,7 +51,7 @@ func chaosScenario(o scenOpts) {
 			_, cerr = s.Checkpoint(rt)
 			done = true
 		})
-		for !done && co.Mach.State().Round == nil {
+		for !done && !s.Sys.RoundOnStandbys() {
 			t.Compute(time.Millisecond)
 		}
 		cutAt := t.Now()

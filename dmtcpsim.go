@@ -118,12 +118,6 @@ func AttachAnalyzer(tr *Tracer) { analyze.Attach(tr) }
 // simulation, before ChromeTrace.
 func AnnotateFlows(tr *Tracer) { analyze.AnnotateFlows(tr) }
 
-// TraceExperiments attaches tr to every experiment cluster built from
-// now on (each Env becomes its own tracer run); pass nil to detach.
-// The bench driver uses it to record spans across all trials and embed
-// each experiment's critical-path block in its Table.
-func TraceExperiments(tr *Tracer) { experiments.Tracing = tr }
-
 // Aware returns the dmtcpaware handle for a process (nil when the
 // process does not run under DMTCP).
 func Aware(p *Process) *AwareAPI { return dmtcp.Aware(p) }
@@ -269,5 +263,17 @@ var (
 	RunPipeline      = experiments.RunPipeline
 	RunRestore       = experiments.RunRestore
 	RunRestoreLazy   = experiments.RunRestoreLazy
-	RunAll           = experiments.All
+
+	// Experiments lists every experiment in dmtcp-bench's order.
+	Experiments = experiments.Catalog
+	// Regenerate runs the listed experiments ("all" selects every one)
+	// and returns their tables; with a tracer, each table embeds the
+	// critical path of its own trials.
+	Regenerate = experiments.Regenerate
+	// DefaultOpts is dmtcp-bench's default scale (5 trials, seed
+	// 1), at which every committed BENCH_*.json is generated.
+	DefaultOpts = experiments.DefaultOpts
+	// WriteTables encodes tables as dmtcp-bench's -json output,
+	// the format of every committed BENCH_*.json.
+	WriteTables = experiments.WriteTables
 )

@@ -153,8 +153,12 @@ func TestKillCoordinatorMidRound(t *testing.T) {
 			}
 			task.Compute(time.Millisecond)
 		}
-		if r := co.st().Round; r == nil || !r.Released["suspended"] {
+		r := co.st().Round
+		if r == nil || !r.Released["suspended"] {
 			t.Fatal("round never reached the drain stage")
+		}
+		if r.Released["drained"] {
+			t.Fatal("drained barrier already released: the kill would miss the drain window")
 		}
 		e.c.KillNode(1) // the coordinator dies mid-round
 		waitTakeover(t, task, e)

@@ -601,7 +601,11 @@ func (co *Coordinator) resync(t *kernel.Task, fd int, body []byte) int64 {
 		// A manager that never saw the checkpoint request (the round
 		// started — or resumed — while it was still reconnecting, and it
 		// reports no progress) gets it re-sent; a mid-algorithm manager
-		// re-drives itself by re-sending its barrier arrival.
+		// re-drives itself by re-sending its barrier arrival.  One that
+		// reports the round's tag but no passed barrier gets it too: a
+		// fresh manager reports tag 0, round 0's own tag, so the two
+		// cannot be told apart here.  A manager already running the
+		// round drops the re-send in its barrier.
 		arrived := false
 		for _, m := range r.Arrived {
 			if m[cid] {
@@ -1304,4 +1308,24 @@ func (s *System) coordPeers(co *Coordinator) []*kernel.Node {
 		out = append(out, other.Node)
 	}
 	return out
+}
+
+// RoundOnStandbys reports whether a checkpoint round is in flight and
+// its start has reached every live standby coordinator's state
+// machine: from then on a takeover resumes the round under its tag
+// instead of starting a fresh one.
+func (s *System) RoundOnStandbys() bool {
+	r := s.Coord.st().Round
+	if r == nil {
+		return false
+	}
+	for _, co := range s.coords {
+		if co == s.Coord || co.Node.Down || co.proc == nil {
+			continue
+		}
+		if sr := co.st().Round; sr == nil || sr.Tag != r.Tag {
+			return false
+		}
+	}
+	return true
 }

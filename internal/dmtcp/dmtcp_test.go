@@ -736,8 +736,8 @@ func TestDrainCapturesInFlightBytes(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if round.Stages.Drain <= 0 {
-			t.Errorf("drain stage = %v", round.Stages.Drain)
+		if settle := e.c.Params.DrainSettle; round.Stages.Drain < settle {
+			t.Errorf("drain stage = %v, want ≥ DrainSettle (%v): the leaders drained sockets", round.Stages.Drain, settle)
 		}
 		task.Compute(3 * time.Second)
 	})
@@ -750,6 +750,49 @@ func TestDrainCapturesInFlightBytes(t *testing.T) {
 	}
 	if strings.Contains(string(ino.Data), "BAD") {
 		t.Fatalf("stream corrupted by drain/refill:\n%s", string(ino.Data))
+	}
+}
+
+// TestDrainSettlesOnlyWhereASocketDrained pins who pays the drain's
+// final poll timeout: a manager that leads no descriptor has nothing
+// to poll, so a round of socket-less processes drains at once, while a
+// round with any drained socket lasts at least DrainSettle, because
+// the drained barrier waits for that socket's leader.
+func TestDrainSettlesOnlyWhereASocketDrained(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		launch  func(e *env)
+		sockets bool
+	}{
+		{"socket-less counters", func(e *env) {
+			e.sys.Launch(0, "counter", "5000", "/out/settle-a")
+			e.sys.Launch(1, "counter", "5000", "/out/settle-b")
+		}, false},
+		{"socket pair beside a counter", func(e *env) {
+			e.sys.Launch(0, "ppserver", "9250", "400", "/out/settle-pp")
+			e.sys.Launch(0, "ppclient", "node00", "9250", "400")
+			e.sys.Launch(1, "counter", "5000", "/out/settle-c")
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, 2, Config{})
+			e.drive(t, func(task *kernel.Task) {
+				tc.launch(e)
+				task.Compute(50 * time.Millisecond)
+				round, err := e.sys.Checkpoint(task)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				drain, settle := round.Stages.Drain, e.c.Params.DrainSettle
+				if tc.sockets && drain < settle {
+					t.Errorf("drain stage = %v, want ≥ DrainSettle (%v)", drain, settle)
+				}
+				if !tc.sockets && drain >= time.Millisecond {
+					t.Errorf("drain stage = %v with no socket to drain, want < 1ms", drain)
+				}
+			})
+		})
 	}
 }
 

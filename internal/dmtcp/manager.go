@@ -313,18 +313,22 @@ func (m *Manager) loop(t *kernel.Task) {
 		if len(frame) == 0 || frame[0] != msgDoCkpt {
 			continue
 		}
-		d := &bin.Decoder{B: frame[1:]}
-		cfg := ckptConfig{
-			Dir:      d.Str(),
-			Compress: d.Bool(),
-			Fsync:    d.Bool(),
-			Forked:   d.Bool(),
-			Store:    d.Bool(),
-			Tag:      d.I64(),
-			Workers:  d.Int(),
-			Hint:     d.Int(),
-		}
-		m.doCheckpoint(t, cfg)
+		m.doCheckpoint(t, decodeCkptConfig(frame))
+	}
+}
+
+// decodeCkptConfig decodes a begin-checkpoint request (doCkptFrame).
+func decodeCkptConfig(frame []byte) ckptConfig {
+	d := &bin.Decoder{B: frame[1:]}
+	return ckptConfig{
+		Dir:      d.Str(),
+		Compress: d.Bool(),
+		Fsync:    d.Bool(),
+		Forked:   d.Bool(),
+		Store:    d.Bool(),
+		Tag:      d.I64(),
+		Workers:  d.Int(),
+		Hint:     d.Int(),
 	}
 }
 
@@ -399,10 +403,13 @@ func (m *Manager) barrier(t *kernel.Task, name string, stage time.Duration, res 
 					return nil
 				}
 			}
-			if len(frame) > 0 && frame[0] == msgDoCkpt {
+			if len(frame) > 0 && frame[0] == msgDoCkpt && decodeCkptConfig(frame).Tag != m.curTag {
 				// A promoted coordinator started a round while this
 				// manager was still finishing an aborted one: keep the
-				// request for loop so it is not lost mid-barrier.
+				// request for loop so it is not lost mid-barrier.  A
+				// request for the round in progress is the resync
+				// re-send to a manager that had passed no barrier yet;
+				// running it again would checkpoint the round twice.
 				m.pendingCkpt = append([]byte(nil), frame...)
 			}
 		}
@@ -472,7 +479,13 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 		}
 	}
 	drained := m.drainAll(t, leaders)
-	t.Idle(params.DrainSettle) // final poll timeout concluding the drain (a wait, not CPU)
+	if len(leaders) > 0 {
+		// The final poll timeout that concludes the drain (a wait, not
+		// CPU).  A manager that leads no descriptor has nothing to poll
+		// and goes straight to the barrier, which still waits for every
+		// leader's settle.
+		t.Idle(params.DrainSettle)
+	}
 	if err := m.barrier(t, "drained", t.Now().Sub(s4), nil); err != nil {
 		return
 	}

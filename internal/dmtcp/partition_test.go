@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/obs"
 )
 
 // Partition-proof fencing coverage: cutting the leader off with a
@@ -28,18 +29,26 @@ func haPartitionConfig() Config {
 // isolated as soon as the round opens, before any barrier release.
 const cutAtOpen = "open"
 
+// cutAtJournaled isolates the leader once the round's start has
+// reached both standbys (System.RoundOnStandbys), before any barrier
+// release: the promoted standby resumes a round whose checkpoint
+// request may already be on its way to the manager, which must still
+// run the round once.
+const cutAtJournaled = "journaled"
+
 // runStagePartition runs the HA counter workload, starts a
 // checkpoint, and isolates the leader's host as soon as the named
-// barrier has been released, or as soon as the round opens for
-// cutAtOpen (stage "" is the uncut control run).  It
-// asserts a standby promotes itself via journal-silence detection
-// (the leader's node is never Down, so the node-death detector cannot
-// fire), heals the cut after takeover, and checks the deposed leader
-// steps down and converges onto the new epoch.  It returns the
+// barrier has been released, or at cutAtOpen or cutAtJournaled (stage
+// "" is the uncut control run).  It asserts a standby promotes itself
+// via journal-silence detection (the leader's node is never Down, so
+// the node-death detector cannot fire), heals the cut after takeover,
+// and checks the deposed leader steps down and converges onto the new
+// epoch and that no manager ran a round twice.  It returns the
 // workload's final output for checksum comparison.
 func runStagePartition(t *testing.T, stage string) string {
 	t.Helper()
 	e := newEnv(t, 5, haPartitionConfig())
+	e.c.Trace = obs.NewTracer()
 	out := "/san/out/part-" + stage
 	if stage == "" {
 		out = "/san/out/part-control"
@@ -63,9 +72,10 @@ func runStagePartition(t *testing.T, stage string) string {
 		if stage != "" {
 			preTag := int64(-1)
 			for task.Now() < deadline && !done {
-				if r := old.st().Round; r != nil && (stage == cutAtOpen || r.Released[stage]) {
-					if stage == cutAtOpen && len(r.Released) > 0 {
-						t.Fatalf("round released %v before the open cut", r.Released)
+				if r := old.st().Round; r != nil && (stage == cutAtOpen || r.Released[stage] ||
+					stage == cutAtJournaled && e.sys.RoundOnStandbys()) {
+					if (stage == cutAtOpen || stage == cutAtJournaled) && len(r.Released) > 0 {
+						t.Fatalf("round released %v before the %s cut", r.Released, stage)
 					}
 					preTag = r.Tag
 					break
@@ -149,6 +159,25 @@ func runStagePartition(t *testing.T, stage string) string {
 			task.Compute(100 * time.Millisecond)
 		}
 	})
+	// A resync re-sends the request for the round in progress to a
+	// manager that has passed no barrier of it; the manager is already
+	// running that round and must not checkpoint it a second time.
+	runs := map[[2]int64]int{}
+	for _, ev := range e.c.Trace.Events() {
+		if ev.Name != "ckpt.round" {
+			continue
+		}
+		for _, a := range ev.Args {
+			if a.Key == "tag" {
+				runs[[2]int64{int64(ev.Pid), a.Val}]++
+			}
+		}
+	}
+	for k, n := range runs {
+		if n > 1 {
+			t.Errorf("stage %q: a manager ran round tag %d %d times", stage, k[1], n)
+		}
+	}
 	ino, err := e.c.Node(0).FS.ReadFile(out)
 	if err != nil {
 		t.Fatalf("stage %q: no output file", stage)
@@ -157,16 +186,17 @@ func runStagePartition(t *testing.T, stage string) string {
 }
 
 // TestStageSweepPartitionLeader isolates the leader's host as the
-// round opens and at every stage boundary of a checkpoint round, and
-// asserts the silently promoted standby resumes and completes the same
-// round, with the workload checksum identical to a run that never lost
-// connectivity.
+// round opens, once its start has reached the standbys, and at every
+// stage boundary of a checkpoint round, and asserts the silently
+// promoted standby resumes and completes the same round, each manager
+// running it once, with the workload checksum identical to a run that
+// never lost connectivity.
 func TestStageSweepPartitionLeader(t *testing.T) {
 	control := runStagePartition(t, "")
 	if !strings.Contains(control, "done") {
 		t.Fatalf("control run did not finish:\n%s", control)
 	}
-	for _, stage := range append([]string{cutAtOpen}, ckptBarriers...) {
+	for _, stage := range append([]string{cutAtOpen, cutAtJournaled}, ckptBarriers...) {
 		stage := stage
 		t.Run(stage, func(t *testing.T) {
 			got := runStagePartition(t, stage)

@@ -104,7 +104,7 @@ func TestKillNodeMidStreamOrphansAreGCable(t *testing.T) {
 		task.P.SpawnTask("req", false, func(rt *kernel.Task) {
 			e.sys.Checkpoint(rt) // the round dies with the node; error is fine
 		})
-		task.Idle(1 * time.Second) // suspend+drain ≈0.15 s; write ≈1.7 s
+		task.Idle(1 * time.Second) // suspend ≈0.03 s, nothing to drain; write ≈1.7 s
 		if killed := e.c.KillNode(1); killed == 0 {
 			t.Fatal("node kill was a no-op")
 		}

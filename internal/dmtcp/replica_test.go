@@ -15,12 +15,15 @@ import (
 // TestBarrierReleasesWhenClientDiesMidRound pins the coordinator's
 // disconnect handling: a manager killed between the suspended and
 // drained barriers must not wedge the round — the survivors' barrier
-// is re-evaluated and released.
+// is re-evaluated and released.  The two processes share a socket, so
+// each manager drains the end it leads and the drain stage lasts at
+// least DrainSettle: the kill lands inside it.
 func TestBarrierReleasesWhenClientDiesMidRound(t *testing.T) {
 	e := newEnv(t, 1, Config{})
 	e.drive(t, func(task *kernel.Task) {
-		e.sys.Launch(0, "counter", "5000", "/out/mid-a")
-		e.sys.Launch(0, "counter", "5000", "/out/mid-b")
+		e.sys.Launch(0, "ppserver", "9150", "100000", "/out/mid-pp")
+		task.Compute(5 * time.Millisecond)
+		e.sys.Launch(0, "ppclient", "node00", "9150", "100000")
 		task.Compute(50 * time.Millisecond)
 		done := false
 		task.P.SpawnTask("req", false, func(rt *kernel.Task) {
@@ -30,7 +33,7 @@ func TestBarrierReleasesWhenClientDiesMidRound(t *testing.T) {
 		})
 		co := e.sys.Coord
 		// Wait for the suspended barrier to release: the round is now
-		// inside the drain stage, which lasts ~DrainSettle.
+		// electing leaders or draining their sockets.
 		deadline := task.Now().Add(10 * time.Second)
 		for task.Now() < deadline {
 			if r := co.st().Round; r != nil && r.Released["suspended"] {
@@ -41,6 +44,9 @@ func TestBarrierReleasesWhenClientDiesMidRound(t *testing.T) {
 		r := co.st().Round
 		if r == nil || !r.Released["suspended"] {
 			t.Fatal("round never reached the drain stage")
+		}
+		if r.Released["drained"] {
+			t.Fatal("drained barrier already released: the kill would miss the drain window")
 		}
 		procs := e.sys.ManagedProcesses()
 		if len(procs) != 2 {
@@ -216,8 +222,12 @@ func TestRecoveryPrefersRoundCoveringDeadHost(t *testing.T) {
 			}
 			task.Compute(time.Millisecond)
 		}
-		if co.st().Round == nil {
+		r := co.st().Round
+		if r == nil {
 			t.Fatal("round 2 never started")
+		}
+		if r.Released["drained"] {
+			t.Fatal("drained barrier already released: the kill would miss the drain window")
 		}
 		e.c.KillNode(2)
 		for co.st().Round != nil && task.Now() < deadline {

@@ -181,8 +181,10 @@ func chaosPartitionEvent(task *kernel.Task, env *Env, ty *chaosTally) bool {
 		_, cerr = env.Sys.Checkpoint(rt)
 		done = true
 	})
+	// Cut once the round's start has reached the standbys, so the
+	// promoted one inherits the round in flight.
 	deadline := task.Now().Add(10 * time.Second)
-	for task.Now() < deadline && !done && co.Mach.State().Round == nil {
+	for task.Now() < deadline && !done && !env.Sys.RoundOnStandbys() {
 		task.Compute(time.Millisecond)
 	}
 	cutAt := task.Now()

@@ -51,6 +51,8 @@ type Opts struct {
 }
 
 // DefaultOpts mirrors the paper's methodology at a tractable scale.
+// These are dmtcp-bench's defaults, which generate every committed
+// BENCH_*.json.
 func DefaultOpts() Opts { return Opts{Trials: 5, Seed: 1} }
 
 func (o Opts) trials() int {

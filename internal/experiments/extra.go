@@ -26,7 +26,7 @@ func RunSyncCost(o Opts) *Table {
 	var sync, total Sample
 	for trial := 0; trial < o.trials(); trial++ {
 		round, _ := runParGeant4(o.Seed+int64(trial), nodes,
-			dmtcp.Config{Compress: true, Fsync: true})
+			dmtcp.Config{Compress: true, Fsync: true}, false)
 		sync.AddDur(round.SyncCost)
 		total.AddDur(round.Stages.Total)
 	}
@@ -132,9 +132,9 @@ func RunForked(o Opts) *Table {
 	}
 	var plain, forked Sample
 	for trial := 0; trial < o.trials(); trial++ {
-		round, _ := runParGeant4NoRestart(o.Seed+int64(trial), nodes, dmtcp.Config{Compress: true})
+		round, _ := runParGeant4(o.Seed+int64(trial), nodes, dmtcp.Config{Compress: true}, false)
 		plain.AddDur(round.Stages.Total)
-		round2, _ := runParGeant4NoRestart(o.Seed+int64(trial), nodes, dmtcp.Config{Compress: true, Forked: true})
+		round2, _ := runParGeant4(o.Seed+int64(trial), nodes, dmtcp.Config{Compress: true, Forked: true}, false)
 		forked.AddDur(round2.Stages.Total)
 	}
 	t.Rows = append(t.Rows,
@@ -143,52 +143,3 @@ func RunForked(o Opts) *Table {
 	)
 	return t
 }
-
-// runParGeant4NoRestart is runParGeant4 without the restart phase.
-func runParGeant4NoRestart(seed int64, nodes int, cfg dmtcp.Config) (*dmtcp.CkptRound, *dmtcp.RestartStages) {
-	env := NewEnv(seed, nodes, cfg)
-	var round *dmtcp.CkptRound
-	env.Drive(func(task *kernel.Task) {
-		boot, err := env.Sys.Launch(0, "mpdboot", strconv.Itoa(nodes))
-		if err != nil {
-			panic(err)
-		}
-		task.WatchExit(boot)
-		np := nodes * 4
-		if _, err := env.Sys.Launch(0, "mpiexec", strconv.Itoa(np), "4", "0",
-			strconv.Itoa(30000), "pargeant4", "1000000"); err != nil {
-			panic(err)
-		}
-		task.Compute(800 * time.Millisecond)
-		round, err = env.Sys.Checkpoint(task)
-		if err != nil {
-			panic(err)
-		}
-	})
-	return round, nil
-}
-
-// All runs every experiment and returns the tables in paper order.
-func All(o Opts) []*Table {
-	return []*Table{
-		RunFig3(o),
-		RunRunCMS(o),
-		RunFig4(o),
-		RunFig5(o, false),
-		RunFig5(o, true),
-		RunFig6(o),
-		RunTable1(o),
-		RunSyncCost(o),
-		RunForked(o),
-		RunBarrier(o),
-		RunDejaVu(o),
-		RunStore(o),
-		RunFailover(o),
-		RunPipeline(o),
-		RunRestore(o),
-		RunRestoreLazy(o),
-		RunChaos(o),
-	}
-}
-
-var _ = time.Second

@@ -10,11 +10,16 @@ import (
 	"repro/internal/mpi"
 )
 
-// runParGeant4 boots MPICH2 on `nodes` nodes, starts ParGeant4 with 4
-// compute processes per node, checkpoints after warmup, restarts, and
-// reports the round and restart stats.
-func runParGeant4(seed int64, nodes int, cfg dmtcp.Config) (*dmtcp.CkptRound, *dmtcp.RestartStages) {
+// runParGeant4 boots MPICH2 on `nodes` nodes, the first 8 attached to
+// the SAN directly and the rest through NFS (§5.2), starts ParGeant4
+// with 4 compute processes per node and checkpoints after warmup.  With
+// restart it then kills the job and restarts it, and reports the
+// restart's stages too; without, the stages are nil.
+func runParGeant4(seed int64, nodes int, cfg dmtcp.Config, restart bool) (*dmtcp.CkptRound, *dmtcp.RestartStages) {
 	env := NewEnv(seed, nodes, cfg)
+	for i, n := range env.C.Nodes() {
+		n.SANDirect = i < 8
+	}
 	var round *dmtcp.CkptRound
 	var stats *dmtcp.RestartStages
 	env.Drive(func(task *kernel.Task) {
@@ -32,6 +37,9 @@ func runParGeant4(seed int64, nodes int, cfg dmtcp.Config) (*dmtcp.CkptRound, *d
 		round, err = env.Sys.Checkpoint(task)
 		if err != nil {
 			panic(err)
+		}
+		if !restart {
+			return
 		}
 		env.Sys.KillManaged()
 		stats, err = env.Sys.RestartAll(task, round, nil)
@@ -75,39 +83,8 @@ func RunFig5(o Opts, central bool) *Table {
 		var ck, rs Sample
 		procs := 0
 		for trial := 0; trial < o.trials(); trial++ {
-			cfg := dmtcp.Config{Compress: true, CkptDir: dir}
-			if central {
-				// 8 nodes attach to the SAN directly; the rest mount
-				// it over NFS (§5.2).
-				cfg.CkptDir = dir
-			}
-			env := NewEnv(o.Seed+int64(trial), nodes, cfg)
-			for i, n := range env.C.Nodes() {
-				n.SANDirect = i < 8
-			}
-			var round *dmtcp.CkptRound
-			var stats *dmtcp.RestartStages
-			env.Drive(func(task *kernel.Task) {
-				boot, err := env.Sys.Launch(0, "mpdboot", strconv.Itoa(nodes))
-				if err != nil {
-					panic(err)
-				}
-				task.WatchExit(boot)
-				if _, err := env.Sys.Launch(0, "mpiexec", strconv.Itoa(np), "4", "0",
-					strconv.Itoa(mpi.BasePort), "pargeant4", "1000000"); err != nil {
-					panic(err)
-				}
-				task.Compute(800 * time.Millisecond)
-				round, err = env.Sys.Checkpoint(task)
-				if err != nil {
-					panic(err)
-				}
-				env.Sys.KillManaged()
-				stats, err = env.Sys.RestartAll(task, round, nil)
-				if err != nil {
-					panic(err)
-				}
-			})
+			round, stats := runParGeant4(o.Seed+int64(trial), nodes,
+				dmtcp.Config{Compress: true, CkptDir: dir}, true)
 			ck.AddDur(round.Stages.Total)
 			rs.AddDur(stats.Total)
 			if round.NumProcs > procs {

@@ -624,7 +624,7 @@ func (t *Task) Recv(fd int, max int) ([]byte, error) {
 }
 
 // RecvTimeout is Recv with a deadline; it returns ErrTimeout if no
-// data arrives in time.  The drain stage uses it as its settle poll.
+// data arrives in time.
 func (t *Task) RecvTimeout(fd int, max int, d sim.Time) ([]byte, error) {
 	return t.recv(fd, max, d)
 }

@@ -65,9 +65,13 @@ type Params struct {
 	// FcntlCost is one fcntl() call (used heavily by the election).
 	FcntlCost time.Duration
 	// DrainSettle is the final poll timeout the drain loop uses to
-	// conclude that a socket has no more in-flight data.  Anchor:
-	// Table 1a "drain kernel buffers" ≈ 0.10 s, nearly independent of
-	// scale (real DMTCP concludes draining with a poll timeout).
+	// conclude that a socket has no more in-flight data.  Only a
+	// manager that drained a descriptor it leads pays it; one that
+	// leads none has nothing to poll.  A round with any drained socket
+	// still lasts at least this long, since the drained barrier waits
+	// for that leader.  Anchor: Table 1a "drain kernel buffers" ≈
+	// 0.10 s, nearly independent of scale (real DMTCP concludes
+	// draining with a poll timeout).
 	DrainSettle time.Duration
 	// WriteSetup is the fixed cost of opening the image file and
 	// writing headers.

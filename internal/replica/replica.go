@@ -466,13 +466,13 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 			var e bin.Encoder
 			e.B = append(e.B, opAck)
 			var idx []uint32
-			for i := 0; i < n && d.Err == nil; i++ {
-				hash := d.Str()
-				t.Compute(p.ChunkLookupCost)
-				if !st.HasChunk(hash) {
+			i := 0
+			for ; i < n && d.Err == nil; i++ {
+				if !st.HasChunk(d.Str()) {
 					idx = append(idx, uint32(i))
 				}
 			}
+			t.Compute(time.Duration(i) * p.ChunkLookupCost)
 			e.U32(uint32(len(idx)))
 			for _, i := range idx {
 				e.U32(i)
@@ -513,12 +513,13 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 				continue
 			}
 			var holes []uint32
-			for i, ref := range m.Refs() {
-				t.Compute(p.ChunkLookupCost)
+			refs := m.Refs()
+			for i, ref := range refs {
 				if !st.HasChunk(ref.Hash) {
 					holes = append(holes, uint32(i))
 				}
 			}
+			t.Compute(time.Duration(len(refs)) * p.ChunkLookupCost)
 			var e bin.Encoder
 			e.B = append(e.B, opAck)
 			e.U32(uint32(len(holes)))

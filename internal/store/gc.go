@@ -164,10 +164,11 @@ func (s *Store) GC(t *kernel.Task) GCStats {
 	s.Node.ReadPipeFor(s.manifestDir()).Read(t.T, manifestBytes)
 	t.Compute(time.Duration(entries) * p.ManifestEntryCost)
 
-	// Sweep: unlink chunks no manifest references.
+	// Sweep: unlink chunks no manifest references, then charge the
+	// pass's index lookups and unlinks as one CPU charge.
 	dir := s.chunks
-	for _, path := range s.Node.FS.List(dir) {
-		t.Compute(p.ChunkLookupCost)
+	paths := s.Node.FS.List(dir)
+	for _, path := range paths {
 		hash := path[len(dir):]
 		if sz, ok := live[hash]; ok {
 			st.Live++
@@ -177,10 +178,10 @@ func (s *Store) GC(t *kernel.Task) GCStats {
 		if ino, err := s.Node.FS.ReadFile(path); err == nil {
 			st.SweptBytes += ino.Size()
 		}
-		t.Compute(p.SyscallCost)
 		s.Node.FS.Unlink(path)
 		st.Swept++
 	}
+	t.Compute(time.Duration(len(paths))*p.ChunkLookupCost + time.Duration(st.Swept)*p.SyscallCost)
 	st.Took = t.Now().Sub(start)
 	return st
 }
