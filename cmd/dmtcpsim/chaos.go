@@ -28,7 +28,7 @@ func chaosScenario(o scenOpts) {
 			StoreKeep: 3, ReplicaFactor: 2, CoordStandbys: 2}))
 	s.C.Params.ScrubInterval = 200 * time.Millisecond
 	s.Run(func(t *dmtcpsim.Task) {
-		fmt.Println("chaos schedule: leader partition, lossy links, bit rot, node death ...")
+		fmt.Fprintln(o.w, "chaos schedule: leader partition, lossy links, bit rot, node death ...")
 		if _, err := s.Launch(4, dmtcpsim.DirtyAppName, "96"); err != nil {
 			panic(err)
 		}
@@ -44,7 +44,7 @@ func chaosScenario(o scenOpts) {
 		// elect on the majority side, which resumes the round.
 		co := s.Sys.Coord
 		preRounds := len(co.Rounds())
-		fmt.Printf("\n[1/4] partitioning leader %s away mid-round ...\n", co.Node.Hostname)
+		fmt.Fprintf(o.w, "\n[1/4] partitioning leader %s away mid-round ...\n", co.Node.Hostname)
 		var cerr error
 		done := false
 		t.P.SpawnTask("req", false, func(rt *dmtcpsim.Task) {
@@ -59,7 +59,7 @@ func chaosScenario(o scenOpts) {
 		for s.Sys.Coord == co && !done {
 			t.Compute(5 * time.Millisecond)
 		}
-		fmt.Printf("      standby on %s promoted itself in %v (journal silence; the leader is alive but unreachable)\n",
+		fmt.Fprintf(o.w, "      standby on %s promoted itself in %v (journal silence; the leader is alive but unreachable)\n",
 			s.Sys.Coord.Node.Hostname, t.Now().Sub(cutAt).Round(time.Millisecond))
 		s.C.HealFault(id)
 		for !done {
@@ -68,19 +68,19 @@ func chaosScenario(o scenOpts) {
 		if cerr != nil {
 			panic(cerr)
 		}
-		fmt.Printf("      round resumed and completed under the new leader; rounds lost: %d\n",
+		fmt.Fprintf(o.w, "      round resumed and completed under the new leader; rounds lost: %d\n",
 			preRounds+1-len(s.Sys.Coord.Rounds()))
 		lead := s.Sys.Coord
 		for !co.Standby || co.Mach.Epoch() != lead.Mach.Epoch() {
 			t.Compute(10 * time.Millisecond)
 		}
-		fmt.Printf("      deposed leader stepped down and converged onto epoch %d (%d fenced journal writes rejected)\n",
+		fmt.Fprintf(o.w, "      deposed leader stepped down and converged onto epoch %d (%d fenced journal writes rejected)\n",
 			lead.Mach.Epoch(), s.Sys.Replica.Stats.FencedWrites)
 		s.Sys.Replica.WaitIdle(t)
 
 		// Fault 2: every link drops and delays frames; TCP-style
 		// retransmission backoff delays the round but loses nothing.
-		fmt.Println("[2/4] making every link lossy (3% drop, +500us latency) and checkpointing through it ...")
+		fmt.Fprintln(o.w, "[2/4] making every link lossy (3% drop, +500us latency) and checkpointing through it ...")
 		id = s.C.InjectFault(dmtcpsim.FaultRule{
 			Drop: 0.03, ExtraLatency: 500 * time.Microsecond, JitterPct: 0.3})
 		round, err := s.Checkpoint(t)
@@ -88,7 +88,7 @@ func chaosScenario(o scenOpts) {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("      round committed in %v across the flaky network\n",
+		fmt.Fprintf(o.w, "      round committed in %v across the flaky network\n",
 			round.Stages.Total.Round(time.Millisecond))
 		s.Sys.Replica.WaitIdle(t)
 
@@ -115,19 +115,19 @@ func chaosScenario(o scenOpts) {
 		if !ok {
 			panic("nothing to corrupt on " + victim)
 		}
-		fmt.Printf("[3/4] flipped one bit in chunk %s on %s; waiting for the scrubber ...\n", hash[:12], victim)
+		fmt.Fprintf(o.w, "[3/4] flipped one bit in chunk %s on %s; waiting for the scrubber ...\n", hash[:12], victim)
 		pre := s.Sys.Replica.Stats.ScrubCorrupt
 		flipAt := t.Now()
 		for s.Sys.Replica.Stats.ScrubCorrupt == pre {
 			t.Compute(20 * time.Millisecond)
 		}
-		fmt.Printf("      scrub detected and quarantined it in %v (no reader involved)\n",
+		fmt.Fprintf(o.w, "      scrub detected and quarantined it in %v (no reader involved)\n",
 			t.Now().Sub(flipAt).Round(time.Millisecond))
 		t.Compute(100 * time.Millisecond)
 		for !co.RepairIdle() {
 			t.Compute(20 * time.Millisecond)
 		}
-		fmt.Printf("      repair re-sourced the generation from a clean holder (%d quarantined object(s) on %s)\n",
+		fmt.Fprintf(o.w, "      repair re-sourced the generation from a clean holder (%d quarantined object(s) on %s)\n",
 			len(hstore.Quarantined()), victim)
 
 		// Fault 4: the workload's node loses power; recovery rolls back
@@ -137,13 +137,13 @@ func chaosScenario(o scenOpts) {
 			panic("workload lost before the node-death fault")
 		}
 		deadNode := procs[0].Node
-		fmt.Printf("[4/4] killing workload node %s ...\n", deadNode.Hostname)
+		fmt.Fprintf(o.w, "[4/4] killing workload node %s ...\n", deadNode.Hostname)
 		s.KillNode(deadNode.ID)
 		rec, err := s.Sys.Recover(t)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("      recovered %d process(es) on %v in %v (MTTR: detect + rollback + fetch + restart)\n",
+		fmt.Fprintf(o.w, "      recovered %d process(es) on %v in %v (MTTR: detect + rollback + fetch + restart)\n",
 			rec.Procs, rec.Targets[deadNode.Hostname], rec.Took.Round(time.Millisecond))
 
 		// Closing round: the cluster must be fully functional again.
@@ -151,6 +151,6 @@ func chaosScenario(o scenOpts) {
 		if _, err := s.Checkpoint(t); err != nil {
 			panic(err)
 		}
-		fmt.Println("\nclosing checkpoint round clean: the schedule survived with zero rounds lost")
+		fmt.Fprintln(o.w, "\nclosing checkpoint round clean: the schedule survived with zero rounds lost")
 	})
 }

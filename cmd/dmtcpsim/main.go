@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -29,10 +30,12 @@ import (
 	"repro/internal/npb"
 )
 
-// scenOpts carries the command-line knobs into a scenario.
+// scenOpts carries the command-line knobs into a scenario, and where
+// it prints.
 type scenOpts struct {
 	nodes  int
 	tracer *dmtcpsim.Tracer
+	w      io.Writer
 }
 
 // options assembles per-Sim options with the shared tracer attached;
@@ -98,7 +101,7 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	o := scenOpts{nodes: *nodes}
+	o := scenOpts{nodes: *nodes, w: os.Stdout}
 	if *trace != "" || *report || *cp != "" {
 		o.tracer = dmtcpsim.NewTracer()
 	}
@@ -120,19 +123,19 @@ func main() {
 			fmt.Fprintf(os.Stderr, "write trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("trace: wrote %s (%d events, %d run(s)) — load it at https://ui.perfetto.dev\n",
+		fmt.Fprintf(o.w, "trace: wrote %s (%d events, %d run(s)) — load it at https://ui.perfetto.dev\n",
 			*trace, len(o.tracer.Events()), o.tracer.Runs())
 	}
 	if *report {
 		dmtcpsim.AttachAnalyzer(o.tracer)
-		fmt.Print(o.tracer.Report())
+		fmt.Fprint(o.w, o.tracer.Report())
 	}
 }
 
 func quickstart(o scenOpts) {
 	s := dmtcpsim.New(o.options(o.nodes, dmtcpsim.Config{Compress: true}))
 	s.Run(func(t *dmtcpsim.Task) {
-		fmt.Println("launching matlab under dmtcp_checkpoint ...")
+		fmt.Fprintln(o.w, "launching matlab under dmtcp_checkpoint ...")
 		if _, err := s.Launch(0, apps.ProgName("matlab")); err != nil {
 			panic(err)
 		}
@@ -141,15 +144,15 @@ func quickstart(o scenOpts) {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("checkpointed %d process(es) in %v (%d MB compressed)\n",
+		fmt.Fprintf(o.w, "checkpointed %d process(es) in %v (%d MB compressed)\n",
 			round.NumProcs, round.Stages.Total.Round(time.Millisecond), round.Bytes>>20)
-		fmt.Printf("restart script:\n%s", dmtcpsim.RestartScript(round))
+		fmt.Fprintf(o.w, "restart script:\n%s", dmtcpsim.RestartScript(round))
 		s.KillAll()
 		stats, err := s.Restart(t, round, nil)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("restarted in %v (memory restore %v)\n",
+		fmt.Fprintf(o.w, "restarted in %v (memory restore %v)\n",
 			stats.Total.Round(time.Millisecond), stats.Memory.Round(time.Millisecond))
 	})
 }
@@ -159,7 +162,7 @@ func mpiScenario(o scenOpts) {
 	s := dmtcpsim.New(o.options(nodes, dmtcpsim.Config{Compress: true}))
 	s.Run(func(t *dmtcpsim.Task) {
 		np := nodes * 4
-		fmt.Printf("orterun -np %d nas-lu under DMTCP ...\n", np)
+		fmt.Fprintf(o.w, "orterun -np %d nas-lu under DMTCP ...\n", np)
 		if _, err := s.Launch(0, "orterun", strconv.Itoa(np), "4", "0",
 			strconv.Itoa(mpi.BasePort), "nas-lu", "5"); err != nil {
 			panic(err)
@@ -169,23 +172,23 @@ func mpiScenario(o scenOpts) {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("checkpointed %d processes (ranks + orteds + orterun) in %v\n",
+		fmt.Fprintf(o.w, "checkpointed %d processes (ranks + orteds + orterun) in %v\n",
 			round.NumProcs, round.Stages.Total.Round(time.Millisecond))
 		s.KillAll()
 		if _, err := s.Restart(t, round, nil); err != nil {
 			panic(err)
 		}
-		fmt.Println("restarted; waiting for the benchmark to verify ...")
+		fmt.Fprintln(o.w, "restarted; waiting for the benchmark to verify ...")
 		deadline := t.Now().Add(120 * time.Second)
 		for t.Now() < deadline && !s.C.Node(0).FS.Exists("/out/nas-lu.verify") {
 			t.Compute(100 * time.Millisecond)
 		}
 		if ino, err := s.C.Node(0).FS.ReadFile("/out/nas-lu.verify"); err == nil {
 			spec, _ := npb.SpecFor("nas-lu")
-			fmt.Printf("%s\n", ino.Data)
-			fmt.Printf("expected: %s\n", (&npb.Kernel{Spec: spec}).FormatVerify(np))
+			fmt.Fprintf(o.w, "%s\n", ino.Data)
+			fmt.Fprintf(o.w, "expected: %s\n", (&npb.Kernel{Spec: spec}).FormatVerify(np))
 		} else {
-			fmt.Println("benchmark did not finish in time")
+			fmt.Fprintln(o.w, "benchmark did not finish in time")
 		}
 	})
 }
@@ -196,7 +199,7 @@ func migrate(o scenOpts) {
 		dmtcpsim.Config{Compress: true, CkptDir: "/san/ckpt"}))
 	s.Run(func(t *dmtcpsim.Task) {
 		np := nodes
-		fmt.Printf("running a %d-rank job across the cluster ...\n", np)
+		fmt.Fprintf(o.w, "running a %d-rank job across the cluster ...\n", np)
 		if _, err := s.Launch(0, "orterun", strconv.Itoa(np), "1", "0",
 			strconv.Itoa(mpi.BasePort), "nas-ep", "10"); err != nil {
 			panic(err)
@@ -212,14 +215,14 @@ func migrate(o scenOpts) {
 		for _, img := range round.Images {
 			place[img.Host] = laptop
 		}
-		fmt.Printf("restarting all %d processes on node%02d (the laptop) ...\n",
+		fmt.Fprintf(o.w, "restarting all %d processes on node%02d (the laptop) ...\n",
 			len(round.Images), laptop)
 		if _, err := s.Restart(t, round, place); err != nil {
 			panic(err)
 		}
 		t.Compute(100 * time.Millisecond)
 		for _, p := range s.Sys.ManagedProcesses() {
-			fmt.Printf("  %-12s now on %s\n", p.ProgName, p.Node.Hostname)
+			fmt.Fprintf(o.w, "  %-12s now on %s\n", p.ProgName, p.Node.Hostname)
 		}
 	})
 }
@@ -228,7 +231,7 @@ func storeScenario(o scenOpts) {
 	s := dmtcpsim.New(o.options(1,
 		dmtcpsim.Config{Compress: true, Store: true, StoreKeep: 2}))
 	s.Run(func(t *dmtcpsim.Task) {
-		fmt.Println("launching a 256 MB process; checkpoints go through the chunk store ...")
+		fmt.Fprintln(o.w, "launching a 256 MB process; checkpoints go through the chunk store ...")
 		if _, err := s.Launch(0, dmtcpsim.DirtyAppName, "256"); err != nil {
 			panic(err)
 		}
@@ -239,12 +242,12 @@ func storeScenario(o scenOpts) {
 				panic(err)
 			}
 			img := round.Images[0]
-			fmt.Printf("gen %d: write %v  new chunks %d/%d  wrote %.1f MB  dedup %.1f MB\n",
+			fmt.Fprintf(o.w, "gen %d: write %v  new chunks %d/%d  wrote %.1f MB  dedup %.1f MB\n",
 				img.Generation, round.Stages.Write.Round(time.Millisecond),
 				img.NewChunks, img.Chunks,
 				float64(round.Bytes)/(1<<20), float64(round.DedupBytes)/(1<<20))
 			if round.GC != nil {
-				fmt.Printf("       gc: %d manifests, %d live chunks, %d swept (%d pruned)\n",
+				fmt.Fprintf(o.w, "       gc: %d manifests, %d live chunks, %d swept (%d pruned)\n",
 					round.GC.Manifests, round.GC.Live, round.GC.Swept, round.GC.Pruned)
 			}
 			// Dirty 10% of the heap between generations.
@@ -259,7 +262,7 @@ func storeScenario(o scenOpts) {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("restarted from manifest generation %d in %v\n",
+		fmt.Fprintf(o.w, "restarted from manifest generation %d in %v\n",
 			last.Images[0].Generation, stats.Total.Round(time.Millisecond))
 	})
 }
@@ -272,7 +275,7 @@ func failoverScenario(o scenOpts) {
 	s := dmtcpsim.New(o.options(nodes,
 		dmtcpsim.Config{Compress: true, Store: true, StoreKeep: 3, ReplicaFactor: 2}))
 	s.Run(func(t *dmtcpsim.Task) {
-		fmt.Println("launching a 128 MB process on node01; generations replicate to 2 peers ...")
+		fmt.Fprintln(o.w, "launching a 128 MB process on node01; generations replicate to 2 peers ...")
 		if _, err := s.Launch(1, dmtcpsim.DirtyAppName, "128"); err != nil {
 			panic(err)
 		}
@@ -284,7 +287,7 @@ func failoverScenario(o scenOpts) {
 			}
 			s.Sys.Replica.WaitIdle(t)
 			sent := s.Sys.Replica.Stats.BytesSent
-			fmt.Printf("gen %d committed and replicated: %.1f MB shipped to peers\n",
+			fmt.Fprintf(o.w, "gen %d committed and replicated: %.1f MB shipped to peers\n",
 				gen, float64(sent-prev)/(1<<20))
 			prev = sent
 			for _, p := range s.Sys.ManagedProcesses() {
@@ -292,18 +295,18 @@ func failoverScenario(o scenOpts) {
 			}
 			t.Compute(100 * time.Millisecond)
 		}
-		fmt.Println("killing node01 (processes, checkpoints, and chunk store all lost) ...")
+		fmt.Fprintln(o.w, "killing node01 (processes, checkpoints, and chunk store all lost) ...")
 		s.KillNode(1)
 		rec, err := s.Recover(t)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("recovered on %s from generation %d in %v (fetched %.2f MB from peers)\n",
+		fmt.Fprintf(o.w, "recovered on %s from generation %d in %v (fetched %.2f MB from peers)\n",
 			rec.Targets["node01"], rec.Round.Images[0].Generation,
 			rec.Took.Round(time.Millisecond), float64(rec.Stats.FetchedBytes)/(1<<20))
 		t.Compute(100 * time.Millisecond)
 		for _, p := range s.Sys.ManagedProcesses() {
-			fmt.Printf("  %-12s now on %s\n", p.ProgName, p.Node.Hostname)
+			fmt.Fprintf(o.w, "  %-12s now on %s\n", p.ProgName, p.Node.Hostname)
 		}
 	})
 }
@@ -317,7 +320,7 @@ func coordFailoverScenario(o scenOpts) {
 		dmtcpsim.Config{CoordNode: 1, Compress: true, Store: true,
 			StoreKeep: 3, ReplicaFactor: 2, CoordStandbys: 1}))
 	s.Run(func(t *dmtcpsim.Task) {
-		fmt.Println("coordinator on node01 journals its state machine to a standby on node02 ...")
+		fmt.Fprintln(o.w, "coordinator on node01 journals its state machine to a standby on node02 ...")
 		if _, err := s.Launch(3, dmtcpsim.DirtyAppName, "128"); err != nil {
 			panic(err)
 		}
@@ -328,7 +331,7 @@ func coordFailoverScenario(o scenOpts) {
 				panic(err)
 			}
 			s.Sys.Replica.WaitIdle(t)
-			fmt.Printf("gen %d checkpointed in %v under %s (journal: %d entries, %.1f KB shipped)\n",
+			fmt.Fprintf(o.w, "gen %d checkpointed in %v under %s (journal: %d entries, %.1f KB shipped)\n",
 				gen, round.Stages.Total.Round(time.Millisecond), s.Sys.Coord.Node.Hostname,
 				s.Sys.Replica.Stats.JournalEntries,
 				float64(s.Sys.Replica.Stats.JournalBytes)/1024)
@@ -337,34 +340,34 @@ func coordFailoverScenario(o scenOpts) {
 			}
 			t.Compute(100 * time.Millisecond)
 		}
-		fmt.Println("killing node01 — the coordinator dies with its node ...")
+		fmt.Fprintln(o.w, "killing node01 — the coordinator dies with its node ...")
 		killAt := t.Now()
 		s.KillNode(1)
 		for s.Sys.Coord.Node.Down {
 			t.Compute(10 * time.Millisecond)
 		}
-		fmt.Printf("standby on %s took over in %v (replayed %d rounds from the journal)\n",
+		fmt.Fprintf(o.w, "standby on %s took over in %v (replayed %d rounds from the journal)\n",
 			s.Sys.Coord.Node.Hostname, t.Now().Sub(killAt).Round(time.Millisecond),
 			len(s.Sys.Coord.Rounds()))
 		round, err := s.Checkpoint(t)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("post-takeover checkpoint: %d process(es) in %v — the manager resynced mid-computation\n",
+		fmt.Fprintf(o.w, "post-takeover checkpoint: %d process(es) in %v — the manager resynced mid-computation\n",
 			round.NumProcs, round.Stages.Total.Round(time.Millisecond))
-		fmt.Println("killing node03 too — data-plane recovery now runs under the promoted standby ...")
+		fmt.Fprintln(o.w, "killing node03 too — data-plane recovery now runs under the promoted standby ...")
 		s.Sys.Replica.WaitIdle(t)
 		s.KillNode(3)
 		rec, err := s.Recover(t)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("recovered on %s from generation %d in %v\n",
+		fmt.Fprintf(o.w, "recovered on %s from generation %d in %v\n",
 			rec.Targets["node03"], rec.Round.Images[0].Generation,
 			rec.Took.Round(time.Millisecond))
 		t.Compute(100 * time.Millisecond)
 		for _, p := range s.Sys.ManagedProcesses() {
-			fmt.Printf("  %-12s now on %s\n", p.ProgName, p.Node.Hostname)
+			fmt.Fprintf(o.w, "  %-12s now on %s\n", p.ProgName, p.Node.Hostname)
 		}
 	})
 }
@@ -378,7 +381,7 @@ func zeroLossScenario(o scenOpts) {
 		dmtcpsim.Config{CoordNode: 1, Compress: true, Store: true,
 			StoreKeep: 3, ReplicaFactor: 2, CoordStandbys: 1}))
 	s.Run(func(t *dmtcpsim.Task) {
-		fmt.Println("zero-loss control plane: synchronous barrier commits, mid-round takeover, replica re-fan-out ...")
+		fmt.Fprintln(o.w, "zero-loss control plane: synchronous barrier commits, mid-round takeover, replica re-fan-out ...")
 		if _, err := s.Launch(3, dmtcpsim.DirtyAppName, "128"); err != nil {
 			panic(err)
 		}
@@ -392,7 +395,7 @@ func zeroLossScenario(o scenOpts) {
 		// standby must resume the same round, losing none.
 		co := s.Sys.Coord
 		preRounds := len(co.Rounds())
-		fmt.Println("requesting a checkpoint; killing the coordinator once the drain barrier has committed ...")
+		fmt.Fprintln(o.w, "requesting a checkpoint; killing the coordinator once the drain barrier has committed ...")
 		var round *dmtcpsim.CkptRound
 		var cerr error
 		done := false
@@ -413,7 +416,7 @@ func zeroLossScenario(o scenOpts) {
 		for s.Sys.Coord.Node.Down {
 			t.Compute(10 * time.Millisecond)
 		}
-		fmt.Printf("standby on %s took over in %v with round tag %d mid-flight\n",
+		fmt.Fprintf(o.w, "standby on %s took over in %v with round tag %d mid-flight\n",
 			s.Sys.Coord.Node.Hostname, t.Now().Sub(killAt).Round(time.Millisecond), killTag)
 		for !done {
 			t.Compute(10 * time.Millisecond)
@@ -422,9 +425,9 @@ func zeroLossScenario(o scenOpts) {
 			panic(cerr)
 		}
 		lost := preRounds + 1 - len(s.Sys.Coord.Rounds())
-		fmt.Printf("round resumed and completed under the standby: %d process(es), write %v\n",
+		fmt.Fprintf(o.w, "round resumed and completed under the standby: %d process(es), write %v\n",
 			round.NumProcs, round.Stages.Write.Round(time.Millisecond))
-		fmt.Printf("rounds lost on takeover: %d\n", lost)
+		fmt.Fprintf(o.w, "rounds lost on takeover: %d\n", lost)
 
 		// Part 2: kill a replica holder; the promoted coordinator
 		// detects the degraded generations and re-fans-out from
@@ -446,26 +449,26 @@ func zeroLossScenario(o scenOpts) {
 		if victim == "" {
 			panic("no expendable replica holder found")
 		}
-		fmt.Printf("killing replica holder %s — background re-fan-out restores redundancy ...\n", victim)
+		fmt.Fprintf(o.w, "killing replica holder %s — background re-fan-out restores redundancy ...\n", victim)
 		before := s.Sys.Replica.Stats.RepairPushes
 		s.KillNode(s.C.LookupHost(victim).ID)
 		for co.LastRebalance <= 0 || !co.RepairIdle() {
 			t.Compute(10 * time.Millisecond)
 		}
-		fmt.Printf("rebalance restored %d copies in %v (QoS-paced at %.0f%% of push bandwidth)\n",
+		fmt.Fprintf(o.w, "rebalance restored %d copies in %v (QoS-paced at %.0f%% of push bandwidth)\n",
 			s.Sys.Replica.Stats.RepairPushes-before, co.LastRebalance.Round(time.Millisecond),
 			100*s.C.Params.RepairQoS)
 		if _, err := s.Checkpoint(t); err != nil {
 			panic(err)
 		}
-		fmt.Println("post-repair checkpoint round clean: the control plane lost nothing")
+		fmt.Fprintln(o.w, "post-repair checkpoint round clean: the control plane lost nothing")
 	})
 }
 
 func pipelineScenario(o scenOpts) {
 	// One run per worker count: each sweeps a fresh 2-node cluster so
 	// the generations line up (gen 1 cold start, gen 2 at 100% dirty).
-	fmt.Println("parallel pipelined checkpoint write: 256 MB process, 100% dirty, 4-core nodes ...")
+	fmt.Fprintln(o.w, "parallel pipelined checkpoint write: 256 MB process, 100% dirty, 4-core nodes ...")
 	var serial time.Duration
 	for _, workers := range []int{1, 2, 4, 8} {
 		s := dmtcpsim.New(o.options(2,
@@ -490,21 +493,21 @@ func pipelineScenario(o scenOpts) {
 			if workers == 1 {
 				serial = round.Stages.Write
 			}
-			fmt.Printf("  %d worker(s): write %6v  speedup %.2fx  overlap %5.1f MB of %5.1f MB shipped before commit\n",
+			fmt.Fprintf(o.w, "  %d worker(s): write %6v  speedup %.2fx  overlap %5.1f MB of %5.1f MB shipped before commit\n",
 				workers, round.Stages.Write.Round(time.Millisecond),
 				float64(serial)/float64(round.Stages.Write),
 				float64(round.OverlapBytes)/(1<<20), float64(round.Bytes)/(1<<20))
 			s.Sys.Replica.WaitIdle(t)
 		})
 	}
-	fmt.Println("4 cores per node: 8 workers buy nothing over 4 — the core accounting is honest")
+	fmt.Fprintln(o.w, "4 cores per node: 8 workers buy nothing over 4 — the core accounting is honest")
 }
 
 func restoreScenario(o scenOpts) {
 	// One fresh 3-node cluster per run: the image is written on node01,
 	// the restart lands on cold node00, so every chunk crosses the
 	// network — the node-failure recovery / migration path.
-	fmt.Println("streamed restore pipeline: remote-fetch restart of a 256 MB process, 4-core nodes ...")
+	fmt.Fprintln(o.w, "streamed restore pipeline: remote-fetch restart of a 256 MB process, 4-core nodes ...")
 	// run restarts once and returns the time spent pulling chunks
 	// before the restart (serial baseline only) and the restart stats.
 	run := func(workers int, serial bool) (time.Duration, *dmtcpsim.RestartStages) {
@@ -537,16 +540,16 @@ func restoreScenario(o scenOpts) {
 	}
 	pull, base := run(1, true)
 	baseTotal := pull + base.Total
-	fmt.Printf("  fetch-then-install baseline, 1 worker: restart %7v  (fetch %v, then install)\n",
+	fmt.Fprintf(o.w, "  fetch-then-install baseline, 1 worker: restart %7v  (fetch %v, then install)\n",
 		baseTotal.Round(time.Millisecond), pull.Round(time.Millisecond))
 	for _, workers := range []int{1, 2, 4, 8} {
 		_, st := run(workers, false)
-		fmt.Printf("  streamed, %d worker(s): restart %7v  speedup %.2fx  (%5.1f MB of %5.1f MB installed before the fetch ended)\n",
+		fmt.Fprintf(o.w, "  streamed, %d worker(s): restart %7v  speedup %.2fx  (%5.1f MB of %5.1f MB installed before the fetch ended)\n",
 			workers, st.Total.Round(time.Millisecond),
 			float64(baseTotal)/float64(st.Total),
 			float64(st.OverlapBytes)/(1<<20), float64(st.FetchedBytes)/(1<<20))
 	}
-	fmt.Println("already-local chunks skip the network stage; recovery and migration ride the same pipeline")
+	fmt.Fprintln(o.w, "already-local chunks skip the network stage; recovery and migration ride the same pipeline")
 }
 
 func lazyRestoreScenario(o scenOpts) {
@@ -557,7 +560,7 @@ func lazyRestoreScenario(o scenOpts) {
 	// with first-touch demand faults preempting the prefetch queue.
 	// Uncompressed images: post-copy cannot afford gunzip on the
 	// demand-fault path.
-	fmt.Println("lazy post-copy restore: 256 MB process, checkpoint replicated to 3 holders ...")
+	fmt.Fprintln(o.w, "lazy post-copy restore: 256 MB process, checkpoint replicated to 3 holders ...")
 	run := func(lazy bool, holders int) *dmtcpsim.RestartStages {
 		cfg := dmtcpsim.Config{Compress: false, Store: true, StoreKeep: 2,
 			ReplicaFactor: 3, CkptWorkers: 4, LazyRestore: lazy, LazyHolders: holders}
@@ -581,17 +584,17 @@ func lazyRestoreScenario(o scenOpts) {
 		return stats
 	}
 	full := run(false, 0)
-	fmt.Printf("  full install (streamed):  resumed after %7v  (%5.1f MB fetched before resume)\n",
+	fmt.Fprintf(o.w, "  full install (streamed):  resumed after %7v  (%5.1f MB fetched before resume)\n",
 		full.Total.Round(time.Millisecond), float64(full.FetchedBytes)/(1<<20))
 	single := run(true, 1)
-	fmt.Printf("  lazy, 1 holder:           resumed after %7v  drain %7v  (%d demand faults, %5.1f MB on-demand)\n",
+	fmt.Fprintf(o.w, "  lazy, 1 holder:           resumed after %7v  drain %7v  (%d demand faults, %5.1f MB on-demand)\n",
 		single.ResumePause.Round(time.Millisecond), single.PrefetchDrain.Round(time.Millisecond),
 		single.DemandFaults, float64(single.DemandBytes)/(1<<20))
 	striped := run(true, 0)
-	fmt.Printf("  lazy, striped x4 holders: resumed after %7v  drain %7v  (%d demand faults, %5.1f MB on-demand)\n",
+	fmt.Fprintf(o.w, "  lazy, striped x4 holders: resumed after %7v  drain %7v  (%d demand faults, %5.1f MB on-demand)\n",
 		striped.ResumePause.Round(time.Millisecond), striped.PrefetchDrain.Round(time.Millisecond),
 		striped.DemandFaults, float64(striped.DemandBytes)/(1<<20))
-	fmt.Printf("resume pause %.1f%% of full-install MTTR; striped drain %.2fx faster than one holder\n",
+	fmt.Fprintf(o.w, "resume pause %.1f%% of full-install MTTR; striped drain %.2fx faster than one holder\n",
 		100*float64(striped.ResumePause)/float64(full.Total),
 		float64(single.PrefetchDrain)/float64(striped.PrefetchDrain))
 }
@@ -652,26 +655,26 @@ func stragglerScenario(o scenOpts) {
 		})
 		return r1, r2
 	}
-	fmt.Println("straggler: node01 at 1/3 speed under background load; 3x 96 MB processes, adaptive worker pools ...")
+	fmt.Fprintln(o.w, "straggler: node01 at 1/3 speed under background load; 3x 96 MB processes, adaptive worker pools ...")
 	r1, r2 := run(true)
-	fmt.Println("  with the health plane (heartbeat -> straggler score -> next-round worker hint):")
+	fmt.Fprintln(o.w, "  with the health plane (heartbeat -> straggler score -> next-round worker hint):")
 	scores := r1.StragglerScores()
 	for _, h := range sortedKeys(r1.WriteByHost) {
 		mark := ""
 		if scores[h] >= dmtcpsim.StragglerThreshold {
 			mark = "  <- straggler"
 		}
-		fmt.Printf("    round 1 write %-7s %8v  score %.2f%s\n",
+		fmt.Fprintf(o.w, "    round 1 write %-7s %8v  score %.2f%s\n",
 			h, r1.WriteByHost[h].Round(time.Millisecond), scores[h], mark)
 	}
 	for _, h := range sortedKeys(r1.WorkerHints) {
-		fmt.Printf("    next-round hint: %s -> %d workers\n", h, r1.WorkerHints[h])
+		fmt.Fprintf(o.w, "    next-round hint: %s -> %d workers\n", h, r1.WorkerHints[h])
 	}
-	fmt.Printf("    round 2 write: %v\n", r2.Stages.Write.Round(time.Millisecond))
+	fmt.Fprintf(o.w, "    round 2 write: %v\n", r2.Stages.Write.Round(time.Millisecond))
 	_, b2 := run(false)
-	fmt.Printf("  without it (HeartbeatInterval=0): round 2 write %v\n",
+	fmt.Fprintf(o.w, "  without it (HeartbeatInterval=0): round 2 write %v\n",
 		b2.Stages.Write.Round(time.Millisecond))
-	fmt.Printf("  the hint bought %.2fx on the straggler-bound round\n",
+	fmt.Fprintf(o.w, "  the hint bought %.2fx on the straggler-bound round\n",
 		float64(b2.Stages.Write)/float64(r2.Stages.Write))
 }
 
@@ -688,7 +691,7 @@ func sortedKeys[V any](m map[string]V) []string {
 func vnc(o scenOpts) {
 	s := dmtcpsim.New(o.options(1, dmtcpsim.Config{Compress: true}))
 	s.Run(func(t *dmtcpsim.Task) {
-		fmt.Println("checkpointing a headless VNC session (server + twm + xterm) ...")
+		fmt.Fprintln(o.w, "checkpointing a headless VNC session (server + twm + xterm) ...")
 		if _, err := s.Launch(0, apps.ProgName("tightvnc+twm")); err != nil {
 			panic(err)
 		}
@@ -697,12 +700,12 @@ func vnc(o scenOpts) {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("checkpointed %d processes in %v (%d MB)\n",
+		fmt.Fprintf(o.w, "checkpointed %d processes in %v (%d MB)\n",
 			round.NumProcs, round.Stages.Total.Round(time.Millisecond), round.Bytes>>20)
 		s.KillAll()
 		if _, err := s.Restart(t, round, nil); err != nil {
 			panic(err)
 		}
-		fmt.Println("session restored; clients may reconnect")
+		fmt.Fprintln(o.w, "session restored; clients may reconnect")
 	})
 }

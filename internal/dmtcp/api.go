@@ -12,6 +12,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/replica"
+	"repro/internal/retry"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -424,11 +425,8 @@ func (s *System) commandMain(t *kernel.Task, args []string) {
 		t.Printf("usage: dmtcp_command --checkpoint|--status|--quit\n")
 		t.Exit(2)
 	}
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true
-	}
-	if err := t.Connect(fd, s.coordAddr()); err != nil {
+	fd, _, err := s.dialCoord(t, retry.Policy{}, nil)
+	if err != nil {
 		t.Printf("dmtcp_command: %v\n", err)
 		t.Exit(1)
 	}
@@ -563,11 +561,8 @@ func (s *System) awaitRound(t *kernel.Task) error {
 // checkpointOnce issues one checkpoint request against the current
 // coordinator and waits for its completion frame.
 func (s *System) checkpointOnce(t *kernel.Task) error {
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true
-	}
-	if err := t.Connect(fd, s.coordAddr()); err != nil {
+	fd, _, err := s.dialCoord(t, retry.Policy{}, nil)
+	if err != nil {
 		return fmt.Errorf("dmtcp: checkpoint request: %w", err)
 	}
 	defer t.Close(fd)
@@ -700,58 +695,15 @@ func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (
 	var spawned []*kernel.Process
 	for _, host := range hosts {
 		imgs := byHost[host]
-		target := targets[host]
-		// Migration: make the images visible on the target node (the
-		// paper's restart script assumes images are reachable; /san
-		// paths already are).  With the replica service running,
-		// chunked images are not copied here: the restart program
-		// pulls the manifest and only the chunks the target lacks from
-		// a replica daemon, on the target node, over the network — the
-		// same fetch path node-failure recovery rides.
-		src := s.C.LookupHost(host)
-		var env map[string]string
-		for _, img := range imgs {
-			if store.IsManifestPath(img.Path) {
-				if s.Replica != nil {
-					if env == nil {
-						if from := s.fetchHostFor(img.Path, src, target); from != "" {
-							env = map[string]string{fetchFromEnv: from}
-						}
-					}
-					continue
-				}
-				if src == target {
-					continue
-				}
-				if src == nil || src.Down {
-					return nil, fmt.Errorf("dmtcp: images of %s died with the node (no replica service)", host)
-				}
-				// Chunked image: replicate the manifest and every
-				// chunk it references that the target lacks.
-				if root, ok := store.RootForManifest(img.Path); ok {
-					sst := store.Open(src, store.Config{Root: root})
-					dst := store.Open(target, store.Config{Root: root})
-					if err := sst.CopyTo(dst, img.Path); err != nil {
-						return nil, fmt.Errorf("dmtcp: migrate %s: %w", img.Path, err)
-					}
-				}
-				continue
-			}
-			if src == target {
-				continue
-			}
-			if src == nil || src.Down {
-				return nil, fmt.Errorf("dmtcp: images of %s died with the node (no replica service)", host)
-			}
-			if ino, err := src.FS.ReadFile(img.Path); err == nil && !target.FS.Exists(img.Path) {
-				target.FS.WriteFile(img.Path, ino.Data, ino.LogicalSize)
-			}
+		env, err := s.stageImages(host, imgs, targets[host])
+		if err != nil {
+			return nil, err
 		}
 		args := []string{strconv.Itoa(len(round.Images)), run.gen}
 		for _, img := range imgs {
 			args = append(args, img.Path)
 		}
-		rp, err := target.Kern.Spawn("dmtcp_restart", args, env)
+		rp, err := targets[host].Kern.Spawn("dmtcp_restart", args, env)
 		if err != nil {
 			return nil, err
 		}
@@ -773,6 +725,56 @@ func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (
 		return nil, fmt.Errorf("dmtcp: restart failed: %w", run.err)
 	}
 	return aggregateRestarts(run.reports), nil
+}
+
+// stageImages makes host's images visible on the restart target (the
+// paper's restart script assumes images are reachable; /san paths
+// already are) and returns the restart program's environment.  With
+// the replica service running, chunked images are not copied here: the
+// restart program pulls the manifest and only the chunks the target
+// lacks from a replica daemon, on the target node, over the network —
+// the same fetch path node-failure recovery rides.
+func (s *System) stageImages(host string, imgs []ImageInfo, target *kernel.Node) (map[string]string, error) {
+	src := s.C.LookupHost(host)
+	var env map[string]string
+	for _, img := range imgs {
+		if store.IsManifestPath(img.Path) {
+			if s.Replica != nil {
+				if env == nil {
+					if from := s.fetchHostFor(img.Path, src, target); from != "" {
+						env = map[string]string{fetchFromEnv: from}
+					}
+				}
+				continue
+			}
+			if src == target {
+				continue
+			}
+			if src == nil || src.Down {
+				return nil, fmt.Errorf("dmtcp: images of %s died with the node (no replica service)", host)
+			}
+			// Chunked image: replicate the manifest and every chunk it
+			// references that the target lacks.
+			if root, ok := store.RootForManifest(img.Path); ok {
+				sst := store.Open(src, store.Config{Root: root})
+				dst := store.Open(target, store.Config{Root: root})
+				if err := sst.CopyTo(dst, img.Path); err != nil {
+					return nil, fmt.Errorf("dmtcp: migrate %s: %w", img.Path, err)
+				}
+			}
+			continue
+		}
+		if src == target {
+			continue
+		}
+		if src == nil || src.Down {
+			return nil, fmt.Errorf("dmtcp: images of %s died with the node (no replica service)", host)
+		}
+		if ino, err := src.FS.ReadFile(img.Path); err == nil && !target.FS.Exists(img.Path) {
+			target.FS.WriteFile(img.Path, ino.Data, ino.LogicalSize)
+		}
+	}
+	return env, nil
 }
 
 // restartRun is one RestartAll in flight: the stage report each of

@@ -3,13 +3,18 @@ package dmtcp
 import (
 	"repro/internal/bin"
 	"repro/internal/kernel"
+	"repro/internal/retry"
 )
 
 // AwareAPI is the dmtcpaware programming interface (§3.1): an
 // optional library letting an application test whether it runs under
 // DMTCP, request checkpoints, delay checkpoints across critical
-// sections, query status, and register hook functions around
-// checkpoint and restart.
+// sections, query status, and register hook functions around each
+// checkpoint.  The restart hook is the program's Restore
+// (kernel.Resumable), which runs in the restored process once its
+// threads resume.  Hooks belong to the incarnation that registered
+// them: a restored process starts with none, and its Restore registers
+// again those it wants at the next checkpoint.
 type AwareAPI struct {
 	m *Manager
 }
@@ -52,11 +57,8 @@ func (a *AwareAPI) DelayCheckpointsEnd(t *kernel.Task) { t.EndCritical() }
 // Status queries the coordinator for (registered processes, completed
 // checkpoint rounds).
 func (a *AwareAPI) Status(t *kernel.Task) (clients, rounds int, err error) {
-	fd := t.Socket()
-	if of, ferr := t.P.FD(fd); ferr == nil {
-		of.Protected = true
-	}
-	if err = t.Connect(fd, a.m.sys.coordAddr()); err != nil {
+	fd, _, err := a.m.sys.dialCoord(t, retry.Policy{}, nil)
+	if err != nil {
 		return 0, 0, err
 	}
 	defer t.Close(fd)
@@ -80,10 +82,4 @@ func (a *AwareAPI) OnPreCheckpoint(fn func(*kernel.Task)) {
 // OnPostCheckpoint registers fn to run after the process resumes.
 func (a *AwareAPI) OnPostCheckpoint(fn func(*kernel.Task)) {
 	a.m.aware.postCkpt = append(a.m.aware.postCkpt, fn)
-}
-
-// OnRestart registers fn to run when the process is restored from a
-// checkpoint, before its threads resume.
-func (a *AwareAPI) OnRestart(fn func(*kernel.Task)) {
-	a.m.aware.postRestart = append(a.m.aware.postRestart, fn)
 }

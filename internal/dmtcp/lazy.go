@@ -193,9 +193,9 @@ func (lc *lazyCtrl) install(t *kernel.Task, key [2]int, ref store.ChunkRef) {
 
 // wire switches the install target to the forked process's live
 // areas: every pending chunk not yet installed becomes absent in its
-// area's presence map, with fault as the first-touch hook.  Called by
-// restoreProcess right after InstallMemory (which copied the image
-// buffers, carrying everything installed so far).
+// area's presence map, with fault as the first-touch hook.  Restart
+// step 5 (restoreMemory) calls it right after InstallMemory, which
+// copied the image buffers, carrying everything installed so far.
 func (lc *lazyCtrl) wire(p *kernel.Process) {
 	lc.proc = p
 	areas := p.Mem.Areas()

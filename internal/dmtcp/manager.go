@@ -1,7 +1,6 @@
 package dmtcp
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -11,10 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/retry"
 )
-
-// drainToken is the flush cookie sent through every socket at drain
-// time (§4.3 step 4).
-var drainToken = []byte("\x00\x01DMTCP-EOB\x01\x00")
 
 // CoordLostError reports that a manager lost its coordinator
 // connection and exhausted the reconnect/backoff window without a
@@ -103,9 +98,8 @@ type Manager struct {
 }
 
 type awareHooks struct {
-	preCkpt     []func(*kernel.Task)
-	postCkpt    []func(*kernel.Task)
-	postRestart []func(*kernel.Task)
+	preCkpt  []func(*kernel.Task)
+	postCkpt []func(*kernel.Task)
 }
 
 func newManager(sys *System, p *kernel.Process) *Manager {
@@ -166,18 +160,13 @@ func (m *Manager) startHeartbeat() {
 				// the heal instead.  Closing the link makes the
 				// manager loop's read fail, and its reconnect path
 				// resyncs with the current leader.
-				addr := m.sys.coordAddr()
-				pfd := t.Socket()
-				if of, err := t.P.FD(pfd); err == nil {
-					of.Protected = true
-				}
-				rerr := t.Connect(pfd, addr)
-				t.Close(pfd)
-				if rerr == nil && m.coordFD >= 0 {
-					fd := m.coordFD
-					m.coordFD = -1
-					t.Close(fd)
-					continue
+				if pfd, _, err := m.sys.dialCoord(t, retry.Policy{}, nil); err == nil {
+					t.Close(pfd)
+					if fd := m.coordFD; fd >= 0 {
+						m.coordFD = -1
+						t.Close(fd)
+						continue
+					}
 				}
 				// New leader unreachable: fall through and keep
 				// heartbeating on the existing link so the old leader
@@ -198,32 +187,22 @@ func (m *Manager) startHeartbeat() {
 
 func (m *Manager) connectCoordinator(t *kernel.Task) {
 	m.desc = clientDesc(m.p.Node.Hostname, m.p.ProgName, m.virtPid)
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true // excluded from checkpointing
-	}
-	addr := m.sys.coordAddr()
-	if err := t.Connect(fd, addr); err != nil {
-		// A restored manager can land in a takeover interregnum (the
-		// leader died mid-restart): with HA, wait out the election via
-		// the resync path, which registers unknown identities too.
-		t.Close(fd)
-		m.coordFD = -1
-		if m.sys.haEnabled() {
-			if rerr := m.reconnectCoordinator(t); rerr == nil {
-				return
-			}
-		}
-		panic(fmt.Sprintf("dmtcp: cannot reach coordinator at %v: %v", addr, err))
-	}
 	var e bin.Encoder
 	e.B = append(e.B, msgRegister)
 	e.Str(m.desc)
-	if err := t.SendFrame(fd, e.B); err != nil {
-		panic(fmt.Sprintf("dmtcp: register: %v", err))
+	fd, addr, err := m.sys.dialCoord(t, retry.Policy{}, e.B)
+	if err != nil && m.sys.haEnabled() {
+		// A restored manager can land in a takeover interregnum (the
+		// leader died mid-restart): wait out the election via the
+		// resync path, which registers unknown identities too.
+		if err = m.reconnectCoordinator(t); err == nil {
+			return
+		}
 	}
-	m.coordFD = fd
-	m.coordTo = addr
+	if err != nil {
+		panic(fmt.Sprintf("dmtcp: cannot reach coordinator at %v: %v", addr, err))
+	}
+	m.coordFD, m.coordTo = fd, addr
 }
 
 // coordLost handles a dead coordinator connection.  Without standbys
@@ -241,54 +220,25 @@ func (m *Manager) coordLost(t *kernel.Task) error {
 }
 
 // reconnectCoordinator dials the (possibly re-elected) coordinator
-// with the unified jittered-backoff policy and resyncs this manager's
+// under the manager's redial policy and resyncs this manager's
 // identity.
 func (m *Manager) reconnectCoordinator(t *kernel.Task) error {
-	pol := retry.CoordRetry(m.sys.C.Params)
-	bo := pol.Backoff(m.sys.C.Eng.Rand())
-	deadline := t.Now().Add(pol.Deadline)
-	attempts := 0
-	var lastErr error
 	if m.coordFD >= 0 {
 		// Drop the dead connection's descriptor before dialing anew;
 		// otherwise every takeover leaks one protected fd per manager.
 		t.Close(m.coordFD)
 		m.coordFD = -1
 	}
-	for {
-		if m.p.Dead || m.p.Zombie {
-			return fmt.Errorf("dmtcp: process died while reconnecting")
-		}
-		attempts++
-		addr := m.sys.coordAddr()
-		fd := t.Socket()
-		if of, err := t.P.FD(fd); err == nil {
-			of.Protected = true
-		}
-		if err := t.Connect(fd, addr); err != nil {
-			lastErr = err
-			t.Close(fd)
-		} else {
-			var e bin.Encoder
-			e.B = append(e.B, msgResync)
-			e.Str(m.desc)
-			e.I64(m.curTag)
-			e.Int(m.curPassed)
-			if err := t.SendFrame(fd, e.B); err != nil {
-				lastErr = err
-				t.Close(fd)
-			} else {
-				m.coordFD = fd
-				m.coordTo = addr
-				return nil
-			}
-		}
-		delay := bo.Next()
-		if t.Now().Add(delay) > deadline {
-			return &CoordLostError{Addr: addr, Attempts: attempts, Err: lastErr}
-		}
-		t.Idle(delay)
+	var e bin.Encoder
+	e.B = append(e.B, msgResync)
+	e.Str(m.desc)
+	e.I64(m.curTag)
+	e.Int(m.curPassed)
+	fd, addr, err := m.sys.dialCoord(t, retry.CoordRetry(m.sys.C.Params), e.B)
+	if err == nil {
+		m.coordFD, m.coordTo = fd, addr
 	}
+	return err
 }
 
 // loop is the checkpoint manager thread: it blocks at the special
@@ -443,19 +393,7 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 	for _, u := range users {
 		u.T.Suspend()
 	}
-	// Save descriptor ownership and stamp shared-description ids.
-	owners := make(map[int]kernel.Pid)
-	fdmap := p.FDs()
-	for _, fd := range p.SortedFDs() {
-		of := fdmap[fd]
-		if of.Protected {
-			continue
-		}
-		if of.CkptID == 0 {
-			of.CkptID = m.sys.nextOFID()
-		}
-		owners[fd] = of.Owner
-	}
+	owners := m.stampFDs(t)
 	if err := m.barrier(t, "suspended", t.Now().Sub(start), nil); err != nil {
 		return
 	}
@@ -478,7 +416,7 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 			leaders = append(leaders, fd)
 		}
 	}
-	drained := m.drainAll(t, leaders)
+	conns, objects := m.drainAll(t, leaders)
 	if len(leaders) > 0 {
 		// The final poll timeout that concludes the drain (a wait, not
 		// CPU).  A manager that leads no descriptor has nothing to poll
@@ -492,92 +430,14 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 
 	// ---- Stage 5: write checkpoint to disk -----------------------------
 	s5 := t.Now()
-	img := mtcp.Capture(p, m.virtPid)
-	img.Ext["dmtcp.fdtable"] = encodeFDTable(m.fdTable(t, owners))
-	img.Ext["dmtcp.conns"] = encodeConns(m.connRecs(t, drained))
-	img.Ext["dmtcp.pids"] = encodePids(m.virtPid, m.pidTable)
-	workers := cfg.Workers
-	if workers == 0 && cfg.Store {
-		// Adaptive sizing (CkptWorkers == 0): the user threads were
-		// suspended above and released their core shares, so the idle
-		// count reflects exactly what this write can use beside the
-		// node's other tenants — all 4 cores on an idle node, fewer
-		// under load, never oversubscribing.
-		workers = p.Node.CPU().IdleCores()
-		if cfg.Hint > workers {
-			// Straggler response: last round this host's write bounded
-			// the barrier, so the coordinator pre-sized the pool to the
-			// node's full core count — claim a larger scheduler share
-			// even beside competing tenants.
-			workers = cfg.Hint
-		}
-	}
-	opts := mtcp.WriteOptions{Dir: cfg.Dir, Compress: cfg.Compress, Fsync: cfg.Fsync,
-		Workers: workers}
-	if cfg.Store {
-		opts.Store = m.sys.StoreOn(p.Node)
-		m.sys.noteStoreWrite(p.Node)
-		// Reserve the generation in the parent: committed manifests
-		// alone cannot number it safely once forked writers overlap.
-		gen := opts.Store.NextGeneration(mtcp.ImageBase(img))
-		if gen <= m.lastStoreGen {
-			gen = m.lastStoreGen + 1
-		}
-		m.lastStoreGen = gen
-		opts.Generation = gen
-		if m.sys.Replica != nil && m.sys.Cfg.ReplicaFactor > 0 {
-			// Eager streaming: finished chunks flow to the replica
-			// daemon as they land, so fan-out overlaps the write.  A
-			// nil stream (no live daemon/targets) means nothing can
-			// ship.
-			if stream := m.sys.Replica.NewStream(p.Node, p, mtcp.ImageBase(img), gen); stream != nil {
-				opts.Stream = stream
-			}
-		}
-	}
-	var res mtcp.WriteResult
-	if cfg.Forked {
-		// Forked checkpointing (§5.3): the child writes and
-		// compresses in the background; the parent's perceived cost
-		// is the fork itself.  With the store enabled the parent
-		// reports the reserved manifest path/generation and a
-		// whole-image size estimate (it cannot know the dedup outcome
-		// the child will discover); the writer count keeps GC off the
-		// store until the child commits its manifest.
-		node := p.Node
-		if opts.Store != nil {
-			m.sys.storeWriterInc(node)
-		}
-		t.ForkRaw("ckpt-writer", func(c *kernel.Task) {
-			mtcp.WriteImage(c, img, opts)
-			if opts.Store != nil {
-				m.sys.storeWriterDec(node)
-			}
-			c.Exit(0)
-		})
-		res = mtcp.WriteResult{
-			Path:     mtcp.ImagePath(opts.Dir, img, opts.Compress),
-			RawBytes: img.LogicalBytes(),
-			Bytes:    img.LogicalBytes(),
-			Workers:  max(workers, 1),
-		}
-		if opts.Store != nil {
-			res.Path = opts.Store.ManifestPath(mtcp.ImageBase(img), opts.Generation)
-			res.Generation = opts.Generation
-		}
-		if opts.Compress {
-			res.Bytes = img.CompressedBytes(params)
-		}
-	} else {
-		res = mtcp.WriteImage(t, img, opts)
-	}
+	res := m.writeImage(t, cfg, owners, conns)
 	if err := m.barrier(t, "checkpointed", t.Now().Sub(s5), &res); err != nil {
 		return
 	}
 
 	// ---- Stage 6: refill kernel buffers --------------------------------
 	s6 := t.Now()
-	m.refill(t, drained)
+	refill(t, conns, objects)
 	for _, fd := range t.P.SortedFDs() { // restore original F_SETOWN (§4.3)
 		if own, ok := owners[fd]; ok {
 			t.Fcntl(fd, kernel.FSetOwn, own)
@@ -617,207 +477,95 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 	}
 }
 
+// writeImage is stage 5: it captures the process into an image that
+// carries the descriptor, drain and pid tables, and writes it,
+// monolithic or through the chunk store, in this task or, with forked
+// checkpointing, in a background child.
+func (m *Manager) writeImage(t *kernel.Task, cfg ckptConfig, owners map[int]kernel.Pid, conns []ConnRec) mtcp.WriteResult {
+	p := t.P
+	img := mtcp.Capture(p, m.virtPid)
+	m.writeSections(img, m.fdTable(t, owners), conns)
+	workers := cfg.Workers
+	if workers == 0 && cfg.Store {
+		// Adaptive sizing (CkptWorkers == 0): the user threads were
+		// suspended above and released their core shares, so the idle
+		// count reflects exactly what this write can use beside the
+		// node's other tenants — all 4 cores on an idle node, fewer
+		// under load, never oversubscribing.
+		workers = p.Node.CPU().IdleCores()
+		if cfg.Hint > workers {
+			// Straggler response: last round this host's write bounded
+			// the barrier, so the coordinator pre-sized the pool to the
+			// node's full core count — claim a larger scheduler share
+			// even beside competing tenants.
+			workers = cfg.Hint
+		}
+	}
+	opts := mtcp.WriteOptions{Dir: cfg.Dir, Compress: cfg.Compress, Fsync: cfg.Fsync,
+		Workers: workers}
+	if cfg.Store {
+		opts.Store = m.sys.StoreOn(p.Node)
+		m.sys.noteStoreWrite(p.Node)
+		// Reserve the generation in the parent: committed manifests
+		// alone cannot number it safely once forked writers overlap.
+		gen := opts.Store.NextGeneration(mtcp.ImageBase(img))
+		if gen <= m.lastStoreGen {
+			gen = m.lastStoreGen + 1
+		}
+		m.lastStoreGen = gen
+		opts.Generation = gen
+		if m.sys.Replica != nil && m.sys.Cfg.ReplicaFactor > 0 {
+			// Eager streaming: finished chunks flow to the replica
+			// daemon as they land, so fan-out overlaps the write.  A
+			// nil stream (no live daemon/targets) means nothing can
+			// ship.
+			if stream := m.sys.Replica.NewStream(p.Node, p, mtcp.ImageBase(img), gen); stream != nil {
+				opts.Stream = stream
+			}
+		}
+	}
+	if !cfg.Forked {
+		return mtcp.WriteImage(t, img, opts)
+	}
+	// Forked checkpointing (§5.3): the child writes and
+	// compresses in the background; the parent's perceived cost
+	// is the fork itself.  With the store enabled the parent
+	// reports the reserved manifest path/generation and a
+	// whole-image size estimate (it cannot know the dedup outcome
+	// the child will discover); the writer count keeps GC off the
+	// store until the child commits its manifest.
+	node := p.Node
+	if opts.Store != nil {
+		m.sys.storeWriterInc(node)
+	}
+	t.ForkRaw("ckpt-writer", func(c *kernel.Task) {
+		mtcp.WriteImage(c, img, opts)
+		if opts.Store != nil {
+			m.sys.storeWriterDec(node)
+		}
+		c.Exit(0)
+	})
+	res := mtcp.WriteResult{
+		Path:     mtcp.ImagePath(opts.Dir, img, opts.Compress),
+		RawBytes: img.LogicalBytes(),
+		Bytes:    img.LogicalBytes(),
+		Workers:  max(workers, 1),
+	}
+	if opts.Store != nil {
+		res.Path = opts.Store.ManifestPath(mtcp.ImageBase(img), opts.Generation)
+		res.Generation = opts.Generation
+	}
+	if opts.Compress {
+		res.Bytes = img.CompressedBytes(m.sys.C.Params)
+	}
+	return res
+
+}
+
 // track names the manager's trace track: the checkpointed program
 // qualified by its virtual pid.
 func (m *Manager) track(t *kernel.Task) string {
 	return fmt.Sprintf("%s[%d]", t.P.ProgName, m.virtPid)
-}
-
-// drainableFDs returns the descriptors participating in election and
-// drain: connected stream sockets (incl. promoted pipes) and ptys.
-func (m *Manager) drainableFDs(t *kernel.Task) []int {
-	var out []int
-	fds := t.P.FDs()
-	for _, fd := range t.P.SortedFDs() {
-		of := fds[fd]
-		if of.Protected {
-			continue
-		}
-		switch of.Kind {
-		case kernel.FKTCP, kernel.FKUnix:
-			if of.TCP != nil && m.socks[of] != nil {
-				out = append(out, fd)
-			}
-		case kernel.FKPtyMaster, kernel.FKPtySlave:
-			out = append(out, fd)
-		}
-	}
-	return out
-}
-
-// drainJob tracks one socket's drain progress.
-type drainJob struct {
-	fd       int
-	tokenOut []byte
-	buf      []byte
-	done     bool
-}
-
-// drainAll flushes and drains the given descriptors concurrently:
-// tokens are pushed with non-blocking sends and data is consumed as
-// it arrives, so full buffers in either direction cannot deadlock the
-// stage (§4.3 step 4).
-func (m *Manager) drainAll(t *kernel.Task, fds []int) map[int][]byte {
-	jobs := make([]*drainJob, 0, len(fds))
-	for _, fd := range fds {
-		jobs = append(jobs, &drainJob{fd: fd, tokenOut: drainToken})
-	}
-	deadline := t.Now().Add(500 * time.Millisecond)
-	for {
-		alive := false
-		progress := false
-		for _, j := range jobs {
-			if len(j.tokenOut) > 0 {
-				n, err := t.TrySend(j.fd, nil, j.tokenOut)
-				if err != nil {
-					j.tokenOut = nil // peer gone; nothing to flush
-				} else {
-					j.tokenOut = j.tokenOut[n:]
-					if n > 0 {
-						progress = true
-					}
-				}
-				if len(j.tokenOut) > 0 {
-					alive = true
-				}
-			}
-			if j.done {
-				continue
-			}
-			avail, err := t.Avail(j.fd)
-			if err != nil {
-				j.done = true
-				continue
-			}
-			if avail > 0 {
-				data, err := t.Recv(j.fd, avail)
-				if err == nil {
-					j.buf = append(j.buf, data...)
-					progress = true
-				}
-			}
-			if bytes.HasSuffix(j.buf, drainToken) {
-				j.buf = j.buf[:len(j.buf)-len(drainToken)]
-				j.done = true
-			} else {
-				alive = true
-			}
-		}
-		if !alive {
-			break
-		}
-		if t.Now() > deadline {
-			// Poll timeout: peers without a draining leader (e.g. a
-			// pty with no process on the other end) give up here.
-			break
-		}
-		if !progress {
-			t.Idle(200 * time.Microsecond) // let in-flight data land
-		}
-	}
-	out := make(map[int][]byte, len(jobs))
-	for _, j := range jobs {
-		out[j.fd] = j.buf
-	}
-	return out
-}
-
-// refill pushes drained bytes back into the kernel receive buffers,
-// charging the paper's two network crossings (receiver returns the
-// data to the sender, who re-sends it — §4.3 step 6).
-func (m *Manager) refill(t *kernel.Task, drained map[int][]byte) {
-	fds := t.P.FDs()
-	for _, fd := range t.P.SortedFDs() {
-		data, ok := drained[fd]
-		if !ok || len(data) == 0 {
-			continue
-		}
-		of := fds[fd]
-		var ep *kernel.TCPEndpoint
-		switch {
-		case of.TCP != nil:
-			ep = of.TCP
-		case of.Pty != nil:
-			ep = of.Pty.Endpoint()
-		}
-		if ep == nil {
-			continue
-		}
-		t.Compute(ep.RefillCost(int64(len(data))).Duration())
-		ep.Unread(data)
-	}
-}
-
-// fdTable builds the descriptor-table records stored in the image.
-func (m *Manager) fdTable(t *kernel.Task, owners map[int]kernel.Pid) []FDRec {
-	var out []FDRec
-	fds := t.P.FDs()
-	for _, fd := range t.P.SortedFDs() {
-		of := fds[fd]
-		if of.Protected {
-			continue
-		}
-		rec := FDRec{FD: fd, OFID: of.CkptID, Owner: int64(owners[fd])}
-		switch of.Kind {
-		case kernel.FKConsole:
-			rec.Kind = FDConsole
-		case kernel.FKFile:
-			rec.Kind = FDFile
-			rec.Path = of.File.Path
-			rec.Offset = of.File.Offset
-		case kernel.FKTCPListen:
-			rec.Kind = FDListener
-			rec.Port = of.Listen.Addr().Port
-		case kernel.FKUnixListen:
-			rec.Kind = FDUnixListener
-			rec.Path = of.Listen.Path()
-		case kernel.FKTCP, kernel.FKUnix:
-			meta := m.socks[of]
-			if meta == nil {
-				continue // unmanaged socket: not restorable
-			}
-			rec.Kind = FDConn
-			rec.GUID = string(meta.GUID)
-			rec.Accept = meta.Acceptor
-		case kernel.FKPtyMaster:
-			rec.Kind = FDPtyMaster
-			rec.Pty = of.Pty.Pty.Name
-			rec.Modes = of.Pty.Pty.Modes
-		case kernel.FKPtySlave:
-			rec.Kind = FDPtySlave
-			rec.Pty = of.Pty.Pty.Name
-			rec.Modes = of.Pty.Pty.Modes
-		default:
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// connRecs pairs drained data with socket GUIDs for the image; pty
-// buffers travel under synthetic per-end ids.
-func (m *Manager) connRecs(t *kernel.Task, drained map[int][]byte) []ConnRec {
-	var out []ConnRec
-	fds := t.P.FDs()
-	for _, fd := range t.P.SortedFDs() {
-		data, ok := drained[fd]
-		if !ok {
-			continue
-		}
-		of := fds[fd]
-		switch {
-		case m.socks[of] != nil:
-			out = append(out, ConnRec{GUID: string(m.socks[of].GUID), Drained: data})
-		case of.Pty != nil:
-			end := "s"
-			if of.Pty.Master {
-				end = "m"
-			}
-			out = append(out, ConnRec{GUID: "pty:" + of.Pty.Pty.Name + ":" + end, Drained: data})
-		}
-	}
-	return out
 }
 
 // newGUID mints a globally unique socket id (§4.4).
@@ -866,15 +614,7 @@ func (m *Manager) PostSocketpair(t *kernel.Task, a, b int, ofA, ofB *kernel.Open
 
 // PipeOverride promotes pipes to socketpairs (§4.5).
 func (m *Manager) PipeOverride(t *kernel.Task) (int, int, bool) {
-	a, b := t.SocketPair()
-	// a is the read end, b the write end by convention.
-	fds := t.P.FDs()
-	if meta := m.socks[fds[a]]; meta != nil {
-		meta.IsPipe = true
-	}
-	if meta := m.socks[fds[b]]; meta != nil {
-		meta.IsPipe = true
-	}
+	a, b := t.SocketPair() // a is the read end, b the write end
 	return a, b, true
 }
 

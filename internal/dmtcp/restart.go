@@ -2,8 +2,9 @@ package dmtcp
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
-	"time"
 
 	"repro/internal/bin"
 	"repro/internal/coordstate"
@@ -100,6 +101,116 @@ type procImage struct {
 	lazy  *lazyCtrl
 }
 
+// restart is one dmtcp_restart program in flight: the images it
+// restores, what its steps hand on to each other, and its stage times.
+type restart struct {
+	s       *System
+	t       *kernel.Task
+	gen     string
+	nGlobal int
+	cfd     int // coordinator link: discovery and restart barriers
+	imgs    []*procImage
+	objects map[int64]*kernel.OpenFile     // OFID → object steps 1 and 2 restored
+	procs   map[kernel.Pid]*kernel.Process // virtual pid → restored process
+	st      RestartStages
+	// refilled counts the children past step 6; each wakes doneW.
+	refilled int
+	doneW    *sim.WaitQueue
+}
+
+// restartMain is the dmtcp_restart program (§4.4): a single restart
+// process per host that reopens files and ptys, reconnects sockets
+// through the discovery service, and forks into the user processes,
+// which rearrange their descriptors, restore memory and threads, refill
+// kernel buffers, and resume.  Its stage times — or its fatal error —
+// go to the RestartAll that spawned it in process, like its trace
+// spans: the coordinator is only the discovery service and the barrier.
+//
+// args: <nGlobalProcs> <generation> <image>...
+func (s *System) restartMain(t *kernel.Task, args []string) {
+	if len(args) < 3 {
+		t.Printf("usage: dmtcp_restart nGlobal gen images...\n")
+		t.Exit(2)
+	}
+	nGlobal, _ := strconv.Atoi(args[0])
+	r := &restart{s: s, t: t, gen: args[1], nGlobal: nGlobal,
+		objects: make(map[int64]*kernel.OpenFile), procs: make(map[kernel.Pid]*kernel.Process)}
+	if err := r.run(args[2:]); err != nil {
+		// RestartAll returns the error rather than waiting forever for
+		// stage times.
+		t.Printf("dmtcp_restart: %v\n", err)
+		s.reportRestart(r.gen, RestartStages{}, err)
+		t.Exit(1)
+	}
+	s.reportRestart(r.gen, r.st, nil)
+
+	// Remain as the parent of the restored processes (the paper's
+	// restart process stays in the tree after forking).
+	for {
+		if _, _, err := t.WaitAny(); err != nil {
+			return
+		}
+	}
+}
+
+// run takes the restart through its steps, then traces it: sequential
+// segments that exactly partition [start, end] under one enclosing
+// span — image loading (incl. the streamed restore pipelines),
+// file/pty reopen, socket reconnection, the forked children's
+// restore/refill/resume, and (lazy only) the post-resume prefetch
+// drain.
+func (r *restart) run(paths []string) error {
+	t := r.t
+	start := t.Now()
+	// A restart spawned into a takeover interregnum (the leader died
+	// after the group was journaled, the standby is still electing
+	// itself) waits out the election instead of dying.
+	cfd, _, err := r.s.dialCoord(t, retry.RestartDial(r.s.C.Params), nil)
+	if err != nil {
+		return fmt.Errorf("coordinator: %w", err)
+	}
+	r.cfd = cfd
+	if err := r.loadImages(paths); err != nil {
+		return err
+	}
+	filesStart := t.Now()
+	r.reopenFiles()
+	connsStart := t.Now()
+	r.reconnect()
+	connsEnd := t.Now()
+	r.fork()
+	resumeEnd := t.Now()
+	lazy, err := r.drainLazy()
+	if err != nil {
+		return err
+	}
+	end, st := t.Now(), &r.st
+	st.Files, st.Conns, st.Total = connsStart.Sub(filesStart), connsEnd.Sub(connsStart), end.Sub(start)
+	if lazy {
+		// ResumePause is the availability metric (start → last process
+		// resumed); Total still covers the drain, matching full-install
+		// MTTR.
+		st.ResumePause, st.PrefetchDrain = resumeEnd.Sub(start), end.Sub(resumeEnd)
+	}
+	if tr := t.Trace(); tr.Enabled() {
+		host, trk := t.Host(), fmt.Sprintf("%s[%d]", t.P.ProgName, t.P.Pid)
+		tr.Span(host, trk, "restart.total", "restart", start, end,
+			obs.A("procs", int64(len(r.imgs))), obs.A("fetched_bytes", st.FetchedBytes),
+			obs.A("overlap_bytes", st.OverlapBytes), obs.A("workers", int64(st.Workers)),
+			obs.A("demand_bytes", st.DemandBytes), obs.A("prefetch_bytes", st.PrefetchBytes))
+		tr.Span(host, trk, "restart.images", "restart", start, filesStart)
+		tr.Span(host, trk, "restart.files", "restart", filesStart, connsStart)
+		tr.Span(host, trk, "restart.conns", "restart", connsStart, connsEnd)
+		tr.Span(host, trk, "restart.procs", "restart", connsEnd, resumeEnd)
+		if lazy {
+			tr.Span(host, trk, "restart.prefetch", "restart", resumeEnd, end,
+				obs.A("demand_faults", int64(st.DemandFaults)))
+		}
+		tr.Add(host, "restart.fetched_bytes", end, st.FetchedBytes)
+	}
+	return nil
+}
+
 // loadImages is the restart.images segment of dmtcp_restart: it loads
 // every image and decodes its tables.  Store manifests ride the
 // restore pipeline, one per image, concurrently (the node's core
@@ -112,9 +223,10 @@ type procImage struct {
 // starts pulling the rest here, overlapping files, conns and fork; it
 // installs on as many workers as the pipeline did.
 // Monolithic images load headers only; their children pay the bulk.
-// Pipeline statistics fold into st, with the slowest pipeline's wall
-// time as Memory.
-func (s *System) loadImages(t *kernel.Task, paths []string, st *RestartStages) ([]*procImage, error) {
+// Pipeline statistics fold into the stage times, with the slowest
+// pipeline's wall time as Memory.
+func (r *restart) loadImages(paths []string) error {
+	s, t, st := r.s, r.t, &r.st
 	from := t.P.Env[fetchFromEnv]
 	workers := s.Cfg.CkptWorkers
 	if workers == 0 {
@@ -124,7 +236,7 @@ func (s *System) loadImages(t *kernel.Task, paths []string, st *RestartStages) (
 		workers = t.P.Node.CPU().IdleCores()
 	}
 	opts := mtcp.RestoreOptions{Workers: workers, Lazy: s.Cfg.LazyRestore && s.Replica != nil}
-	imgs := make([]*procImage, len(paths))
+	r.imgs = make([]*procImage, len(paths))
 	holders := make([][]string, len(paths))
 	pending := make([][]mtcp.LazyChunk, len(paths))
 	stats := make([]mtcp.RestoreStats, len(paths))
@@ -132,7 +244,7 @@ func (s *System) loadImages(t *kernel.Task, paths []string, st *RestartStages) (
 	running := 0
 	pipeW := sim.NewWaitQueue(t.P.Node.Cluster.Eng, "restart.pipe")
 	for i, path := range paths {
-		imgs[i] = &procImage{path: path}
+		r.imgs[i] = &procImage{path: path}
 		if !store.IsManifestPath(path) {
 			continue
 		}
@@ -153,467 +265,260 @@ func (s *System) loadImages(t *kernel.Task, paths []string, st *RestartStages) (
 				}
 				o.Fetch = pullFetcher{sv: s.Replica, holders: holders[i], workers: workers}
 			}
-			imgs[i].img, pending[i], stats[i], errs[i] = mtcp.Restore(pt, path, o)
+			r.imgs[i].img, pending[i], stats[i], errs[i] = mtcp.Restore(pt, path, o)
 		})
 	}
 	for running > 0 {
 		pipeW.Wait(t.T)
 	}
-	for i, pi := range imgs {
+	for i, pi := range r.imgs {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("restore %s: %w", pi.path, errs[i])
+			return fmt.Errorf("restore %s: %w", pi.path, errs[i])
 		}
 		rs := stats[i]
-		if rs.Fetch > st.Fetch {
-			st.Fetch = rs.Fetch
-		}
+		st.Fetch = max(st.Fetch, rs.Fetch)
 		st.FetchedBytes += rs.FetchedBytes
 		st.FetchedChunks += rs.FetchedChunks
 		st.OverlapBytes += rs.OverlapBytes
-		if rs.Workers > st.Workers {
-			st.Workers = rs.Workers
-		}
-		if rs.Took > st.Memory {
-			st.Memory = rs.Took
-		}
+		st.Workers = max(st.Workers, rs.Workers)
+		st.Memory = max(st.Memory, rs.Took)
 		if len(pending[i]) > 0 {
 			pi.lazy = newLazyCtrl(s, t, pi.img, pending[i], holders[i], workers)
 		}
 	}
 
-	for _, pi := range imgs {
+	for _, pi := range r.imgs {
 		if pi.img == nil {
 			img, err := mtcp.LoadImage(t, pi.path)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", pi.path, err)
+				return fmt.Errorf("%s: %w", pi.path, err)
 			}
 			pi.img = img
 		}
-		var err error
-		if b, ok := pi.img.Ext["dmtcp.fdtable"]; ok {
-			if pi.fds, err = decodeFDTable(b); err != nil {
-				return nil, fmt.Errorf("%s: bad fd table: %w", pi.path, err)
-			}
-		}
-		if b, ok := pi.img.Ext["dmtcp.conns"]; ok {
-			if pi.conns, err = decodeConns(b); err != nil {
-				return nil, fmt.Errorf("%s: bad conn table: %w", pi.path, err)
-			}
-		}
-		if b, ok := pi.img.Ext["dmtcp.pids"]; ok {
-			if pi.vpid, pi.table, err = decodePids(b); err != nil {
-				return nil, fmt.Errorf("%s: bad pid table: %w", pi.path, err)
-			}
+		if err := pi.readSections(); err != nil {
+			return err
 		}
 	}
-	return imgs, nil
+	return nil
 }
 
-// restartMain is the dmtcp_restart program (§4.4): a single restart
-// process per host that reopens files and ptys, reconnects sockets
-// through the discovery service, forks into the user processes,
-// rearranges descriptors, restores memory and threads, refills kernel
-// buffers, and resumes.  Its stage times — or its fatal error — go to
-// the RestartAll that spawned it in process, like its trace spans: the
-// coordinator is only the discovery service and the barrier.
-//
-// args: <nGlobalProcs> <generation> <image>...
-func (s *System) restartMain(t *kernel.Task, args []string) {
-	if len(args) < 3 {
-		t.Printf("usage: dmtcp_restart nGlobal gen images...\n")
-		t.Exit(2)
-	}
-	nGlobal, _ := strconv.Atoi(args[0])
-	gen := args[1]
-	paths := args[2:]
-
-	start := t.Now()
-	var st RestartStages
-
-	// fail hands a fatal error to RestartAll (so it returns the error
-	// rather than waiting forever for stage times) and exits non-zero.
-	fail := func(err error) {
-		t.Printf("dmtcp_restart: %v\n", err)
-		s.reportRestart(gen, RestartStages{}, err)
-		t.Exit(1)
-	}
-
-	// Coordinator link for discovery and restart barriers.  A restart
-	// spawned into a takeover interregnum (the leader died after the
-	// group was journaled, the standby is still electing itself) waits
-	// out the election instead of dying.
-	cfd, err := s.dialCoord(t)
-	if err != nil {
-		fail(fmt.Errorf("coordinator: %w", err))
-	}
-
-	// ---- Image loading ---------------------------------------------------
-	imgs, err := s.loadImages(t, paths, &st)
-	if err != nil {
-		fail(err)
-	}
-
-	// ---- Step 1: reopen files and recreate ptys ------------------------
-	filesStart := t.Now()
-	objects := make(map[int64]*kernel.OpenFile) // OFID → restored object
-	ptyNames := make(map[string]string)         // old pts name → new
-	ptyPairs := make(map[string][2]*kernel.OpenFile)
-	for _, pi := range imgs {
+// reopenFiles is §4.4 step 1: reopen each file and listener and
+// recreate each pty, once however many restored descriptors share it.
+func (r *restart) reopenFiles() {
+	ptys := make(map[string][2]*kernel.OpenFile)
+	for _, pi := range r.imgs {
 		for _, rec := range pi.fds {
-			if _, done := objects[rec.OFID]; done {
-				continue
-			}
-			switch rec.Kind {
-			case FDFile:
-				if !t.P.Node.FS.Exists(rec.Path) {
-					t.P.Node.FS.WriteFile(rec.Path, nil, 0)
-				}
-				fd, err := t.Open(rec.Path)
-				if err != nil {
-					continue
-				}
-				of, _ := t.P.FD(fd)
-				of.File.Offset = rec.Offset
-				objects[rec.OFID] = of
-			case FDListener:
-				fd, err := t.ListenTCP(rec.Port)
-				if err != nil {
-					t.Printf("dmtcp_restart: rebind %d: %v\n", rec.Port, err)
-					continue
-				}
-				of, _ := t.P.FD(fd)
-				objects[rec.OFID] = of
-			case FDUnixListener:
-				fd := t.UnixSocket()
-				if err := t.BindUnix(fd, rec.Path); err == nil {
-					t.Listen(fd)
-				}
-				of, _ := t.P.FD(fd)
-				objects[rec.OFID] = of
-			case FDPtyMaster, FDPtySlave:
-				pair, ok := ptyPairs[rec.Pty]
-				if !ok {
-					mfd, newName := t.Openpt()
-					sfd, err := t.OpenPts(newName)
-					if err != nil {
-						continue
-					}
-					mof, _ := t.P.FD(mfd)
-					sof, _ := t.P.FD(sfd)
-					t.TcSetAttr(mfd, rec.Modes)
-					pair = [2]*kernel.OpenFile{mof, sof}
-					ptyPairs[rec.Pty] = pair
-					ptyNames[rec.Pty] = newName
-				}
-				if rec.Kind == FDPtyMaster {
-					objects[rec.OFID] = pair[0]
-				} else {
-					objects[rec.OFID] = pair[1]
+			if _, done := r.objects[rec.OFID]; !done {
+				if of := reopen(r.t, rec, ptys); of != nil {
+					r.objects[rec.OFID] = of
 				}
 			}
 		}
 	}
-	st.Files = t.Now().Sub(filesStart)
+}
 
-	// ---- Step 2: recreate and reconnect sockets ------------------------
-	s2 := t.Now()
+// reconnect is §4.4 step 2: recreate each connection once.  Both ends
+// restored here become a socketpair, the connector's end first.  Of the
+// rest, the acceptor side advertises its restart listener through the
+// discovery service, and the connector queries it and connects.
+func (r *restart) reconnect() {
+	t := r.t
 	type connSide struct {
 		ofid   int64
 		accept bool
 	}
 	sides := make(map[string][]connSide)
-	var guidOrder []string
-	for _, pi := range imgs {
+	var guids, remote []string
+	for _, pi := range r.imgs {
 		for _, rec := range pi.fds {
-			if rec.Kind != FDConn {
-				continue
-			}
-			dup := false
-			for _, cs := range sides[rec.GUID] {
-				if cs.ofid == rec.OFID {
-					dup = true // shared description seen from another process
-				}
-			}
-			if dup {
-				continue
+			seen := func(cs connSide) bool { return cs.ofid == rec.OFID }
+			if rec.Kind != FDConn || slices.ContainsFunc(sides[rec.GUID], seen) {
+				continue // a shared description already seen from another process
 			}
 			if len(sides[rec.GUID]) == 0 {
-				guidOrder = append(guidOrder, rec.GUID)
+				guids = append(guids, rec.GUID)
 			}
-			sides[rec.GUID] = append(sides[rec.GUID], connSide{ofid: rec.OFID, accept: rec.Accept})
+			sides[rec.GUID] = append(sides[rec.GUID], connSide{rec.OFID, rec.Accept})
 		}
 	}
-	// Local pairs first: both endpoints restored by this process.
-	var remote []string
-	for _, guid := range guidOrder {
-		ss := sides[guid]
-		if len(ss) == 2 {
-			a, b := t.SocketPair()
-			ofA, _ := t.P.FD(a)
-			ofB, _ := t.P.FD(b)
-			// Connector gets the first end, acceptor the second.
-			if ss[0].accept {
-				ss[0], ss[1] = ss[1], ss[0]
-			}
-			objects[ss[0].ofid] = ofA
-			objects[ss[1].ofid] = ofB
-		} else {
-			remote = append(remote, guid)
-		}
-	}
-	// Remote endpoints: the acceptor side advertises its restart
-	// listener; the connector queries the discovery service and
-	// connects (§4.4).
 	inbound := 0
+	for _, guid := range guids {
+		ss := sides[guid]
+		if len(ss) != 2 {
+			remote = append(remote, guid)
+			if ss[0].accept {
+				inbound++
+			}
+			continue
+		}
+		a, b := t.SocketPair()
+		if ss[0].accept {
+			ss[0], ss[1] = ss[1], ss[0]
+		}
+		r.objects[ss[0].ofid], _ = t.P.FD(a)
+		r.objects[ss[1].ofid], _ = t.P.FD(b)
+	}
+	if len(remote) == 0 {
+		return
+	}
+	lfd := t.Socket()
+	t.Bind(lfd, 0)
+	t.Listen(lfd)
+	lof, _ := t.P.FD(lfd)
+	port := lof.Listen.Addr().Port
+	got := 0
+	gotW := sim.NewWaitQueue(t.P.Node.Cluster.Eng, "restart.accept")
+	if inbound > 0 {
+		t.P.SpawnTask("racceptor", false, func(a *kernel.Task) {
+			for i := 0; i < inbound; i++ {
+				cfd, err := a.Accept(lfd)
+				if err != nil {
+					return
+				}
+				frame, err := a.RecvFrame(cfd)
+				if err != nil {
+					continue
+				}
+				d := &bin.Decoder{B: frame}
+				of, _ := a.P.FD(cfd)
+				for _, cs := range sides[d.Str()] {
+					r.objects[cs.ofid] = of
+				}
+				got++
+				gotW.WakeAll()
+			}
+		})
+	}
+	for _, guid := range remote {
+		if !sides[guid][0].accept {
+			continue
+		}
+		var e bin.Encoder
+		e.B = append(e.B, msgAdvertise)
+		e.Str(guid)
+		e.Str(t.P.Node.Hostname)
+		e.Int(port)
+		t.SendFrame(r.cfd, e.B)
+	}
 	for _, guid := range remote {
 		if sides[guid][0].accept {
-			inbound++
+			continue
 		}
+		var e bin.Encoder
+		e.B = append(e.B, msgQuery)
+		e.Str(guid)
+		t.SendFrame(r.cfd, e.B)
+		frame, err := t.RecvFrame(r.cfd)
+		if err != nil {
+			break
+		}
+		d := &bin.Decoder{B: frame[1:]}
+		_ = d.Str() // guid echo
+		addr := kernel.Addr{Host: d.Str(), Port: d.Int()}
+		sfd := t.Socket()
+		if err := t.Connect(sfd, addr); err != nil {
+			t.Printf("dmtcp_restart: reconnect %s: %v\n", guid, err)
+			continue
+		}
+		var h bin.Encoder
+		h.Str(guid)
+		t.SendFrame(sfd, h.B)
+		r.objects[sides[guid][0].ofid], _ = t.P.FD(sfd)
 	}
-	if len(remote) > 0 {
-		lfd := t.Socket()
-		t.Bind(lfd, 0)
-		t.Listen(lfd)
-		lof, _ := t.P.FD(lfd)
-		port := lof.Listen.Addr().Port
-		got := 0
-		gotW := sim.NewWaitQueue(t.P.Node.Cluster.Eng, "restart.accept")
-		if inbound > 0 {
-			n := inbound
-			t.P.SpawnTask("racceptor", false, func(a *kernel.Task) {
-				for i := 0; i < n; i++ {
-					cfd2, err := a.Accept(lfd)
-					if err != nil {
-						return
-					}
-					frame, err := a.RecvFrame(cfd2)
-					if err != nil {
-						continue
-					}
-					d := &bin.Decoder{B: frame}
-					guid := d.Str()
-					of, _ := a.P.FD(cfd2)
-					for _, cs := range sides[guid] {
-						objects[cs.ofid] = of
-					}
-					got++
-					gotW.WakeAll()
-				}
-			})
-		}
-		for _, guid := range remote {
-			if !sides[guid][0].accept {
-				continue
-			}
-			var e bin.Encoder
-			e.B = append(e.B, msgAdvertise)
-			e.Str(guid)
-			e.Str(t.P.Node.Hostname)
-			e.Int(port)
-			t.SendFrame(cfd, e.B)
-		}
-		for _, guid := range remote {
-			if sides[guid][0].accept {
-				continue
-			}
-			var e bin.Encoder
-			e.B = append(e.B, msgQuery)
-			e.Str(guid)
-			t.SendFrame(cfd, e.B)
-			frame, err := t.RecvFrame(cfd)
-			if err != nil {
-				break
-			}
-			d := &bin.Decoder{B: frame[1:]}
-			_ = d.Str() // guid echo
-			addr := kernel.Addr{Host: d.Str(), Port: d.Int()}
-			sfd := t.Socket()
-			if err := t.Connect(sfd, addr); err != nil {
-				t.Printf("dmtcp_restart: reconnect %s: %v\n", guid, err)
-				continue
-			}
-			var h bin.Encoder
-			h.Str(guid)
-			t.SendFrame(sfd, h.B)
-			of, _ := t.P.FD(sfd)
-			objects[sides[guid][0].ofid] = of
-		}
-		for got < inbound {
-			gotW.Wait(t.T)
-		}
+	for got < inbound {
+		gotW.Wait(t.T)
 	}
-	st.Conns = t.Now().Sub(s2)
+}
 
-	// ---- Steps 3–7: fork, rearrange, restore, refill, resume -----------
-	vpidToProc := make(map[kernel.Pid]*kernel.Process)
+// fork is §4.4 step 3: it forks one child per image, rebuilds the
+// checkpointed parent-child links among them, then lets every child
+// run steps 4–6 and waits until each has refilled.
+func (r *restart) fork() {
+	t := r.t
 	gateOpen := false
 	gate := sim.NewWaitQueue(t.P.Node.Cluster.Eng, "restart.gate")
-	doneCount := 0
-	doneW := sim.NewWaitQueue(t.P.Node.Cluster.Eng, "restart.done")
-	var memMax, refillMax time.Duration
-
-	report := func(mem, refill time.Duration) {
-		if mem > memMax {
-			memMax = mem
-		}
-		if refill > refillMax {
-			refillMax = refill
-		}
-		doneCount++
-		doneW.WakeAll()
-	}
-	for _, pi := range imgs {
+	r.doneW = sim.NewWaitQueue(t.P.Node.Cluster.Eng, "restart.done")
+	for _, pi := range r.imgs {
 		pi := pi
 		pid := t.ForkRaw(pi.img.ProgName, func(c *kernel.Task) {
 			for !gateOpen {
 				gate.Wait(c.T)
 			}
-			// restoreProcess calls report just before handing control
-			// to the program's Restore; when Restore returns, this
-			// main task ends and the process exits normally.
-			s.restoreProcess(c, pi.path, pi.img, pi.fds, pi.conns,
-				pi.vpid, pi.table, objects, ptyNames, vpidToProc, nGlobal, gen,
-				pi.lazy, report)
+			// restore ends in the program's Restore; when that returns,
+			// this main task ends and the process exits normally.
+			r.restore(c, pi)
 		})
-		proc, _ := t.P.Kern.Process(pid)
-		vpidToProc[pi.vpid] = proc
+		r.procs[pi.vpid], _ = t.P.Kern.Process(pid)
 	}
-	// Reconstruct app-level parent-child relationships among restored
-	// processes on this host.
-	for _, pi := range imgs {
-		parent := vpidToProc[pi.vpid]
+	for _, pi := range r.imgs {
+		parent := r.procs[pi.vpid]
 		for virt := range pi.table {
-			if virt == pi.vpid {
-				continue
-			}
-			if child, ok := vpidToProc[virt]; ok && parent != nil {
+			if child, ok := r.procs[virt]; ok && virt != pi.vpid && parent != nil {
 				t.P.Kern.Reparent(child, parent)
 			}
 		}
 	}
 	gateOpen = true
 	gate.WakeAll()
-	for doneCount < len(imgs) {
-		doneW.Wait(t.T)
-	}
-	if memMax > st.Memory {
-		// Store restores pay the bulk (reads + decompression) in the
-		// pipeline, not the children, so Memory already holds the
-		// pipeline wall time.  It overlaps the Fetch stage by
-		// construction: Total < Fetch + Memory is the win, not an
-		// accounting error.
-		st.Memory = memMax
-	}
-	st.Refill = refillMax
-
-	// Post-copy tail: the processes are already running on their
-	// skeletons; block here only for the background drain, then fold
-	// the pull-stream's bytes into the fetch accounting.  ResumePause
-	// is the availability metric (start → last process resumed);
-	// Total still covers the drain, matching full-install MTTR.
-	resumeEnd := t.Now()
-	anyLazy := false
-	for _, pi := range imgs {
-		lc := pi.lazy
-		if lc == nil {
-			continue
-		}
-		anyLazy = true
-		if err := lc.drain(t); err != nil {
-			fail(fmt.Errorf("lazy drain: %w", err))
-		}
-		st.FetchedBytes += lc.ps.Bytes()
-		st.FetchedChunks += lc.ps.Chunks()
-		st.DemandBytes += lc.ps.DemandBytes()
-		st.PrefetchBytes += lc.ps.PrefetchBytes()
-		st.DemandFaults += lc.faults
-	}
-	if anyLazy {
-		st.ResumePause = resumeEnd.Sub(start)
-		st.PrefetchDrain = t.Now().Sub(resumeEnd)
-	}
-	st.Total = t.Now().Sub(start)
-
-	// Trace the restart: sequential segments that exactly partition
-	// [start, end] under one enclosing span — image loading (incl. the
-	// streamed restore pipelines), file/pty reopen, socket
-	// reconnection, the forked children's restore/refill/resume, and
-	// (lazy only) the post-resume prefetch drain.
-	if tr := t.Trace(); tr.Enabled() {
-		end, host, trk := t.Now(), t.Host(), fmt.Sprintf("%s[%d]", t.P.ProgName, t.P.Pid)
-		connsEnd := s2.Add(st.Conns)
-		tr.Span(host, trk, "restart.total", "restart", start, end,
-			obs.A("procs", int64(len(imgs))), obs.A("fetched_bytes", st.FetchedBytes),
-			obs.A("overlap_bytes", st.OverlapBytes), obs.A("workers", int64(st.Workers)),
-			obs.A("demand_bytes", st.DemandBytes), obs.A("prefetch_bytes", st.PrefetchBytes))
-		tr.Span(host, trk, "restart.images", "restart", start, filesStart)
-		tr.Span(host, trk, "restart.files", "restart", filesStart, s2)
-		tr.Span(host, trk, "restart.conns", "restart", s2, connsEnd)
-		tr.Span(host, trk, "restart.procs", "restart", connsEnd, resumeEnd)
-		if anyLazy {
-			tr.Span(host, trk, "restart.prefetch", "restart", resumeEnd, end,
-				obs.A("demand_faults", int64(st.DemandFaults)))
-		}
-		tr.Add(host, "restart.fetched_bytes", end, st.FetchedBytes)
-	}
-
-	s.reportRestart(gen, st, nil)
-
-	// Remain as the parent of the restored processes (the paper's
-	// restart process stays in the tree after forking).
-	for {
-		if _, _, err := t.WaitAny(); err != nil {
-			return
-		}
+	for r.refilled < len(r.imgs) {
+		r.doneW.Wait(t.T)
 	}
 }
 
-// restoreProcess runs inside a forked child of the restart program:
-// descriptor rearrangement, memory restore, manager reconstruction,
-// refill, and thread resume.  It reports the memory and refill stage
-// durations through report, then runs the program's Restore inline in
-// the calling (main) task.
-func (s *System) restoreProcess(
-	c *kernel.Task,
-	path string,
-	img *mtcp.Image,
-	fdRecs []FDRec,
-	conns []ConnRec,
-	vpid kernel.Pid,
-	pidTable map[kernel.Pid]kernel.Pid,
-	objects map[int64]*kernel.OpenFile,
-	ptyNames map[string]string,
-	vpidToProc map[kernel.Pid]*kernel.Process,
-	nGlobal int,
-	gen string,
-	lazy *lazyCtrl,
-	report func(mem, refill time.Duration),
-) {
-	p := c.P
+// restore runs in a forked child: §4.4 steps 4–6 between the restart
+// barriers, then the resume.  Store restores pay the bulk (reads and
+// decompression) in the pipeline, so the restart's Memory keeps the
+// pipeline wall time unless a child's step 5 took longer.  It overlaps
+// the Fetch stage by construction: Total < Fetch + Memory is the win,
+// not an accounting error.
+func (r *restart) restore(c *kernel.Task, pi *procImage) {
+	mgr := r.rearrange(c, pi)
+	m5 := c.Now()
+	r.restoreMemory(c, pi, mgr)
+	memDur := c.Now().Sub(m5)
+	// Global barrier: every restored process has its memory back (the
+	// paper's restored processes resume at Barrier 5).
+	r.s.groupBarrier(c, mgr, "r-mem-"+r.gen, r.nGlobal, r.gen, pi.path, coordstate.RestartRankInstalled)
 
-	// ---- Step 4: rearrange FDs (dup2/close) ----------------------------
-	for _, fd := range p.SortedFDs() {
+	r6 := c.Now()
+	refill(c, pi.conns, r.objects) // step 6
+	refillDur := c.Now().Sub(r6)
+	track := fmt.Sprintf("%s[%d]", pi.img.ProgName, pi.vpid)
+	c.Trace().Span(c.Host(), track, "restore.mem", "restart", m5, m5.Add(memDur))
+	c.Trace().Span(c.Host(), track, "restore.refill", "restart", r6, r6.Add(refillDur))
+	r.st.Memory = max(r.st.Memory, memDur)
+	r.st.Refill = max(r.st.Refill, refillDur)
+	r.refilled++
+	r.doneW.WakeAll()
+	r.s.groupBarrier(c, mgr, "r-refill-"+r.gen, r.nGlobal, r.gen, pi.path, coordstate.RestartRankResumed)
+	r.resume(c, pi, mgr)
+}
+
+// rearrange is §4.4 step 4: close what the fork inherited and point
+// each recorded descriptor at its restored object.  It returns the
+// process's new manager, which already tracks its connections.
+func (r *restart) rearrange(c *kernel.Task, pi *procImage) *Manager {
+	for _, fd := range c.P.SortedFDs() {
 		c.Close(fd)
 	}
-	for _, rec := range fdRecs {
-		var of *kernel.OpenFile
-		if rec.Kind == FDConsole {
-			of = kernel.NewConsole(p)
-		} else {
-			of = objects[rec.OFID]
-		}
-		if of == nil {
-			continue
-		}
-		of.Owner = kernel.Pid(rec.Owner)
-		p.InstallFD(rec.FD, of)
+	mgr := newManager(r.s, c.P)
+	for _, rec := range pi.fds {
+		mgr.install(rec, r.objects)
 	}
+	return mgr
+}
 
-	// ---- Step 5: restore memory and threads ----------------------------
-	m5 := c.Now()
-	mtcp.ChargeMemoryRestore(c, img, path, s.Cfg.CkptWorkers)
-	mtcp.InstallMemory(p, img, c, func(t *kernel.Task, rec mtcp.AreaRecord) *kernel.ShmSegment {
-		seg := s.resolveShm(t, rec.ShmBacking, rec.Bytes, rec.Class())
+// restoreMemory is §4.4 step 5: restore memory and threads (a
+// monolithic image reads its body here; a store image came through the
+// restore pipeline), then rebuild the DMTCP manager with its restored
+// identity and tables and reconnect it to the coordinator.
+func (r *restart) restoreMemory(c *kernel.Task, pi *procImage, mgr *Manager) {
+	p := c.P
+	if !store.IsManifestPath(pi.path) {
+		mtcp.ChargeMemoryRestore(c, pi.img, pi.path, r.s.Cfg.CkptWorkers)
+	}
+	mtcp.InstallMemory(p, pi.img, c, func(t *kernel.Task, rec mtcp.AreaRecord) *kernel.ShmSegment {
+		seg := r.s.resolveShm(t, rec.ShmBacking, rec.Bytes, rec.Class())
 		if len(seg.Payload) == 0 && len(rec.Payload) > 0 {
 			// First process to touch the segment writes the
 			// checkpointed contents back (§4.5: both writers carry
@@ -622,137 +527,112 @@ func (s *System) restoreProcess(
 		}
 		return seg
 	})
-	if lazy != nil {
+	if pi.lazy != nil {
 		// Post-copy: InstallMemory copied whatever the background pull
 		// had landed in the image buffers; arm presence maps and the
 		// first-touch fault hook for the chunks still in flight.
-		lazy.wire(p)
+		pi.lazy.wire(p)
 	}
-	p.Env = make(map[string]string, len(img.Env))
-	for k, v := range img.Env {
-		p.Env[k] = v
-	}
+	p.Env = make(map[string]string, len(pi.img.Env))
+	maps.Copy(p.Env, pi.img.Env)
 
-	// Rebuild the DMTCP manager with restored identity and tables.
-	mgr := newManager(s, p)
 	mgr.restored = true
-	mgr.virtPid = vpid
-	for virt := range pidTable {
-		if proc, ok := vpidToProc[virt]; ok {
+	mgr.virtPid = pi.vpid
+	for virt := range pi.table {
+		if proc, ok := r.procs[virt]; ok {
 			mgr.pidTable[virt] = proc.Pid
 		}
 	}
-	mgr.pidTable[vpid] = p.Pid
-	for _, rec := range fdRecs {
-		if rec.Kind != FDConn {
-			continue
-		}
-		if of := objects[rec.OFID]; of != nil {
-			mgr.socks[of] = &SockMeta{GUID: GUID(rec.GUID), Acceptor: rec.Accept}
-		}
-	}
+	mgr.pidTable[pi.vpid] = p.Pid
 	p.SetHooks(mgr)
 	mgr.started = true
-	mgr.sys.registerProc(mgr)
+	r.s.registerProc(mgr)
 	mgr.connectCoordinator(c)
-	memDur := c.Now().Sub(m5)
+}
 
-	// Global barrier: every restored process has its memory back
-	// (the paper's restored processes resume at Barrier 5).
-	s.groupBarrier(c, mgr, "r-mem-"+gen, nGlobal, gen, path, coordstate.RestartRankInstalled)
-
-	// ---- Step 6: refill kernel buffers ---------------------------------
-	r6 := c.Now()
-	fds := p.FDs()
-	findEndpoint := func(guid string) *kernel.TCPEndpoint {
-		for _, of := range fds {
-			if meta := mgr.socks[of]; meta != nil && string(meta.GUID) == guid && of.TCP != nil {
-				return of.TCP
-			}
-		}
-		if len(guid) > 4 && guid[:4] == "pty:" {
-			// pty:<oldname>:<m|s>
-			rest := guid[4:]
-			end := rest[len(rest)-1]
-			old := rest[:len(rest)-2]
-			if newName, ok := ptyNames[old]; ok {
-				for _, of := range fds {
-					if of.Pty != nil && of.Pty.Pty.Name == newName {
-						if (end == 'm') == of.Pty.Master {
-							return of.Pty.Endpoint()
-						}
-					}
-				}
-			}
-		}
-		return nil
-	}
-	for _, cr := range conns {
-		if len(cr.Drained) == 0 {
-			continue
-		}
-		if ep := findEndpoint(cr.GUID); ep != nil {
-			c.Compute(ep.RefillCost(int64(len(cr.Drained))).Duration())
-			ep.Unread(cr.Drained)
-		}
-	}
-	refillDur := c.Now().Sub(r6)
-	childTrack := fmt.Sprintf("%s[%d]", img.ProgName, vpid)
-	c.Trace().Span(c.Host(), childTrack, "restore.mem", "restart", m5, m5.Add(memDur))
-	c.Trace().Span(c.Host(), childTrack, "restore.refill", "restart", r6, r6.Add(refillDur))
-	report(memDur, refillDur)
-	s.groupBarrier(c, mgr, "r-refill-"+gen, nGlobal, gen, path, coordstate.RestartRankResumed)
-
-	// ---- Step 7: resume user threads -----------------------------------
-	// Manager thread resumes its wait-for-checkpoint loop.
+// resume lets the restored process run again: its manager thread
+// resumes the wait-for-checkpoint loop, interrupted sends complete so
+// streams stay byte-exact, and the program's Restore takes over the
+// calling (main) task.
+func (r *restart) resume(c *kernel.Task, pi *procImage, mgr *Manager) {
+	p := c.P
 	mgr.mgrTask = p.SpawnTask("ckpt-mgr", true, mgr.loop)
 	mgr.startHeartbeat()
-	// Complete interrupted sends so streams stay byte-exact.
-	for _, tr := range img.Threads {
+	for _, tr := range pi.img.Threads {
 		if tr.ContFD >= 0 && len(tr.ContData) > 0 {
 			c.ResumeSend(int(tr.ContFD), tr.ContData)
 		}
 	}
-	for _, cb := range mgr.aware.postRestart {
-		cb(c)
-	}
-	prog, ok := s.C.Program(img.ProgName)
+	prog, ok := r.s.C.Program(pi.img.ProgName)
 	if !ok {
-		c.Printf("dmtcp_restart: unknown program %q\n", img.ProgName)
+		c.Printf("dmtcp_restart: unknown program %q\n", pi.img.ProgName)
 		return
 	}
 	res, ok := prog.(kernel.Resumable)
 	if !ok {
-		c.Printf("dmtcp_restart: program %q is not resumable\n", img.ProgName)
+		c.Printf("dmtcp_restart: program %q is not resumable\n", pi.img.ProgName)
 		return
 	}
 	res.Restore(c, p.LoadState())
 }
 
-// dialCoord connects a protected socket to the (possibly just
-// promoted) coordinator, retrying with the unified jittered-backoff
-// policy across a takeover interregnum; it gives up only when the
-// detection + election + retry window closes with no leader answering.
-// The jitter matters here most of all: every restarting rank dials at
-// once, and identical backoff schedules would stampede the coordinator
-// in lockstep after each refusal.
-func (s *System) dialCoord(t *kernel.Task) (int, error) {
-	pol := retry.RestartDial(s.C.Params)
+// drainLazy blocks on each post-copy tail — the processes already run
+// on their skeletons — and folds its pull stream into the fetch
+// accounting.  It reports whether any image restored lazily.
+func (r *restart) drainLazy() (bool, error) {
+	lazy, st := false, &r.st
+	for _, pi := range r.imgs {
+		lc := pi.lazy
+		if lc == nil {
+			continue
+		}
+		lazy = true
+		if err := lc.drain(r.t); err != nil {
+			return true, fmt.Errorf("lazy drain: %w", err)
+		}
+		st.FetchedBytes += lc.ps.Bytes()
+		st.FetchedChunks += lc.ps.Chunks()
+		st.DemandBytes += lc.ps.DemandBytes()
+		st.PrefetchBytes += lc.ps.PrefetchBytes()
+		st.DemandFaults += lc.faults
+	}
+	return lazy, nil
+}
+
+// dialCoord opens a protected connection to the current coordinator and
+// sends hello on it when non-nil.  A failed attempt retries under pol's
+// jittered backoff, across a takeover interregnum, until pol's deadline
+// closes with no leader answering; a zero Policy makes one attempt and
+// returns its error as is.  The jitter matters for restarts most of
+// all: every restarting rank dials at once, and identical backoff
+// schedules would stampede the coordinator in lockstep after each
+// refusal.
+func (s *System) dialCoord(t *kernel.Task, pol retry.Policy, hello []byte) (int, kernel.Addr, error) {
 	bo := pol.Backoff(s.C.Eng.Rand())
 	deadline := t.Now().Add(pol.Deadline)
-	for {
+	for attempts := 1; ; attempts++ {
+		if t.P.Dead || t.P.Zombie {
+			return -1, kernel.Addr{}, fmt.Errorf("dmtcp: process died while reconnecting")
+		}
+		addr := s.coordAddr()
 		fd := t.Socket()
 		if of, err := t.P.FD(fd); err == nil {
-			of.Protected = true
+			of.Protected = true // excluded from checkpointing
 		}
-		err := t.Connect(fd, s.coordAddr())
+		err := t.Connect(fd, addr)
+		if err == nil && hello != nil {
+			err = t.SendFrame(fd, hello)
+		}
 		if err == nil {
-			return fd, nil
+			return fd, addr, nil
 		}
 		t.Close(fd)
+		if pol.Deadline == 0 {
+			return -1, addr, err
+		}
 		delay := bo.Next()
 		if t.Now().Add(delay) > deadline {
-			return -1, err
+			return -1, addr, &CoordLostError{Addr: addr, Attempts: attempts, Err: err}
 		}
 		t.Idle(delay)
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bin"
 	"repro/internal/coordstate"
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -36,169 +35,6 @@ func MakeGUID(host string, pid kernel.Pid, now int64, seq int64) GUID {
 type SockMeta struct {
 	GUID     GUID
 	Acceptor bool // this side called accept()
-	IsPipe   bool // promoted pipe (§4.5)
-}
-
-// FDKind classifies descriptor-table records in checkpoint images.
-type FDKind int32
-
-const (
-	// FDConsole is a stdio descriptor.
-	FDConsole FDKind = iota
-	// FDFile is a regular file with a restore offset.
-	FDFile
-	// FDListener is a TCP listen socket.
-	FDListener
-	// FDUnixListener is a UNIX-domain listen socket.
-	FDUnixListener
-	// FDConn is a connected stream socket (TCP, UNIX, or promoted
-	// pipe).
-	FDConn
-	// FDPtyMaster and FDPtySlave are pseudo-terminal ends.
-	FDPtyMaster
-	FDPtySlave
-)
-
-// FDRec is one descriptor-table entry stored in a checkpoint image
-// (the connection information table of §4.4 plus file/pty records).
-type FDRec struct {
-	FD     int
-	Kind   FDKind
-	OFID   int64 // shared-description id: equal OFIDs restore to one object
-	Owner  int64 // saved fcntl F_SETOWN value
-	Path   string
-	Offset int64
-	Port   int
-	GUID   string
-	Accept bool
-	Pty    string
-	Modes  kernel.Termios
-}
-
-// ConnRec carries a drained socket's buffered bytes (this side's
-// receive direction) for refill at restart.
-type ConnRec struct {
-	GUID    string
-	Drained []byte
-}
-
-// Image Ext section keys.
-const (
-	extFDTable = "dmtcp.fdtable"
-	extConns   = "dmtcp.conns"
-	extPids    = "dmtcp.pids"
-)
-
-// The least bytes one record of each table encodes to.  A decoder
-// caps its preallocation at the bytes left divided by these, so a
-// corrupt count cannot size a buffer beyond what its input can hold.
-const (
-	fdRecBytes   = 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4 + 1 + 4 + 1 + 1 + 8 + 8
-	connRecBytes = 4 + 4
-	pidRecBytes  = 8 + 8
-)
-
-func encodeFDTable(recs []FDRec) []byte {
-	var e bin.Encoder
-	e.U32(uint32(len(recs)))
-	for _, r := range recs {
-		e.Int(r.FD)
-		e.U32(uint32(r.Kind))
-		e.I64(r.OFID)
-		e.I64(r.Owner)
-		e.Str(r.Path)
-		e.I64(r.Offset)
-		e.Int(r.Port)
-		e.Str(r.GUID)
-		e.Bool(r.Accept)
-		e.Str(r.Pty)
-		e.Bool(r.Modes.Echo)
-		e.Bool(r.Modes.Canon)
-		e.Int(r.Modes.Rows)
-		e.Int(r.Modes.Cols)
-	}
-	return e.B
-}
-
-func decodeFDTable(b []byte) ([]FDRec, error) {
-	d := &bin.Decoder{B: b}
-	n := int(d.U32())
-	out := make([]FDRec, 0, min(n, len(d.B)/fdRecBytes))
-	for i := 0; i < n && d.Err == nil; i++ {
-		var r FDRec
-		r.FD = d.Int()
-		r.Kind = FDKind(d.U32())
-		r.OFID = d.I64()
-		r.Owner = d.I64()
-		r.Path = d.Str()
-		r.Offset = d.I64()
-		r.Port = d.Int()
-		r.GUID = d.Str()
-		r.Accept = d.Bool()
-		r.Pty = d.Str()
-		r.Modes.Echo = d.Bool()
-		r.Modes.Canon = d.Bool()
-		r.Modes.Rows = d.Int()
-		r.Modes.Cols = d.Int()
-		out = append(out, r)
-	}
-	return out, d.Err
-}
-
-func encodeConns(recs []ConnRec) []byte {
-	var e bin.Encoder
-	e.U32(uint32(len(recs)))
-	for _, r := range recs {
-		e.Str(r.GUID)
-		e.Bytes(r.Drained)
-	}
-	return e.B
-}
-
-func decodeConns(b []byte) ([]ConnRec, error) {
-	d := &bin.Decoder{B: b}
-	n := int(d.U32())
-	out := make([]ConnRec, 0, min(n, len(d.B)/connRecBytes))
-	for i := 0; i < n && d.Err == nil; i++ {
-		out = append(out, ConnRec{GUID: d.Str(), Drained: d.Bytes()})
-	}
-	return out, d.Err
-}
-
-func encodePids(virt kernel.Pid, table map[kernel.Pid]kernel.Pid) []byte {
-	var e bin.Encoder
-	e.I64(int64(virt))
-	e.U32(uint32(len(table)))
-	for _, k := range sortedPids(table) {
-		e.I64(int64(k))
-		e.I64(int64(table[k]))
-	}
-	return e.B
-}
-
-func decodePids(b []byte) (kernel.Pid, map[kernel.Pid]kernel.Pid, error) {
-	d := &bin.Decoder{B: b}
-	virt := kernel.Pid(d.I64())
-	n := int(d.U32())
-	table := make(map[kernel.Pid]kernel.Pid, min(n, len(d.B)/pidRecBytes))
-	for i := 0; i < n && d.Err == nil; i++ {
-		k := kernel.Pid(d.I64())
-		table[k] = kernel.Pid(d.I64())
-	}
-	return virt, table, d.Err
-}
-
-func sortedPids(m map[kernel.Pid]kernel.Pid) []kernel.Pid {
-	out := make([]kernel.Pid, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // StageTimes breaks a checkpoint into the stages of Table 1a.

@@ -24,7 +24,7 @@ func TestTableCodecsRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(gotFDs, fds) {
 		t.Errorf("fd table round trip = %+v, %v; want %+v", gotFDs, err, fds)
 	}
-	conns := []ConnRec{{GUID: "a", Drained: []byte("buffered")}, {GUID: "b"}}
+	conns := []ConnRec{{OFID: 9, Drained: []byte("buffered")}, {OFID: 11}}
 	gotConns, err := decodeConns(encodeConns(conns))
 	if err != nil || !reflect.DeepEqual(gotConns, conns) {
 		t.Errorf("conn table round trip = %+v, %v; want %+v", gotConns, err, conns)

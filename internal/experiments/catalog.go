@@ -60,14 +60,15 @@ func Regenerate(ids []string, o Opts, tr *obs.Tracer, done func(*Table, time.Dur
 		start := time.Now()
 		// An untouched tracer's first Env stays on run 0; afterwards
 		// every Env gets a fresh run number, so Runs() marks where this
-		// experiment's trials begin.
-		lo := 0
-		if tr != nil && len(tr.Events()) > 0 {
+		// experiment's trials begin, and the event count where its
+		// events do.
+		lo, from := 0, len(tr.Events())
+		if from > 0 {
 			lo = tr.Runs()
 		}
 		tab := e.Run(o)
 		if tr != nil {
-			tab.CriticalPath = criticalPathSince(tr, lo)
+			tab.CriticalPath = criticalPathSince(tr, lo, from)
 		}
 		if done != nil {
 			done(tab, time.Since(start))
@@ -87,11 +88,11 @@ func WriteTables(w io.Writer, tables []*Table) error {
 	return enc.Encode(tables)
 }
 
-// criticalPathSince analyzes the whole trace and keeps only the rounds
-// and restarts recorded in run lo or later, rebasing run numbers to
-// that first run.
-func criticalPathSince(tr *obs.Tracer, lo int) *analyze.Summary {
-	full := analyze.Analyze(tr)
+// criticalPathSince analyzes the events recorded from index from on and
+// keeps the rounds and restarts of run lo or later, rebasing run
+// numbers to that first run.
+func criticalPathSince(tr *obs.Tracer, lo, from int) *analyze.Summary {
+	full := analyze.AnalyzeSince(tr, from)
 	out := &analyze.Summary{}
 	for _, r := range full.Rounds {
 		if r.Run >= lo {

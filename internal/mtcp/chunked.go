@@ -342,78 +342,3 @@ func writeChunked(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 		obs.A("gen", res.Generation), obs.A("overlap_bytes", res.OverlapBytes))
 	return res
 }
-
-// loadChunked reads a manifest back into an Image, charging only the
-// metadata read (manifest plus header tables); the bulk chunk
-// streaming is charged by chargeChunkedRestore.
-func loadChunked(t *kernel.Task, path string) (*Image, error) {
-	p := t.P.Node.Cluster.Params
-	root, ok := store.RootForManifest(path)
-	if !ok {
-		return nil, ErrBadImage
-	}
-	s := store.Open(t.P.Node, store.Config{Root: root})
-	ino, err := t.P.Node.FS.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := store.ManifestOf(ino)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadImage, err)
-	}
-	img, err := Decode(m.Header)
-	if err != nil {
-		return nil, err
-	}
-	for _, ac := range m.Areas {
-		if ac.Area < 0 || ac.Area >= len(img.Areas) {
-			return nil, fmt.Errorf("%w: manifest area %d out of range", ErrBadImage, ac.Area)
-		}
-		var buf []byte
-		for _, ref := range ac.Chunks {
-			data, err := s.ReadChunkVerified(t, ref)
-			if err != nil {
-				return nil, fmt.Errorf("%w: missing or corrupt chunk %s: %v", ErrBadImage, ref.Hash, err)
-			}
-			buf = append(buf, data...)
-		}
-		img.Areas[ac.Area].Payload = buf
-	}
-	img.manifest = m
-	t.Compute(p.RestoreSetup)
-	meta := ino.Size() + 64*1024
-	for _, e := range img.Ext {
-		meta += int64(len(e))
-	}
-	t.P.Node.ReadPipeFor(path).Read(t.T, meta)
-	return img, nil
-}
-
-// chargeChunkedRestore charges the bulk of a store-backed restart:
-// streaming every referenced chunk through a read-ahead stage while
-// one consumer decompresses the compressed ones — or, for an image the
-// restore pipeline already loaded, only the per-area install
-// bookkeeping.
-func chargeChunkedRestore(t *kernel.Task, img *Image, path string) {
-	p := t.P.Node.Cluster.Params
-	if !img.bulkCharged {
-		root, _ := store.RootForManifest(path) // IsManifestPath held
-		s := store.Open(t.P.Node, store.Config{Root: root})
-		m := img.manifest // decoded by loadChunked for this same image
-		if m == nil {
-			var err error
-			if m, err = s.LoadManifest(path); err != nil {
-				return
-			}
-		}
-		refs := m.Refs()
-		stored := make([]int64, len(refs))
-		for i, r := range refs {
-			stored[i] = r.StoredBytes
-		}
-		kernel.ReadAll(t, t.P.Node.ReadPipeFor(s.ChunkPath("")), stored, 1, func(wt *kernel.Task, i int) {
-			store.ChargeGunzip(wt, refs[i])
-		})
-	}
-	t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
-}

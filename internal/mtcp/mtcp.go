@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/kernel"
-	"repro/internal/model"
 	"repro/internal/store"
 )
 
@@ -153,30 +152,12 @@ func WriteImage(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 	return res
 }
 
-// ReadImage loads and decodes an image from storage, charging read
-// bandwidth for the on-disk size and decompression CPU for the
-// restored bytes.  This is the I/O half of restart step 5, as a
-// single call (LoadImage + ChargeMemoryRestore with one gunzip
-// consumer, for callers that do not split the work between a restart
-// orchestrator and its forked children).
-func ReadImage(t *kernel.Task, path string) (*Image, error) {
-	img, err := LoadImage(t, path)
-	if err != nil {
-		return nil, err
-	}
-	ChargeMemoryRestore(t, img, path, 1)
-	return img, nil
-}
-
-// LoadImage decodes an image, charging only the header/metadata read
-// (the restart program reads descriptor and connection tables from
-// every image before forking; the bulk memory read happens later, in
-// each restored process).  Manifest paths are read back through the
-// content-addressed store transparently.
+// LoadImage decodes a monolithic image, charging only the
+// header/metadata read (the restart program reads descriptor and
+// connection tables from every image before forking; the bulk memory
+// read happens later, in each restored process).  A store image comes
+// back through Restore.
 func LoadImage(t *kernel.Task, path string) (*Image, error) {
-	if store.IsManifestPath(path) {
-		return loadChunked(t, path)
-	}
 	p := t.P.Node.Cluster.Params
 	ino, err := t.P.Node.FS.ReadFile(path)
 	if err != nil {
@@ -187,45 +168,46 @@ func LoadImage(t *kernel.Task, path string) (*Image, error) {
 		return nil, err
 	}
 	t.Compute(p.RestoreSetup)
+	t.P.Node.ReadPipeFor(path).Read(t.T, headerRead(img, ino.Size()))
+	return img, nil
+}
+
+// headerRead is what LoadImage reads of a size-byte monolithic image:
+// the header and the upper layer's tables, at most the whole file.
+func headerRead(img *Image, size int64) int64 {
 	meta := int64(64 * 1024)
 	for _, e := range img.Ext {
 		meta += int64(len(e))
 	}
-	if meta > ino.Size() {
-		meta = ino.Size()
-	}
-	t.P.Node.ReadPipeFor(path).Read(t.T, meta)
-	return img, nil
+	return min(meta, size)
 }
 
 // ChargeMemoryRestore charges the bulk of restart step 5: streaming
-// the image body from storage and decompressing it.  A compressed
-// monolithic image is read as kernel.CkptChunkBytes blocks of logical
-// bytes through a read-ahead stage, each carrying the stored bytes its
-// area's class gives (the header and the tables ride the first), while
-// workers gunzip consumers decompress the blocks already read: the
-// restore pays for its gunzip plus one block's read, as gzip -d
-// through a pipe does, not for its whole read and then its gunzip.
-// workers <= 1 is one consumer, the calling task; the node's core
-// scheduler bounds the real speedup of more.  An uncompressed image is
-// one read.  Store images charge through the chunk path instead.
+// the body of an image LoadImage loaded from storage and decompressing
+// it.  A compressed monolithic image is read as kernel.CkptChunkBytes
+// blocks of logical bytes through a read-ahead stage, each carrying the
+// stored bytes its area's class gives (the header and the tables ride
+// the first, so LoadImage's read comes off the front), while workers
+// gunzip consumers decompress the blocks already read: the restore
+// pays for its gunzip plus one block's read, as gzip -d through a pipe
+// does, not for its whole read and then its gunzip.  workers <= 1 is
+// one consumer, the calling task; the node's core scheduler bounds the
+// real speedup of more.  An uncompressed image is one read.  A store
+// image pays its bulk in Restore instead.
 func ChargeMemoryRestore(t *kernel.Task, img *Image, path string, workers int) {
-	if store.IsManifestPath(path) {
-		chargeChunkedRestore(t, img, path)
-		return
-	}
 	p := t.P.Node.Cluster.Params
 	var onDisk int64
 	if ino, err := t.P.Node.FS.ReadFile(path); err == nil {
 		onDisk = ino.Size()
 	}
+	read := headerRead(img, onDisk)
 	pipe := t.P.Node.ReadPipeFor(path)
 	var spans []compressSpan
 	if onDisk > 0 && onDisk < img.LogicalBytes() {
 		spans = compressSpans(img)
 	}
 	if len(spans) == 0 {
-		pipe.Read(t.T, onDisk) // nothing to gunzip
+		pipe.Read(t.T, onDisk-read) // nothing to gunzip
 	} else {
 		stored := make([]int64, len(spans))
 		left := onDisk
@@ -234,11 +216,15 @@ func ChargeMemoryRestore(t *kernel.Task, img *Image, path string, workers int) {
 			left -= stored[i]
 		}
 		stored[0] += left
+		for i := 0; read > 0; i++ {
+			n := min(read, stored[i])
+			stored[i] -= n
+			read -= n
+		}
 		kernel.ReadAll(t, pipe, stored, workers, func(wt *kernel.Task, i int) {
 			wt.Compute(p.DecompressTime(spans[i].bytes, spans[i].class))
 		})
 	}
-	t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
 }
 
 // ShmResolver locates or re-creates the shared-memory segment backing
@@ -248,10 +234,13 @@ func ChargeMemoryRestore(t *kernel.Task, img *Image, path string, workers int) {
 type ShmResolver func(t *kernel.Task, rec AreaRecord) *kernel.ShmSegment
 
 // InstallMemory rebuilds the process address space from the image
-// (restart step 5, "restore memory").  Time is charged by
-// ChargeMemoryRestore (or the store's restore pipeline);
-// this is pure structure.
+// (restart step 5, "restore memory"), charging the per-area install
+// bookkeeping, the one restore charge both image kinds pay here.  The
+// bulk, reading and decompressing the payloads, is charged by
+// ChargeMemoryRestore for a monolithic image and by Restore for a store
+// image.
 func InstallMemory(p *kernel.Process, img *Image, t *kernel.Task, shm ShmResolver) {
+	t.Compute(time.Duration(len(img.Areas)) * t.P.Node.Cluster.Params.PerAreaCost)
 	p.Mem = kernel.NewAddressSpace()
 	for _, rec := range img.Areas {
 		if rec.ShmBacking != "" && shm != nil {
@@ -273,17 +262,4 @@ func InstallMemory(p *kernel.Process, img *Image, t *kernel.Task, shm ShmResolve
 	}
 	p.ProgName = img.ProgName
 	p.Args = append([]string(nil), img.Args...)
-}
-
-// EstimateCheckpointCPU returns the modeled compression CPU time for
-// the image (useful to size forked-checkpoint background work).
-func EstimateCheckpointCPU(img *Image, p *model.Params, compress bool) time.Duration {
-	if !compress {
-		return 0
-	}
-	var d time.Duration
-	for _, a := range img.Areas {
-		d += p.CompressTime(a.Bytes, a.Class())
-	}
-	return d
 }

@@ -95,9 +95,9 @@ type LazyChunk struct {
 // it first — it is metadata-sized); chunk payloads may live anywhere
 // opts.Fetch can reach.  Area buffers are sized from their recorded
 // payload lengths and every installed chunk lands at its offset.  The
-// image has its bulk restore cost paid — ChargeMemoryRestore on it
-// charges only per-area install bookkeeping; pending chunks (lazy
-// only, hottest-first) are paid for by whoever installs them.
+// image has its bulk restore cost paid, so InstallMemory charges only
+// its per-area bookkeeping; pending chunks (lazy only, hottest-first)
+// are paid for by whoever installs them.
 func Restore(t *kernel.Task, path string, opts RestoreOptions) (*Image, []LazyChunk, RestoreStats, error) {
 	p := t.P.Node.Cluster.Params
 	var rs RestoreStats
@@ -298,8 +298,6 @@ func Restore(t *kernel.Task, path string, opts RestoreOptions) (*Image, []LazyCh
 		return nil, nil, rs, fetchErr
 	}
 
-	img.manifest = m
-	img.bulkCharged = true
 	rs.Took = t.Now().Sub(start)
 	name := "restore.pipeline"
 	if opts.Lazy {

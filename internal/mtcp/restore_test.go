@@ -61,13 +61,13 @@ func installPending(t *testing.T, s *store.Store, task *kernel.Task, img *Image,
 }
 
 // TestRestoreStreamedMatchesLoadChunked pins the acceptance contract:
-// the restore pipeline reconstructs a byte-identical image to the
-// non-streamed loadChunked path, at every worker count, reading every
-// chunk off the disk exactly once (the node's read pipe serves the
-// metadata plus each chunk's stored bytes, nothing more), and a local
-// (short-circuit) restore reports no fetch and no overlap.  A lazy
-// restore at any skeleton size returns a skeleton that, once its
-// pending chunks are installed, is the same image.
+// the restore pipeline reconstructs the image that was written, byte
+// for byte, at every worker count, reading every chunk off the disk
+// exactly once (the node's read pipe serves the metadata plus each
+// chunk's stored bytes, nothing more), and a local (short-circuit)
+// restore reports no fetch and no overlap.  A lazy restore at any
+// skeleton size returns a skeleton that, once its pending chunks are
+// installed, is the same image.
 func TestRestoreStreamedMatchesLoadChunked(t *testing.T) {
 	eng, c := testCluster(t)
 	run(t, eng, c, func(task *kernel.Task) {
@@ -75,14 +75,10 @@ func TestRestoreStreamedMatchesLoadChunked(t *testing.T) {
 		s := store.Open(task.P.Node, store.Config{Root: "/ckpt/rs/store", Compress: true})
 		res := WriteImage(task, img, WriteOptions{Store: s, Workers: 4})
 
-		want, err := LoadImage(task, res.Path)
-		if err != nil {
-			t.Fatalf("loadChunked: %v", err)
-		}
-		ref := imageBytes(want)
+		ref := imageBytes(img)
 		ino, _ := task.P.Node.FS.ReadFile(res.Path)
 		reads := ino.Size() + 64*1024 // the manifest and header tables
-		for _, e := range want.Ext {
+		for _, e := range img.Ext {
 			reads += int64(len(e))
 		}
 		m, _ := s.LoadManifest(res.Path)
@@ -98,7 +94,7 @@ func TestRestoreStreamedMatchesLoadChunked(t *testing.T) {
 				t.Fatalf("streamed restore (%d workers): %v", workers, err)
 			}
 			if !bytes.Equal(imageBytes(got), ref) {
-				t.Errorf("%d workers: streamed image differs from loadChunked", workers)
+				t.Errorf("%d workers: streamed image differs from the written one", workers)
 			}
 			if n := disk.TotalBytes() - before; n != reads {
 				t.Errorf("%d workers: restore read %d bytes off the disk, want %d", workers, n, reads)
@@ -129,7 +125,33 @@ func TestRestoreStreamedMatchesLoadChunked(t *testing.T) {
 			}
 			installPending(t, s, task, got, pending)
 			if !bytes.Equal(imageBytes(got), ref) {
-				t.Errorf("skeleton %d + pending differs from loadChunked", skel)
+				t.Errorf("skeleton %d + pending differs from the written image", skel)
+			}
+		}
+	})
+}
+
+// TestMonolithicRestoreReadsTheFileOnce pins what a monolithic restart
+// reads off the disk: the restart program's LoadImage reads the header
+// and the tables, the restored process's ChargeMemoryRestore the rest,
+// so the pair reads the image file once, compressed or not.
+func TestMonolithicRestoreReadsTheFileOnce(t *testing.T) {
+	eng, c := testCluster(t)
+	run(t, eng, c, func(task *kernel.Task) {
+		img := buildPipelineImage(task)
+		for _, compress := range []bool{true, false} {
+			res := WriteImage(task, img, WriteOptions{Dir: "/ckpt", Compress: compress})
+			ino, _ := task.P.Node.FS.ReadFile(res.Path)
+			disk := task.P.Node.DiskR
+			before := disk.TotalBytes()
+			got, err := LoadImage(task, res.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ChargeMemoryRestore(task, got, res.Path, 4)
+			if n := disk.TotalBytes() - before; n != ino.Size() {
+				t.Errorf("compress=%v: restore read %d bytes off the disk for a %d-byte file",
+					compress, n, ino.Size())
 			}
 		}
 	})
@@ -237,10 +259,6 @@ func TestRestoreStreamedOverlapsFetch(t *testing.T) {
 		img := buildPipelineImage(task)
 		src := store.Open(task.P.Node, store.Config{Root: "/ckpt/of-src/store", Compress: true})
 		res := WriteImage(task, img, WriteOptions{Store: src, Workers: 4})
-		want, err := LoadImage(task, res.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
 
 		// A second root holding only the manifest: every chunk must
 		// come through the fetcher.
@@ -263,9 +281,9 @@ func TestRestoreStreamedOverlapsFetch(t *testing.T) {
 		if rs.Took < rs.Fetch {
 			t.Errorf("pipeline took %v < fetch stage %v", rs.Took, rs.Fetch)
 		}
-		// Payloads identical to the local load (identity fields differ
-		// only in nothing: same header).
-		if !bytes.Equal(imageBytes(got), imageBytes(want)) {
+		// Payloads identical to the image written (identity fields
+		// differ only in nothing: same header).
+		if !bytes.Equal(imageBytes(got), imageBytes(img)) {
 			t.Error("remotely streamed image differs from source image")
 		}
 	})

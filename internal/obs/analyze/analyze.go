@@ -184,12 +184,17 @@ func score(v int64, med float64) float64 {
 
 // Analyze runs the critical-path pass over every event the tracer has
 // recorded and returns the summary.  It is read-only and deterministic.
-func Analyze(tr *obs.Tracer) *Summary {
+func Analyze(tr *obs.Tracer) *Summary { return AnalyzeSince(tr, 0) }
+
+// AnalyzeSince runs the pass over the events recorded from index from
+// on, so a caller that traces one experiment after another pays for
+// the latest one only.
+func AnalyzeSince(tr *obs.Tracer, from int) *Summary {
 	s := &Summary{}
 	if tr == nil {
 		return s
 	}
-	evs := tr.Events()
+	evs := tr.Events()[from:]
 	s.Rounds = analyzeRounds(tr, evs)
 	s.Restarts = analyzeRestarts(tr, evs)
 	return s

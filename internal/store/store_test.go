@@ -111,18 +111,17 @@ func TestRoundtripByteEqualityThroughStore(t *testing.T) {
 		if !store.IsManifestPath(res.Path) {
 			t.Fatalf("path %q is not a manifest path", res.Path)
 		}
-		got, err := mtcp.LoadImage(task, res.Path)
+		// The restore must stream the stored bytes, charging for them.
+		t0 := task.Now()
+		got, _, _, err := mtcp.Restore(task, res.Path, mtcp.RestoreOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
-		if !bytes.Equal(got.Encode(), img.Encode()) {
-			t.Error("image did not round-trip byte-exactly through the store")
-		}
-		// Bulk restore charging must stream the stored bytes.
-		t0 := task.Now()
-		mtcp.ChargeMemoryRestore(task, got, res.Path, 1)
 		if took := task.Now().Sub(t0); took <= 0 {
 			t.Errorf("restore charged %v", took)
+		}
+		if !bytes.Equal(got.Encode(), img.Encode()) {
+			t.Error("image did not round-trip byte-exactly through the store")
 		}
 	})
 }
@@ -168,7 +167,7 @@ func TestGCReclaimsUnreferencedChunks(t *testing.T) {
 			}
 		}
 		// The surviving generation must still restore.
-		got, err := mtcp.LoadImage(task, res2.Path)
+		got, _, _, err := mtcp.Restore(task, res2.Path, mtcp.RestoreOptions{})
 		if err != nil {
 			t.Fatalf("load after GC: %v", err)
 		}
@@ -312,7 +311,7 @@ func TestGCNeverCollectsUnreplicatedChunks(t *testing.T) {
 		if gens := s.Generations(name); len(gens) != 1 || gens[0] != 3 {
 			t.Errorf("generations after full replication = %v, want [3]", gens)
 		}
-		if _, err := mtcp.LoadImage(task, paths[2]); err != nil {
+		if _, _, _, err := mtcp.Restore(task, paths[2], mtcp.RestoreOptions{}); err != nil {
 			t.Errorf("surviving generation unrestorable: %v", err)
 		}
 	})
