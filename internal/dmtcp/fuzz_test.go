@@ -1,10 +1,9 @@
 package dmtcp
 
 import (
-	"reflect"
-	"runtime"
 	"testing"
 
+	"repro/internal/fuzzcheck"
 	"repro/internal/kernel"
 )
 
@@ -15,14 +14,15 @@ import (
 // three things: the decoder never panics; a table it decodes without
 // error encodes back to bytes that decode to an equal table; and
 // decoding allocates at most a constant times the input's length (plus
-// 64 KiB of slack for what the fuzzing engine allocates meanwhile).
+// 64 KiB of slack for what the fuzzing engine allocates meanwhile);
+// fuzzcheck.Decoder makes them.
 
 func FuzzDecodeFDTable(f *testing.F) {
-	fuzzTable(f, decodeFDTable, encodeFDTable)
+	fuzzcheck.Decoder(f, decodeFDTable, encodeFDTable)
 }
 
 func FuzzDecodeConns(f *testing.F) {
-	fuzzTable(f, decodeConns, encodeConns)
+	fuzzcheck.Decoder(f, decodeConns, encodeConns)
 }
 
 // pidSection is decodePids' result as one value.
@@ -32,33 +32,8 @@ type pidSection struct {
 }
 
 func FuzzDecodePids(f *testing.F) {
-	fuzzTable(f, func(b []byte) (pidSection, error) {
+	fuzzcheck.Decoder(f, func(b []byte) (pidSection, error) {
 		virt, table, err := decodePids(b)
 		return pidSection{virt, table}, err
 	}, func(s pidSection) []byte { return encodePids(s.virt, s.table) })
-}
-
-// fuzzTable runs decode on every input under the three checks above.
-func fuzzTable[T any](f *testing.F, decode func([]byte) (T, error), encode func(T) []byte) {
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var v T
-		var err error
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		v, err = decode(b)
-		runtime.ReadMemStats(&after)
-		if n, budget := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(b))+1<<16; n > budget {
-			t.Fatalf("decoding %d bytes allocated %d, over %d", len(b), n, budget)
-		}
-		if err != nil {
-			return
-		}
-		again, err := decode(encode(v))
-		if err != nil {
-			t.Fatalf("re-encoded table fails to decode: %v", err)
-		}
-		if !reflect.DeepEqual(v, again) {
-			t.Fatalf("round trip changed the table:\n  %+v\n  %+v", v, again)
-		}
-	})
 }
