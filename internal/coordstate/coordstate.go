@@ -44,6 +44,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bin"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
@@ -105,12 +106,8 @@ func StragglerScores(writeByHost map[string]time.Duration) map[string]float64 {
 	if len(writeByHost) < 2 {
 		return nil
 	}
-	hosts := make([]string, 0, len(writeByHost))
+	hosts := bin.SortedKeys(writeByHost)
 	ws := make([]time.Duration, 0, len(writeByHost))
-	for h := range writeByHost {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
 	for _, h := range hosts {
 		ws = append(ws, writeByHost[h])
 	}
@@ -199,14 +196,7 @@ func BarriersPassed(r *RoundState, cid int64) int {
 }
 
 // ParticipantIDs returns the round's participants in id order.
-func (r *RoundState) ParticipantIDs() []int64 {
-	out := make([]int64, 0, len(r.Participants))
-	for id := range r.Participants {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (r *RoundState) ParticipantIDs() []int64 { return bin.SortedKeys(r.Participants) }
 
 // Restart rank stages, in order.  A rank's stage only ever advances,
 // so a promoted leader can seed group barriers from the journaled
@@ -243,14 +233,7 @@ type RestartGroup struct {
 }
 
 // RankHosts returns the group's rank hosts in deterministic order.
-func (g *RestartGroup) RankHosts() []string {
-	out := make([]string, 0, len(g.Ranks))
-	for h := range g.Ranks {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
+func (g *RestartGroup) RankHosts() []string { return bin.SortedKeys(g.Ranks) }
 
 // RanksAtLeast counts ranks whose journaled stage is at or past the
 // given stage — the seed count for a re-armed group barrier.
@@ -287,14 +270,7 @@ type PlaceInfo struct {
 }
 
 // HolderHosts returns the holder hostnames in deterministic order.
-func (pi *PlaceInfo) HolderHosts() []string {
-	out := make([]string, 0, len(pi.Holders))
-	for h := range pi.Holders {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
+func (pi *PlaceInfo) HolderHosts() []string { return bin.SortedKeys(pi.Holders) }
 
 // State is the coordinator's complete logical state: everything a
 // standby needs to take over mid-computation.
@@ -357,14 +333,7 @@ func NewState() *State {
 }
 
 // ClientIDs returns the registered client ids in order.
-func (st *State) ClientIDs() []int64 {
-	out := make([]int64, 0, len(st.Clients))
-	for id := range st.Clients {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (st *State) ClientIDs() []int64 { return bin.SortedKeys(st.Clients) }
 
 // ClientByDesc resolves a manager identity to its client id (0 if
 // unknown) — the resync lookup.

@@ -426,64 +426,9 @@ func placeImage(st *State, img ImageInfo) {
 
 // Encode serializes an event for the journal.
 func (ev Event) Encode() []byte {
-	var e bin.Encoder
-	e.B = append(e.B, byte(ev.Kind))
-	e.I64(int64(ev.Now))
-	switch ev.Kind {
-	case EvRegister:
-		e.Str(ev.Desc)
-	case EvDisconnect:
-		e.I64(ev.CID)
-	case EvCkptRequest:
-		e.Bool(ev.Cfg.Compress)
-		e.Bool(ev.Cfg.Fsync)
-		e.Bool(ev.Cfg.Forked)
-		e.Bool(ev.Cfg.Store)
-	case EvBarrier:
-		e.I64(ev.CID)
-		e.Str(ev.Barrier)
-		e.I64(ev.RoundTag)
-		e.Bool(ev.Image != nil)
-		if ev.Image != nil {
-			e.I64(int64(ev.Stage))
-			encodeImage(&e, ev.Image)
-		}
-	case EvAdvertise:
-		e.Str(ev.GUID)
-		e.Str(ev.Addr.Host)
-		e.Int(ev.Addr.Port)
-	case EvReplicated:
-		e.Str(ev.Name)
-		e.I64(ev.Gen)
-		e.Str(ev.Holder)
-	case EvWatermark:
-		e.Str(ev.Name)
-		e.I64(ev.Gen)
-	case EvTakeover:
-		e.Str(ev.Leader)
-		e.I64(ev.Epoch)
-	case EvHealth:
-		e.Str(ev.Host)
-		encodeHealth(&e, &ev.Health)
-	case EvResync:
-		e.I64(ev.CID)
-		e.I64(ev.RoundTag)
-		e.Int(ev.Expect)
-	case EvRestartGroup:
-		e.Str(ev.Name)
-		e.Int(ev.Expect)
-		e.U32(uint32(len(ev.Hosts)))
-		for _, h := range ev.Hosts {
-			e.Str(h)
-		}
-	case EvRestartRank:
-		e.Str(ev.Name)
-		e.Str(ev.Host)
-		e.Str(ev.Msg)
-	case EvRestartDone:
-		e.Str(ev.Name)
-	}
-	return e.B
+	c := bin.Encoding(byte(ev.Kind))
+	ev.code(&c)
+	return c.E.B
 }
 
 // DecodeEvent deserializes a journal event.
@@ -491,67 +436,68 @@ func DecodeEvent(b []byte) (Event, error) {
 	if len(b) == 0 {
 		return Event{}, fmt.Errorf("%w: empty record", ErrUnknownEvent)
 	}
-	d := &bin.Decoder{B: b[1:]}
 	ev := Event{Kind: EventKind(b[0])}
-	ev.Now = sim.Time(d.I64())
-	switch ev.Kind {
-	case EvRegister:
-		ev.Desc = d.Str()
-	case EvDisconnect:
-		ev.CID = d.I64()
-	case EvCkptRequest:
-		ev.Cfg.Compress = d.Bool()
-		ev.Cfg.Fsync = d.Bool()
-		ev.Cfg.Forked = d.Bool()
-		ev.Cfg.Store = d.Bool()
-	case EvBarrier:
-		ev.CID = d.I64()
-		ev.Barrier = d.Str()
-		ev.RoundTag = d.I64()
-		if d.Bool() {
-			ev.Stage = time.Duration(d.I64())
-			img := decodeImage(d)
-			ev.Image = &img
-		}
-	case EvAdvertise:
-		ev.GUID = d.Str()
-		ev.Addr.Host = d.Str()
-		ev.Addr.Port = d.Int()
-	case EvReplicated:
-		ev.Name = d.Str()
-		ev.Gen = d.I64()
-		ev.Holder = d.Str()
-	case EvWatermark:
-		ev.Name = d.Str()
-		ev.Gen = d.I64()
-	case EvTakeover:
-		ev.Leader = d.Str()
-		ev.Epoch = d.I64()
-	case EvHealth:
-		ev.Host = d.Str()
-		ev.Health = decodeHealth(d)
-	case EvResync:
-		ev.CID = d.I64()
-		ev.RoundTag = d.I64()
-		ev.Expect = d.Int()
-	case EvRestartGroup:
-		ev.Name = d.Str()
-		ev.Expect = d.Int()
-		n := int(d.U32())
-		for i := 0; i < n && d.Err == nil; i++ {
-			ev.Hosts = append(ev.Hosts, d.Str())
-		}
-	case EvRestartRank:
-		ev.Name = d.Str()
-		ev.Host = d.Str()
-		ev.Msg = d.Str()
-	case EvRestartDone:
-		ev.Name = d.Str()
-	default:
+	if ev.Kind < EvRegister || ev.Kind > EvRestartDone {
 		return Event{}, fmt.Errorf("%w: kind %d", ErrUnknownEvent, b[0])
 	}
-	if d.Err != nil {
-		return Event{}, fmt.Errorf("coordstate: decode %d: %w", ev.Kind, d.Err)
+	c := bin.Decoding(b[1:])
+	ev.code(&c)
+	if c.D.Err != nil {
+		return Event{}, fmt.Errorf("coordstate: decode %d: %w", ev.Kind, c.D.Err)
 	}
 	return ev, nil
+}
+
+// code lists the fields of ev's kind after the kind byte.
+func (ev *Event) code(c *bin.Coder) {
+	c.I64((*int64)(&ev.Now))
+	switch ev.Kind {
+	case EvRegister:
+		c.Str(&ev.Desc)
+	case EvDisconnect:
+		c.I64(&ev.CID)
+	case EvCkptRequest:
+		ev.Cfg.code(c)
+	case EvBarrier:
+		c.I64(&ev.CID)
+		c.Str(&ev.Barrier)
+		c.I64(&ev.RoundTag)
+		if img := bin.Opt(c, &ev.Image); img != nil {
+			c.I64((*int64)(&ev.Stage))
+			img.Code(c)
+		}
+	case EvAdvertise:
+		c.Str(&ev.GUID)
+		c.Str(&ev.Addr.Host)
+		c.Int(&ev.Addr.Port)
+	case EvReplicated:
+		c.Str(&ev.Name)
+		c.I64(&ev.Gen)
+		c.Str(&ev.Holder)
+	case EvWatermark:
+		c.Str(&ev.Name)
+		c.I64(&ev.Gen)
+	case EvTakeover:
+		c.Str(&ev.Leader)
+		c.I64(&ev.Epoch)
+	case EvHealth:
+		c.Str(&ev.Host)
+		ev.Health.code(c)
+	case EvResync:
+		c.I64(&ev.CID)
+		c.I64(&ev.RoundTag)
+		c.Int(&ev.Expect)
+	case EvRestartGroup:
+		c.Str(&ev.Name)
+		c.Int(&ev.Expect)
+		for i := range bin.List(c, &ev.Hosts, 4) {
+			c.Str(&ev.Hosts[i])
+		}
+	case EvRestartRank:
+		c.Str(&ev.Name)
+		c.Str(&ev.Host)
+		c.Str(&ev.Msg)
+	case EvRestartDone:
+		c.Str(&ev.Name)
+	}
 }

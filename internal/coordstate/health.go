@@ -1,8 +1,6 @@
 package coordstate
 
 import (
-	"math"
-	"sort"
 	"time"
 
 	"repro/internal/bin"
@@ -104,33 +102,17 @@ func (h *HostHealth) Deadline(factor float64, floor, cap time.Duration) time.Dur
 	return d
 }
 
-// encodeHealth writes a health summary; EvHealth and the snapshot
+// code lists a health summary's fields; EvHealth and the snapshot
 // share it.  The leader-local clock is not part of a summary.
-func encodeHealth(e *bin.Encoder, h *HostHealth) {
-	e.I64(h.Count)
-	e.I64(int64(math.Float64bits(h.MeanNS)))
-	e.I64(int64(math.Float64bits(h.M2NS)))
-	e.I64(h.Cores)
-}
-
-func decodeHealth(d *bin.Decoder) HostHealth {
-	var h HostHealth
-	h.Count = d.I64()
-	h.MeanNS = math.Float64frombits(uint64(d.I64()))
-	h.M2NS = math.Float64frombits(uint64(d.I64()))
-	h.Cores = d.I64()
-	return h
+func (h *HostHealth) code(c *bin.Coder) {
+	c.I64(&h.Count)
+	c.F64(&h.MeanNS)
+	c.F64(&h.M2NS)
+	c.I64(&h.Cores)
 }
 
 // HealthHosts returns the registry hostnames in deterministic order.
-func (st *State) HealthHosts() []string {
-	out := make([]string, 0, len(st.Health))
-	for h := range st.Health {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
+func (st *State) HealthHosts() []string { return bin.SortedKeys(st.Health) }
 
 // HostDeadline is the State-level lookup the standby election wait and
 // the partition watchdog use: the adaptive deadline for host from its

@@ -220,12 +220,18 @@ func Replay(entries []Entry) (*Machine, error) {
 // stream, so an on-disk journal can grow by appending the suffix
 // instead of being rewritten whole.
 func EncodeEntries(entries []Entry) []byte {
-	var e bin.Encoder
-	for _, ent := range entries {
-		e.I64(ent.Seq)
-		e.Bytes(ent.Data)
+	c := bin.Encoding()
+	for i := range entries {
+		entries[i].Code(&c)
 	}
-	return e.B
+	return c.E.B
+}
+
+// Code lists a journal record's fields; the on-disk journal and the
+// replica's append frame carry it.
+func (e *Entry) Code(c *bin.Coder) {
+	c.I64(&e.Seq)
+	c.Bytes(&e.Data)
 }
 
 // snapshotSeq marks a snapshot record in the on-disk journal stream:
@@ -248,18 +254,15 @@ func (m *Machine) JournalBytes() []byte {
 // A leading negative-seq record is a compaction snapshot (see
 // JournalBytes); RestoreJournal consumes it.
 func DecodeJournal(b []byte) ([]Entry, error) {
-	d := &bin.Decoder{B: b}
+	c := bin.Decoding(b)
 	var out []Entry
-	for len(d.B) > 0 && d.Err == nil {
-		seq := d.I64()
-		data := d.Bytes()
-		if d.Err != nil {
-			break
+	for len(c.D.B) > 0 {
+		var e Entry
+		e.Code(&c)
+		if c.D.Err != nil {
+			return nil, fmt.Errorf("coordstate: journal decode: %w", c.D.Err)
 		}
-		out = append(out, Entry{Seq: seq, Data: append([]byte(nil), data...)})
-	}
-	if d.Err != nil {
-		return nil, fmt.Errorf("coordstate: journal decode: %w", d.Err)
+		out = append(out, e)
 	}
 	return out, nil
 }

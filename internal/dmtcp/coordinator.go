@@ -435,12 +435,7 @@ func (co *Coordinator) beat(host string, at sim.Time, cores int64) {
 // checkpoint request, so that round's straggler hints know every
 // host's cores and standbys inherit statistics at most one round old.
 func (co *Coordinator) journalHealth(t *kernel.Task) {
-	hosts := make([]string, 0, len(co.health))
-	for host := range co.health {
-		hosts = append(hosts, host)
-	}
-	sort.Strings(hosts)
-	for _, host := range hosts {
+	for _, host := range bin.SortedKeys(co.health) {
 		h := co.health[host]
 		if old := co.st().Health[host]; old != nil && old.Count == h.Count && old.Cores == h.Cores {
 			continue
@@ -552,12 +547,7 @@ func (co *Coordinator) onGroupJoin(t *kernel.Task, name string, want int, rank s
 	}
 	co.commitBarrier(t)
 	g.released = true
-	ids := make([]string, 0, len(g.fds))
-	for id := range g.fds {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range bin.SortedKeys(g.fds) {
 		release(g.fds[id])
 	}
 	g.fds = make(map[string]int)
@@ -627,17 +617,11 @@ func (co *Coordinator) resync(t *kernel.Task, fd int, body []byte) int64 {
 // receiving manager's host (0 = no hint).
 func (co *Coordinator) doCkptFrame(tag int64, hint int) []byte {
 	cfg := co.Sys.Cfg
-	var e bin.Encoder
-	e.B = append(e.B, msgDoCkpt)
-	e.Str(cfg.CkptDir)
-	e.Bool(cfg.Compress)
-	e.Bool(cfg.Fsync)
-	e.Bool(cfg.Forked)
-	e.Bool(cfg.Store)
-	e.I64(tag)
-	e.Int(cfg.CkptWorkers)
-	e.Int(hint)
-	return e.B
+	req := ckptConfig{Dir: cfg.CkptDir, Compress: cfg.Compress, Fsync: cfg.Fsync, Forked: cfg.Forked,
+		Store: cfg.Store, Tag: tag, Workers: cfg.CkptWorkers, Hint: hint}
+	c := bin.Encoding(msgDoCkpt)
+	req.code(&c)
+	return c.E.B
 }
 
 // hintFor looks up the straggler-response worker pre-size for cid's
@@ -697,14 +681,14 @@ func (co *Coordinator) requestCheckpoint(t *kernel.Task) {
 // checkpointed arrival carries the write time and the image's
 // placement.
 func (co *Coordinator) onBarrier(t *kernel.Task, cid int64, body []byte) {
-	d := &bin.Decoder{B: body}
+	c := bin.Decoding(body)
 	ev := coordstate.Event{Kind: coordstate.EvBarrier, Now: t.Now(), CID: cid}
-	ev.Barrier = d.Str()
-	ev.RoundTag = d.I64()
+	ev.Barrier = c.D.Str()
+	ev.RoundTag = c.D.I64()
 	if ev.Barrier == coordstate.BarrierCheckpointed {
-		ev.Stage = time.Duration(d.I64())
-		ev.Image = &coordstate.ImageInfo{Host: d.Str(), Path: d.Str(), Prog: d.Str(),
-			VirtPid: kernel.Pid(d.I64()), Generation: d.I64()}
+		ev.Stage = time.Duration(c.D.I64())
+		ev.Image = new(coordstate.ImageInfo)
+		ev.Image.Code(&c)
 	}
 	co.apply(t, ev)
 }

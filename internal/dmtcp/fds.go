@@ -355,114 +355,87 @@ func (pi *procImage) readSections() error {
 	return nil
 }
 
-// The least bytes one record of each table encodes to.  A decoder
-// caps its preallocation at the bytes left divided by these, so a
-// corrupt count cannot size a buffer beyond what its input can hold.
+// The least bytes one record of each table encodes to: a decoder
+// fails a count the bytes left could not hold.
 const (
 	fdRecBytes   = 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4 + 1 + 4 + 1 + 1 + 8 + 8
 	connRecBytes = 8 + 4
 	pidRecBytes  = 8 + 8
 )
 
+// Each table lists its fields once, in a code function over a
+// bin.Coder; the encode and decode functions run it either way.
+
 func encodeFDTable(recs []FDRec) []byte {
-	var e bin.Encoder
-	e.U32(uint32(len(recs)))
-	for _, r := range recs {
-		e.Int(r.FD)
-		e.U32(uint32(r.Kind))
-		e.I64(r.OFID)
-		e.I64(r.Owner)
-		e.Str(r.Path)
-		e.I64(r.Offset)
-		e.Int(r.Port)
-		e.Str(r.GUID)
-		e.Bool(r.Accept)
-		e.Str(r.Pty)
-		e.Bool(r.Modes.Echo)
-		e.Bool(r.Modes.Canon)
-		e.Int(r.Modes.Rows)
-		e.Int(r.Modes.Cols)
-	}
-	return e.B
+	c := bin.Encoding()
+	codeFDTable(&c, &recs)
+	return c.E.B
 }
 
-func decodeFDTable(b []byte) ([]FDRec, error) {
-	d := &bin.Decoder{B: b}
-	n := int(d.U32())
-	out := make([]FDRec, 0, min(n, len(d.B)/fdRecBytes))
-	for i := 0; i < n && d.Err == nil; i++ {
-		var r FDRec
-		r.FD = d.Int()
-		r.Kind = FDKind(d.U32())
-		r.OFID = d.I64()
-		r.Owner = d.I64()
-		r.Path = d.Str()
-		r.Offset = d.I64()
-		r.Port = d.Int()
-		r.GUID = d.Str()
-		r.Accept = d.Bool()
-		r.Pty = d.Str()
-		r.Modes.Echo = d.Bool()
-		r.Modes.Canon = d.Bool()
-		r.Modes.Rows = d.Int()
-		r.Modes.Cols = d.Int()
-		out = append(out, r)
+func decodeFDTable(b []byte) (recs []FDRec, err error) {
+	c := bin.Decoding(b)
+	codeFDTable(&c, &recs)
+	return recs, c.D.Err
+}
+
+func codeFDTable(c *bin.Coder, recs *[]FDRec) {
+	for i := range bin.List(c, recs, fdRecBytes) {
+		r := &(*recs)[i]
+		c.Int(&r.FD)
+		bin.U32Of(c, &r.Kind)
+		c.I64(&r.OFID)
+		c.I64(&r.Owner)
+		c.Str(&r.Path)
+		c.I64(&r.Offset)
+		c.Int(&r.Port)
+		c.Str(&r.GUID)
+		c.Bool(&r.Accept)
+		c.Str(&r.Pty)
+		c.Bool(&r.Modes.Echo)
+		c.Bool(&r.Modes.Canon)
+		c.Int(&r.Modes.Rows)
+		c.Int(&r.Modes.Cols)
 	}
-	return out, d.Err
 }
 
 func encodeConns(recs []ConnRec) []byte {
-	var e bin.Encoder
-	e.U32(uint32(len(recs)))
-	for _, r := range recs {
-		e.I64(r.OFID)
-		e.Bytes(r.Drained)
-	}
-	return e.B
+	c := bin.Encoding()
+	codeConns(&c, &recs)
+	return c.E.B
 }
 
-func decodeConns(b []byte) ([]ConnRec, error) {
-	d := &bin.Decoder{B: b}
-	n := int(d.U32())
-	out := make([]ConnRec, 0, min(n, len(d.B)/connRecBytes))
-	for i := 0; i < n && d.Err == nil; i++ {
-		out = append(out, ConnRec{OFID: d.I64(), Drained: d.Bytes()})
+func decodeConns(b []byte) (recs []ConnRec, err error) {
+	c := bin.Decoding(b)
+	codeConns(&c, &recs)
+	return recs, c.D.Err
+}
+
+func codeConns(c *bin.Coder, recs *[]ConnRec) {
+	for i := range bin.List(c, recs, connRecBytes) {
+		c.I64(&(*recs)[i].OFID)
+		c.Bytes(&(*recs)[i].Drained)
 	}
-	return out, d.Err
 }
 
 func encodePids(virt kernel.Pid, table map[kernel.Pid]kernel.Pid) []byte {
-	var e bin.Encoder
-	e.I64(int64(virt))
-	e.U32(uint32(len(table)))
-	for _, k := range sortedPids(table) {
-		e.I64(int64(k))
-		e.I64(int64(table[k]))
-	}
-	return e.B
+	c := bin.Encoding()
+	codePids(&c, &virt, &table)
+	return c.E.B
 }
 
-func decodePids(b []byte) (kernel.Pid, map[kernel.Pid]kernel.Pid, error) {
-	d := &bin.Decoder{B: b}
-	virt := kernel.Pid(d.I64())
-	n := int(d.U32())
-	table := make(map[kernel.Pid]kernel.Pid, min(n, len(d.B)/pidRecBytes))
-	for i := 0; i < n && d.Err == nil; i++ {
-		k := kernel.Pid(d.I64())
-		table[k] = kernel.Pid(d.I64())
-	}
-	return virt, table, d.Err
+func decodePids(b []byte) (virt kernel.Pid, table map[kernel.Pid]kernel.Pid, err error) {
+	c := bin.Decoding(b)
+	table = make(map[kernel.Pid]kernel.Pid)
+	codePids(&c, &virt, &table)
+	return virt, table, c.D.Err
 }
 
-func sortedPids(m map[kernel.Pid]kernel.Pid) []kernel.Pid {
-	out := make([]kernel.Pid, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+func codePids(c *bin.Coder, virt *kernel.Pid, table *map[kernel.Pid]kernel.Pid) {
+	c.Int((*int)(virt))
+	for _, k := range bin.Map(c, table, pidRecBytes) {
+		c.Int((*int)(&k))
+		v := (*table)[k]
+		c.Int((*int)(&v))
+		bin.Put(c, *table, k, v)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

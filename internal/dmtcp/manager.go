@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/bin"
+	"repro/internal/coordstate"
 	"repro/internal/kernel"
 	"repro/internal/mtcp"
 	"repro/internal/obs"
@@ -269,17 +270,10 @@ func (m *Manager) loop(t *kernel.Task) {
 
 // decodeCkptConfig decodes a begin-checkpoint request (doCkptFrame).
 func decodeCkptConfig(frame []byte) ckptConfig {
-	d := &bin.Decoder{B: frame[1:]}
-	return ckptConfig{
-		Dir:      d.Str(),
-		Compress: d.Bool(),
-		Fsync:    d.Bool(),
-		Forked:   d.Bool(),
-		Store:    d.Bool(),
-		Tag:      d.I64(),
-		Workers:  d.Int(),
-		Hint:     d.Int(),
-	}
+	c := bin.Decoding(frame[1:])
+	var cfg ckptConfig
+	cfg.code(&c)
+	return cfg
 }
 
 type ckptConfig struct {
@@ -298,6 +292,18 @@ type ckptConfig struct {
 	// adaptive worker sizing, set when this host's write stage lagged
 	// the cluster median last round (0 = no hint).
 	Hint int
+}
+
+// code lists the begin-checkpoint request's fields.
+func (cfg *ckptConfig) code(c *bin.Coder) {
+	c.Str(&cfg.Dir)
+	c.Bool(&cfg.Compress)
+	c.Bool(&cfg.Fsync)
+	c.Bool(&cfg.Forked)
+	c.Bool(&cfg.Store)
+	c.I64(&cfg.Tag)
+	c.Int(&cfg.Workers)
+	c.Int(&cfg.Hint)
 }
 
 // barrier reports arrival at a named global barrier and blocks until
@@ -319,20 +325,16 @@ func (m *Manager) barrier(t *kernel.Task, name string, stage time.Duration, res 
 		t.Trace().Span(t.Host(), m.track(t), "barrier."+name, "coord", bStart, t.Now())
 	}()
 	m.sys.reportBarrier(m.curTag, m.desc, name, stage, res)
-	var e bin.Encoder
-	e.B = append(e.B, msgBarrier)
-	e.Str(name)
-	e.I64(m.curTag)
+	c := bin.Encoding(msgBarrier)
+	c.E.Str(name)
+	c.E.I64(m.curTag)
 	if res != nil {
-		e.I64(int64(stage))
-		e.Str(t.P.Node.Hostname)
-		e.Str(res.Path)
-		e.Str(t.P.ProgName)
-		e.I64(int64(m.virtPid))
-		e.I64(res.Generation)
+		c.E.I64(int64(stage))
+		img := m.placement(t, res)
+		img.Code(&c)
 	}
 	for {
-		if err := t.SendFrame(m.coordFD, e.B); err != nil {
+		if err := t.SendFrame(m.coordFD, c.E.B); err != nil {
 			if lerr := m.coordLost(t); lerr != nil {
 				return lerr
 			}
@@ -364,6 +366,13 @@ func (m *Manager) barrier(t *kernel.Task, name string, stage time.Duration, res 
 			}
 		}
 	}
+}
+
+// placement is where the image res wrote landed, as the checkpointed
+// arrival reports it.
+func (m *Manager) placement(t *kernel.Task, res *mtcp.WriteResult) coordstate.ImageInfo {
+	return coordstate.ImageInfo{Host: t.P.Node.Hostname, Path: res.Path, Prog: t.P.ProgName,
+		VirtPid: m.virtPid, Generation: res.Generation}
 }
 
 // doCheckpoint executes stages 2–7 of the checkpoint algorithm.

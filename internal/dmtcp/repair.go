@@ -1,8 +1,7 @@
 package dmtcp
 
 import (
-	"sort"
-
+	"repro/internal/bin"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/replica"
@@ -86,12 +85,7 @@ func (co *Coordinator) spawnRepair() {
 func (co *Coordinator) repairDegraded(t *kernel.Task) (degraded, restored int) {
 	sys := co.Sys
 	var plans []repairPlan
-	names := make([]string, 0, len(co.st().Placement))
-	for name := range co.st().Placement {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range bin.SortedKeys(co.st().Placement) {
 		if plan, ok := co.planRepair(name); ok {
 			degraded++
 			plans = append(plans, plan)

@@ -118,17 +118,18 @@ func encCtl(s *ctlState) []byte {
 	return e.B
 }
 
-func decCtl(b []byte) *ctlState {
+func decCtl(b []byte) (*ctlState, error) {
 	d := &bin.Decoder{B: b}
 	s := &ctlState{
 		engines: d.Int(), tasks: d.Int(), assigned: d.Int(), done: d.Int(),
 		inflight: d.Int(), inflEng: d.Int(), listenFD: d.Int(),
 	}
-	for i, n := 0, int(d.U32()); i < n; i++ {
-		s.fds = append(s.fds, d.Int())
-		s.rx = append(s.rx, d.Bytes())
+	n := d.Count(8 + 4)
+	s.fds, s.rx = make([]int, n), make([][]byte, n)
+	for i := range s.fds {
+		s.fds[i], s.rx[i] = d.Int(), d.Bytes()
 	}
-	return s
+	return s, d.Err
 }
 
 func frame(id int) []byte {
@@ -171,7 +172,12 @@ func (controllerProg) Main(t *kernel.Task, args []string) {
 }
 
 func (controllerProg) Restore(t *kernel.Task, state []byte) {
-	controllerLoop(t, decCtl(state))
+	st, err := decCtl(state)
+	if err != nil {
+		t.Printf("controller: restore: %v\n", err)
+		return
+	}
+	controllerLoop(t, st)
 }
 
 // controllerLoop farms tasks to engines; when tasks == 0 it idles

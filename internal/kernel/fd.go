@@ -3,6 +3,8 @@ package kernel
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/bin"
 )
 
 // Errors returned by descriptor operations.
@@ -186,18 +188,7 @@ func (p *Process) FDs() map[int]*OpenFile {
 }
 
 // SortedFDs returns descriptor numbers in ascending order.
-func (p *Process) SortedFDs() []int {
-	out := make([]int, 0, len(p.fds))
-	for fd := range p.fds {
-		out = append(out, fd)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+func (p *Process) SortedFDs() []int { return bin.SortedKeys(p.fds) }
 
 // InstallFD force-installs an open file at a specific descriptor
 // number, closing whatever was there (restart-time plumbing).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bin"
 	"repro/internal/sim"
 )
 
@@ -112,14 +113,9 @@ func (k *Kernel) Process(pid Pid) (*Process, bool) {
 
 // Processes returns the node's live processes in pid order.
 func (k *Kernel) Processes() []*Process {
-	pids := make([]int, 0, len(k.procs))
-	for pid := range k.procs {
-		pids = append(pids, int(pid))
-	}
-	sort.Ints(pids)
-	out := make([]*Process, 0, len(pids))
-	for _, pid := range pids {
-		p := k.procs[Pid(pid)]
+	out := make([]*Process, 0, len(k.procs))
+	for _, pid := range bin.SortedKeys(k.procs) {
+		p := k.procs[pid]
 		if !p.Dead {
 			out = append(out, p)
 		}

@@ -3,6 +3,8 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/bin"
 )
 
 // Framed-message helpers shared by the simulated wire protocols (ssh,
@@ -43,54 +45,35 @@ func (t *Task) RecvFrame(fd int) ([]byte, error) {
 
 // EncodeStrings flattens a string list into a frame payload.
 func EncodeStrings(ss []string) []byte {
-	var out []byte
-	out = binary.BigEndian.AppendUint32(out, uint32(len(ss)))
-	for _, s := range ss {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
-		out = append(out, s...)
-	}
-	return out
+	c := bin.Encoding()
+	codeStrings(&c, &ss)
+	return c.E.B
 }
 
 // DecodeStrings reverses EncodeStrings.  Each entry takes at least its
-// 4-byte length, so the list is preallocated for no more entries than
-// the bytes left can hold, whatever count the input claims.
+// 4-byte length, so a count the bytes left cannot hold fails before
+// anything is allocated for it.
 func DecodeStrings(b []byte) ([]string, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("kernel: truncated string list")
+	c := bin.Decoding(b)
+	ss := []string{}
+	codeStrings(&c, &ss)
+	if c.D.Err != nil {
+		return nil, fmt.Errorf("kernel: bad string list: %w", c.D.Err)
 	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	out := make([]string, 0, min(n, uint32(len(b)/4)))
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("kernel: truncated string list")
-		}
-		l := binary.BigEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < l {
-			return nil, fmt.Errorf("kernel: truncated string entry")
-		}
-		out = append(out, string(b[:l]))
-		b = b[l:]
-	}
-	return out, nil
+	return ss, nil
 }
 
-// EncodeEnv flattens an environment map deterministically.
+func codeStrings(c *bin.Coder, ss *[]string) {
+	for i := range bin.List(c, ss, 4) {
+		c.Str(&(*ss)[i])
+	}
+}
+
+// EncodeEnv flattens an environment map deterministically: its keys
+// and values as one string list, in key order.
 func EncodeEnv(env map[string]string) []byte {
-	keys := make([]string, 0, len(env))
-	for k := range env {
-		keys = append(keys, k)
-	}
-	// Insertion sort keeps this dependency-free and deterministic.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	flat := make([]string, 0, 2*len(keys))
-	for _, k := range keys {
+	flat := make([]string, 0, 2*len(env))
+	for _, k := range bin.SortedKeys(env) {
 		flat = append(flat, k, env[k])
 	}
 	return EncodeStrings(flat)

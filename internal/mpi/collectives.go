@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/bin"
@@ -179,14 +180,15 @@ func encodeF64s(v []float64) []byte {
 	return e.B
 }
 
-func decodeF64s(b []byte) []float64 {
+// decodeF64s reverses encodeF64s; a count the bytes cannot hold
+// fails before anything is allocated for it.
+func decodeF64s(b []byte) ([]float64, error) {
 	d := &bin.Decoder{B: b}
-	n := int(d.U32())
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.F64())
+	out := make([]float64, d.Count(8))
+	for i := range out {
+		out[i] = d.F64()
 	}
-	return out
+	return out, d.Err
 }
 
 // Reduce combines vec across ranks onto rank 0.
@@ -197,7 +199,14 @@ func (w *World) Reduce(vec []float64, op ReduceOp) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		op(acc, decodeF64s(got))
+		v, err := decodeF64s(got)
+		if err == nil && len(v) != len(acc) {
+			err = fmt.Errorf("mpi: rank %d reduced %d values into %d", c, len(v), len(acc))
+		}
+		if err != nil {
+			return nil, err
+		}
+		op(acc, v)
 	}
 	if p := treeParent(w.Rank); p >= 0 {
 		w.Send(p, tagReduceUp, encodeF64s(acc))
@@ -215,7 +224,7 @@ func (w *World) Allreduce(vec []float64, op ReduceOp) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeF64s(out), nil
+	return decodeF64s(out)
 }
 
 // Gather collects each rank's buffer at rank 0 (tree-merged); returns

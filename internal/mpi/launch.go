@@ -132,13 +132,14 @@ func encMPD(s *mpdState) []byte {
 	return e.B
 }
 
-func decMPD(b []byte) *mpdState {
+func decMPD(b []byte) (*mpdState, error) {
 	d := &bin.Decoder{B: b}
 	s := &mpdState{idx: d.Int(), n: d.Int(), base: d.Int(), listenFD: d.Int(), ringFD: d.Int()}
-	for i, n := 0, int(d.U32()); i < n; i++ {
-		s.conns = append(s.conns, d.Int())
+	s.conns = make([]int, d.Count(8))
+	for i := range s.conns {
+		s.conns[i] = d.Int()
 	}
-	return s
+	return s, d.Err
 }
 
 func (mpdProg) Main(t *kernel.Task, args []string) {
@@ -175,7 +176,11 @@ func (mpdProg) Main(t *kernel.Task, args []string) {
 }
 
 func (mpdProg) Restore(t *kernel.Task, state []byte) {
-	st := decMPD(state)
+	st, err := decMPD(state)
+	if err != nil {
+		t.Printf("mpd: restore: %v\n", err)
+		return
+	}
 	// Re-create the handler threads for sessions that were live at
 	// checkpoint time (their sockets were restored at the same fds).
 	for _, fd := range st.conns {
@@ -468,13 +473,21 @@ func (ortedProg) Main(t *kernel.Task, args []string) {
 }
 
 func (ortedProg) Restore(t *kernel.Task, state []byte) {
-	d := &bin.Decoder{B: state}
-	var st ortedState
-	n := int(d.U32())
-	for i := 0; i < n; i++ {
-		st.children = append(st.children, kernel.Pid(d.I64()))
+	st, err := decORTED(state)
+	if err != nil {
+		t.Printf("orted: restore: %v\n", err)
+		return
 	}
 	ortedWait(t, st)
+}
+
+func decORTED(b []byte) (ortedState, error) {
+	d := &bin.Decoder{B: b}
+	st := ortedState{children: make([]kernel.Pid, d.Count(8))}
+	for i := range st.children {
+		st.children[i] = kernel.Pid(d.I64())
+	}
+	return st, d.Err
 }
 
 func ortedWait(t *kernel.Task, st ortedState) {

@@ -65,15 +65,11 @@ func (l Layout) PortOf(rank int) int {
 	return p + rank
 }
 
-func (l Layout) encode(e *bin.Encoder) {
-	e.Int(l.Size)
-	e.Int(l.PerNode)
-	e.Int(l.BaseNode)
-	e.Int(l.Port)
-}
-
-func decodeLayout(d *bin.Decoder) Layout {
-	return Layout{Size: d.Int(), PerNode: d.Int(), BaseNode: d.Int(), Port: d.Int()}
+func (l *Layout) code(c *bin.Coder) {
+	c.Int(&l.Size)
+	c.Int(&l.PerNode)
+	c.Int(&l.BaseNode)
+	c.Int(&l.Port)
 }
 
 // chanState is the persistent per-peer channel state.
@@ -286,60 +282,65 @@ func (w *World) StateLen() int {
 // encoded fields change only together with StateChanged, with no
 // scheduling point in between (Send, commitRx, Commit).
 func (w *World) AppendState(dst []byte) []byte {
-	e := bin.Encoder{B: dst}
-	e.Int(w.Rank)
-	w.Layout.encode(&e)
-	e.Int(w.listenFD)
-	e.U32(uint32(len(w.peers)))
-	for _, p := range w.peers {
-		ch := w.chans[p]
-		e.Int(p)
-		e.Int(ch.fd)
-		e.Bytes(ch.rx)
-		e.Int(ch.rxCommitted)
-		e.Int(ch.sentWire)
-		e.Int(ch.sentAtCommit)
+	c := bin.Coder{E: bin.Encoder{B: dst}}
+	w.code(&c)
+	return c.E.B
+}
+
+// peerBytes is the least one peer's channel state encodes to.
+const peerBytes = 8 + 8 + 4 + 3*8
+
+// code lists the World's persistent fields (StateLen sums them).
+// Decoding makes the channels it names.
+func (w *World) code(c *bin.Coder) {
+	c.Int(&w.Rank)
+	w.Layout.code(c)
+	c.Int(&w.listenFD)
+	for i := range bin.List(c, &w.peers, peerBytes) {
+		c.Int(&w.peers[i])
+		ch := w.chans[w.peers[i]]
+		if ch == nil {
+			ch = &chanState{}
+			w.chans[w.peers[i]] = ch
+		}
+		c.Int(&ch.fd)
+		c.Bytes(&ch.rx)
+		c.Int(&ch.rxCommitted)
+		c.Int(&ch.sentWire)
+		c.Int(&ch.sentAtCommit)
 	}
-	e.Bytes(w.app)
-	return e.B
+	c.Bytes(&w.app)
 }
 
 // Resume reconstructs a World inside a restored process and returns
-// the application state as of its last Commit.
+// the application state as of its last Commit.  A state that fails to
+// decode ends the restore with an error.
 func Resume(t *kernel.Task, state []byte) (*World, []byte, error) {
-	d := &bin.Decoder{B: state}
-	w := &World{
-		T:        t,
-		chans:    make(map[int]*chanState),
-		accepted: make(map[int]int),
+	w, err := decodeWorld(state)
+	if err != nil {
+		return nil, nil, err
 	}
-	w.Rank = d.Int()
-	w.Layout = decodeLayout(d)
-	w.listenFD = d.Int()
-	n := int(d.U32())
-	for i := 0; i < n; i++ {
-		p := d.Int()
-		ch := &chanState{
-			fd:           d.Int(),
-			rx:           d.Bytes(),
-			rxCommitted:  d.Int(),
-			sentWire:     d.Int(),
-			sentAtCommit: d.Int(),
-		}
-		// Live cursors resume from the committed positions.
-		ch.rxLive = ch.rxCommitted
-		ch.sentLive = ch.sentAtCommit
-		w.peers = append(w.peers, p)
-		w.chans[p] = ch
-	}
-	w.app = d.Bytes()
-	if d.Err != nil {
-		return nil, nil, fmt.Errorf("mpi: corrupt state: %w", d.Err)
-	}
+	w.T = t
 	w.acceptW = sim.NewWaitQueue(t.P.Node.Cluster.Eng, fmt.Sprintf("mpi.accept.%d", w.Rank))
 	t.P.SetStateSource(w)
 	w.startAcceptLoop()
 	return w, w.app, nil
+}
+
+// decodeWorld decodes an AppendState encoding; live cursors resume
+// from the committed positions.
+func decodeWorld(state []byte) (*World, error) {
+	c := bin.Decoding(state)
+	w := &World{chans: make(map[int]*chanState), accepted: make(map[int]int)}
+	w.code(&c)
+	if c.D.Err != nil {
+		return nil, fmt.Errorf("mpi: corrupt state: %w", c.D.Err)
+	}
+	for _, ch := range w.chans {
+		ch.rxLive = ch.rxCommitted
+		ch.sentLive = ch.sentAtCommit
+	}
+	return w, nil
 }
 
 // Commit atomically persists the application state together with the

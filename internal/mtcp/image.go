@@ -14,8 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
+	"repro/internal/bin"
 	"repro/internal/kernel"
 	"repro/internal/model"
 )
@@ -161,105 +161,13 @@ func (img *Image) CompressedBytes(p *model.Params) int64 {
 
 // --- binary encoding -------------------------------------------------
 
-type encoder struct{ b []byte }
-
-func (e *encoder) u32(v uint32)  { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *encoder) u64(v uint64)  { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) { e.u64(mathFloat64bits(v)) }
-func (e *encoder) bytes(v []byte) {
-	e.u32(uint32(len(v)))
-	e.b = append(e.b, v...)
-}
-func (e *encoder) str(v string) { e.bytes([]byte(v)) }
-
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) need(n int) []byte {
-	if d.err != nil || len(d.b) < n {
-		d.err = ErrBadImage
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-func (d *decoder) u32() uint32 {
-	b := d.need(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-func (d *decoder) u64() uint64 {
-	b := d.need(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-func (d *decoder) i64() int64   { return int64(d.u64()) }
-func (d *decoder) f64() float64 { return mathFloat64frombits(d.u64()) }
-func (d *decoder) bytes() []byte {
-	n := d.u32()
-	if d.err != nil || uint32(len(d.b)) < n {
-		d.err = ErrBadImage
-		return nil
-	}
-	return append([]byte(nil), d.need(int(n))...)
-}
-func (d *decoder) str() string { return string(d.bytes()) }
-
 // Encode serializes the image with a CRC32 trailer.
 func (img *Image) Encode() []byte {
-	var e encoder
-	e.b = append(e.b, Magic...)
-	e.u32(Version)
-	e.str(img.Hostname)
-	e.str(img.ProgName)
-	e.u32(uint32(len(img.Args)))
-	for _, a := range img.Args {
-		e.str(a)
-	}
-	e.u32(uint32(len(img.Env)))
-	for _, k := range sortedKeys(img.Env) {
-		e.str(k)
-		e.str(img.Env[k])
-	}
-	e.i64(img.RealPid)
-	e.i64(img.VirtPid)
-	e.u32(uint32(len(img.Areas)))
-	for _, a := range img.Areas {
-		e.str(a.Name)
-		e.u32(uint32(a.Kind))
-		e.i64(a.Bytes)
-		e.f64(a.Entropy)
-		e.f64(a.ZeroFrac)
-		e.bytes(a.Payload)
-		e.str(a.ShmBacking)
-		e.i64(a.PayloadBytes)
-		e.u32(uint32(len(a.ChunkVers)))
-		for _, v := range a.ChunkVers {
-			e.u64(v)
-		}
-	}
-	e.u32(uint32(len(img.Threads)))
-	for _, t := range img.Threads {
-		e.str(t.Role)
-		e.u32(uint32(t.ContFD))
-		e.bytes(t.ContData)
-	}
-	e.u32(uint32(len(img.Ext)))
-	for _, k := range sortedKeys(img.Ext) {
-		e.str(k)
-		e.bytes(img.Ext[k])
-	}
-	sum := crc32.ChecksumIEEE(e.b)
-	e.u32(sum)
-	return e.b
+	c := bin.Encoding([]byte(Magic)...)
+	c.E.U32(Version)
+	img.code(&c)
+	c.E.U32(crc32.ChecksumIEEE(c.E.B))
+	return c.E.B
 }
 
 // Decode parses an encoded image, verifying magic, version and CRC.
@@ -271,69 +179,66 @@ func Decode(b []byte) (*Image, error) {
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadImage)
 	}
-	d := &decoder{b: body}
-	if string(d.need(len(Magic))) != Magic {
+	if string(body[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadImage)
 	}
-	if v := d.u32(); v != Version {
+	c := bin.Decoding(body[len(Magic):])
+	if v := c.D.U32(); v != Version {
 		return nil, fmt.Errorf("%w: version %d", ErrBadImage, v)
 	}
 	img := &Image{Env: map[string]string{}, Ext: map[string][]byte{}}
-	img.Hostname = d.str()
-	img.ProgName = d.str()
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
-		img.Args = append(img.Args, d.str())
-	}
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
-		k := d.str()
-		img.Env[k] = d.str()
-	}
-	img.RealPid = d.i64()
-	img.VirtPid = d.i64()
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
-		var a AreaRecord
-		a.Name = d.str()
-		a.Kind = kernel.AreaKind(d.u32())
-		a.Bytes = d.i64()
-		a.Entropy = d.f64()
-		a.ZeroFrac = d.f64()
-		a.Payload = d.bytes()
-		a.ShmBacking = d.str()
-		a.PayloadBytes = d.i64()
-		for j, k := 0, int(d.u32()); j < k && d.err == nil; j++ {
-			a.ChunkVers = append(a.ChunkVers, d.u64())
-		}
-		img.Areas = append(img.Areas, a)
-	}
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
-		var t ThreadRecord
-		t.Role = d.str()
-		t.ContFD = int32(d.u32())
-		t.ContData = d.bytes()
-		img.Threads = append(img.Threads, t)
-	}
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
-		k := d.str()
-		img.Ext[k] = d.bytes()
-	}
-	if d.err != nil {
-		return nil, d.err
+	img.code(&c)
+	if c.D.Err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadImage, c.D.Err)
 	}
 	return img, nil
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// code lists the image's fields after the magic and version.
+func (img *Image) code(c *bin.Coder) {
+	c.Str(&img.Hostname)
+	c.Str(&img.ProgName)
+	for i := range bin.List(c, &img.Args, 4) {
+		c.Str(&img.Args[i])
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
+	for _, k := range bin.Map(c, &img.Env, 8) {
+		c.Str(&k)
+		v := img.Env[k]
+		c.Str(&v)
+		bin.Put(c, img.Env, k, v)
 	}
-	return keys
+	c.I64(&img.RealPid)
+	c.I64(&img.VirtPid)
+	for i := range bin.List(c, &img.Areas, areaRecBytes) {
+		img.Areas[i].code(c)
+	}
+	for i := range bin.List(c, &img.Threads, 12) {
+		t := &img.Threads[i]
+		c.Str(&t.Role)
+		bin.U32Of(c, &t.ContFD)
+		c.Bytes(&t.ContData)
+	}
+	for _, k := range bin.Map(c, &img.Ext, 8) {
+		c.Str(&k)
+		v := img.Ext[k]
+		c.Bytes(&v)
+		bin.Put(c, img.Ext, k, v)
+	}
 }
 
-func mathFloat64bits(f float64) uint64     { return math.Float64bits(f) }
-func mathFloat64frombits(u uint64) float64 { return math.Float64frombits(u) }
+// areaRecBytes is the least an area record encodes to.
+const areaRecBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 4
+
+func (a *AreaRecord) code(c *bin.Coder) {
+	c.Str(&a.Name)
+	bin.U32Of(c, &a.Kind)
+	c.I64(&a.Bytes)
+	c.F64(&a.Entropy)
+	c.F64(&a.ZeroFrac)
+	c.Bytes(&a.Payload)
+	c.Str(&a.ShmBacking)
+	c.I64(&a.PayloadBytes)
+	for i := range bin.List(c, &a.ChunkVers, 8) {
+		c.U64(&a.ChunkVers[i])
+	}
+}

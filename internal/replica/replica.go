@@ -276,6 +276,9 @@ func (sv *Service) JournalSeen(n *kernel.Node) (sim.Time, bool) {
 // and must step down.
 var ErrDeposed = errors.New("replica: deposed by newer coordinator epoch")
 
+// entryBytes is the least a journal entry encodes to.
+const entryBytes = 8 + 4
+
 // PushJournal ships the coordinator journal records peerHost lacks,
 // using the same want/missing discipline as chunk streams: ask
 // the peer's daemon for its epoch and last applied seq, then send
@@ -350,20 +353,17 @@ func (sv *Service) PushJournal(t *kernel.Task, peerHost string, m *coordstate.Ma
 	if len(entries) == 0 && from == have {
 		return have, nil
 	}
-	var je bin.Encoder
-	je.B = append(je.B, opJAppend)
-	je.I64(m.Epoch())
-	je.I64(from) // rewind point: the newest seq the peer provably shares
-	je.U32(uint32(len(entries)))
+	je := bin.Encoding(opJAppend)
+	je.E.I64(m.Epoch())
+	je.E.I64(from) // rewind point: the newest seq the peer provably shares
 	var total int64
-	for _, ent := range entries {
-		je.I64(ent.Seq)
-		je.Bytes(ent.Data)
-		total += int64(len(ent.Data))
+	for i := range bin.List(&je, &entries, entryBytes) {
+		entries[i].Code(&je)
+		total += int64(len(entries[i].Data))
 	}
 	t.Compute(time.Duration(len(entries)) * p.JournalAppendCost)
 	t.Idle(model.TransferTime(p.NetLatency, p.NetBandwidth, total))
-	if err := t.SendFrame(fd, je.B); err != nil {
+	if err := t.SendFrame(fd, je.E.B); err != nil {
 		return have, err
 	}
 	ack, err := t.RecvFrame(fd)
@@ -463,8 +463,6 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 		case opWant:
 			d := &bin.Decoder{B: body}
 			n := int(d.U32())
-			var e bin.Encoder
-			e.B = append(e.B, opAck)
 			var idx []uint32
 			i := 0
 			for ; i < n && d.Err == nil; i++ {
@@ -473,22 +471,13 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 				}
 			}
 			t.Compute(time.Duration(i) * p.ChunkLookupCost)
-			e.U32(uint32(len(idx)))
-			for _, i := range idx {
-				e.U32(i)
-			}
-			t.SendFrame(fd, e.B)
+			t.SendFrame(fd, indexFrame(idx))
 		case opChunk:
-			d := &bin.Decoder{B: body}
-			ref := store.ChunkRef{Hash: d.Str()}
-			ref.LogicalBytes = d.I64()
-			ref.StoredBytes = d.I64()
-			ref.Entropy = d.F64()
-			ref.ZeroFrac = d.F64()
-			ref.Heat = d.I64()
-			ref.Sum = d.Str()
-			data := d.Bytes()
-			if d.Err == nil {
+			c := bin.Decoding(body)
+			var ref store.ChunkRef
+			ref.Code(&c)
+			data := c.D.Bytes()
+			if c.D.Err == nil {
 				// A chunk failing content verification is never
 				// installed; the pusher's opDone hole check will see the
 				// gap and re-ship.
@@ -520,13 +509,7 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 				}
 			}
 			t.Compute(time.Duration(len(refs)) * p.ChunkLookupCost)
-			var e bin.Encoder
-			e.B = append(e.B, opAck)
-			e.U32(uint32(len(holes)))
-			for _, i := range holes {
-				e.U32(i)
-			}
-			t.SendFrame(fd, e.B)
+			t.SendFrame(fd, indexFrame(holes))
 		case opJWant:
 			mach := sv.sinks[t.P.Node]
 			if mach == nil {
@@ -579,9 +562,9 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 				t.SendFrame(fd, []byte{opErr})
 				continue
 			}
-			d := &bin.Decoder{B: body}
-			epoch, from := d.I64(), d.I64()
-			if d.Err != nil || epoch < mach.Epoch() {
+			c := bin.Decoding(body)
+			epoch, from := c.D.I64(), c.D.I64()
+			if c.D.Err != nil || epoch < mach.Epoch() {
 				// Fenced: stale-epoch entries must never extend (or
 				// rewind) the new epoch's history.
 				sv.Stats.FencedWrites++
@@ -595,15 +578,14 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 				// rewind, then replay the authoritative suffix.
 				mach.TruncateTo(from)
 			}
-			n := int(d.U32())
-			for i := 0; i < n && d.Err == nil; i++ {
-				seq := d.I64()
-				data := d.Bytes()
-				if d.Err != nil || seq != mach.Seq()+1 {
+			var entries []coordstate.Entry
+			for i := range bin.List(&c, &entries, entryBytes) {
+				entries[i].Code(&c)
+				if c.D.Err != nil || entries[i].Seq != mach.Seq()+1 {
 					break // hole: the ack's seq makes the pusher re-ship
 				}
 				t.Compute(p.JournalAppendCost)
-				if _, err := mach.ApplyEntry(coordstate.Entry{Seq: seq, Data: data}); err != nil {
+				if _, err := mach.ApplyEntry(entries[i]); err != nil {
 					break
 				}
 			}

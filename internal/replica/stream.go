@@ -323,17 +323,37 @@ func (sv *Service) wantMissing(t *kernel.Task, fd int, refs []store.ChunkRef) ([
 	if err != nil || len(resp) == 0 || resp[0] != opAck {
 		return nil, false
 	}
-	d := &bin.Decoder{B: resp[1:]}
-	nMissing := int(d.U32())
-	missing := make([]store.ChunkRef, 0, nMissing)
-	for i := 0; i < nMissing && d.Err == nil; i++ {
-		idx := int(d.U32())
-		if idx < 0 || idx >= len(refs) {
+	return refsAt(resp[1:], refs)
+}
+
+// indexFrame is the reply to a want or done request: the indexes of
+// the chunks the peer lacks.
+func indexFrame(idx []uint32) []byte {
+	c := bin.Encoding(opAck)
+	codeIndexes(&c, &idx)
+	return c.E.B
+}
+
+// refsAt returns the refs an index reply names, or false when it is
+// corrupt or names an index outside refs.
+func refsAt(b []byte, refs []store.ChunkRef) ([]store.ChunkRef, bool) {
+	c := bin.Decoding(b)
+	var idx []uint32
+	codeIndexes(&c, &idx)
+	out := make([]store.ChunkRef, 0, len(idx))
+	for _, i := range idx {
+		if int(i) >= len(refs) {
 			return nil, false
 		}
-		missing = append(missing, refs[idx])
+		out = append(out, refs[i])
 	}
-	return missing, true
+	return out, c.D.Err == nil
+}
+
+func codeIndexes(c *bin.Coder, idx *[]uint32) {
+	for i := range bin.List(c, idx, 4) {
+		c.U32(&(*idx)[i])
+	}
 }
 
 // shipManifest sends one manifest to an open peer connection.
@@ -374,21 +394,15 @@ func (s *Stream) verifyPush(t *kernel.Task, st *store.Store, fd int, refs []stor
 		if err != nil || len(ack) == 0 || ack[0] != opAck {
 			return false
 		}
-		d := &bin.Decoder{B: ack[1:]}
-		nHoles := int(d.U32())
-		if nHoles == 0 {
+		missing, ok := refsAt(ack[1:], refs)
+		if !ok {
+			return false
+		}
+		if len(missing) == 0 {
 			return true
 		}
 		if attempt >= 2 {
 			return false
-		}
-		missing := make([]store.ChunkRef, 0, nHoles)
-		for i := 0; i < nHoles && d.Err == nil; i++ {
-			idx := int(d.U32())
-			if idx < 0 || idx >= len(refs) {
-				return false
-			}
-			missing = append(missing, refs[idx])
 		}
 		if !s.shipChunks(t, st, fd, missing) {
 			return false
@@ -425,17 +439,10 @@ func (s *Stream) shipChunks(t *kernel.Task, st *store.Store, fd int, refs []stor
 		if s.job.Repair {
 			t.IdleQoS(transfer, p.RepairQoS)
 		}
-		var ce bin.Encoder
-		ce.B = append(ce.B, opChunk)
-		ce.Str(ref.Hash)
-		ce.I64(ref.LogicalBytes)
-		ce.I64(ref.StoredBytes)
-		ce.F64(ref.Entropy)
-		ce.F64(ref.ZeroFrac)
-		ce.I64(ref.Heat)
-		ce.Str(ref.Sum)
-		ce.Bytes(data)
-		if err := t.SendFrame(fd, ce.B); err != nil {
+		c := bin.Encoding(opChunk)
+		ref.Code(&c)
+		c.E.Bytes(data)
+		if err := t.SendFrame(fd, c.E.B); err != nil {
 			return false
 		}
 		sv.Stats.ChunksSent++

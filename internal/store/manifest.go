@@ -131,66 +131,51 @@ func (m *Manifest) encodedLen() int {
 
 // Encode serializes the manifest into one buffer of its exact length.
 func (m *Manifest) Encode() []byte {
-	e := bin.Encoder{B: make([]byte, 0, m.encodedLen())}
-	e.B = append(e.B, ManifestMagic...)
-	e.Str(m.Name)
-	e.I64(m.Generation)
-	e.Bytes(m.Header)
-	e.U32(uint32(len(m.Areas)))
-	for _, a := range m.Areas {
-		e.Int(a.Area)
-		e.U32(uint32(len(a.Chunks)))
-		for _, c := range a.Chunks {
-			e.Str(c.Hash)
-			e.I64(c.LogicalBytes)
-			e.I64(c.StoredBytes)
-			e.F64(c.Entropy)
-			e.F64(c.ZeroFrac)
-			e.I64(c.Heat)
-			e.Str(c.Sum)
-		}
-	}
-	return e.B
+	c := bin.Coder{E: bin.Encoder{B: append(make([]byte, 0, m.encodedLen()), ManifestMagic...)}}
+	m.code(&c)
+	return c.E.B
 }
 
-// DecodeManifest parses a serialized manifest.  Each list is sized
-// from its encoded count, capped by what the remaining bytes could
-// hold, so a corrupt count fails as ErrBadManifest without a large
-// allocation.
+// DecodeManifest parses a serialized manifest.  A list count the bytes
+// left cannot hold fails as ErrBadManifest before anything is
+// allocated for it.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	if len(b) < len(ManifestMagic) || string(b[:len(ManifestMagic)]) != ManifestMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadManifest)
 	}
-	d := &bin.Decoder{B: b[len(ManifestMagic):]}
+	c := bin.Decoding(b[len(ManifestMagic):])
 	m := &Manifest{}
-	m.Name = d.Str()
-	m.Generation = d.I64()
-	m.Header = d.Bytes()
-	if n := int(d.U32()); n > 0 {
-		m.Areas = make([]AreaChunks, 0, min(n, len(d.B)/areaBytes))
-		for i := 0; i < n && d.Err == nil; i++ {
-			a := AreaChunks{Area: d.Int()}
-			if k := int(d.U32()); k > 0 {
-				a.Chunks = make([]ChunkRef, 0, min(k, len(d.B)/refBytes))
-				for j := 0; j < k && d.Err == nil; j++ {
-					a.Chunks = append(a.Chunks, ChunkRef{
-						Hash:         d.Str(),
-						LogicalBytes: d.I64(),
-						StoredBytes:  d.I64(),
-						Entropy:      d.F64(),
-						ZeroFrac:     d.F64(),
-						Heat:         d.I64(),
-						Sum:          d.Str(),
-					})
-				}
-			}
-			m.Areas = append(m.Areas, a)
-		}
-	}
-	if d.Err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadManifest, d.Err)
+	m.code(&c)
+	if c.D.Err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadManifest, c.D.Err)
 	}
 	return m, nil
+}
+
+// code lists the manifest's fields after the magic.
+func (m *Manifest) code(c *bin.Coder) {
+	c.Str(&m.Name)
+	c.I64(&m.Generation)
+	c.Bytes(&m.Header)
+	for i := range bin.List(c, &m.Areas, areaBytes) {
+		a := &m.Areas[i]
+		c.Int(&a.Area)
+		for j := range bin.List(c, &a.Chunks, refBytes) {
+			a.Chunks[j].Code(c)
+		}
+	}
+}
+
+// Code lists a chunk reference's fields; manifests and the replica's
+// chunk frame carry it.
+func (r *ChunkRef) Code(c *bin.Coder) {
+	c.Str(&r.Hash)
+	c.I64(&r.LogicalBytes)
+	c.I64(&r.StoredBytes)
+	c.F64(&r.Entropy)
+	c.F64(&r.ZeroFrac)
+	c.I64(&r.Heat)
+	c.Str(&r.Sum)
 }
 
 // WriteManifest commits a generation: it charges per-chunk manifest

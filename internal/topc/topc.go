@@ -79,16 +79,19 @@ func encG(s gstate) []byte {
 	return e.B
 }
 
-func decG(b []byte) gstate {
+func decG(b []byte) (gstate, error) {
 	d := &bin.Decoder{B: b}
 	s := gstate{next: d.Int(), done: d.Int(), pending: d.Int()}
-	n := int(d.U32())
-	for i := 0; i < n; i++ {
-		s.inFlight = append(s.inFlight, int32(d.U32()))
+	s.inFlight = make([]int32, d.Count(4))
+	for i := range s.inFlight {
+		s.inFlight[i] = int32(d.U32())
 	}
-	ra, _ := mpi.ParseRankArgs(splitArgs(d.Str()))
+	ra, err := mpi.ParseRankArgs(splitArgs(d.Str()))
+	if d.Err != nil {
+		err = d.Err
+	}
 	s.ra = ra
-	return s
+	return s, err
 }
 
 func joinArgs(a []string) string {
@@ -165,7 +168,12 @@ func (g *Geant) Restore(t *kernel.Task, state []byte) {
 	if err != nil {
 		return
 	}
-	g.run(t, w, decG(app), g.Cfg)
+	st, err := decG(app)
+	if err != nil {
+		t.Printf("pargeant4: restore: %v\n", err)
+		return
+	}
+	g.run(t, w, st, g.Cfg)
 }
 
 func (g *Geant) run(t *kernel.Task, w *mpi.World, st gstate, cfg Config) {
