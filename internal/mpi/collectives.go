@@ -246,11 +246,20 @@ func (w *World) Gather(data []byte) ([][]byte, error) {
 		w.Send(p, tagGather, acc)
 		return nil, nil
 	}
-	d := &bin.Decoder{B: acc}
-	n := int(d.U32())
-	out := make([][]byte, w.Size())
-	for i := 0; i < n; i++ {
+	return decodeGather(acc, w.Size())
+}
+
+// decodeGather reads the root's accumulated gather (a count, then rank
+// and buffer pairs) into rank-indexed buffers; a rank outside the
+// communicator fails.
+func decodeGather(b []byte, size int) ([][]byte, error) {
+	d := &bin.Decoder{B: b}
+	out := make([][]byte, size)
+	for i, n := 0, d.Count(8+4); i < n && d.Err == nil; i++ {
 		r := d.Int()
+		if r < 0 || r >= size {
+			return nil, fmt.Errorf("mpi: gather names rank %d of %d", r, size)
+		}
 		out[r] = d.Bytes()
 	}
 	return out, d.Err

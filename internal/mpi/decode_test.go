@@ -48,3 +48,27 @@ func TestStateDecodersHugeCountFailSmall(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeGatherRejectsBadInput: the root's gather decoder fails,
+// without allocating for it or indexing out of range, on a huge count
+// and on a rank outside the communicator.
+func TestDecodeGatherRejectsBadInput(t *testing.T) {
+	outside := binary.BigEndian.AppendUint32(nil, 1)
+	outside = binary.BigEndian.AppendUint64(outside, 9)
+	outside = binary.BigEndian.AppendUint32(outside, 0)
+	for name, in := range map[string][]byte{
+		"huge count":   binary.BigEndian.AppendUint32(nil, 1<<30),
+		"rank outside": outside,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeGather(in, 4)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s: allocated %d bytes", name, n)
+		}
+	}
+}

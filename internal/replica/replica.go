@@ -462,7 +462,7 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 		switch frame[0] {
 		case opWant:
 			d := &bin.Decoder{B: body}
-			n := int(d.U32())
+			n := d.Count(4)
 			var idx []uint32
 			i := 0
 			for ; i < n && d.Err == nil; i++ {
