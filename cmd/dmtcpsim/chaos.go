@@ -6,6 +6,7 @@ import (
 	"time"
 
 	dmtcpsim "repro"
+	"repro/internal/bin"
 	"repro/internal/store"
 )
 
@@ -97,7 +98,7 @@ func chaosScenario(o scenOpts) {
 		co = s.Sys.Coord
 		st := co.Mach.State()
 		victim := ""
-		for _, name := range sortedKeys(st.Placement) {
+		for _, name := range bin.SortedKeys(st.Placement) {
 			pi := st.Placement[name]
 			for _, h := range pi.HolderHosts() {
 				n := s.C.LookupHost(h)

@@ -18,13 +18,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	dmtcpsim "repro"
 	"repro/internal/apps"
+	"repro/internal/bin"
 	"repro/internal/experiments"
 	"repro/internal/mpi"
 	"repro/internal/npb"
@@ -436,7 +436,7 @@ func zeroLossScenario(o scenOpts) {
 		co = s.Sys.Coord
 		st := co.Mach.State()
 		victim := ""
-		for _, name := range sortedKeys(st.Placement) {
+		for _, name := range bin.SortedKeys(st.Placement) {
 			pi := st.Placement[name]
 			for _, h := range pi.HolderHosts() {
 				n := s.C.LookupHost(h)
@@ -659,7 +659,7 @@ func stragglerScenario(o scenOpts) {
 	r1, r2 := run(true)
 	fmt.Fprintln(o.w, "  with the health plane (heartbeat -> straggler score -> next-round worker hint):")
 	scores := r1.StragglerScores()
-	for _, h := range sortedKeys(r1.WriteByHost) {
+	for _, h := range bin.SortedKeys(r1.WriteByHost) {
 		mark := ""
 		if scores[h] >= dmtcpsim.StragglerThreshold {
 			mark = "  <- straggler"
@@ -667,7 +667,7 @@ func stragglerScenario(o scenOpts) {
 		fmt.Fprintf(o.w, "    round 1 write %-7s %8v  score %.2f%s\n",
 			h, r1.WriteByHost[h].Round(time.Millisecond), scores[h], mark)
 	}
-	for _, h := range sortedKeys(r1.WorkerHints) {
+	for _, h := range bin.SortedKeys(r1.WorkerHints) {
 		fmt.Fprintf(o.w, "    next-round hint: %s -> %d workers\n", h, r1.WorkerHints[h])
 	}
 	fmt.Fprintf(o.w, "    round 2 write: %v\n", r2.Stages.Write.Round(time.Millisecond))
@@ -676,16 +676,6 @@ func stragglerScenario(o scenOpts) {
 		b2.Stages.Write.Round(time.Millisecond))
 	fmt.Fprintf(o.w, "  the hint bought %.2fx on the straggler-bound round\n",
 		float64(b2.Stages.Write)/float64(r2.Stages.Write))
-}
-
-// sortedKeys returns a map's keys in order, for stable output.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func vnc(o scenOpts) {

@@ -330,7 +330,8 @@ func (m *Manager) barrier(t *kernel.Task, name string, stage time.Duration, res 
 	c.E.I64(m.curTag)
 	if res != nil {
 		c.E.I64(int64(stage))
-		img := m.placement(t, res)
+		img := coordstate.ImageInfo{Host: t.P.Node.Hostname, Path: res.Path, Prog: t.P.ProgName,
+			VirtPid: m.virtPid, Generation: res.Generation}
 		img.Code(&c)
 	}
 	for {
@@ -366,13 +367,6 @@ func (m *Manager) barrier(t *kernel.Task, name string, stage time.Duration, res 
 			}
 		}
 	}
-}
-
-// placement is where the image res wrote landed, as the checkpointed
-// arrival reports it.
-func (m *Manager) placement(t *kernel.Task, res *mtcp.WriteResult) coordstate.ImageInfo {
-	return coordstate.ImageInfo{Host: t.P.Node.Hostname, Path: res.Path, Prog: t.P.ProgName,
-		VirtPid: m.virtPid, Generation: res.Generation}
 }
 
 // doCheckpoint executes stages 2–7 of the checkpoint algorithm.

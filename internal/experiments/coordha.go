@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
+	"repro/internal/bin"
 	"repro/internal/dmtcp"
 	"repro/internal/kernel"
 	"repro/internal/model"
@@ -308,7 +308,7 @@ func runCoordZeroLossTrial(seed int64, mb, standbys int,
 func expendableHolder(env *Env, co *dmtcp.Coordinator) string {
 	st := co.Mach.State()
 	victim := ""
-	for _, name := range sortedStrings(st.Placement) {
+	for _, name := range bin.SortedKeys(st.Placement) {
 		pi := st.Placement[name]
 		for _, h := range pi.HolderHosts() {
 			n := env.C.LookupHost(h)
@@ -319,16 +319,6 @@ func expendableHolder(env *Env, co *dmtcp.Coordinator) string {
 		}
 	}
 	return victim
-}
-
-// sortedStrings returns a map's keys in deterministic order.
-func sortedStrings[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // runCoordLoadedTrial is the false-positive probe: the same HA cluster

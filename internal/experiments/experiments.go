@@ -17,11 +17,11 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/bin"
 	"repro/internal/dmtcp"
 	"repro/internal/ipython"
 	"repro/internal/kernel"
@@ -237,12 +237,7 @@ func (t *Table) Render() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	if len(t.Metrics) > 0 {
-		keys := make([]string, 0, len(t.Metrics))
-		for k := range t.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range bin.SortedKeys(t.Metrics) {
 			fmt.Fprintf(&b, "metric: %s = %.4f\n", k, t.Metrics[k])
 		}
 	}

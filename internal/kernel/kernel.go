@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bin"
 	"repro/internal/sim"
@@ -142,12 +141,7 @@ func (k *Kernel) KillTree(pid Pid) {
 	if !ok || p.Dead {
 		return
 	}
-	kids := make([]Pid, 0, len(p.children))
-	for cpid := range p.children {
-		kids = append(kids, cpid)
-	}
-	sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-	for _, cpid := range kids {
+	for _, cpid := range bin.SortedKeys(p.children) {
 		k.KillTree(cpid)
 	}
 	p.terminate(9)
