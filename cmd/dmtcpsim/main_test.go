@@ -4,6 +4,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	dmtcpsim "repro"
+	"repro/internal/obs"
 )
 
 // scenarioOutput runs one scenario in process at the default cluster
@@ -17,9 +20,11 @@ func scenarioOutput(run func(scenOpts)) string {
 // TestRestartScenarios pins the scenarios that check the restart path
 // end to end: the restarted NAS/LU job prints the checksum an
 // uninterrupted run yields, the VNC session (whose ptys ride the same
-// drain and refill as the MPI ranks' sockets) comes back, and the
-// chunk store keeps its per-round GC accounting and restarts from the
-// newest generation.
+// drain and refill as the MPI ranks' sockets) comes back, the chunk
+// store keeps its per-round GC accounting and restarts from the newest
+// generation, the restore pipeline reports its baseline and every pool
+// size, and a post-copy restart traces its skeleton, its faults, its
+// prefetch drain and the tail's own install pool.
 func TestRestartScenarios(t *testing.T) {
 	t.Run("mpi", func(t *testing.T) {
 		out := scenarioOutput(mpiScenario)
@@ -51,6 +56,59 @@ func TestRestartScenarios(t *testing.T) {
 		}
 		if !regexp.MustCompile(`(?m)^restarted from manifest generation 4 `).MatchString(out) {
 			t.Errorf("store scenario did not restart from manifest generation 4:\n%s", out)
+		}
+	})
+	t.Run("restore", func(t *testing.T) {
+		out := scenarioOutput(restoreScenario)
+		if !regexp.MustCompile(`(?m)^  fetch-then-install baseline, 1 worker: restart +[0-9.]+m?s `).MatchString(out) {
+			t.Errorf("restore scenario printed no fetch-then-install baseline:\n%s", out)
+		}
+		var workers []string
+		for _, m := range regexp.MustCompile(`(?m)^  streamed, (\d+) worker\(s\): restart +[0-9.]+m?s  speedup [0-9.]+x `).FindAllStringSubmatch(out, -1) {
+			workers = append(workers, m[1])
+		}
+		if strings.Join(workers, ",") != "1,2,4,8" {
+			t.Errorf("streamed restore lines for %v workers, want 1, 2, 4 and 8:\n%s", workers, out)
+		}
+	})
+	t.Run("lazy-restore", func(t *testing.T) {
+		tr := dmtcpsim.NewTracer()
+		var b strings.Builder
+		lazyRestoreScenario(scenOpts{nodes: 4, tracer: tr, w: &b})
+		if !regexp.MustCompile(`(?m)^resume pause [0-9.]+% of full-install MTTR; striped drain [0-9.]+x faster than one holder$`).MatchString(b.String()) {
+			t.Errorf("lazy-restore scenario printed no summary line:\n%s", b.String())
+		}
+		spans := map[string]int{}
+		var skeletons, installs []obs.Event
+		for _, e := range tr.Events() {
+			if e.Phase != 'X' {
+				continue
+			}
+			spans[e.Name]++
+			switch e.Name {
+			case "restore.skeleton":
+				skeletons = append(skeletons, e)
+			case "restore.install":
+				installs = append(installs, e)
+			}
+		}
+		for _, want := range []string{"restore.skeleton", "lazy.fault", "restart.prefetch"} {
+			if spans[want] == 0 {
+				t.Errorf("lazy-restore trace has no %s span", want)
+			}
+		}
+		// Each post-copy tail is a second run of the restore pipeline:
+		// its install pool traces after its skeleton's restore ended.
+		for _, sk := range skeletons {
+			tail := 0
+			for _, in := range installs {
+				if in.Pid == sk.Pid && in.Ts >= sk.Ts+sk.Dur {
+					tail++
+				}
+			}
+			if tail == 0 {
+				t.Errorf("no restore.install span from the post-copy tail after the skeleton at %v", sk.Ts)
+			}
 		}
 	})
 }

@@ -102,7 +102,10 @@ func (m *Machine) Apply(ev Event) []Effect {
 
 // ApplyEntry replays one shipped journal record on a standby.  The
 // record must be the next in sequence; anything else is rejected so
-// the pusher re-ships from the standby's actual position.
+// the pusher re-ships from the standby's actual position.  The machine
+// keeps e.Data as its journal's copy: the caller hands over bytes that
+// nobody changes afterwards (a decoded frame or journal, or an entry of
+// another machine, which never writes into its entries either).
 func (m *Machine) ApplyEntry(e Entry) ([]Effect, error) {
 	if e.Seq != m.Seq()+1 {
 		return nil, fmt.Errorf("%w: entry seq %d, have %d", ErrBadSeq, e.Seq, m.Seq())
@@ -111,7 +114,7 @@ func (m *Machine) ApplyEntry(e Entry) ([]Effect, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.entries = append(m.entries, Entry{Seq: e.Seq, Data: append([]byte(nil), e.Data...)})
+	m.entries = append(m.entries, e)
 	if ev.Kind == EvTakeover {
 		m.epochStarts = append(m.epochStarts, epochStart{epoch: ev.Epoch, seq: e.Seq})
 	}

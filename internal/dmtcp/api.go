@@ -372,17 +372,8 @@ func (s *System) fetchHostFor(manifestPath string, src, target *kernel.Node) str
 	if !ok {
 		return ""
 	}
-	pi := s.Coord.st().Placement[name]
-	if pi == nil {
-		return ""
-	}
-	for _, h := range s.Coord.candidateHolders(pi, gen) {
-		if target != nil && h == target.Hostname {
-			continue
-		}
-		if s.Coord.holderComplete(h, name, gen) {
-			return h
-		}
+	if pi := s.Coord.st().Placement[name]; pi != nil {
+		return s.Coord.aliveHolder(pi, gen, target.Hostname)
 	}
 	return ""
 }

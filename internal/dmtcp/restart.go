@@ -90,7 +90,8 @@ func (f pullFetcher) Fetch(t *kernel.Task, refs []store.ChunkRef, deliver func(s
 }
 
 // procImage is one image a dmtcp_restart restores: the loaded image,
-// its decoded tables, and (lazy restores) its post-copy tail.
+// its decoded tables, and (lazy restores) its post-copy tail and the
+// stream that pulls it.
 type procImage struct {
 	path  string
 	img   *mtcp.Image
@@ -98,7 +99,8 @@ type procImage struct {
 	conns []ConnRec
 	vpid  kernel.Pid
 	table map[kernel.Pid]kernel.Pid
-	lazy  *lazyCtrl
+	lazy  *mtcp.Pipeline
+	pull  *replica.PullStream
 }
 
 // restart is one dmtcp_restart program in flight: the images it
@@ -283,11 +285,8 @@ func (r *restart) loadImages(paths []string) error {
 		st.Workers = max(st.Workers, rs.Workers)
 		st.Memory = max(st.Memory, rs.Took)
 		if len(pending[i]) > 0 {
-			pi.lazy = newLazyCtrl(s, t, pi.img, pending[i], holders[i], workers)
+			pi.lazy, pi.pull = s.startLazyTail(t, pi.img, pending[i], holders[i], workers)
 		}
-	}
-
-	for _, pi := range r.imgs {
 		if pi.img == nil {
 			img, err := mtcp.LoadImage(t, pi.path)
 			if err != nil {
@@ -531,7 +530,7 @@ func (r *restart) restoreMemory(c *kernel.Task, pi *procImage, mgr *Manager) {
 		// Post-copy: InstallMemory copied whatever the background pull
 		// had landed in the image buffers; arm presence maps and the
 		// first-touch fault hook for the chunks still in flight.
-		pi.lazy.wire(p)
+		pi.lazy.Wire(p, pi.pull)
 	}
 	p.Env = make(map[string]string, len(pi.img.Env))
 	maps.Copy(p.Env, pi.img.Env)
@@ -582,19 +581,18 @@ func (r *restart) resume(c *kernel.Task, pi *procImage, mgr *Manager) {
 func (r *restart) drainLazy() (bool, error) {
 	lazy, st := false, &r.st
 	for _, pi := range r.imgs {
-		lc := pi.lazy
-		if lc == nil {
+		if pi.lazy == nil {
 			continue
 		}
 		lazy = true
-		if err := lc.drain(r.t); err != nil {
+		if err := pi.lazy.Drain(r.t); err != nil {
 			return true, fmt.Errorf("lazy drain: %w", err)
 		}
-		st.FetchedBytes += lc.ps.Bytes()
-		st.FetchedChunks += lc.ps.Chunks()
-		st.DemandBytes += lc.ps.DemandBytes()
-		st.PrefetchBytes += lc.ps.PrefetchBytes()
-		st.DemandFaults += lc.faults
+		st.FetchedBytes += pi.pull.Bytes()
+		st.FetchedChunks += pi.pull.Chunks()
+		st.DemandBytes += pi.pull.DemandBytes()
+		st.PrefetchBytes += pi.pull.PrefetchBytes()
+		st.DemandFaults += pi.lazy.Faults()
 	}
 	return lazy, nil
 }

@@ -133,12 +133,21 @@ func encK(s kstate) []byte {
 	return e.B
 }
 
-func decK(b []byte) kstate {
+// decK decodes encK's bytes; a truncated state or unparsable rank
+// arguments fail it, so a rank never resumes on partly zero values.
+func decK(b []byte) (kstate, error) {
 	d := &bin.Decoder{B: b}
 	s := kstate{iter: d.Int(), chk: d.U64(), scale: d.Int()}
-	ra, _ := mpi.ParseRankArgs(splitStrings(d.Str()))
+	args := splitStrings(d.Str())
+	if d.Err != nil {
+		return kstate{}, fmt.Errorf("npb: bad rank state: %w", d.Err)
+	}
+	ra, err := mpi.ParseRankArgs(args)
+	if err != nil {
+		return kstate{}, err
+	}
 	s.ra = ra
-	return s
+	return s, nil
 }
 
 func joinStrings(a []string) string {
@@ -198,7 +207,12 @@ func (k *Kernel) Restore(t *kernel.Task, state []byte) {
 		t.Printf("%s: resume: %v\n", k.Spec.Name, err)
 		return
 	}
-	k.loop(t, w, decK(app))
+	st, err := decK(app)
+	if err != nil {
+		t.Printf("%s: restore: %v\n", k.Spec.Name, err)
+		return
+	}
+	k.loop(t, w, st)
 }
 
 func (k *Kernel) initWorld(t *kernel.Task, ra mpi.RankArgs) (*mpi.World, error) {

@@ -89,7 +89,10 @@ func TestStateCodecRoundtrip(t *testing.T) {
 			AppArgs:  []string{"55"},
 		},
 	}
-	got := decK(encK(st))
+	got, err := decK(encK(st))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.iter != st.iter || got.chk != st.chk || got.scale != st.scale {
 		t.Fatalf("scalar mismatch: %+v", got)
 	}
@@ -98,6 +101,25 @@ func TestStateCodecRoundtrip(t *testing.T) {
 	}
 	if len(got.ra.AppArgs) != 1 || got.ra.AppArgs[0] != "55" {
 		t.Fatalf("app args mismatch: %v", got.ra.AppArgs)
+	}
+}
+
+// TestDecKRejectsEveryPrefix pins decK's error path: every strict
+// prefix of a rank's state fails to decode, so Restore never runs a
+// kernel on a state truncated anywhere.
+func TestDecKRejectsEveryPrefix(t *testing.T) {
+	ra, err := mpi.ParseRankArgs([]string{"3", "16", "4", "2", "31000", "node02", "8600", "55"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := encK(kstate{iter: 37, chk: 0xdeadbeefcafe, scale: 100, ra: ra})
+	if _, err := decK(b); err != nil {
+		t.Fatalf("whole state: %v", err)
+	}
+	for n := 0; n < len(b); n++ {
+		if st, err := decK(b[:n]); err == nil {
+			t.Errorf("%d of %d bytes decoded without an error: %+v", n, len(b), st)
+		}
 	}
 }
 
