@@ -76,7 +76,7 @@ func chaosScenario(o scenOpts) {
 			t.Compute(10 * time.Millisecond)
 		}
 		fmt.Fprintf(o.w, "      deposed leader stepped down and converged onto epoch %d (%d fenced journal writes rejected)\n",
-			lead.Mach.Epoch(), s.Sys.Replica.Stats.FencedWrites)
+			lead.Mach.Epoch(), s.Sys.Journal.FencedWrites)
 		s.Sys.Replica.WaitIdle(t)
 
 		// Fault 2: every link drops and delays frames; TCP-style

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -84,7 +83,6 @@ func main() {
 		nodes  = flag.Int("nodes", 4, "cluster size")
 		trace  = flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 		report = flag.Bool("report", false, "print the span/counter report after the scenario")
-		cp     = flag.String("cp", "", "write the critical-path analysis as JSON (CI span-partition checks)")
 	)
 	flag.Parse()
 	var run func(scenOpts)
@@ -102,20 +100,10 @@ func main() {
 		os.Exit(2)
 	}
 	o := scenOpts{nodes: *nodes, w: os.Stdout}
-	if *trace != "" || *report || *cp != "" {
+	if *trace != "" || *report {
 		o.tracer = dmtcpsim.NewTracer()
 	}
 	run(o)
-	if *cp != "" {
-		data, err := json.Marshal(dmtcpsim.AnalyzeTrace(o.tracer))
-		if err == nil {
-			err = os.WriteFile(*cp, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "write critical path: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if *trace != "" {
 		// Draw the critical path as flow arrows before serializing.
 		dmtcpsim.AnnotateFlows(o.tracer)
@@ -333,8 +321,8 @@ func coordFailoverScenario(o scenOpts) {
 			s.Sys.Replica.WaitIdle(t)
 			fmt.Fprintf(o.w, "gen %d checkpointed in %v under %s (journal: %d entries, %.1f KB shipped)\n",
 				gen, round.Stages.Total.Round(time.Millisecond), s.Sys.Coord.Node.Hostname,
-				s.Sys.Replica.Stats.JournalEntries,
-				float64(s.Sys.Replica.Stats.JournalBytes)/1024)
+				s.Sys.Journal.Entries,
+				float64(s.Sys.Journal.Bytes)/1024)
 			for _, p := range s.Sys.ManagedProcesses() {
 				dmtcpsim.TouchHeap(p, 0.10, uint64(gen))
 			}

@@ -112,3 +112,68 @@ func TestRestartScenarios(t *testing.T) {
 		}
 	})
 }
+
+// traceScenario runs one scenario traced in process at the default
+// cluster size and returns its trace and the set of event names in it.
+func traceScenario(run func(scenOpts)) (*dmtcpsim.Tracer, map[string]bool) {
+	tr := dmtcpsim.NewTracer()
+	var b strings.Builder
+	run(scenOpts{nodes: 4, tracer: tr, w: &b})
+	names := map[string]bool{}
+	for _, e := range tr.Events() {
+		names[e.Name] = true
+	}
+	return tr, names
+}
+
+// TestHAScenarios pins the scenarios that drive coordinator HA over
+// the journal.  zero-loss kills the coordinator mid-round: the standby
+// replays the journal, takes over and resumes the round, whose
+// blocking chain must still partition its wall, then re-fans the
+// replicas out.  chaos partitions the leader away beside lossy links,
+// bit rot and a node death: a healed link deposes it, and its writes
+// are fenced.
+func TestHAScenarios(t *testing.T) {
+	t.Run("zero-loss", func(t *testing.T) {
+		tr, names := traceScenario(zeroLossScenario)
+		for _, want := range []string{"coord.resume", "coord.takeover", "coord.rebalance", "replica.repair"} {
+			if !names[want] {
+				t.Errorf("zero-loss trace has no %s event", want)
+			}
+		}
+		resumed := map[int64]bool{}
+		for _, e := range tr.Events() {
+			for _, a := range e.Args {
+				if e.Name == "coord.resume" && a.Key == "tag" {
+					resumed[a.Val] = true
+				}
+			}
+		}
+		checked := 0
+		for _, r := range dmtcpsim.AnalyzeTrace(tr).Rounds {
+			if !resumed[r.Tag] {
+				continue
+			}
+			var chain int64
+			for _, s := range r.Stages {
+				chain += s.WallNS
+			}
+			if d := chain - r.WallNS; r.WallNS <= 0 || max(d, -d)*100 > r.WallNS {
+				t.Errorf("resumed round %d: blocking chain %d ns, round wall %d ns (more than 1%% apart)", r.Tag, chain, r.WallNS)
+			}
+			checked++
+		}
+		if checked == 0 {
+			t.Error("no resumed round in the critical-path analysis")
+		}
+	})
+	t.Run("chaos", func(t *testing.T) {
+		_, names := traceScenario(chaosScenario)
+		for _, want := range []string{"net.fault_injected", "net.fault_healed", "scrub.pass",
+			"store.quarantine", "coord.takeover", "coord.resume", "coord.stepdown"} {
+			if !names[want] {
+				t.Errorf("chaos trace has no %s event", want)
+			}
+		}
+	})
+}

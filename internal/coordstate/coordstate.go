@@ -180,21 +180,6 @@ func RoundPhase(r *RoundState) string {
 	return phase
 }
 
-// BarriersPassed counts how many barriers (in protocol order) a
-// participant has been released through — the per-stage progress a
-// resyncing manager reports so a promoted leader can heal arrivals
-// lost to a degraded commit.
-func BarriersPassed(r *RoundState, cid int64) int {
-	n := 0
-	for _, name := range Barriers {
-		if !r.Released[name] || !r.Arrived[name][cid] {
-			break
-		}
-		n++
-	}
-	return n
-}
-
 // ParticipantIDs returns the round's participants in id order.
 func (r *RoundState) ParticipantIDs() []int64 { return bin.SortedKeys(r.Participants) }
 

@@ -111,9 +111,6 @@ func (h *HostHealth) code(c *bin.Coder) {
 	c.I64(&h.Cores)
 }
 
-// HealthHosts returns the registry hostnames in deterministic order.
-func (st *State) HealthHosts() []string { return bin.SortedKeys(st.Health) }
-
 // HostDeadline is the State-level lookup the standby election wait and
 // the partition watchdog use: the adaptive deadline for host from its
 // journaled summary, or cap when no summary names it.

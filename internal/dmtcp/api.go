@@ -97,12 +97,12 @@ type Config struct {
 
 	// CoordStandbys, when > 0, runs coordinator HA: that many standby
 	// coordinator processes on ring peers of CoordNode, each replaying
-	// the leader's journaled state machine (shipped through the
-	// replica daemons).  When the coordinator's node dies, the
-	// surviving standby with the lowest node id takes over; live
-	// managers reconnect and resync with it mid-computation, and
-	// System.Recover tolerates the coordinator node being among the
-	// dead.
+	// the leader's journaled state machine, which the leader ships to
+	// each standby's own coordinator port.  When the coordinator's
+	// node dies, the surviving standby with the lowest node id takes
+	// over; live managers reconnect and resync with it
+	// mid-computation, and System.Recover tolerates the coordinator
+	// node being among the dead.  It needs no storage service.
 	CoordStandbys int
 }
 
@@ -136,9 +136,10 @@ type System struct {
 	pendingEv []coordstate.Event
 
 	// Replica is the replicated checkpoint storage service (nil unless
-	// Config.Store and Config.ReplicaFactor — or Config.CoordStandbys,
-	// whose journal replication rides the same daemons — enable it).
+	// Config.Store and Config.ReplicaFactor enable it).
 	Replica *replica.Service
+	// Journal counts the coordinator journal's replication traffic.
+	Journal JournalStats
 
 	ofid       int64
 	restartGen int64
@@ -213,7 +214,7 @@ func Install(c *kernel.Cluster, cfg Config) *System {
 	if len(sys.coords) > 1 {
 		c.AddNodeDownHook(sys.onCoordNodeDown)
 	}
-	if (cfg.Store && cfg.ReplicaFactor > 0) || cfg.CoordStandbys > 0 {
+	if cfg.Store && cfg.ReplicaFactor > 0 {
 		sys.Replica = replica.Install(c, replica.Config{
 			Factor: cfg.ReplicaFactor,
 			Root:   sys.StoreRoot(),
@@ -287,7 +288,7 @@ func (s *System) applyCoordEvent(ev coordstate.Event) {
 
 // SpawnCoordinator starts the coordinator process (and the standby
 // coordinators), plus the per-node replica daemons when the
-// replicated storage service or coordinator HA is enabled.
+// replicated storage service is enabled.
 func (s *System) SpawnCoordinator() error {
 	for _, co := range s.coords {
 		p, err := co.Node.Kern.Spawn("dmtcp_coordinator", nil, nil)
@@ -295,11 +296,6 @@ func (s *System) SpawnCoordinator() error {
 			return err
 		}
 		co.proc = p
-		if co.Standby && s.Replica != nil {
-			// The standby's replica daemon feeds pushed journal
-			// records straight into its state machine.
-			s.Replica.SetJournalSink(co.Node, co.Mach)
-		}
 	}
 	if s.Replica != nil {
 		if err := s.Replica.StartAll(); err != nil {
@@ -359,23 +355,6 @@ func (s *System) storeBusyTotal() int {
 		total += v
 	}
 	return total
-}
-
-// fetchHostFor picks the replica daemon a restart on target should
-// pull manifestPath from: the original writer when it is alive, else
-// any live replica holder that has the generation.
-func (s *System) fetchHostFor(manifestPath string, src, target *kernel.Node) string {
-	if src != nil && !src.Down && src != target {
-		return src.Hostname
-	}
-	name, gen, ok := store.NameForManifest(manifestPath)
-	if !ok {
-		return ""
-	}
-	if pi := s.Coord.st().Placement[name]; pi != nil {
-		return s.Coord.aliveHolder(pi, gen, target.Hostname)
-	}
-	return ""
 }
 
 // CheckpointEnv returns the environment dmtcp_checkpoint gives target
@@ -501,11 +480,7 @@ func (s *System) Checkpoint(t *kernel.Task) (*CkptRound, error) {
 		}
 		// The coordinator died under the request: wait for the standby
 		// takeover.
-		deadline := t.Now().Add(s.C.Params.CoordRetryWindow)
-		for s.Coord.Node.Down && t.Now() < deadline {
-			s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
-		}
-		if s.Coord.Node.Down {
+		if !s.awaitLeader(t, s.C.Params.CoordRetryWindow) {
 			return nil, s.roundLost(fmt.Errorf("dmtcp: coordinator lost with no live standby: %w", err))
 		}
 		// The promoted standby resumes an inherited in-flight round
@@ -536,17 +511,24 @@ func (s *System) awaitRound(t *kernel.Task) error {
 			return nil
 		}
 		if s.Coord.Node.Down {
-			deadline := t.Now().Add(s.C.Params.CoordRetryWindow)
-			for s.Coord.Node.Down && t.Now() < deadline {
-				s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
-			}
-			if s.Coord.Node.Down {
+			if !s.awaitLeader(t, s.C.Params.CoordRetryWindow) {
 				return s.roundLost(fmt.Errorf("dmtcp: coordinator lost mid-round with no live standby"))
 			}
 			continue
 		}
 		s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
 	}
+}
+
+// awaitLeader waits up to window for a live leader, in 20-ms steps
+// that a takeover or a completed round cuts short, and reports whether
+// one is in charge.
+func (s *System) awaitLeader(t *kernel.Task, window time.Duration) bool {
+	deadline := t.Now().Add(window)
+	for s.Coord.Node.Down && t.Now() < deadline {
+		s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
+	}
+	return !s.Coord.Node.Down
 }
 
 // checkpointOnce issues one checkpoint request against the current
@@ -621,14 +603,11 @@ func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (
 	// barriers).  With standbys configured, wait out a pending
 	// takeover; without one, fail fast instead of spawning restarts
 	// that can only wedge.
-	if s.Coord.Node.Down && s.haEnabled() {
-		p := s.C.Params
-		deadline := t.Now().Add(p.FailureDetectDelay + p.ElectionTimeout + p.CoordRetryWindow)
-		for s.Coord.Node.Down && t.Now() < deadline {
-			s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
-		}
+	var window time.Duration
+	if p := s.C.Params; s.haEnabled() {
+		window = p.FailureDetectDelay + p.ElectionTimeout + p.CoordRetryWindow
 	}
-	if s.Coord.Node.Down {
+	if !s.awaitLeader(t, window) {
 		return nil, fmt.Errorf("dmtcp: restart requires a live coordinator (node %s is down)", s.Coord.Node.Hostname)
 	}
 	byHost := make(map[string][]ImageInfo)
@@ -686,15 +665,14 @@ func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (
 	var spawned []*kernel.Process
 	for _, host := range hosts {
 		imgs := byHost[host]
-		env, err := s.stageImages(host, imgs, targets[host])
-		if err != nil {
+		if err := s.stageImages(host, imgs, targets[host]); err != nil {
 			return nil, err
 		}
 		args := []string{strconv.Itoa(len(round.Images)), run.gen}
 		for _, img := range imgs {
 			args = append(args, img.Path)
 		}
-		rp, err := targets[host].Kern.Spawn("dmtcp_restart", args, env)
+		rp, err := targets[host].Kern.Spawn("dmtcp_restart", args, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -720,52 +698,36 @@ func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (
 
 // stageImages makes host's images visible on the restart target (the
 // paper's restart script assumes images are reachable; /san paths
-// already are) and returns the restart program's environment.  With
-// the replica service running, chunked images are not copied here: the
-// restart program pulls the manifest and only the chunks the target
-// lacks from a replica daemon, on the target node, over the network —
-// the same fetch path node-failure recovery rides.
-func (s *System) stageImages(host string, imgs []ImageInfo, target *kernel.Node) (map[string]string, error) {
+// already are).  With the replica service running, chunked images are
+// not copied here: the restart program pulls the manifest and only the
+// chunks the target lacks from the coordinator's holders of the
+// generation, on the target node, over the network — the same fetch
+// path node-failure recovery rides.
+func (s *System) stageImages(host string, imgs []ImageInfo, target *kernel.Node) error {
 	src := s.C.LookupHost(host)
-	var env map[string]string
 	for _, img := range imgs {
-		if store.IsManifestPath(img.Path) {
-			if s.Replica != nil {
-				if env == nil {
-					if from := s.fetchHostFor(img.Path, src, target); from != "" {
-						env = map[string]string{fetchFromEnv: from}
-					}
-				}
-				continue
-			}
-			if src == target {
-				continue
-			}
-			if src == nil || src.Down {
-				return nil, fmt.Errorf("dmtcp: images of %s died with the node (no replica service)", host)
-			}
-			// Chunked image: replicate the manifest and every chunk it
-			// references that the target lacks.
+		chunked := store.IsManifestPath(img.Path)
+		if src == target || (chunked && s.Replica != nil) {
+			continue
+		}
+		if src == nil || src.Down {
+			return fmt.Errorf("dmtcp: images of %s died with the node (no replica service)", host)
+		}
+		if chunked {
+			// Replicate the manifest and every chunk it references that
+			// the target lacks.
 			if root, ok := store.RootForManifest(img.Path); ok {
 				sst := store.Open(src, store.Config{Root: root})
 				dst := store.Open(target, store.Config{Root: root})
 				if err := sst.CopyTo(dst, img.Path); err != nil {
-					return nil, fmt.Errorf("dmtcp: migrate %s: %w", img.Path, err)
+					return fmt.Errorf("dmtcp: migrate %s: %w", img.Path, err)
 				}
 			}
-			continue
-		}
-		if src == target {
-			continue
-		}
-		if src == nil || src.Down {
-			return nil, fmt.Errorf("dmtcp: images of %s died with the node (no replica service)", host)
-		}
-		if ino, err := src.FS.ReadFile(img.Path); err == nil && !target.FS.Exists(img.Path) {
+		} else if ino, err := src.FS.ReadFile(img.Path); err == nil && !target.FS.Exists(img.Path) {
 			target.FS.WriteFile(img.Path, ino.Data, ino.LogicalSize)
 		}
 	}
-	return env, nil
+	return nil
 }
 
 // restartRun is one RestartAll in flight: the stage report each of

@@ -41,13 +41,15 @@ func waitTakeover(t *testing.T, task *kernel.Task, e *env) {
 	}
 }
 
-// runHACounter runs the counter workload under the HA config,
-// optionally killing the coordinator node mid-computation, and
-// returns the final output file contents (the checksum the acceptance
-// criterion compares).
-func runHACounter(t *testing.T, kill bool) string {
+// runHACounter runs the counter workload under cfg, optionally
+// killing the coordinator node mid-computation, and returns the final
+// output file contents (the checksum the acceptance criterion
+// compares) and the number of replica daemons running once the first
+// round is in.
+func runHACounter(t *testing.T, cfg Config, kill bool) (string, int) {
 	t.Helper()
-	e := newEnv(t, 4, haConfig())
+	e := newEnv(t, 4, cfg)
+	daemons := 0
 	const out = "/san/out/coordha"
 	e.drive(t, func(task *kernel.Task) {
 		if _, err := e.sys.Launch(3, "counter", "400", out); err != nil {
@@ -60,7 +62,16 @@ func runHACounter(t *testing.T, kill bool) string {
 			t.Errorf("pre-kill checkpoint: %v", err)
 			return
 		}
-		e.sys.Replica.WaitIdle(task)
+		for _, n := range e.c.Nodes() {
+			for _, p := range n.Kern.Processes() {
+				if p.ProgName == "dmtcp_replicad" {
+					daemons++
+				}
+			}
+		}
+		if e.sys.Replica != nil {
+			e.sys.Replica.WaitIdle(task)
+		}
 		if kill {
 			preRounds := len(e.sys.Coord.Rounds())
 			if killed := e.c.KillNode(1); killed == 0 {
@@ -107,21 +118,39 @@ func runHACounter(t *testing.T, kill bool) string {
 	if err != nil {
 		t.Fatal("no output file")
 	}
-	return string(ino.Data)
+	return string(ino.Data), daemons
 }
 
 // TestCoordinatorFailoverMidComputation is the headline HA scenario:
 // the coordinator node dies mid-computation, the standby replays the
 // journal and takes over, the live manager resyncs, and the completed
 // run's checksum matches a run that never lost its coordinator.
+//
+// Coordinator HA needs no storage service: without a Store the journal
+// still ships coordinator to coordinator, the takeover still happens,
+// and no replica daemon runs on any node.
 func TestCoordinatorFailoverMidComputation(t *testing.T) {
-	killed := runHACounter(t, true)
-	control := runHACounter(t, false)
-	if !strings.Contains(killed, "done") {
-		t.Fatalf("killed run did not finish:\n%s", killed)
-	}
-	if killed != control {
-		t.Fatalf("post-takeover checksum differs from unkilled run:\nkilled:\n%s\ncontrol:\n%s", killed, control)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		daemons bool
+	}{
+		{"replicated store", haConfig(), true},
+		{"standbys only", Config{CoordNode: 1, Compress: true, CoordStandbys: 1}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			killed, daemons := runHACounter(t, tc.cfg, true)
+			control, _ := runHACounter(t, tc.cfg, false)
+			if !strings.Contains(killed, "done") {
+				t.Fatalf("killed run did not finish:\n%s", killed)
+			}
+			if killed != control {
+				t.Fatalf("post-takeover checksum differs from unkilled run:\nkilled:\n%s\ncontrol:\n%s", killed, control)
+			}
+			if (daemons > 0) != tc.daemons {
+				t.Errorf("%d dmtcp_replicad processes ran, want some: %v", daemons, tc.daemons)
+			}
+		})
 	}
 }
 

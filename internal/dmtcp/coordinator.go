@@ -11,7 +11,6 @@ import (
 	"repro/internal/coordstate"
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/replica"
 	"repro/internal/retry"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -108,6 +107,9 @@ type Coordinator struct {
 	// at promotion); shipped tracks the last seq each standby acked.
 	shipW   *sim.WaitQueue
 	shipped map[string]int64
+	// leaderSeen is when a leader's shipper last reached this standby
+	// at an epoch no older than its own; the silence watchdog reads it.
+	leaderSeen sim.Time
 
 	// health is the live registry every heartbeat folds into (what
 	// detectDelay reads); only journalHealth's summaries are journaled.
@@ -153,10 +155,6 @@ func (co *Coordinator) Addr() kernel.Addr {
 // Rounds returns the records of the completed checkpoint rounds,
 // oldest first.
 func (co *Coordinator) Rounds() []*CkptRound { return co.Sys.roundRecords(co.st().Rounds) }
-
-// NumClients returns the number of registered checkpointable
-// processes.
-func (co *Coordinator) NumClients() int { return len(co.st().Clients) }
 
 // LastRound returns the record of the most recent completed
 // checkpoint round.
@@ -508,6 +506,8 @@ func (co *Coordinator) serve(t *kernel.Task, fd int) {
 				co.apply(t, coordstate.Event{Kind: coordstate.EvRestartRank, Now: t.Now(),
 					Name: gen, Host: rank, Msg: stage})
 			}
+		case msgJWant, msgJSnap, msgJAppend:
+			co.serveJournal(t, fd, frame)
 		case msgQuit:
 			co.Sys.C.Eng.Stop()
 			return
@@ -917,10 +917,9 @@ func descHost(desc string) string {
 
 // shipLoop is the leader's journal replicator: after every state
 // change (batched by JournalShipDelay) it pushes the journal suffix
-// each live standby lacks through that standby's replica daemon — the
-// same want/missing discipline chunk replication uses.  Only a failed
-// or short-acked push backs off; entries applied during a push ship at
-// once.  Idle, it still contacts every live standby once per
+// each live standby lacks to that standby's own port (pushJournal).
+// Only a failed or short-acked push backs off; entries applied during a
+// push ship at once.  Idle, it still contacts every live standby once per
 // HeartbeatInterval (the want/ack handshake alone): the pushes are the
 // leader's heartbeat.  On a standby the loop idles until promotion.
 func (co *Coordinator) shipLoop(t *kernel.Task) {
@@ -947,11 +946,11 @@ func (co *Coordinator) shipLoop(t *kernel.Task) {
 				continue
 			}
 			shipStart := t.Now()
-			seq, err := co.Sys.Replica.PushJournal(t, peer.Hostname, co.Mach)
+			seq, err := co.pushJournal(t, peer.Hostname)
 			t.Trace().Span(t.Host(), "coordinator journal", "journal.ship→"+peer.Hostname,
 				"coord", shipStart, t.Now(), obs.A("seq", seq))
 			if err != nil {
-				if errors.Is(err, replica.ErrDeposed) {
+				if errors.Is(err, errDeposed) {
 					// A peer has seen a newer epoch: this instance was
 					// deposed while partitioned away.  Step down and
 					// park; the new leader's pushes replay us back
@@ -969,9 +968,9 @@ func (co *Coordinator) shipLoop(t *kernel.Task) {
 			}
 		}
 		if failed {
-			// A standby daemon is unreachable (booting, or its node
-			// died and liveness has not been re-read) or refused part
-			// of the batch: back off and retry rather than spinning.
+			// A standby is unreachable (booting, or its node died and
+			// liveness has not been re-read) or refused part of the
+			// batch: back off and retry rather than spinning.
 			co.shipW.WaitTimeout(t.T, bo.Next())
 			continue
 		}
@@ -990,9 +989,9 @@ func (co *Coordinator) shipLoop(t *kernel.Task) {
 
 // stepDown demotes a deposed leader: a partition cut this instance
 // off with a minority, the majority side elected a new leader, and a
-// healed link just told us so.  The instance re-registers as a
-// journal sink — the new leader's next push rewinds any entries this
-// one journaled alone (truncate-and-replay past the epoch fence) and
+// healed link just told us so.  As a standby again it accepts journal
+// pushes: the new leader's next push rewinds any entries this one
+// journaled alone (truncate-and-replay past the epoch fence) and
 // replays the authoritative history, converging the mirror.  Every
 // client, command, and restart-barrier connection is kicked so the
 // peers' reconnect loops re-bind to the current leader, and any
@@ -1007,9 +1006,6 @@ func (co *Coordinator) stepDown(t *kernel.Task) {
 		obs.A("epoch", co.Mach.Epoch()), obs.A("seq", co.Mach.Seq()))
 	t.Printf("dmtcp_coordinator: %s deposed at epoch %d: stepping down\n",
 		co.Node.Hostname, co.Mach.Epoch())
-	if co.Sys.Replica != nil {
-		co.Sys.Replica.SetJournalSink(co.Node, co.Mach)
-	}
 	for cid, fd := range co.conns {
 		t.Close(fd)
 		delete(co.conns, cid)
@@ -1037,18 +1033,17 @@ func (co *Coordinator) stepDown(t *kernel.Task) {
 // caught by onCoordNodeDown, but a leader that is alive yet
 // unreachable (partitioned away) never triggers it — its node is not
 // Down.  Each standby therefore watches the leader's journal pushes
-// (which double as heartbeats) through the replica daemon's sink
-// timestamps.  On prolonged silence it probes the leader's daemon
-// port directly, and — only if the probe fails AND this standby can
-// reach a majority of the coordinator group (so it is on the winning
-// side of the cut) — the best-ranked reachable candidate promotes
-// itself.  The silence threshold staggers by rank exactly like the
+// (which double as heartbeats) through leaderSeen.  On prolonged
+// silence it probes the leader's coordinator port directly, and — only
+// if the probe fails AND this standby can reach a majority of the
+// coordinator group (so it is on the winning side of the cut) — the
+// best-ranked reachable candidate promotes itself.  The silence threshold staggers by rank exactly like the
 // node-death election, so candidates never race.
 func (co *Coordinator) watchdog(t *kernel.Task) {
 	s := co.Sys
 	p := s.C.Params
 	iv := p.HeartbeatInterval
-	if iv <= 0 || s.Replica == nil {
+	if iv <= 0 {
 		return
 	}
 	rng := s.C.Eng.Rand()
@@ -1068,8 +1063,8 @@ func (co *Coordinator) watchdog(t *kernel.Task) {
 			lastUp = t.Now() // node-death election owns this case
 			continue
 		}
-		if seen, ok := s.Replica.JournalSeen(co.Node); ok && seen > lastUp {
-			lastUp = seen
+		if co.leaderSeen > lastUp {
+			lastUp = co.leaderSeen
 		}
 		detect := co.st().HostDeadline(lead.Node.Hostname,
 			p.PhiTimeoutFactor, p.PhiFloor, p.FailureDetectDelay)
@@ -1131,7 +1126,7 @@ func (co *Coordinator) watchRank() int {
 	return rank
 }
 
-// probe checks whether host's replica daemon port answers a TCP
+// probe checks whether the coordinator port on host answers a TCP
 // handshake from this node (a partition or refuse window fails it
 // fast with a refused connection).
 func (co *Coordinator) probe(t *kernel.Task, host string) bool {
@@ -1139,7 +1134,7 @@ func (co *Coordinator) probe(t *kernel.Task, host string) bool {
 	if of, err := t.P.FD(fd); err == nil {
 		of.Protected = true
 	}
-	err := t.Connect(fd, kernel.Addr{Host: host, Port: replica.Port})
+	err := t.Connect(fd, kernel.Addr{Host: host, Port: co.Port})
 	t.Close(fd)
 	return err == nil
 }
@@ -1162,9 +1157,6 @@ func (s *System) promote(t *kernel.Task, co *Coordinator) {
 	t.Trace().Instant(t.Host(), "coordinator", "coord.takeover", "coord", t.Now(),
 		obs.A("epoch", co.Mach.Epoch()), obs.A("seq", co.Mach.Seq()))
 	s.Coord = co
-	if s.Replica != nil {
-		s.Replica.ClearJournalSink(co.Node)
-	}
 	t.Printf("dmtcp_coordinator: %s taking over from %s (epoch %d, journal seq %d)\n",
 		co.Node.Hostname, old.Node.Hostname, co.Mach.Epoch(), co.Mach.Seq())
 	// Clients that died with a dead node will never resync: drop them

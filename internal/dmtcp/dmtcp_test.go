@@ -338,13 +338,6 @@ func expectTicks(t *testing.T, n *kernel.Node, path string, count int) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // --- tests -------------------------------------------------------------
 
 func TestCheckpointSingleProcess(t *testing.T) {

@@ -1,6 +1,8 @@
 package dmtcp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strconv"
 	"testing"
 	"time"
@@ -55,6 +57,56 @@ func (lazyQuit) Main(t *kernel.Task, args []string) {
 }
 
 func (lazyQuit) Restore(t *kernel.Task, _ []byte) {}
+
+// lazyBytes is lazyTouch whose library and heap carry real, distinct
+// bytes in every chunk (as libBytes does for its library), and whose
+// Restore checks them at the instant each first-touch probe returns:
+// probes counts the probes, bad those that read anything but the
+// checkpointed bytes.
+type lazyBytes struct{ probes, bad *int }
+
+// lazyAreas are the areas lazyBytes fills, each word its offset tagged
+// with the area's salt.
+var lazyAreas = []struct {
+	name string
+	salt byte
+}{{"/lib/libc.so", 'l'}, {"[heap]", 'h'}}
+
+func lazyPattern(salt byte, n int64) []byte {
+	b := make([]byte, n)
+	for off := 0; off+8 <= len(b); off += 8 {
+		binary.LittleEndian.PutUint64(b[off:], uint64(off)<<8|uint64(salt))
+	}
+	return b
+}
+
+func (lazyBytes) Main(t *kernel.Task, _ []string) {
+	lib := t.MapLib(lazyAreas[0].name, 4*model.MB)
+	lib.Payload = lazyPattern(lazyAreas[0].salt, lib.Bytes)
+	heap := t.MapAnon(lazyAreas[1].name, 8*model.MB, model.ClassData)
+	heap.Payload = lazyPattern(lazyAreas[1].salt, heap.Bytes)
+	heap.Touch(0, heap.Bytes)
+	t.P.SaveState([]byte{1})
+	bigDirtyIdle(t)
+}
+
+func (p lazyBytes) Restore(t *kernel.Task, _ []byte) {
+	for _, la := range lazyAreas {
+		a := t.P.Mem.Area(la.name)
+		want := lazyPattern(la.salt, a.Bytes)
+		for off, n := int64(0), 64*model.KB; off+n <= a.Bytes; off += a.Bytes / 8 {
+			if err := a.EnsureRange(t, off, n); err != nil {
+				panic(err)
+			}
+			*p.probes++
+			if !bytes.Equal(a.Payload[off:off+n], want[off:off+n]) {
+				*p.bad++
+			}
+			t.Compute(5 * time.Millisecond)
+		}
+	}
+	bigDirtyIdle(t)
+}
 
 // lazyEnv checkpoints a lazyTouch workload on node1 through the
 // replicated store, quiesces replication, and kills the managed
@@ -236,4 +288,35 @@ func TestLazyRestartProcessExitAbortsDrain(t *testing.T) {
 			t.Error("aborted drain left a complete image; abort never happened?")
 		}
 	})
+}
+
+// TestLazyFaultReturnsCheckpointedBytes checks the post-copy contract
+// at the instant a first-touch fault returns, not after the drain:
+// every probe of a lazily restored library and heap must read exactly
+// the checkpointed bytes, whether its chunk came by demand fault or
+// had already been prefetched.
+func TestLazyFaultReturnsCheckpointedBytes(t *testing.T) {
+	e := newEnv(t, 4, Config{Store: true, ReplicaFactor: 2, CkptWorkers: 2, LazyRestore: true})
+	var probes, bad int
+	e.drive(t, func(task *kernel.Task) {
+		e.c.Register("lazybytes", lazyBytes{&probes, &bad})
+		round := lazyEnv(t, e, task, "lazybytes", 0)
+		stats, err := e.sys.RestartAll(task, round, Placement{"node01": 0})
+		if err != nil {
+			t.Errorf("lazy restart: %v", err)
+			return
+		}
+		if stats.DemandFaults == 0 {
+			t.Errorf("no demand faults, so no probe raced the drain: %+v", stats)
+		}
+		for deadline := task.Now().Add(time.Second); probes < 16 && task.Now() < deadline; {
+			task.Compute(10 * time.Millisecond)
+		}
+	})
+	if probes != 16 {
+		t.Fatalf("restored program made %d probes, want 16", probes)
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d probes read other bytes than the checkpointed ones", bad, probes)
+	}
 }

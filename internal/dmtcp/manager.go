@@ -334,37 +334,51 @@ func (m *Manager) barrier(t *kernel.Task, name string, stage time.Duration, res 
 			VirtPid: m.virtPid, Generation: res.Generation}
 		img.Code(&c)
 	}
+	if err := m.await(t, name, c.E.B); err != nil {
+		return err
+	}
+	m.curPassed++
+	return nil
+}
+
+// await sends frames to the coordinator and blocks until it releases
+// the barrier name.  If the connection dies, the manager resyncs with
+// the current leader and sends the frames again; only a coordinator
+// lost for good ends the wait early, with its error.  A checkpoint
+// request for another round that arrives meanwhile (a promoted
+// coordinator started one while this manager finished an aborted
+// round, or one requested as a restart returns) is kept for loop,
+// which serves it first.  A request for the round in progress is the
+// resync re-send to a manager that had passed no barrier yet; running
+// it again would checkpoint the round twice.  A restored manager's tag
+// is 0, round 0's, which no round requested after a restart carries,
+// so a restored rank keeps every request it sees.
+func (m *Manager) await(t *kernel.Task, name string, frames ...[]byte) error {
 	for {
-		if err := t.SendFrame(m.coordFD, c.E.B); err != nil {
-			if lerr := m.coordLost(t); lerr != nil {
-				return lerr
+		var err error
+		for _, f := range frames {
+			if err = t.SendFrame(m.coordFD, f); err != nil {
+				break
 			}
-			continue // re-send the arrival on the new connection
 		}
-		for {
-			frame, err := t.RecvFrame(m.coordFD)
-			if err != nil {
-				if lerr := m.coordLost(t); lerr != nil {
-					return lerr
-				}
-				break // resynced: re-send the arrival
+		for err == nil {
+			var frame []byte
+			if frame, err = t.RecvFrame(m.coordFD); err != nil || len(frame) == 0 {
+				continue
 			}
-			if len(frame) > 0 && frame[0] == msgRelease {
-				d := &bin.Decoder{B: frame[1:]}
-				if d.Str() == name {
-					m.curPassed++
+			switch frame[0] {
+			case msgRelease:
+				if (&bin.Decoder{B: frame[1:]}).Str() == name {
 					return nil
 				}
+			case msgDoCkpt:
+				if decodeCkptConfig(frame).Tag != m.curTag {
+					m.pendingCkpt = append([]byte(nil), frame...)
+				}
 			}
-			if len(frame) > 0 && frame[0] == msgDoCkpt && decodeCkptConfig(frame).Tag != m.curTag {
-				// A promoted coordinator started a round while this
-				// manager was still finishing an aborted one: keep the
-				// request for loop so it is not lost mid-barrier.  A
-				// request for the round in progress is the resync
-				// re-send to a manager that had passed no barrier yet;
-				// running it again would checkpoint the round twice.
-				m.pendingCkpt = append([]byte(nil), frame...)
-			}
+		}
+		if lerr := m.coordLost(t); lerr != nil {
+			return lerr
 		}
 	}
 }

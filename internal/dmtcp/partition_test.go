@@ -218,7 +218,7 @@ func TestStageSweepPartitionLeader(t *testing.T) {
 // released, its machine pins the old epoch, and the caller never sees
 // the round complete while the cluster is split.  The majority elects
 // a new leader; after the heal the deposed leader's journal push is
-// fenced (ErrDeposed), it steps down, the manager re-binds, and the
+// fenced (errDeposed), it steps down, the manager re-binds, and the
 // workload's tick log stays exactly-once.
 func TestMinorityLeaderCannotCommit(t *testing.T) {
 	e := newEnv(t, 5, haPartitionConfig())

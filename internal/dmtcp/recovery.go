@@ -2,10 +2,10 @@ package dmtcp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"repro/internal/coordstate"
 	"repro/internal/kernel"
 	"repro/internal/store"
 )
@@ -65,15 +65,8 @@ func (s *System) Recover(t *kernel.Task) (*Recovery, error) {
 	t.Idle(s.detectDelay())
 	// The coordinator may be among the dead: wait for the standby
 	// takeover before reading any coordinator state.
-	if s.Coord.Node.Down {
-		p := s.C.Params
-		deadline := t.Now().Add(p.FailureDetectDelay + p.ElectionTimeout + p.CoordRetryWindow)
-		for s.Coord.Node.Down && t.Now() < deadline {
-			s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
-		}
-		if s.Coord.Node.Down {
-			return nil, fmt.Errorf("dmtcp: coordinator node %s lost with no live standby", s.Coord.Node.Hostname)
-		}
+	if p := s.C.Params; !s.awaitLeader(t, p.FailureDetectDelay+p.ElectionTimeout+p.CoordRetryWindow) {
+		return nil, fmt.Errorf("dmtcp: coordinator node %s lost with no live standby", s.Coord.Node.Hostname)
 	}
 	co := s.Coord
 	// Let a round the node died in the middle of settle first
@@ -207,43 +200,51 @@ func (co *Coordinator) recoveryRound(dead []string) *CkptRound {
 	return fallback
 }
 
+// roundRecoverable reports whether every image of r can be restored:
+// one written on a dead host needs a live complete holder, and one on a
+// live host its manifest there or a complete holder elsewhere.
 func (co *Coordinator) roundRecoverable(r *CkptRound, dead map[string]bool) bool {
 	for _, img := range r.Images {
 		name, gen, ok := store.NameForManifest(img.Path)
-		if !ok {
+		if !ok || co.st().Placement[name] == nil {
 			return false
 		}
-		pi := co.st().Placement[name]
-		if pi == nil {
-			return false
-		}
-		if dead[img.Host] {
-			if co.aliveHolder(pi, gen, "") == "" {
+		local := false
+		if !dead[img.Host] {
+			n := co.Sys.C.LookupHost(img.Host)
+			if n == nil || n.Down {
 				return false
 			}
-			continue
+			local = n.FS.Exists(img.Path)
 		}
-		n := co.Sys.C.LookupHost(img.Host)
-		if n == nil || n.Down {
-			return false
-		}
-		if !n.FS.Exists(img.Path) && co.aliveHolder(pi, gen, img.Host) == "" {
+		if !local && len(co.holders(name, gen)) == 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// candidateHolders returns the hosts that may hold generation gen of
-// pi, most-likely first: recorded holders whose known generation
-// covers gen, then the remaining recorded holders and the writer's
-// ring-placement targets.  The fallback tier matters after a
-// coordinator takeover — EvReplicated and EvWatermark records raised
-// in the instants before the leader died may never have shipped, so
-// the replayed placement map can run behind what the holders' stores
-// actually contain; the likely tier keeps the common (no-takeover)
-// lookup as cheap as the placement map made it.
-func (co *Coordinator) candidateHolders(pi *coordstate.PlaceInfo, gen int64) []string {
+// holders returns the live hosts holding a complete copy of generation
+// gen of name: the manifest plus every chunk it references.  The
+// writer comes first, then the other candidates, most likely first:
+// recorded holders whose known generation covers gen, then the
+// remaining recorded holders and the writer's ring-placement targets.
+// The fallback tier matters after a coordinator takeover — EvReplicated
+// and EvWatermark records raised in the instants before the leader died
+// may never have shipped, so the replayed placement map can run behind
+// what the holders' stores actually contain.  Nor can the map alone
+// settle completeness: Holders is monotonic ("highest generation ever
+// pushed"), so retention may have pruned the manifest since, and a push
+// the source died under leaves a manifest whose chunks never all
+// arrived (a committed stream ships the manifest first).  So every
+// candidate is checked against its store.  Restart, recovery and repair
+// all choose holders here.
+func (co *Coordinator) holders(name string, gen int64) []string {
+	sys := co.Sys
+	pi := co.st().Placement[name]
+	if pi == nil {
+		return nil
+	}
 	seen := map[string]bool{}
 	var likely, fallback []string
 	for _, h := range pi.HolderHosts() {
@@ -254,58 +255,32 @@ func (co *Coordinator) candidateHolders(pi *coordstate.PlaceInfo, gen int64) []s
 			fallback = append(fallback, h)
 		}
 	}
-	if co.Sys.Replica != nil && pi.Host != "" {
-		if n := co.Sys.C.LookupHost(pi.Host); n != nil {
-			for _, peer := range co.Sys.Replica.Targets(n) {
-				if h := peer.Hostname; !seen[h] {
-					seen[h] = true
-					fallback = append(fallback, h)
-				}
+	if n := sys.C.LookupHost(pi.Host); n != nil && sys.Replica != nil {
+		for _, peer := range sys.Replica.Targets(n) {
+			if h := peer.Hostname; !seen[h] {
+				seen[h] = true
+				fallback = append(fallback, h)
 			}
 		}
 	}
 	sort.Strings(likely)
 	sort.Strings(fallback)
-	return append(likely, fallback...)
-}
-
-// holderComplete reports whether host is alive and holds a complete
-// copy of (name, gen): the manifest plus every chunk it references.
-// The placement map alone cannot settle this — Holders is monotonic
-// ("highest generation ever pushed") so retention may have pruned the
-// manifest since, watermarks can lag a takeover, and a push the
-// source died under leaves a manifest whose chunks never all arrived
-// (a committed stream ships the manifest first) — so the coordinator
-// verifies against the holder's store before trusting it.
-func (co *Coordinator) holderComplete(host, name string, gen int64) bool {
-	n := co.Sys.C.LookupHost(host)
-	if n == nil || n.Down {
-		return false
-	}
-	st := store.Open(n, store.Config{Root: co.Sys.StoreRoot()})
-	path := st.ManifestPath(name, gen)
-	if !n.FS.Exists(path) {
-		return false
-	}
-	m, err := st.LoadManifest(path)
-	if err != nil {
-		return false
-	}
-	return len(st.MissingChunks(m.Refs())) == 0
-}
-
-// aliveHolder returns a live holder (≠ exclude) with a complete copy
-// of generation gen of pi, or "".
-func (co *Coordinator) aliveHolder(pi *coordstate.PlaceInfo, gen int64, exclude string) string {
-	for _, h := range co.candidateHolders(pi, gen) {
-		if h == exclude {
+	var out []string
+	for _, h := range append(append([]string{pi.Host}, likely...), fallback...) {
+		n := sys.C.LookupHost(h)
+		if n == nil || n.Down || slices.Contains(out, h) {
 			continue
 		}
-		if co.holderComplete(h, pi.Name, gen) {
-			return h
+		st := store.Open(n, store.Config{Root: sys.StoreRoot()})
+		path := st.ManifestPath(name, gen)
+		if !n.FS.Exists(path) {
+			continue
+		}
+		if m, err := st.LoadManifest(path); err == nil && len(st.MissingChunks(m.Refs())) == 0 {
+			out = append(out, h)
 		}
 	}
-	return ""
+	return out
 }
 
 // pickTarget chooses the surviving node the dead host's processes
@@ -319,25 +294,12 @@ func (co *Coordinator) pickTarget(r *CkptRound, host string) *kernel.Node {
 			continue
 		}
 		total++
-		name, gen, ok := store.NameForManifest(img.Path)
-		if !ok {
-			return nil
-		}
-		pi := co.st().Placement[name]
-		if pi == nil {
-			return nil
-		}
-		for _, h := range co.candidateHolders(pi, gen) {
-			if h == host {
-				continue
-			}
-			if co.holderComplete(h, pi.Name, gen) {
+		name, gen, _ := store.NameForManifest(img.Path)
+		for _, h := range co.holders(name, gen) {
+			if h != host {
 				counts[h]++
 			}
 		}
-	}
-	if total == 0 {
-		return nil
 	}
 	var hosts []string
 	for h, c := range counts {

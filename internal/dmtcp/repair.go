@@ -137,21 +137,7 @@ func (co *Coordinator) planRepair(name string) (repairPlan, bool) {
 		return repairPlan{}, false
 	}
 	gen := pi.LatestGen
-	seen := map[string]bool{}
-	var complete []string
-	consider := func(h string) {
-		if h == "" || seen[h] {
-			return
-		}
-		seen[h] = true
-		if co.holderComplete(h, name, gen) {
-			complete = append(complete, h)
-		}
-	}
-	consider(pi.Host) // the writer anchors the set when it survived
-	for _, h := range co.candidateHolders(pi, gen) {
-		consider(h)
-	}
+	complete := co.holders(name, gen) // the writer anchors the set when it survived
 	if len(complete) == 0 {
 		return repairPlan{}, false // unrecoverable: nothing to repair from
 	}

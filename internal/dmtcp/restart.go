@@ -17,38 +17,12 @@ import (
 	"repro/internal/store"
 )
 
-// fetchFromEnv names the replica host dmtcp_restart pulls missing
-// manifests and chunks from (set by RestartAll / failure recovery).
-const fetchFromEnv = "DMTCP_FETCH_FROM"
-
 // fetchHolders returns the live hosts a restart on target may pull
-// path's chunks from, in preference order: primary (the holder the
-// restart was pointed at) first, then every holder the coordinator's
-// placement map verifies holds a complete copy — never target itself.
-func (s *System) fetchHolders(path, primary string, target *kernel.Node) []string {
-	seen := map[string]bool{target.Hostname: true}
-	var out []string
-	add := func(h string) {
-		if h == "" || seen[h] {
-			return
-		}
-		seen[h] = true
-		if n := s.C.LookupHost(h); n == nil || n.Down {
-			return
-		}
-		out = append(out, h)
-	}
-	add(primary)
-	if name, gen, ok := store.NameForManifest(path); ok {
-		if pi := s.Coord.st().Placement[name]; pi != nil {
-			for _, h := range s.Coord.candidateHolders(pi, gen) {
-				if s.Coord.holderComplete(h, name, gen) {
-					add(h)
-				}
-			}
-		}
-	}
-	return out
+// path's chunks from, in the coordinator's order of preference: its
+// complete holders of the generation, never target itself.
+func (s *System) fetchHolders(path string, target *kernel.Node) []string {
+	name, gen, _ := store.NameForManifest(path)
+	return slices.DeleteFunc(s.Coord.holders(name, gen), func(h string) bool { return h == target.Hostname })
 }
 
 // ensureManifest makes path's manifest local, trying holders in order.
@@ -217,19 +191,18 @@ func (r *restart) run(paths []string) error {
 // every image and decodes its tables.  Store manifests ride the
 // restore pipeline, one per image, concurrently (the node's core
 // scheduler arbitrates): chunks the node lacks are pulled from the
-// replica holders — DMTCP_FETCH_FROM first, then every
-// placement-verified complete holder — while an install pool lands
-// each as it arrives, so node-failure recovery, store-mode migration
-// and plain store restarts all ride one path.  With Config.LazyRestore
-// the pipeline returns on the skeleton, and the image's post-copy tail
-// starts pulling the rest here, overlapping files, conns and fork; it
-// installs on as many workers as the pipeline did.
+// coordinator's complete holders of the generation (holders), in its
+// order, while an install pool lands each as it arrives, so
+// node-failure recovery, store-mode migration and plain store restarts
+// all ride one path.  With Config.LazyRestore the pipeline returns on
+// the skeleton, and the image's post-copy tail starts pulling the rest
+// here, overlapping files, conns and fork; it installs on as many
+// workers as the pipeline did.
 // Monolithic images load headers only; their children pay the bulk.
 // Pipeline statistics fold into the stage times, with the slowest
 // pipeline's wall time as Memory.
 func (r *restart) loadImages(paths []string) error {
 	s, t, st := r.s, r.t, &r.st
-	from := t.P.Env[fetchFromEnv]
 	workers := s.Cfg.CkptWorkers
 	if workers == 0 {
 		// Adaptive (CkptWorkers == 0): size the restore pool from the
@@ -251,7 +224,7 @@ func (r *restart) loadImages(paths []string) error {
 			continue
 		}
 		if s.Replica != nil {
-			holders[i] = s.fetchHolders(path, from, t.P.Node)
+			holders[i] = s.fetchHolders(path, t.P.Node)
 		}
 		i, path := i, path
 		running++
@@ -261,7 +234,7 @@ func (r *restart) loadImages(paths []string) error {
 				pipeW.WakeAll()
 			}()
 			o := opts
-			if from != "" && s.Replica != nil {
+			if s.Replica != nil {
 				if errs[i] = s.ensureManifest(pt, path, holders[i]); errs[i] != nil {
 					return
 				}
@@ -657,33 +630,5 @@ func (s *System) groupBarrier(t *kernel.Task, mgr *Manager, name string, total i
 	e.Str(name)
 	e.Int(total)
 	e.Str(id)
-	for {
-		if t.SendFrame(mgr.coordFD, re.B) != nil || t.SendFrame(mgr.coordFD, e.B) != nil {
-			if mgr.coordLost(t) != nil {
-				return
-			}
-			continue // re-report and rejoin on the new connection
-		}
-		for {
-			frame, err := t.RecvFrame(mgr.coordFD)
-			if err != nil {
-				if mgr.coordLost(t) != nil {
-					return
-				}
-				break // resynced: re-report and rejoin
-			}
-			if len(frame) > 0 && frame[0] == msgRelease {
-				d := &bin.Decoder{B: frame[1:]}
-				if d.Str() == name {
-					return
-				}
-			}
-			if len(frame) > 0 && frame[0] == msgDoCkpt {
-				// A checkpoint requested as RestartAll returned: keep it
-				// for the manager's loop, which starts after the last
-				// restart barrier and serves it first.
-				mgr.pendingCkpt = append([]byte(nil), frame...)
-			}
-		}
-	}
+	mgr.await(t, name, re.B, e.B)
 }

@@ -127,10 +127,9 @@ func TestStoreRestartCycleAndSecondCheckpoint(t *testing.T) {
 }
 
 // TestStoreRetentionPrunesOldGenerations pins StoreKeep: after four
-// rounds only the newest two generations survive.  Coordinator
-// standbys install the replica service without any replicas to ship;
-// retention must apply all the same (no replication watermark pins
-// generations that will never be replicated).
+// rounds only the newest two generations survive, with coordinator
+// standbys journaling the rounds as well (no replication watermark
+// pins generations that will never be replicated).
 func TestStoreRetentionPrunesOldGenerations(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

@@ -161,7 +161,7 @@ func runChaosTrial(seed int64, mb int, ty *chaosTally) {
 			ok = false
 		}
 	})
-	ty.fenced += env.Sys.Replica.Stats.FencedWrites
+	ty.fenced += env.Sys.Journal.FencedWrites
 	if ok {
 		ty.survived++
 	}

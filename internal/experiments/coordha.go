@@ -155,7 +155,7 @@ func runCoordFailoverTrial(seed int64, nodes, mb, standbys int, adaptive bool,
 			}
 			task.Compute(50 * time.Millisecond)
 		}
-		journalKB.Add(float64(env.Sys.Replica.Stats.JournalBytes) / float64(model.KB))
+		journalKB.Add(float64(env.Sys.Journal.Bytes) / float64(model.KB))
 
 		killAt := task.Now()
 		env.C.KillNode(1)

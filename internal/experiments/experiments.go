@@ -277,16 +277,3 @@ func meanStd(s *Sample) string {
 }
 
 func mb(n int64) string { return fmt.Sprintf("%.1f", float64(n)/float64(model.MB)) }
-
-// waitForFile polls the node store until path exists or the deadline
-// passes.
-func waitForFile(t *kernel.Task, n *kernel.Node, path string, d time.Duration) bool {
-	deadline := t.Now().Add(d)
-	for t.Now() < deadline {
-		if n.FS.Exists(path) {
-			return true
-		}
-		t.Compute(50 * time.Millisecond)
-	}
-	return n.FS.Exists(path)
-}

@@ -78,15 +78,6 @@ func NewPipe(e *sim.Engine, name string, fastBW, slowBW, bufCap float64) *Pipe {
 // Name returns the pipe's diagnostic name.
 func (p *Pipe) Name() string { return p.name }
 
-// DirtyBytes returns the bytes currently buffered but not yet drained.
-func (p *Pipe) DirtyBytes() int64 {
-	p.advance()
-	return int64(p.dirty + 0.5)
-}
-
-// ActiveWriters returns the number of in-flight transfers.
-func (p *Pipe) ActiveWriters() int { return len(p.jobs) }
-
 // TotalBytes returns the cumulative bytes accepted.
 func (p *Pipe) TotalBytes() int64 { return int64(p.totalBytes) }
 
@@ -230,15 +221,4 @@ func (p *Pipe) Sync(t *sim.Thread) {
 	for len(p.jobs) > 0 || p.dirty > epsilon {
 		p.syncers.Wait(t)
 	}
-}
-
-// EstSyncCost returns the time a Sync issued now would take, without
-// blocking.  Useful to report modeled sync costs.
-func (p *Pipe) EstSyncCost() time.Duration {
-	p.advance()
-	pending := p.dirty
-	for _, j := range p.jobs {
-		pending += j.remaining
-	}
-	return time.Duration(pending / p.slowBW * float64(time.Second))
 }

@@ -105,9 +105,6 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 // Node returns the node with the given ID.
 func (c *Cluster) Node(id NodeID) *Node { return c.nodes[id] }
 
-// NumNodes returns the number of nodes.
-func (c *Cluster) NumNodes() int { return len(c.nodes) }
-
 // LookupHost resolves a hostname to a node, or nil if unknown.
 func (c *Cluster) LookupHost(host string) *Node {
 	for _, n := range c.nodes {

@@ -156,9 +156,6 @@ func (c *Cluster) PartitionHosts(a, b []string) int {
 	return c.InjectFault(FaultRule{Src: a, Dst: b, Partition: true})
 }
 
-// FaultsActive returns the number of active fault rules.
-func (c *Cluster) FaultsActive() int { return len(c.faults) }
-
 // linkPartitioned reports whether an active partition rule blocks
 // frames src→dst.
 func (c *Cluster) linkPartitioned(src, dst *Node) bool {

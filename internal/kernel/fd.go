@@ -69,9 +69,6 @@ func (k FileKind) String() string {
 	}
 }
 
-// IsSocket reports whether the kind is a stream socket (TCP or UNIX).
-func (k FileKind) IsSocket() bool { return k == FKTCP || k == FKUnix }
-
 // IsListener reports whether the kind is a listening socket.
 func (k FileKind) IsListener() bool { return k == FKTCPListen || k == FKUnixListen }
 
@@ -99,9 +96,6 @@ type OpenFile struct {
 	// PendingTag is wrapper metadata staged by a PreConnect hook and
 	// copied onto the endpoints when the connection is created.
 	PendingTag string
-
-	// SockOpts records setsockopt() values for restore.
-	SockOpts map[int]int
 
 	// Exactly one of the following is set, per Kind.
 	File   *FileHandle
@@ -256,23 +250,6 @@ func (t *Task) Dup2(oldfd, newfd int) error {
 	p.fds[newfd] = of.incref()
 	if p.hooks != nil {
 		p.hooks.PostDup2(t, oldfd, newfd)
-	}
-	return nil
-}
-
-// Setsockopt records a socket option (observed by hooks for restore).
-func (t *Task) Setsockopt(fd, level, opt, value int) error {
-	t.chargeSyscall()
-	of, err := t.P.FD(fd)
-	if err != nil {
-		return err
-	}
-	if of.SockOpts == nil {
-		of.SockOpts = make(map[int]int)
-	}
-	of.SockOpts[level<<16|opt] = value
-	if t.P.hooks != nil {
-		t.P.hooks.PostSetsockopt(t, fd, of, level, opt, value)
 	}
 	return nil
 }

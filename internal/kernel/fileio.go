@@ -104,17 +104,6 @@ func (t *Task) WriteFileAll(path string, data []byte, logical int64) {
 	t.P.Node.FS.WriteFile(path, data, logical)
 }
 
-// ReadFileAll reads a whole file charging disk time for its logical
-// size.
-func (t *Task) ReadFileAll(path string) ([]byte, error) {
-	ino, err := t.P.Node.FS.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	t.P.Node.ReadPipeFor(path).Read(t.T, ino.Size())
-	return append([]byte(nil), ino.Data...), nil
-}
-
 // --- Shared memory (mmap MAP_SHARED, §4.5) ---------------------------
 
 // NewShmSegment creates a shared segment (with its backing file) on a
@@ -143,12 +132,6 @@ func (t *Task) ShmCreate(backing string, bytes int64, class model.MemClass) *Shm
 	seg := p.Node.Cluster.NewShmSegment(p.Node, backing, bytes, class)
 	seg.Attach(p.Mem, backing)
 	return seg
-}
-
-// ShmAttach maps an existing shared segment into this process.
-func (t *Task) ShmAttach(seg *ShmSegment) *VMArea {
-	t.chargeSyscall()
-	return seg.Attach(t.P.Mem, seg.Backing)
 }
 
 // MapAnon maps anonymous memory into the process.

@@ -34,8 +34,6 @@ type Hooks interface {
 	PostListen(t *Task, fd int, of *OpenFile)
 	// PostSocketpair runs after socketpair() created fds a and b.
 	PostSocketpair(t *Task, a, b int, ofA, ofB *OpenFile)
-	// PostSetsockopt records socket options for restore.
-	PostSetsockopt(t *Task, fd int, of *OpenFile, level, opt, value int)
 
 	// PipeOverride may replace pipe() entirely (DMTCP promotes pipes
 	// to socketpairs, §4.5); handled=false falls through to a real
@@ -111,9 +109,6 @@ func (BaseHooks) PostListen(*Task, int, *OpenFile) {}
 
 // PostSocketpair implements Hooks.
 func (BaseHooks) PostSocketpair(*Task, int, int, *OpenFile, *OpenFile) {}
-
-// PostSetsockopt implements Hooks.
-func (BaseHooks) PostSetsockopt(*Task, int, *OpenFile, int, int, int) {}
 
 // PipeOverride implements Hooks.
 func (BaseHooks) PipeOverride(*Task) (int, int, bool) { return 0, 0, false }

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -330,16 +329,6 @@ func (as *AddressSpace) MapAnon(name string, bytes int64, class model.MemClass) 
 	return as.Map(&VMArea{Name: name, Kind: AreaAnon, Bytes: bytes, Class: class})
 }
 
-// Unmap removes the given area.
-func (as *AddressSpace) Unmap(a *VMArea) {
-	for i, x := range as.areas {
-		if x == a {
-			as.areas = append(as.areas[:i], as.areas[i+1:]...)
-			return
-		}
-	}
-}
-
 // Area returns the first area with the given name, or nil.
 func (as *AddressSpace) Area(name string) *VMArea {
 	for _, a := range as.areas {
@@ -353,9 +342,6 @@ func (as *AddressSpace) Area(name string) *VMArea {
 // Areas returns the areas in mapping order.  The returned slice must
 // not be mutated.
 func (as *AddressSpace) Areas() []*VMArea { return as.areas }
-
-// NumAreas returns the number of mapped areas.
-func (as *AddressSpace) NumAreas() int { return len(as.areas) }
 
 // RSS returns the total resident size in bytes.
 func (as *AddressSpace) RSS() int64 {
@@ -396,7 +382,6 @@ type ShmSegment struct {
 	Bytes   int64
 	Class   model.MemClass
 	Payload []byte
-	refs    int
 
 	// vers tracks per-chunk writes; shared by every attached area.
 	vers []uint64
@@ -430,7 +415,6 @@ func (s *ShmSegment) SetVersions(v []uint64) {
 
 // Attach maps the segment into as under the given area name.
 func (s *ShmSegment) Attach(as *AddressSpace, name string) *VMArea {
-	s.refs++
 	return as.Map(&VMArea{
 		Name:  name,
 		Kind:  AreaShm,
@@ -438,24 +422,4 @@ func (s *ShmSegment) Attach(as *AddressSpace, name string) *VMArea {
 		Class: s.Class,
 		Seg:   s,
 	})
-}
-
-// Detach releases one reference.
-func (s *ShmSegment) Detach() {
-	if s.refs > 0 {
-		s.refs--
-	}
-}
-
-// Refs returns the current attachment count.
-func (s *ShmSegment) Refs() int { return s.refs }
-
-// sortedAreaNames is a test helper ordering for deterministic output.
-func sortedAreaNames(as *AddressSpace) []string {
-	names := make([]string, 0, len(as.areas))
-	for _, a := range as.areas {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	return names
 }

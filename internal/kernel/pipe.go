@@ -261,16 +261,3 @@ type Console struct {
 func NewConsole(p *Process) *OpenFile {
 	return &OpenFile{Kind: FKConsole, Cons: &Console{proc: p}}
 }
-
-// ConsoleWrite appends to the owning process's stdout buffer.
-func (t *Task) ConsoleWrite(fd int, data []byte) (int, error) {
-	of, err := t.P.FD(fd)
-	if err != nil {
-		return 0, err
-	}
-	if of.Kind != FKConsole {
-		return 0, ErrBadFD
-	}
-	t.P.Stdout.Write(data)
-	return len(data), nil
-}

@@ -123,18 +123,12 @@ func (ep *TCPEndpoint) SetTag(tag string) {
 	}
 }
 
-// Peer returns the remote endpoint (nil after full teardown).
-func (ep *TCPEndpoint) Peer() *TCPEndpoint { return ep.peer }
-
 // Buffered returns the bytes available in the receive buffer
 // (ioctl FIONREAD).
 func (ep *TCPEndpoint) Buffered() int { return len(ep.recvBuf) }
 
 // InFlight returns bytes scheduled for delivery (on the wire).
 func (ep *TCPEndpoint) InFlight() int64 { return ep.inflight }
-
-// PeerClosed reports whether the peer has shut down.
-func (ep *TCPEndpoint) PeerClosed() bool { return ep.peerClosed }
 
 // heldFrom reports whether a resumed send holds the stream against t.
 func (ep *TCPEndpoint) heldFrom(t *Task) bool {

@@ -180,8 +180,9 @@ type Params struct {
 	// ---- Replicated checkpoint storage / failure recovery ----
 
 	// ReplicaRPCCost is the fixed server-side cost of handling one
-	// replica-protocol request (frame decode, dispatch, reply setup) on
-	// top of the modeled network transfer and per-chunk index probes.
+	// storage request at a replica daemon, or one journal op at a
+	// standby coordinator (frame decode, dispatch, reply setup), on top
+	// of the modeled network transfer and per-chunk index probes.
 	ReplicaRPCCost time.Duration
 	// FailureDetectDelay is the failure-detector timeout charged
 	// between a node dying and recovery beginning: the coordinator
@@ -207,7 +208,7 @@ type Params struct {
 	// storms coalesce into one push per standby.
 	JournalShipDelay time.Duration
 	// JournalRetryDelay is how long the shipper backs off when a
-	// standby's replica daemon is unreachable.
+	// standby coordinator is unreachable.
 	JournalRetryDelay time.Duration
 	// JournalSnapshotEntries is the compaction threshold: once the
 	// materialized journal suffix exceeds this many entries at a round

@@ -162,15 +162,6 @@ func OpSum(dst, src []float64) {
 	}
 }
 
-// OpMax keeps the elementwise maximum.
-func OpMax(dst, src []float64) {
-	for i := range dst {
-		if src[i] > dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
 func encodeF64s(v []float64) []byte {
 	var e bin.Encoder
 	e.U32(uint32(len(v)))

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/bin"
 	"repro/internal/kernel"
-	"repro/internal/model"
 	"repro/internal/sim"
 )
 
@@ -574,10 +573,3 @@ func (w *World) Finalize() {
 
 // ComputeFor charges local computation time.
 func (w *World) ComputeFor(d time.Duration) { w.T.Compute(d) }
-
-// SetupMemory maps the rank's memory footprint: code+libs plus the
-// benchmark's data arrays.
-func (w *World) SetupMemory(libBytes, dataBytes int64, class model.MemClass) {
-	w.T.MapLib("/usr/lib/mpi-libs.so", libBytes)
-	w.T.MapAnon("[heap]", dataBytes, class)
-}

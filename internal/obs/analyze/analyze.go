@@ -421,23 +421,6 @@ func restartPath(run int, g []*participant) RestartPath {
 	return rp
 }
 
-// Stragglers returns the nodes of the newest round whose straggler
-// score meets StragglerThreshold, as host → score.
-func (s *Summary) Stragglers() map[string]float64 {
-	if len(s.Rounds) == 0 {
-		return nil
-	}
-	out := map[string]float64{}
-	for _, n := range s.Rounds[len(s.Rounds)-1].Nodes {
-		if n.Straggler >= StragglerThreshold {
-			if n.Straggler > out[n.Host] {
-				out[n.Host] = n.Straggler
-			}
-		}
-	}
-	return out
-}
-
 // Render returns the human report section ("-- critical path --").
 func (s *Summary) Render() string {
 	if len(s.Rounds) == 0 && len(s.Restarts) == 0 {

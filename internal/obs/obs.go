@@ -341,14 +341,6 @@ func (tr *Tracer) Events() []Event {
 	return tr.events
 }
 
-// Snapshots returns the recorded round-boundary metric samples.
-func (tr *Tracer) Snapshots() []Snapshot {
-	if tr == nil {
-		return nil
-	}
-	return tr.snapshots
-}
-
 // ProcName resolves a Perfetto pid back to its registered process
 // (host) name, "" if unknown.
 func (tr *Tracer) ProcName(pid int) string {

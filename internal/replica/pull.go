@@ -50,7 +50,7 @@ type PullStream struct {
 	deliver   func(store.ChunkRef)
 
 	bytes, demandBytes, prefetchBytes int64
-	chunks, demandChunks              int
+	chunks                            int
 }
 
 // PullOptions shapes a PullStream.
@@ -193,7 +193,6 @@ func (ps *PullStream) drain(t *kernel.Task, holder string, conn int) bool {
 		myChunks++
 		if ps.demanded[ref.Hash] {
 			ps.demandBytes += ref.StoredBytes
-			ps.demandChunks++
 		} else {
 			ps.prefetchBytes += ref.StoredBytes
 		}
@@ -309,9 +308,6 @@ func (ps *PullStream) Chunks() int { return ps.chunks }
 
 // DemandBytes returns the fetched bytes a fault was waiting on.
 func (ps *PullStream) DemandBytes() int64 { return ps.demandBytes }
-
-// DemandChunks counts the chunks a fault was waiting on.
-func (ps *PullStream) DemandChunks() int { return ps.demandChunks }
 
 // PrefetchBytes returns the fetched bytes no fault waited on.
 func (ps *PullStream) PrefetchBytes() int64 { return ps.prefetchBytes }

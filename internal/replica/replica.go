@@ -33,12 +33,10 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/bin"
-	"repro/internal/coordstate"
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -57,9 +55,6 @@ const (
 	opDone     = 'd' // push: end of generation → ack
 	opGetMan   = 'g' // fetch: manifest by path
 	opGetChunk = 'h' // fetch: chunk by hash
-	opJWant    = 'W' // journal: which seq do you have? (epoch-fenced)
-	opJAppend  = 'J' // journal: entries batch → ack with new seq
-	opJSnap    = 'S' // journal: state snapshot (compaction catch-up)
 	opAck      = 'k'
 	opErr      = 'e'
 )
@@ -126,17 +121,6 @@ type Stats struct {
 	// traffic served to restarting nodes.
 	FetchChunks int
 	FetchBytes  int64
-	// JournalEntries and JournalBytes count coordinator journal
-	// records shipped to standby coordinators; JournalSnapshots counts
-	// compaction snapshots shipped wholesale to peers that predate a
-	// compaction.
-	JournalEntries   int
-	JournalBytes     int64
-	JournalSnapshots int
-	// FencedWrites counts journal write ops (snapshot installs and
-	// appends) rejected because the pusher's epoch was stale — a
-	// deposed leader trying to extend a superseded history.
-	FencedWrites int
 	// RepairJobs counts repair-class streams that restored full
 	// redundancy; RepairPushes the (generation, peer) copies they
 	// completed; RepairCancels the ones abandoned via Job.Cancel.
@@ -184,15 +168,6 @@ type Service struct {
 	// streams are the open streams per source node; WaitIdle waits
 	// for them.
 	streams map[*kernel.Node][]*Stream
-
-	// sinks maps a node to the standby coordinator state machine its
-	// daemon feeds with journal records pushed by the active
-	// coordinator.
-	sinks map[*kernel.Node]*coordstate.Machine
-	// sinkSeen records the virtual time each sink last accepted a
-	// journal op from the leader; the standby silence watchdog reads
-	// it to detect a leader that is alive but partitioned away.
-	sinkSeen map[*kernel.Node]sim.Time
 }
 
 // Install registers the dmtcp_replicad program and returns the
@@ -200,13 +175,11 @@ type Service struct {
 // before replicating.
 func Install(c *kernel.Cluster, cfg Config) *Service {
 	sv := &Service{
-		C:        c,
-		Cfg:      cfg,
-		idleW:    sim.NewWaitQueue(c.Eng, "replica.idle"),
-		daemons:  make(map[*kernel.Node]*kernel.Process),
-		streams:  make(map[*kernel.Node][]*Stream),
-		sinks:    make(map[*kernel.Node]*coordstate.Machine),
-		sinkSeen: make(map[*kernel.Node]sim.Time),
+		C:       c,
+		Cfg:     cfg,
+		idleW:   sim.NewWaitQueue(c.Eng, "replica.idle"),
+		daemons: make(map[*kernel.Node]*kernel.Process),
+		streams: make(map[*kernel.Node][]*Stream),
 	}
 	c.RegisterFunc("dmtcp_replicad", sv.daemonMain)
 	return sv
@@ -249,134 +222,6 @@ func (sv *Service) WaitIdle(t *kernel.Task) {
 	for sv.Pending() > 0 {
 		sv.idleW.WaitTimeout(t.T, 50*time.Millisecond)
 	}
-}
-
-// SetJournalSink registers the standby coordinator state machine on
-// node n: journal records pushed to n's replica daemon are applied to
-// it (effects discarded — a standby only mirrors state).
-func (sv *Service) SetJournalSink(n *kernel.Node, m *coordstate.Machine) { sv.sinks[n] = m }
-
-// ClearJournalSink detaches n's sink (a standby promoted to leader no
-// longer accepts pushed entries — it is the pusher now).
-func (sv *Service) ClearJournalSink(n *kernel.Node) { delete(sv.sinks, n) }
-
-// JournalSeen returns the virtual time n's sink last accepted a
-// journal op from a leader (ok=false before the first one).  Standby
-// watchdogs compare it against the leader's heartbeat cadence: a live
-// leader's shipper contacts every standby at least once per heartbeat
-// interval, with a want/ack handshake when it has nothing to ship, so
-// prolonged silence means the leader is dead or unreachable.
-func (sv *Service) JournalSeen(n *kernel.Node) (sim.Time, bool) {
-	ts, ok := sv.sinkSeen[n]
-	return ts, ok
-}
-
-// ErrDeposed reports that a journal push was refused because the peer
-// has seen a newer coordinator epoch: the pusher is a deposed leader
-// and must step down.
-var ErrDeposed = errors.New("replica: deposed by newer coordinator epoch")
-
-// entryBytes is the least a journal entry encodes to.
-const entryBytes = 8 + 4
-
-// PushJournal ships the coordinator journal records peerHost lacks,
-// using the same want/missing discipline as chunk streams: ask
-// the peer's daemon for its epoch and last applied seq, then send
-// only the suffix.  When the peer sat out one or more leadership
-// changes it may hold entries a dead leader never replicated; the
-// pusher — which has every takeover entry — computes the newest seq
-// the peer provably shares (FenceFor) and the append instructs the
-// peer to rewind there first, so divergent prefixes can never be
-// silently extended (double-failure safe).  It returns the peer's
-// acknowledged seq.
-func (sv *Service) PushJournal(t *kernel.Task, peerHost string, m *coordstate.Machine) (int64, error) {
-	p := sv.C.Params
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true // infrastructure socket: not checkpointed
-	}
-	defer t.Close(fd)
-	if err := t.Connect(fd, kernel.Addr{Host: peerHost, Port: Port}); err != nil {
-		return 0, fmt.Errorf("replica: journal push to %s: %w", peerHost, err)
-	}
-	var e bin.Encoder
-	e.B = append(e.B, opJWant)
-	e.I64(m.Epoch())
-	if err := t.SendFrame(fd, e.B); err != nil {
-		return 0, err
-	}
-	resp, err := t.RecvFrame(fd)
-	if err != nil {
-		return 0, err
-	}
-	if len(resp) == 0 || resp[0] != opAck {
-		return 0, fmt.Errorf("replica: %s refused journal handshake", peerHost)
-	}
-	d := &bin.Decoder{B: resp[1:]}
-	peerEpoch, have := d.I64(), d.I64()
-	if peerEpoch > m.Epoch() {
-		return 0, fmt.Errorf("%s is on epoch %d, pusher on %d: %w", peerHost, peerEpoch, m.Epoch(), ErrDeposed)
-	}
-	from := have
-	if fence := m.FenceFor(peerEpoch); fence < from {
-		from = fence
-	}
-	if from < m.Base() {
-		// The peer predates a journal compaction: the prefix it needs
-		// no longer exists as entries.  Ship the state snapshot
-		// wholesale (it rewinds the peer past any divergence too), then
-		// continue with the materialized suffix.
-		base, snap := m.Snapshot()
-		var se bin.Encoder
-		se.B = append(se.B, opJSnap)
-		se.I64(m.Epoch())
-		se.I64(base)
-		se.Bytes(snap)
-		t.Compute(p.JournalAppendCost)
-		t.Idle(model.TransferTime(p.NetLatency, p.NetBandwidth, int64(len(snap))))
-		if err := t.SendFrame(fd, se.B); err != nil {
-			return have, err
-		}
-		sack, err := t.RecvFrame(fd)
-		if err != nil {
-			return have, err
-		}
-		if len(sack) == 0 || sack[0] != opAck {
-			return have, fmt.Errorf("replica: %s rejected journal snapshot", peerHost)
-		}
-		have = (&bin.Decoder{B: sack[1:]}).I64()
-		from = base
-		sv.Stats.JournalSnapshots++
-		sv.Stats.JournalBytes += int64(len(snap))
-	}
-	entries := m.EntriesSince(from)
-	if len(entries) == 0 && from == have {
-		return have, nil
-	}
-	je := bin.Encoding(opJAppend)
-	je.E.I64(m.Epoch())
-	je.E.I64(from) // rewind point: the newest seq the peer provably shares
-	var total int64
-	for i := range bin.List(&je, &entries, entryBytes) {
-		entries[i].Code(&je)
-		total += int64(len(entries[i].Data))
-	}
-	t.Compute(time.Duration(len(entries)) * p.JournalAppendCost)
-	t.Idle(model.TransferTime(p.NetLatency, p.NetBandwidth, total))
-	if err := t.SendFrame(fd, je.E.B); err != nil {
-		return have, err
-	}
-	ack, err := t.RecvFrame(fd)
-	if err != nil {
-		return have, err
-	}
-	if len(ack) == 0 || ack[0] != opAck {
-		return have, fmt.Errorf("replica: %s rejected journal batch", peerHost)
-	}
-	got := (&bin.Decoder{B: ack[1:]}).I64()
-	sv.Stats.JournalEntries += len(entries)
-	sv.Stats.JournalBytes += total
-	return got, nil
 }
 
 // Targets returns the ring-placement peers for generations written on
@@ -510,89 +355,6 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 			}
 			t.Compute(time.Duration(len(refs)) * p.ChunkLookupCost)
 			t.SendFrame(fd, indexFrame(holes))
-		case opJWant:
-			mach := sv.sinks[t.P.Node]
-			if mach == nil {
-				t.SendFrame(fd, []byte{opErr})
-				continue
-			}
-			d := &bin.Decoder{B: body}
-			epoch := d.I64()
-			// The handshake is read-only, so even a stale-epoch pusher
-			// gets an honest answer: seeing the newer epoch in the ack
-			// is exactly how a deposed leader learns it must step down
-			// (PushJournal turns it into ErrDeposed).  Only the write
-			// ops below fence.
-			if epoch >= mach.Epoch() {
-				sv.sinkSeen[t.P.Node] = t.Now()
-			}
-			var e bin.Encoder
-			e.B = append(e.B, opAck)
-			e.I64(mach.Epoch())
-			e.I64(mach.Seq())
-			t.SendFrame(fd, e.B)
-		case opJSnap:
-			mach := sv.sinks[t.P.Node]
-			if mach == nil {
-				t.SendFrame(fd, []byte{opErr})
-				continue
-			}
-			d := &bin.Decoder{B: body}
-			epoch, base := d.I64(), d.I64()
-			data := d.Bytes()
-			if d.Err != nil || epoch < mach.Epoch() {
-				// A deposed leader cannot rewind a newer epoch's state.
-				sv.Stats.FencedWrites++
-				t.Trace().Add(t.Host(), "coord.fenced_writes", t.Now(), 1)
-				t.SendFrame(fd, []byte{opErr})
-				continue
-			}
-			t.Compute(p.JournalAppendCost)
-			if err := mach.InstallSnapshot(base, data); err != nil {
-				t.SendFrame(fd, []byte{opErr})
-				continue
-			}
-			var e bin.Encoder
-			e.B = append(e.B, opAck)
-			e.I64(mach.Seq())
-			t.SendFrame(fd, e.B)
-		case opJAppend:
-			mach := sv.sinks[t.P.Node]
-			if mach == nil {
-				t.SendFrame(fd, []byte{opErr})
-				continue
-			}
-			c := bin.Decoding(body)
-			epoch, from := c.D.I64(), c.D.I64()
-			if c.D.Err != nil || epoch < mach.Epoch() {
-				// Fenced: stale-epoch entries must never extend (or
-				// rewind) the new epoch's history.
-				sv.Stats.FencedWrites++
-				t.Trace().Add(t.Host(), "coord.fenced_writes", t.Now(), 1)
-				t.SendFrame(fd, []byte{opErr})
-				continue
-			}
-			if from < mach.Seq() {
-				// Entries beyond the leader-computed fence were made by
-				// a dead leader and never reached the current one:
-				// rewind, then replay the authoritative suffix.
-				mach.TruncateTo(from)
-			}
-			var entries []coordstate.Entry
-			for i := range bin.List(&c, &entries, entryBytes) {
-				entries[i].Code(&c)
-				if c.D.Err != nil || entries[i].Seq != mach.Seq()+1 {
-					break // hole: the ack's seq makes the pusher re-ship
-				}
-				t.Compute(p.JournalAppendCost)
-				if _, err := mach.ApplyEntry(entries[i]); err != nil {
-					break
-				}
-			}
-			var e bin.Encoder
-			e.B = append(e.B, opAck)
-			e.I64(mach.Seq())
-			t.SendFrame(fd, e.B)
 		case opGetMan:
 			d := &bin.Decoder{B: body}
 			path := d.Str()

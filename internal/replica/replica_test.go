@@ -1,14 +1,12 @@
 package replica_test
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 
-	"repro/internal/coordstate"
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/mtcp"
@@ -420,119 +418,6 @@ func TestParallelFanOutOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestJournalPushAndFencing exercises the coordinator-journal
-// transport the daemons carry for coordinator HA: the want/append
-// handshake ships only the suffix the sink lacks, and a stale-epoch
-// pusher is fenced off.
-func TestJournalPushAndFencing(t *testing.T) {
-	eng, c := testCluster(t, 3)
-	sv := replica.Install(c, replica.Config{Factor: 1, Root: root})
-	if err := sv.StartAll(); err != nil {
-		t.Fatal(err)
-	}
-	leader := coordstate.NewMachine()
-	standby := coordstate.NewMachine()
-	sv.SetJournalSink(c.Node(1), standby)
-	run(t, eng, c, func(task *kernel.Task) {
-		leader.Apply(coordstate.Event{Kind: coordstate.EvRegister, Desc: "a/x[1]"})
-		leader.Apply(coordstate.Event{Kind: coordstate.EvRegister, Desc: "b/y[2]"})
-		seq, err := sv.PushJournal(task, "node01", leader)
-		if err != nil || seq != 2 {
-			t.Fatalf("push: seq=%d err=%v", seq, err)
-		}
-		if !reflect.DeepEqual(standby.State(), leader.State()) {
-			t.Fatal("sink state diverges after push")
-		}
-		before := sv.Stats.JournalEntries
-
-		// Second push with nothing new ships nothing.
-		if _, err := sv.PushJournal(task, "node01", leader); err != nil {
-			t.Fatal(err)
-		}
-		if sv.Stats.JournalEntries != before {
-			t.Error("caught-up push re-shipped entries")
-		}
-
-		// Only the suffix travels.
-		leader.Apply(coordstate.Event{Kind: coordstate.EvRegister, Desc: "c/z[3]"})
-		if seq, err := sv.PushJournal(task, "node01", leader); err != nil || seq != 3 {
-			t.Fatalf("suffix push: seq=%d err=%v", seq, err)
-		}
-		if got := sv.Stats.JournalEntries - before; got != 1 {
-			t.Errorf("suffix push shipped %d entries, want 1", got)
-		}
-
-		// The sink is promoted to epoch 1; the old epoch-0 leader must
-		// be fenced off.
-		standby.Apply(coordstate.Event{Kind: coordstate.EvTakeover, Leader: "node01", Epoch: 1})
-		leader.Apply(coordstate.Event{Kind: coordstate.EvRegister, Desc: "stale"})
-		if _, err := sv.PushJournal(task, "node01", leader); !errors.Is(err, replica.ErrDeposed) {
-			t.Fatalf("stale-epoch push: err = %v, want ErrDeposed", err)
-		}
-		if standby.State().ClientByDesc("stale") != 0 {
-			t.Fatal("stale entry applied through the fence")
-		}
-	})
-}
-
-// TestJournalFenceAfterDoubleTakeover: standby B holds epoch-0
-// entries the intermediate leader A never saw; after A dies too, the
-// next leader C (epoch 2) must rewind B past the divergence point —
-// the first epoch boundary B missed — not merely to C's newest epoch
-// start, or B would keep a divergent prefix under C's suffix.
-func TestJournalFenceAfterDoubleTakeover(t *testing.T) {
-	eng, c := testCluster(t, 3)
-	sv := replica.Install(c, replica.Config{Factor: 1, Root: root})
-	if err := sv.StartAll(); err != nil {
-		t.Fatal(err)
-	}
-	reg := func(m *coordstate.Machine, desc string) {
-		m.Apply(coordstate.Event{Kind: coordstate.EvRegister, Desc: desc})
-	}
-	// Shared epoch-0 prefix of 2 entries.
-	leader0 := coordstate.NewMachine()
-	reg(leader0, "a/x[1]")
-	reg(leader0, "b/y[2]")
-	// B replicated the prefix, then got 2 more epoch-0 entries that
-	// never reached anyone else before leader0 died.
-	ahead, err := coordstate.Replay(leader0.EntriesSince(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg(ahead, "c/z[3]")
-	reg(ahead, "d/w[4]")
-	// A took over at epoch 1 (from the shared prefix), appended one
-	// entry, then died; C took over from A's journal at epoch 2.
-	next, err := coordstate.Replay(leader0.EntriesSince(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	next.Apply(coordstate.Event{Kind: coordstate.EvTakeover, Leader: "node01", Epoch: 1})
-	reg(next, "e/v[5]")
-	next.Apply(coordstate.Event{Kind: coordstate.EvTakeover, Leader: "node00", Epoch: 2})
-	if fence := next.FenceFor(0); fence != 2 {
-		t.Fatalf("FenceFor(0) = %d, want 2 (entry before epoch 1's takeover)", fence)
-	}
-
-	sv.SetJournalSink(c.Node(1), ahead)
-	run(t, eng, c, func(task *kernel.Task) {
-		seq, err := sv.PushJournal(task, "node01", next)
-		if err != nil {
-			t.Fatalf("push: %v", err)
-		}
-		if seq != next.Seq() {
-			t.Fatalf("peer acked seq %d, want %d", seq, next.Seq())
-		}
-		if !reflect.DeepEqual(ahead.State(), next.State()) {
-			t.Fatalf("divergent prefix survived the fence:\npeer %+v\nleader %+v",
-				ahead.State(), next.State())
-		}
-		if ahead.State().ClientByDesc("c/z[3]") != 0 {
-			t.Fatal("orphaned epoch-0 entry kept after rewind")
-		}
-	})
-}
-
 // TestPullStreamStreamsAndShortCircuits pins the pull-stream
 // contract: every chunk is delivered exactly once, is locally durable
 // at delivery time, and chunks the local store already holds are
@@ -599,59 +484,6 @@ func TestPullStreamStreamsAndShortCircuits(t *testing.T) {
 			if n != 1 {
 				t.Errorf("chunk %s delivered %d times", h, n)
 			}
-		}
-	})
-}
-
-// TestJournalSnapshotCatchUp pins the compaction ship path: a standby
-// that predates a leader compaction receives the state snapshot plus
-// the materialized suffix (bounded catch-up), converges exactly, and
-// subsequent pushes go back to suffix-only shipping.
-func TestJournalSnapshotCatchUp(t *testing.T) {
-	eng, c := testCluster(t, 3)
-	sv := replica.Install(c, replica.Config{Factor: 1, Root: root})
-	if err := sv.StartAll(); err != nil {
-		t.Fatal(err)
-	}
-	leader := coordstate.NewMachine()
-	for i := 0; i < 10; i++ {
-		leader.Apply(coordstate.Event{Kind: coordstate.EvRegister, Desc: fmt.Sprintf("h/p[%d]", i)})
-	}
-	if err := leader.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	leader.Apply(coordstate.Event{Kind: coordstate.EvRegister, Desc: "post/compaction[1]"})
-
-	standby := coordstate.NewMachine()
-	sv.SetJournalSink(c.Node(1), standby)
-	run(t, eng, c, func(task *kernel.Task) {
-		seq, err := sv.PushJournal(task, "node01", leader)
-		if err != nil {
-			t.Fatalf("push: %v", err)
-		}
-		if seq != leader.Seq() {
-			t.Fatalf("acked seq = %d, want %d", seq, leader.Seq())
-		}
-		if sv.Stats.JournalSnapshots != 1 {
-			t.Fatalf("snapshots shipped = %d, want 1", sv.Stats.JournalSnapshots)
-		}
-		if !reflect.DeepEqual(standby.State(), leader.State()) {
-			t.Fatal("snapshot catch-up diverges")
-		}
-		if standby.Base() != leader.Base() {
-			t.Fatalf("standby base = %d, want %d", standby.Base(), leader.Base())
-		}
-
-		// Caught-up peers keep getting plain suffixes, never snapshots.
-		leader.Apply(coordstate.Event{Kind: coordstate.EvRegister, Desc: "tail/x[2]"})
-		if _, err := sv.PushJournal(task, "node01", leader); err != nil {
-			t.Fatal(err)
-		}
-		if sv.Stats.JournalSnapshots != 1 {
-			t.Errorf("caught-up push re-shipped a snapshot (%d)", sv.Stats.JournalSnapshots)
-		}
-		if !reflect.DeepEqual(standby.State(), leader.State()) {
-			t.Fatal("suffix push after snapshot diverges")
 		}
 	})
 }

@@ -151,9 +151,6 @@ func (t *Thread) describe() string {
 // Dead reports whether the thread has terminated.
 func (t *Thread) Dead() bool { return t.state == stateDead }
 
-// Suspended reports whether the thread is currently suspended.
-func (t *Thread) Suspended() bool { return t.suspended }
-
 func (t *Thread) assertCurrent(op string) {
 	if t.eng.running != t {
 		panic(fmt.Sprintf("sim: %s called on thread %q from outside its own context", op, t.name))
@@ -250,10 +247,6 @@ func (t *Thread) ServeInPlace(at Time, n uint64, own *Timer) bool {
 	t.assertCurrent("ServeInPlace")
 	return t.eng.inPlace(at, n, own)
 }
-
-// Yield reschedules the thread behind all events pending at the
-// current instant, letting other ready threads run.
-func (t *Thread) Yield() { t.Sleep(0) }
 
 // armTimer arms the wake slot to deliver WakeTimeout after d,
 // superseding any earlier wake.
@@ -370,10 +363,6 @@ func (t *Thread) ClearInterrupt() bool {
 	t.interrupted = false
 	return was
 }
-
-// Interrupted reports whether an interrupt has been delivered and not
-// yet cleared.
-func (t *Thread) Interrupted() bool { return t.interrupted }
 
 // SetSuspendHook installs (or, with nil, clears) the suspend/resume
 // notification callback.  At most one hook is active per thread; the

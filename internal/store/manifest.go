@@ -220,15 +220,6 @@ func (s *Store) LoadManifest(path string) (*Manifest, error) {
 	return ManifestOf(ino)
 }
 
-// LatestManifest returns the newest committed generation for name.
-func (s *Store) LatestManifest(name string) (*Manifest, error) {
-	gens := s.Generations(name)
-	if len(gens) == 0 {
-		return nil, kernel.ErrNoEnt
-	}
-	return s.LoadManifest(s.ManifestPath(name, gens[len(gens)-1]))
-}
-
 // CopyTo replicates a manifest and every chunk it references into the
 // destination store if absent (checkpoint migration: making a
 // generation restorable on another node).  It copies structure only;
