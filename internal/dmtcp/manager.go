@@ -536,7 +536,7 @@ func (m *Manager) writeImage(t *kernel.Task, cfg ckptConfig, owners map[int]kern
 			// daemon as they land, so fan-out overlaps the write.  A
 			// nil stream (no live daemon/targets) means nothing can
 			// ship.
-			if stream := m.sys.Replica.NewStream(p.Node, p, mtcp.ImageBase(img), gen); stream != nil {
+			if stream := m.sys.Replica.NewStream(p.Node, p, mtcp.ImageBase(img), gen, img.StoreChunks()); stream != nil {
 				opts.Stream = stream
 			}
 		}

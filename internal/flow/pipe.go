@@ -4,10 +4,12 @@
 // optional write-back buffer: while the buffer (think: page cache) has
 // room, writers are absorbed at a fast rate; once it fills, they are
 // throttled to the slow (physical) rate, and the buffer drains at the
-// slow rate in the background.  Concurrent writers share the
-// instantaneous service rate equally, which approximates how a page
-// cache, a SAN volume, or an NFS server divides its bandwidth between
-// simultaneous checkpoint writers.
+// slow rate in the background.  A write-back pipe (NewWriteBack) holds
+// dirty bytes below a background threshold until a Sync, as Linux's
+// pdflush leaves dirty pages below dirty_background_ratio alone.
+// Concurrent writers share the instantaneous service rate equally,
+// which approximates how a page cache, a SAN volume, or an NFS server
+// divides its bandwidth between simultaneous checkpoint writers.
 package flow
 
 import (
@@ -37,10 +39,14 @@ type Pipe struct {
 	fastBW float64 // absorb rate while buffer has room (bytes/sec)
 	slowBW float64 // physical drain / throttled rate (bytes/sec)
 	bufCap float64 // dirty-byte capacity; 0 means no buffering
+	// hold is the background threshold: dirty bytes up to it stay in
+	// the buffer until a Sync; 0 drains every dirty byte at once.
+	hold float64
 
-	dirty  float64
-	jobs   []*job
-	lastAt sim.Time
+	dirty   float64
+	syncing int // Sync callers waiting: everything drains while > 0
+	jobs    []*job
+	lastAt  sim.Time
 
 	next    *sim.Timer // the one pending rate-change event
 	syncers *sim.WaitQueue
@@ -56,6 +62,15 @@ type Pipe struct {
 // otherwise; buffered bytes drain at slowBW in the background.  For a
 // plain constant-rate shared link, pass fastBW == slowBW and bufCap 0.
 func NewPipe(e *sim.Engine, name string, fastBW, slowBW, bufCap float64) *Pipe {
+	return NewWriteBack(e, name, fastBW, slowBW, bufCap, 0)
+}
+
+// NewWriteBack returns a pipe like NewPipe's whose buffer holds dirty
+// bytes until they pass the background threshold hold: below it
+// nothing drains, above it the excess drains at slowBW, and a Sync
+// drains everything at slowBW, so it costs dirty/slowBW however the
+// writes were spread out.  hold 0 is NewPipe.
+func NewWriteBack(e *sim.Engine, name string, fastBW, slowBW, bufCap, hold float64) *Pipe {
 	if fastBW < slowBW {
 		panic(fmt.Sprintf("flow: %s: fastBW %.0f < slowBW %.0f", name, fastBW, slowBW))
 	}
@@ -68,6 +83,7 @@ func NewPipe(e *sim.Engine, name string, fastBW, slowBW, bufCap float64) *Pipe {
 		fastBW:  fastBW,
 		slowBW:  slowBW,
 		bufCap:  bufCap,
+		hold:    hold,
 		syncers: sim.NewWaitQueue(e, name+".sync"),
 		wname:   name + ".write",
 	}
@@ -109,14 +125,34 @@ func (p *Pipe) advance() {
 			j.remaining -= share
 		}
 	}
-	// Buffer evolution: inflow r, outflow slowBW, clamped to [0, cap].
+	// Buffer evolution: inflow r, outflow slowBW above the drain floor,
+	// clamped to [floor, cap].  Below the floor nothing drains until
+	// the inflow lifts the buffer to it.
+	floor := p.floor()
+	if p.dirty < floor {
+		fill := (floor - p.dirty) / r // +Inf when idle
+		if dt <= fill {
+			p.dirty += r * dt
+			return
+		}
+		p.dirty, dt = floor, dt-fill
+	}
 	p.dirty += (r - p.slowBW) * dt
-	if p.dirty < 0 {
-		p.dirty = 0
+	if p.dirty < floor {
+		p.dirty = floor
 	}
 	if p.bufCap > 0 && p.dirty > p.bufCap {
 		p.dirty = p.bufCap
 	}
+}
+
+// floor is the level the buffer drains down to: the background
+// threshold, or nothing while a Sync waits.
+func (p *Pipe) floor() float64 {
+	if p.syncing > 0 {
+		return 0
+	}
+	return p.hold
 }
 
 // reschedule computes the next instant at which rates or job states
@@ -137,18 +173,22 @@ func (p *Pipe) reschedule() {
 		} else {
 			next = minRem * float64(k) / r
 		}
-		// Buffer-full crossing changes the service rate.
+		// Buffer-full crossing changes the service rate.  Below the
+		// drain floor the buffer fills at the full inflow first.
 		if p.bufCap > 0 && p.dirty < p.bufCap-epsilon && r > p.slowBW {
-			if t := (p.bufCap - p.dirty) / (r - p.slowBW); t < next {
+			t := (p.bufCap - p.dirty) / (r - p.slowBW)
+			if floor := p.floor(); p.dirty < floor {
+				t = (floor-p.dirty)/r + (p.bufCap-floor)/(r-p.slowBW)
+			}
+			if t < next {
 				next = t
 			}
 		}
-	} else {
-		// Idle: schedule the background-drain completion so that
-		// syncers (including ones that enqueue later) are woken.
-		if p.dirty > epsilon {
-			next = p.dirty / p.slowBW
-		}
+	} else if p.dirty > epsilon && (p.hold == 0 || p.syncing > 0) {
+		// Idle: schedule the drain's completion so that syncers
+		// (with no threshold, also ones that enqueue later) are woken.
+		// A drain down to the threshold wakes nobody.
+		next = p.dirty / p.slowBW
 	}
 	if math.IsInf(next, 1) {
 		p.next.Stop()
@@ -214,11 +254,15 @@ func (p *Pipe) Read(t *sim.Thread, n int64) {
 }
 
 // Sync blocks t until every accepted byte has drained to the slow
-// side (dirty == 0 and no writers in flight).
+// side (dirty == 0 and no writers in flight).  While it waits, the
+// background threshold is lifted: everything drains.
 func (p *Pipe) Sync(t *sim.Thread) {
 	p.advance()
+	p.syncing++
 	p.reschedule()
 	for len(p.jobs) > 0 || p.dirty > epsilon {
 		p.syncers.Wait(t)
 	}
+	p.advance()
+	p.syncing--
 }

@@ -258,3 +258,80 @@ func TestPipeOneRateEvent(t *testing.T) {
 		t.Errorf("fired %d events, want 27", got)
 	}
 }
+
+// writeBackSync writes each of writes (a gap, then a write of n bytes)
+// through a write-back pipe with fastBW 100, slowBW 10, cap 1000 and
+// background threshold 500, idles idle, and returns how long a Sync
+// then takes.
+func writeBackSync(t *testing.T, writes [][2]int64, idle time.Duration) time.Duration {
+	t.Helper()
+	e := sim.NewEngine(1)
+	p := NewWriteBack(e, "d", 100, 10, 1000, 500)
+	var took time.Duration
+	e.Go("w", func(th *sim.Thread) {
+		for _, w := range writes {
+			th.Sleep(time.Duration(w[0]) * time.Second)
+			p.Write(th, w[1])
+		}
+		th.Sleep(idle)
+		start := th.Now()
+		p.Sync(th)
+		took = th.Now().Sub(start)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return took
+}
+
+func TestPipeWriteBackHoldsBelowThreshold(t *testing.T) {
+	// 300 dirty bytes, below the threshold, stay dirty through 100 s of
+	// idling: the sync drains all of them at 10 B/s.
+	if took := writeBackSync(t, [][2]int64{{0, 300}}, 100*time.Second); !approx(took, 30*time.Second, 0.001) {
+		t.Fatalf("sync took %v, want 30s", took)
+	}
+}
+
+func TestPipeWriteBackDrainsExcessAboveThreshold(t *testing.T) {
+	// 800 bytes absorbed at 100 B/s: nothing drains until 500 are
+	// dirty at 5 s, then 90 B/s net for 3 s leaves 770.  Synced at
+	// once that is 77 s; after 100 s idle the 270-byte excess has
+	// drained at 10 B/s and the threshold's 500 bytes are left.
+	if took := writeBackSync(t, [][2]int64{{0, 800}}, 0); !approx(took, 77*time.Second, 0.001) {
+		t.Fatalf("sync at once took %v, want 77s", took)
+	}
+	if took := writeBackSync(t, [][2]int64{{0, 800}}, 100*time.Second); !approx(took, 50*time.Second, 0.001) {
+		t.Fatalf("sync after idling took %v, want 50s", took)
+	}
+}
+
+func TestPipeWriteBackSyncCostsDirtyOverSlowBW(t *testing.T) {
+	// Four 100-byte writes spread 20 s apart: with no threshold each
+	// drains before the next, but held below it all 400 stay dirty, so
+	// the sync costs 400/10 s however the writes were spread out.
+	writes := [][2]int64{{0, 100}, {20, 100}, {20, 100}, {20, 100}}
+	if took := writeBackSync(t, writes, 0); !approx(took, 40*time.Second, 0.001) {
+		t.Fatalf("sync took %v, want 40s", took)
+	}
+}
+
+func TestPipeWriteBackThrottlesPastCapacity(t *testing.T) {
+	// 2000 bytes: 500 absorbed at 100 B/s with nothing draining (5 s),
+	// then 90 B/s net until the buffer is full at 1000 (5.556 s more,
+	// 555.6 bytes served), then the last 944.4 bytes at 10 B/s.
+	e := sim.NewEngine(1)
+	p := NewWriteBack(e, "d", 100, 10, 1000, 500)
+	var took time.Duration
+	e.Go("w", func(th *sim.Thread) {
+		start := th.Now()
+		p.Write(th, 2000)
+		took = th.Now().Sub(start)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := time.Duration((5 + 500.0/90 + (2000-500-500*100.0/90)/10) * float64(time.Second))
+	if !approx(took, want, 0.001) {
+		t.Fatalf("write took %v, want %v", took, want)
+	}
+}

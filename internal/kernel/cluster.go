@@ -241,8 +241,8 @@ func newNode(c *Cluster, id NodeID) *Node {
 		Cores:    p.CoresPerNode,
 	}
 	n.cpu = newCPUSched(n, n.Cores)
-	n.DiskW = flow.NewPipe(c.Eng, n.Hostname+".diskw",
-		p.DiskAbsorbBW, p.DiskPhysicalBW, float64(p.PageCacheBytes))
+	n.DiskW = flow.NewWriteBack(c.Eng, n.Hostname+".diskw", p.DiskAbsorbBW, p.DiskPhysicalBW,
+		float64(p.PageCacheBytes), float64(p.DirtyBackgroundBytes()))
 	n.DiskR = flow.NewPipe(c.Eng, n.Hostname+".diskr",
 		p.DiskReadBW, p.DiskReadBW, 0)
 	n.FS = NewStore(n)

@@ -47,6 +47,7 @@ type ReadAhead struct {
 
 	reader *sim.WaitQueue // the reader, with nothing queued
 	idle   *sim.WaitQueue // consumers, with nothing transferred
+	takers *sim.WaitQueue // Take callers, until their block's transfer ends
 }
 
 type readBlock struct {
@@ -89,6 +90,7 @@ func startReadAhead(t *Task, ra *ReadAhead) *ReadAhead {
 	eng := t.P.Node.Cluster.Eng
 	ra.reader = sim.NewWaitQueue(eng, "readahead")
 	ra.idle = sim.NewWaitQueue(eng, "readahead.idle")
+	ra.takers = sim.NewWaitQueue(eng, "readahead.take")
 	t.P.SpawnTask("readahead", true, ra.run)
 	return ra
 }
@@ -128,6 +130,28 @@ func (ra *ReadAhead) Claim(t *Task) (int, bool) {
 	return ra.read[ra.next-1], true
 }
 
+// Take claims block id ahead of the consumers if the reader has taken
+// it off the queue and no consumer has claimed it: it blocks t until
+// the transfer carrying the block has ended and reports true, so the
+// caller pays what is left of the stage's read, never a read of its
+// own.  A block the reader has not taken (still queued, or never
+// queued) reports false, and the caller reads it itself.  A consumer
+// still claims a taken block later; the caller's own bookkeeping must
+// make that consumer skip it.
+func (ra *ReadAhead) Take(t *Task, id int) bool {
+	j := ra.next
+	for j < len(ra.read) && ra.read[j] != id {
+		j++
+	}
+	if j == len(ra.read) {
+		return false
+	}
+	for ra.avail <= j && !ra.done {
+		ra.takers.Wait(t.T)
+	}
+	return ra.avail > j
+}
+
 // run is the reader task.
 func (ra *ReadAhead) run(t *Task) {
 	start := t.Now()
@@ -136,6 +160,7 @@ func (ra *ReadAhead) run(t *Task) {
 	defer func() {
 		ra.done = true
 		ra.idle.WakeAll()
+		ra.takers.WakeAll()
 		t.Trace().Span(t.Host(), fmt.Sprintf("%s[%d] read", t.P.ProgName, t.P.Pid),
 			"restore.read", "restore", start, t.Now(), obs.A("stored_bytes", bytes),
 			obs.A("blocks", int64(ra.avail)), obs.A("transfers", int64(transfers)))
@@ -172,6 +197,7 @@ func (ra *ReadAhead) run(t *Task) {
 		transfers++
 		ra.idle.Wake(len(ra.read) - ra.avail)
 		ra.avail = len(ra.read)
+		ra.takers.WakeAll()
 		window = min(2*window, readAheadMaxBlocks)
 	}
 }

@@ -123,7 +123,11 @@ type Params struct {
 	DiskAbsorbBW float64
 	// DiskPhysicalBW is the sustained physical write rate the cache
 	// drains at.  Anchor: §5.2 sync experiment (+0.79 s for ≈60–100
-	// MB/node of dirty compressed image) → ≈100 MB/s.
+	// MB/node of dirty compressed image) → ≈100 MB/s.  The derivation
+	// assumes the whole image is still dirty when the sync starts; the
+	// node disk holds dirty bytes below DirtyBackgroundBytes until a
+	// sync, so a sync costs dirty bytes / DiskPhysicalBW by
+	// construction, however the write was spread out.
 	DiskPhysicalBW float64
 	// DiskReadBW is the restore-time streaming read rate.  Restarts
 	// read images that were just written, so the page cache serves
@@ -131,7 +135,9 @@ type Params struct {
 	// Anchor: Table 1b uncompressed restore 0.814 s for 4×≈103 MB
 	// per node → ≈500 MB/s aggregate.
 	DiskReadBW float64
-	// PageCacheBytes is the dirty-page capacity per node.
+	// PageCacheBytes is the dirty-page capacity per node: writers are
+	// throttled to DiskPhysicalBW once this much is dirty (Linux's
+	// dirty_ratio).
 	PageCacheBytes int64
 
 	// SANBandwidth is the aggregate bandwidth of the central RAID
@@ -146,7 +152,11 @@ type Params struct {
 
 	// GzipBW is gzip compression throughput over *input* bytes for
 	// ordinary data.  Anchor: Table 1a compressed write 3.94 s for a
-	// ≈106 MB image → ≈27 MB/s.
+	// ≈106 MB image → ≈27 MB/s.  The derivation assumes the write
+	// equals the gzip time, as with gzip writing into a pipe; the
+	// checkpoint writer hands each compressed block to the page cache
+	// while the next one deflates (kernel.WriteBehind), so it holds by
+	// construction, up to one block's write.
 	GzipBW float64
 	// GunzipBW is decompression throughput over *output* bytes.
 	// Anchor: Table 1b compressed restore 2.12 s → ≈52 MB/s.
@@ -371,6 +381,14 @@ func (p *Params) HashTime(n int64) time.Duration {
 	}
 	return time.Duration(float64(n) / p.HashBW * float64(time.Second))
 }
+
+// DirtyBackgroundBytes is the node disk's background write-back
+// threshold: dirty bytes up to it stay in the page cache until a sync,
+// and only the excess drains in the background.  Linux 2.6.9–2.6.21
+// sets dirty_background_ratio to 10 and dirty_ratio to 40, so with
+// PageCacheBytes standing for dirty_ratio's share of memory the
+// threshold is a quarter of it.
+func (p *Params) DirtyBackgroundBytes() int64 { return p.PageCacheBytes / 4 }
 
 // Jitter perturbs d by ±JitterPct using the provided deterministic
 // source.

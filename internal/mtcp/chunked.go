@@ -186,6 +186,22 @@ func loadPrior(t *kernel.Task, s *store.Store, name string, gen int64) *priorGen
 	return pg
 }
 
+// logicalSpan is what a store image covers of area a: its size, or
+// its payload when that is longer.
+func (a *AreaRecord) logicalSpan() int64 {
+	return max(a.Bytes, int64(len(a.Payload)))
+}
+
+// StoreChunks returns how many chunk refs a store manifest of img
+// lists: one per kernel.CkptChunkBytes of each area's logical span.
+func (img *Image) StoreChunks() int {
+	n := 0
+	for i := range img.Areas {
+		n += int((img.Areas[i].logicalSpan() + kernel.CkptChunkBytes - 1) / kernel.CkptChunkBytes)
+	}
+	return n
+}
+
 // chunkWork is one chunk of one area awaiting hashing/write.
 type chunkWork struct {
 	area      int
@@ -220,21 +236,15 @@ func writeChunked(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 	keys := areaKeys(img.Areas)
 
 	// Deterministic work list and index-addressed result slots.
-	var work []chunkWork
+	work := make([]chunkWork, 0, img.StoreChunks())
 	results := make([][]store.ChunkRef, len(img.Areas))
 	// Store chunks are the kernel's dirty-tracking chunks, so chunk
 	// versions map 1:1 onto them.
 	const cb = kernel.CkptChunkBytes
 	for ai := range img.Areas {
 		a := &img.Areas[ai]
-		logical := a.Bytes
-		if pl := int64(len(a.Payload)); pl > logical {
-			logical = pl
-		}
-		n := 0
-		if logical > 0 {
-			n = int((logical + cb - 1) / cb)
-		}
+		logical := a.logicalSpan()
+		n := int((logical + cb - 1) / cb)
 		results[ai] = make([]store.ChunkRef, n)
 		for i := 0; i < n; i++ {
 			off := int64(i) * cb
@@ -255,6 +265,14 @@ func writeChunked(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 	chunksStart := t.Now()
 	var newBytes, dedupBytes int64
 	newChunks := 0
+	// New chunks land through one write-behind stage: a worker queues
+	// each chunk's compressed bytes and moves on, and the chunk is
+	// written and handed to the stream when its transfer ends.
+	wb := kernel.NewWriteBehind(t, t.P.Node.WritePipeFor(s.ChunkPath("")))
+	var handoff func(*kernel.Task, store.ChunkRef)
+	if opts.Stream != nil {
+		handoff = opts.Stream.Chunk
+	}
 	kernel.RunWorkers(t, workers, len(work), "ckpt-worker", func(wt *kernel.Task, i int) error {
 		w := work[i]
 		a := &img.Areas[w.area]
@@ -267,8 +285,8 @@ func writeChunked(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 				pr.Heat = int64(w.ver)
 				results[w.area][w.idx] = pr
 				dedupBytes += pr.StoredBytes
-				if opts.Stream != nil {
-					opts.Stream.Chunk(wt, pr)
+				if handoff != nil {
+					handoff(wt, pr)
 				}
 				return nil
 			}
@@ -287,19 +305,20 @@ func writeChunked(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 			ZeroFrac:     a.ZeroFrac,
 			Heat:         int64(w.ver),
 		}
-		stored, isNew := s.PutChunk(wt, &ref, data)
+		stored, isNew := s.PutChunk(wt, wb, &ref, data, handoff)
 		results[w.area][w.idx] = ref
 		if isNew {
 			newChunks++
 			newBytes += stored
 		} else {
 			dedupBytes += stored
-		}
-		if opts.Stream != nil {
-			opts.Stream.Chunk(wt, ref)
+			if handoff != nil {
+				handoff(wt, ref)
+			}
 		}
 		return nil
 	})
+	wb.Close(t)
 
 	t.Trace().Span(t.Host(), track, "ckpt.write.chunks", "ckpt", chunksStart, t.Now(),
 		obs.A("workers", int64(workers)), obs.A("chunks", int64(len(work))),

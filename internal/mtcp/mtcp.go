@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/flow"
 	"repro/internal/kernel"
+	"repro/internal/model"
 	"repro/internal/store"
 )
 
@@ -105,35 +107,19 @@ func WriteImage(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 	t.Compute(p.WriteSetup)
 	t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
 
-	rng := t.P.Node.Cluster.Eng.Rand()
 	raw := img.LogicalBytes()
 	onDisk := raw
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
 	}
+	pipe := t.P.Node.WritePipeFor(path)
 	if opts.Compress {
 		onDisk = img.CompressedBytes(p)
-		if workers <= 1 {
-			for _, a := range img.Areas {
-				t.Compute(p.Jitter(rng, p.CompressTime(a.Bytes, a.Class())))
-			}
-		} else {
-			// Worker pool: compression work is partitioned at store
-			// chunk granularity so one huge area still spreads across
-			// all workers; the core scheduler meters the actual
-			// speedup.
-			spans := compressSpans(img)
-			kernel.RunWorkers(t, workers, len(spans), "gz-worker", func(wt *kernel.Task, i int) error {
-				sp := spans[i]
-				r := wt.P.Node.Cluster.Eng.Rand()
-				wt.Compute(p.Jitter(r, p.CompressTime(sp.bytes, sp.class)))
-				return nil
-			})
-		}
+		writeCompressed(t, img, pipe, onDisk, workers)
+	} else {
+		pipe.Write(t.T, onDisk)
 	}
-	pipe := t.P.Node.WritePipeFor(path)
-	pipe.Write(t.T, onDisk)
 	t.P.Node.FS.WriteFile(path, img.Encode(), onDisk)
 
 	res := WriteResult{
@@ -150,6 +136,67 @@ func WriteImage(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 		res.Took = t.Now().Sub(start)
 	}
 	return res
+}
+
+// writeCompressed pipes a monolithic image through gzip into the page
+// cache: the compressor produces the image as compressSpans blocks, and
+// a write-behind stage writes each block onto pipe while the next one
+// deflates, so the write costs the compression plus one block's write.
+// Serially (workers <= 1) each area draws its jitter once and its
+// blocks split the jittered time by their bytes; a pool of workers
+// compresses the blocks in parallel, one draw each, and the core
+// scheduler meters the real speedup.
+func writeCompressed(t *kernel.Task, img *Image, pipe *flow.Pipe, onDisk int64, workers int) {
+	p := t.P.Node.Cluster.Params
+	spans := compressSpans(img)
+	if len(spans) == 0 {
+		pipe.Write(t.T, onDisk) // the header and tables alone
+		return
+	}
+	stored := spanStored(p, spans, onDisk)
+	wb := kernel.NewWriteBehind(t, pipe)
+	if workers <= 1 {
+		rng := t.P.Node.Cluster.Eng.Rand()
+		i := 0
+		for _, a := range img.Areas {
+			d := p.Jitter(rng, p.CompressTime(a.Bytes, a.Class()))
+			var done time.Duration
+			for lo := int64(0); lo < a.Bytes; lo += kernel.CkptChunkBytes {
+				upto := d
+				if hi := lo + kernel.CkptChunkBytes; hi < a.Bytes {
+					upto = time.Duration(float64(d) * float64(hi) / float64(a.Bytes))
+				}
+				t.Compute(upto - done)
+				done = upto
+				wb.Queue(stored[i], nil)
+				i++
+			}
+		}
+	} else {
+		kernel.RunWorkers(t, workers, len(spans), "gz-worker", func(wt *kernel.Task, i int) error {
+			sp := spans[i]
+			r := wt.P.Node.Cluster.Eng.Rand()
+			wt.Compute(p.Jitter(r, p.CompressTime(sp.bytes, sp.class)))
+			wb.Queue(stored[i], nil)
+			return nil
+		})
+	}
+	wb.Close(t)
+}
+
+// spanStored splits an image's onDisk compressed bytes over its
+// compressSpans blocks: each block carries what its class compresses
+// to, and the first also carries the rest (the header, the tables and
+// the rounding), so the blocks sum to onDisk.  spans is not empty.
+func spanStored(p *model.Params, spans []compressSpan, onDisk int64) []int64 {
+	stored := make([]int64, len(spans))
+	left := onDisk
+	for i, sp := range spans {
+		stored[i] = min(p.CompressedSize(sp.bytes, sp.class), left)
+		left -= stored[i]
+	}
+	stored[0] += left
+	return stored
 }
 
 // LoadImage decodes a monolithic image, charging only the
@@ -209,13 +256,7 @@ func ChargeMemoryRestore(t *kernel.Task, img *Image, path string, workers int) {
 	if len(spans) == 0 {
 		pipe.Read(t.T, onDisk-read) // nothing to gunzip
 	} else {
-		stored := make([]int64, len(spans))
-		left := onDisk
-		for i, sp := range spans {
-			stored[i] = min(p.CompressedSize(sp.bytes, sp.class), left)
-			left -= stored[i]
-		}
-		stored[0] += left
+		stored := spanStored(p, spans, onDisk)
 		for i := 0; read > 0; i++ {
 			n := min(read, stored[i])
 			stored[i] -= n

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -309,6 +310,51 @@ func TestChunkVersionsRoundTrip(t *testing.T) {
 		InstallMemory(shell, got, task, nil)
 		if v := shell.Mem.Area("[big]").ChunkVersions(); v[2] != 1 || v[1] != 0 {
 			t.Errorf("restored versions = %v", v)
+		}
+	})
+}
+
+// TestCompressedWriteOverlapsGzip pins the write-behind stage on the
+// monolithic path: on an idle node a compressed write costs its setup,
+// its gzip time and at most one block's write into the page cache,
+// not its gzip time and then the whole image's write.
+func TestCompressedWriteOverlapsGzip(t *testing.T) {
+	eng, c := testCluster(t)
+	run(t, eng, c, func(task *kernel.Task) {
+		img := buildSampleImage(task)
+		p := c.Params
+		gzip := p.WriteSetup + time.Duration(len(img.Areas))*p.PerAreaCost
+		for _, a := range img.Areas {
+			gzip += p.CompressTime(a.Bytes, a.Class())
+		}
+		absorb := func(n int64) time.Duration { return time.Duration(float64(n) / p.DiskAbsorbBW * 1e9) }
+		block := absorb(slices.Max(spanStored(p, compressSpans(img), img.CompressedBytes(p))))
+		whole := absorb(img.CompressedBytes(p))
+		if whole < 10*block {
+			t.Fatalf("whole write %v is not much longer than one block's %v: the test cannot tell them apart", whole, block)
+		}
+		res := WriteImage(task, img, WriteOptions{Dir: "/ckpt", Compress: true})
+		if res.Took < gzip || res.Took > gzip+block+time.Microsecond {
+			t.Errorf("compressed write took %v; want gzip %v plus at most one block's write %v (the whole write is %v)",
+				res.Took, gzip, block, whole)
+		}
+	})
+}
+
+// TestCompressedFsyncCostsDirtyImage pins the node disk's write-back
+// rule under the write-behind stage: the compressed image reaches the
+// page cache while gzip runs, yet it stays dirty below the background
+// threshold, so an fsync still flushes all of it at DiskPhysicalBW,
+// the §5.2 anchor's assumption.  With dirty bytes draining as they
+// land, the sync would find almost nothing left.
+func TestCompressedFsyncCostsDirtyImage(t *testing.T) {
+	eng, c := testCluster(t)
+	run(t, eng, c, func(task *kernel.Task) {
+		img := buildSampleImage(task)
+		res := WriteImage(task, img, WriteOptions{Dir: "/ckpt", Compress: true, Fsync: true})
+		want := time.Duration(float64(res.Bytes) / c.Params.DiskPhysicalBW * 1e9)
+		if d := res.SyncTook - want; d < -want/20 || d > want/20 {
+			t.Errorf("sync took %v for %d stored bytes, want %v ±5%%", res.SyncTook, res.Bytes, want)
 		}
 	})
 }

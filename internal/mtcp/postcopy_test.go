@@ -195,3 +195,83 @@ func TestRestorePostCopyFaultsAndDrain(t *testing.T) {
 		}
 	})
 }
+
+// TestPostCopyFaultTakesStagedRead pins that a demand fault on a chunk
+// the read-ahead stage has already read, but no installer has claimed
+// yet, lands the stage's copy instead of reading the chunk off the
+// disk a second time.  The fetch stage delivers every pending chunk
+// within a few milliseconds, the stage reads them as they arrive, and
+// one installer gunzips them at about 20 ms a chunk; 5 ms in, a thread
+// touches the coldest absent chunks, which by then wait read and
+// unclaimed.  The disk must serve each pending chunk's stored bytes
+// exactly once: no re-reads.
+func TestPostCopyFaultTakesStagedRead(t *testing.T) {
+	eng, c := testCluster(t)
+	c.RegisterFunc("host", func(t *kernel.Task, _ []string) { t.Idle(time.Hour) })
+	run(t, eng, c, func(task *kernel.Task) {
+		img := buildPostCopyImage(task)
+		src := store.Open(task.P.Node, store.Config{Root: "/ckpt/rr-src/store", Compress: true})
+		res := WriteImage(task, img, WriteOptions{Store: src, Workers: 4})
+		dst := store.Open(task.P.Node, store.Config{Root: "/ckpt/rr-dst/store", Compress: true})
+		ino, _ := task.P.Node.FS.ReadFile(res.Path)
+		dstPath := dst.ManifestPath(ImageBase(img), res.Generation)
+		task.P.Node.FS.WriteFile(dstPath, ino.Data, ino.LogicalSize)
+		got, pending, _, err := Restore(task, dstPath, RestoreOptions{Workers: 1, Lazy: true,
+			Fetch: &copyFetcher{src: src, dst: dst}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		for _, pc := range pending {
+			want += pc.Ref.StoredBytes
+		}
+
+		disk := task.P.Node.DiskR
+		before := disk.TotalBytes()
+		pl, refs := NewPipeline(task, got, dst, pending, nil)
+		f := &fakePull{src: src, dst: dst, refs: refs, deliver: pl.Deliver, perChunk: 100 * time.Microsecond,
+			w: sim.NewWaitQueue(eng, "fake-pull"), state: map[string]int{}}
+		pl.Start(task, 1, f.Wait)
+		p, err := c.Node(0).Kern.Spawn("host", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		InstallMemory(p, got, task, nil)
+		pl.Wire(p, f)
+		var heap *kernel.VMArea
+		for _, a := range p.Mem.Areas() {
+			if a.Name == "[heap]" {
+				heap = a
+			}
+		}
+		absent := heap.AbsentChunks()
+		if len(absent) < 4 {
+			t.Fatalf("only %d heap chunks absent after wiring", len(absent))
+		}
+		done := false
+		doneW := sim.NewWaitQueue(eng, "faulter")
+		p.SpawnTask("faulter", false, func(ft *kernel.Task) {
+			ft.Idle(5 * time.Millisecond)
+			for _, idx := range absent[len(absent)-3:] {
+				if err := heap.EnsureRange(ft, int64(idx)*kernel.CkptChunkBytes, 1); err != nil {
+					t.Errorf("fault on chunk %d: %v", idx, err)
+				}
+			}
+			done = true
+			doneW.WakeAll()
+		})
+		for !done {
+			doneW.Wait(task.T)
+		}
+		if err := pl.Drain(task); err != nil {
+			t.Fatal(err)
+		}
+		if pl.Faults() != 3 {
+			t.Fatalf("%d faults waited for a chunk, want 3", pl.Faults())
+		}
+		if read := disk.TotalBytes() - before; read != want {
+			t.Errorf("the disk served %d bytes for %d pending stored bytes: %d bytes re-read",
+				read, want, read-want)
+		}
+	})
+}

@@ -462,7 +462,9 @@ func (pl *Pipeline) Wire(p *kernel.Process, src Demander) {
 
 // fault is a wired area's first-touch hook: charge the trap, pull the
 // chunk ahead of the fetch order, land it unless a worker already
-// claimed it, and block this thread until it has landed.
+// claimed it, and block this thread until it has landed.  A chunk the
+// read-ahead stage has already taken lands off the stage's read, once
+// its transfer ends; only one the stage has not taken is read here.
 func (pl *Pipeline) fault(t *kernel.Task, area, chunk int) error {
 	t.Compute(t.P.Node.Cluster.Params.FaultTrapCost)
 	i := pl.at[[2]int{area, chunk}]
@@ -478,7 +480,9 @@ func (pl *Pipeline) fault(t *kernel.Task, area, chunk int) error {
 		return err
 	}
 	if mine {
-		pl.s.ChargeReadRaw(t, []store.ChunkRef{ref})
+		if !pl.ra.Take(t, i) {
+			pl.s.ChargeReadRaw(t, []store.ChunkRef{ref})
+		}
 		pl.land(t, i)
 	}
 	for pl.state[i] != landed {

@@ -147,7 +147,7 @@ func TestManifestPrecedesChunksAfterCommit(t *testing.T) {
 		{"eager stream committed before its first batch", func(sv *replica.Service, task *kernel.Task, path string, m *store.Manifest) {
 			// Nothing here yields, so the shippers first run with the
 			// stream already committed.
-			s := sv.NewStream(task.P.Node, task.P, m.Name, m.Generation)
+			s := sv.NewStream(task.P.Node, task.P, m.Name, m.Generation, len(m.Refs()))
 			for _, ref := range m.Refs() {
 				s.Chunk(task, ref)
 			}

@@ -77,11 +77,13 @@ type Stream struct {
 
 // NewStream opens an eager stream for one upcoming generation of name
 // on src, fed by writer (the checkpointed process; a forked writer
-// child re-points the stream at itself with its first chunk).  It
-// returns nil when nothing can ship: no live daemon on the source, or
-// no placement targets.
-func (sv *Service) NewStream(src *kernel.Node, writer *kernel.Process, name string, gen int64) *Stream {
-	return sv.open(src, sv.Targets(src), &Stream{name: name, gen: gen, writer: writer})
+// child re-points the stream at itself with its first chunk).  The
+// stream sizes its ref list for the chunks refs the writer will hand
+// over.  It returns nil when nothing can ship: no live daemon on the
+// source, or no placement targets.
+func (sv *Service) NewStream(src *kernel.Node, writer *kernel.Process, name string, gen int64, chunks int) *Stream {
+	return sv.open(src, sv.Targets(src), &Stream{name: name, gen: gen, writer: writer,
+		refs: make([]store.ChunkRef, 0, chunks)})
 }
 
 // Ship opens a committed stream for the generation at job.ManifestPath

@@ -215,13 +215,17 @@ func (s *Store) releasePut(hash string) {
 // content-addressed index probe; for a chunk that is already present
 // nothing else is charged or written — that skip is the entire dedup
 // win.  For a new chunk it charges compression CPU (when enabled) and
-// storage bandwidth for the stored size, then writes the object.
-// It returns the stored size and whether the chunk was new.
+// queues the stored size on wb, the writer's write-behind stage: the
+// chunk lands when the transfer carrying it ends, and landing writes
+// the object, releases the chunk's claim and then runs landed (when
+// non-nil) on the stage's writer task.  It returns at once with the
+// stored size and whether the chunk was new.
 //
 // PutChunk is safe for concurrent writer tasks: callers racing on one
-// hash serialize through an in-flight claim, so exactly one pays the
-// compression and write while the rest see a dedup hit.
-func (s *Store) PutChunk(t *kernel.Task, ref *ChunkRef, data []byte) (int64, bool) {
+// hash serialize through an in-flight claim, held until the chunk
+// lands, so exactly one pays the compression and write while the rest
+// see a dedup hit.
+func (s *Store) PutChunk(t *kernel.Task, wb *kernel.WriteBehind, ref *ChunkRef, data []byte, landed func(wt *kernel.Task, ref ChunkRef)) (int64, bool) {
 	p := s.params()
 	if ref.Sum == "" {
 		// Content checksum for end-to-end verification; free here — the
@@ -243,8 +247,12 @@ func (s *Store) PutChunk(t *kernel.Task, ref *ChunkRef, data []byte) (int64, boo
 		}
 		wq.Wait(t.T) // another task is writing it; re-check when done
 	}
-	defer s.releasePut(ref.Hash)
-	path := s.ChunkPath(ref.Hash)
+	queued := false
+	defer func() {
+		if !queued { // killed while compressing
+			s.releasePut(ref.Hash)
+		}
+	}()
 	stored := ref.LogicalBytes
 	if s.Cfg.Compress {
 		rng := s.Node.Cluster.Eng.Rand()
@@ -252,9 +260,18 @@ func (s *Store) PutChunk(t *kernel.Task, ref *ChunkRef, data []byte) (int64, boo
 		stored = p.CompressedSize(ref.LogicalBytes, ref.Class())
 	}
 	ref.StoredBytes = stored
-	s.Node.WritePipeFor(path).Write(t.T, stored)
-	s.Node.FS.WriteFile(path, data, stored)
-	t.Trace().Add(t.Host(), "store.put_bytes", t.Now(), stored)
+	r := *ref
+	wb.Queue(stored, func(wt *kernel.Task, ok bool) {
+		if ok {
+			s.Node.FS.WriteFile(s.ChunkPath(r.Hash), data, stored)
+			wt.Trace().Add(wt.Host(), "store.put_bytes", wt.Now(), stored)
+		}
+		s.releasePut(r.Hash)
+		if ok && landed != nil {
+			landed(wt, r)
+		}
+	})
+	queued = true
 	return stored, true
 }
 

@@ -244,6 +244,43 @@ func TestCriticalPathReconciliation(t *testing.T) {
 	}
 }
 
+// TestQuickBenchCriticalPaths is the critical-path check over the
+// quick-scale bench tables (dmtcp-bench -run store,table1,failover,
+// coordha,pipeline,restore,restorelazy,chaos -trials 1 -quick -json):
+// every table carries a critical_path block with analyzed rounds, and
+// each round's blocking chain sums to its wall within 1%.  Table 1's
+// compressed write overlaps its page-cache writes with gzip, so its
+// write stage is one of the chains this covers.
+func TestQuickBenchCriticalPaths(t *testing.T) {
+	ids := []string{"store", "table1", "failover", "coordha", "pipeline", "restore", "restorelazy", "chaos"}
+	tables := dmtcpsim.Regenerate(ids, dmtcpsim.Opts{Trials: 1, Seed: 1, Quick: true}, dmtcpsim.NewTracer(), nil)
+	if len(tables) != len(ids) {
+		t.Fatalf("%d tables for %d experiments", len(tables), len(ids))
+	}
+	checked := 0
+	for _, tab := range tables {
+		cp := tab.CriticalPath
+		if cp == nil || len(cp.Rounds) == 0 {
+			t.Errorf("table %s: no critical_path rounds", tab.ID)
+			continue
+		}
+		for i, r := range cp.Rounds {
+			var chain int64
+			for _, s := range r.Stages {
+				chain += s.WallNS
+			}
+			if r.WallNS <= 0 || !within1pct(chain, r.WallNS) {
+				t.Errorf("table %s round %d: blocking chain %d ns != round wall %d ns (>1%% off)",
+					tab.ID, i, chain, r.WallNS)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no rounds analyzed")
+	}
+}
+
 // TestCriticalPathDeterministic pins the analyzer's byte-determinism:
 // the same seed must analyze to the same JSON, and annotating flow
 // arrows must leave the span analysis unchanged.
